@@ -39,9 +39,11 @@ from .groups import (
     all_subgroups,
     alternating,
     builtin,
+    conjugate_subgroup,
     cyclic,
     dihedral,
     direct_product,
+    from_elements,
     make_group,
     make_hom,
     symmetric,

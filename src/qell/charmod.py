@@ -325,11 +325,6 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
     return total % p * pow(G.order, -1, p) % p
 
 
-def inner_product_virtual(chi: ClassFunction, psi: ClassFunction) -> int:
-    """Inner product with a symmetric lift, valid for virtual characters."""
-    return chi.ctx.lift_symmetric(inner_product(chi, psi))
-
-
 def tensor_cf(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     return chi * psi
 

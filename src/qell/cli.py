@@ -55,6 +55,9 @@ def main(argv=None) -> int:
             ScalarContextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except OSError as exc:      # an --input/--left/--right/--json path
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except QellError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -25,7 +25,13 @@ DEFAULT_ORDER_CAP = 20160
 
 def order_cap() -> int:
     env = os.environ.get("QELL_ORDER_CAP")
-    return int(env) if env else DEFAULT_ORDER_CAP
+    try:
+        cap = int(env) if env else DEFAULT_ORDER_CAP
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise PreconditionError(f"QELL_ORDER_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 class FiniteGroup:
@@ -125,8 +131,7 @@ class FiniteGroup:
 
     def centralizer(self, g: Permutation) -> "FiniteGroup":
         members = [h for h in self.elements if h * g == g * h]
-        return FiniteGroup(self.degree, members, name=f"C_{self.name}({g!r})",
-                           _elements=members)
+        return from_elements(self.degree, members, name=f"C_{self.name}({g!r})")
 
 
 def _closure(degree: int, generators) -> list[Permutation]:
@@ -153,6 +158,31 @@ def _closure(degree: int, generators) -> list[Permutation]:
 def make_group(degree: int, generators, name: str = "", spec: str | None = None) -> FiniteGroup:
     """Enumerate the group generated by ``generators`` on {0..degree-1}."""
     return FiniteGroup(degree, generators, name=name, spec=spec)
+
+
+def from_elements(degree: int, members, name: str = "") -> FiniteGroup:
+    """The group whose elements are ``members``, generated least-first.
+
+    Each generator is the least member outside the subgroup generated so far,
+    so each at least doubles it: at most log2|H| generators.  Raises
+    InvalidGeneratorError if they do not close to exactly ``members``.
+    """
+    members = sorted(set(members))
+    gens, span = [], {identity(degree)}
+    for g in members:
+        if g not in span:
+            gens.append(g)
+            span = set(_closure(degree, gens))
+    if len(span) != len(members):
+        raise InvalidGeneratorError("invalid generator: the members do not form a group")
+    return FiniteGroup(degree, gens, name=name, _elements=span)
+
+
+def conjugate_subgroup(S: FiniteGroup, w: Permutation, name: str) -> FiniteGroup:
+    """w S w^{-1}, on the conjugated generators of S; no closure is run."""
+    wi = w.inverse()
+    return FiniteGroup(S.degree, [w * s * wi for s in S.generators], name=name,
+                       _elements=[w * s * wi for s in S.elements])
 
 
 class ConjugacyData:
@@ -278,8 +308,7 @@ class GroupHom:
     def kernel(self) -> FiniteGroup:
         e = self.codomain.identity
         members = [g for g in self.domain.elements if self.image_of[g] == e]
-        return FiniteGroup(self.domain.degree, members, name=f"ker<{self.domain.name}>",
-                           _elements=members)
+        return from_elements(self.domain.degree, members, name=f"ker<{self.domain.name}>")
 
     @staticmethod
     def identity_on(G: FiniteGroup) -> "GroupHom":
@@ -290,15 +319,6 @@ class GroupHom:
         if not G.is_subgroup(H):
             raise NotSubgroupError(f"{H.name} is not a subgroup of {G.name}")
         return GroupHom(H, G, {h: h for h in H.elements}, check=False)
-
-    @staticmethod
-    def conjugation(S: FiniteGroup, w: Permutation) -> "GroupHom":
-        """s -> w s w^{-1}, from S onto w S w^{-1}."""
-        wi = w.inverse()
-        mapping = {s: w * s * wi for s in S.elements}
-        target = FiniteGroup(S.degree, list(mapping.values()),
-                             name=f"conj<{S.name}>", _elements=list(mapping.values()))
-        return GroupHom(S, target, mapping, check=False)
 
 
 def make_hom(G: FiniteGroup, H: FiniteGroup, generator_images) -> GroupHom:
@@ -423,9 +443,8 @@ def all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
 
     Exponential in principle; meant for the small groups exercised in tests.
     """
-    seen: dict[frozenset, FiniteGroup] = {}
-    trivial = FiniteGroup(G.degree, [], name="1", _elements=[G.identity])
-    seen[frozenset(trivial.elements)] = trivial
+    trivial = FiniteGroup(G.degree, [], name="1")
+    seen: dict[frozenset, FiniteGroup] = {frozenset(trivial.elements): trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
@@ -433,7 +452,7 @@ def all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
             for g in G.elements:
                 if g in H:
                     continue
-                K = FiniteGroup(G.degree, list(H.elements) + [g])
+                K = FiniteGroup(G.degree, H.generators + (g,))
                 fz = frozenset(K.elements)
                 if fz not in seen:
                     seen[fz] = K

@@ -13,8 +13,8 @@ Points are 0-indexed.  "x" builds direct products, left-associatively.
 
 from __future__ import annotations
 
-from .errors import ParseError
-from .groups import FiniteGroup, builtin, direct_product, make_group
+from .errors import ParseError, PreconditionError
+from .groups import FiniteGroup, builtin, direct_product, make_group, order_cap
 from .perm import from_cycles
 
 
@@ -46,6 +46,7 @@ class _Cursor:
 
 
 def parse_group_spec(text: str) -> FiniteGroup:
+    order_cap()     # a malformed QELL_ORDER_CAP fails as itself, not as a parse position
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty group spec", 0)
@@ -72,23 +73,14 @@ def _atom(cur: _Cursor) -> FiniteGroup:
             cur.take()
             gens.append(_cycles(cur, degree))
         spec_text = cur.text[start:cur.pos]
-        try:
-            return make_group(degree, gens, name=spec_text, spec=spec_text)
-        except Exception as exc:
-            from .errors import GroupTooLargeError
-            if isinstance(exc, GroupTooLargeError):
-                raise
-            raise ParseError(str(exc), start) from exc
+        return make_group(degree, gens, name=spec_text, spec=spec_text)
     family = cur.peek()
     if family in "SACD":
         cur.take()
         n = cur.integer()
         try:
             return builtin(family, n)
-        except Exception as exc:
-            from .errors import GroupTooLargeError
-            if isinstance(exc, GroupTooLargeError):
-                raise
+        except PreconditionError as exc:
             raise ParseError(str(exc), start) from exc
     raise ParseError(f"expected a family letter or 'perm:', got {cur.peek()!r}",
                      cur.pos)

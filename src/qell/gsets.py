@@ -10,7 +10,7 @@ recorded here.
 from __future__ import annotations
 
 from .errors import NotSubgroupError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation
+from .groups import FiniteGroup, GroupHom, Permutation, from_elements
 
 
 class FiniteGSet:
@@ -176,9 +176,8 @@ def orbits_with_stabilizers(C: FiniteGroup, X: FiniteGSet, subset=None) -> list[
             if y not in transport:
                 transport[y] = c
         pts = sorted(transport)
-        stab_members = [c for c in C.elements if X.act(c, x) == x]
-        stab = FiniteGroup(C.degree, stab_members, name=f"stab({x})",
-                           _elements=stab_members)
+        stab = from_elements(C.degree, [c for c in C.elements if X.act(c, x) == x],
+                             name=f"stab({x})")
         assert len(pts) * stab.order == C.order
         out.append(Orbit(x, pts, stab, transport))
         seen.update(pts)

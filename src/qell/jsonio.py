@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import qlaurent
 from .errors import SchemaError
 from .gsets import FiniteGSet, point_set, regular_gset
-from .groups import FiniteGroup, Permutation, make_group
+from .groups import FiniteGroup, Permutation, from_elements, make_group
 from .qell_core import QEllElt, QEllStructure, structure
 
 SCHEMA_VERSION = "1"
@@ -64,10 +64,11 @@ def space_payload(struct: QEllStructure) -> dict:
         return {"kind": "regular"}
     # a coset space is recovered canonically: the identity coset is point 0,
     # so its stabilizer is the inducing subgroup
-    members = [g for g in G.elements if X.act(g, 0) == 0]
-    H = FiniteGroup(G.degree, members, _elements=members)
+    H = from_elements(G.degree, [g for g in G.elements if X.act(g, 0) == 0])
     if X == cosets_space(G, H):
-        return {"kind": "cosets", "subgroup": group_payload(H)}
+        # schema v1 lists every element of the subgroup as a generator
+        return {"kind": "cosets", "subgroup": dict(
+            group_payload(H), generators=[list(g.images) for g in H.elements])}
     raise SchemaError(f"space {X.name} has no JSON descriptor")
 
 

@@ -75,9 +75,6 @@ class Permutation:
             out = out * len(cyc) // math.gcd(out, len(cyc))
         return out
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its least point."""
         seen = [False] * self.degree

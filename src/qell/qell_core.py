@@ -20,6 +20,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Permutation,
+    conjugate_subgroup,
     product_split,
     transporter,
 )
@@ -178,11 +179,7 @@ def _point_ctx(struct: QEllStructure, ci: int, point: int) -> LambdaCtx:
     if point == orb.rep:
         ctx = cb.ctxs[oi]
     else:
-        u = orb.transport[point]
-        ui = u.inverse()
-        members = [u * s * ui for s in orb.stabilizer.elements]
-        S = FiniteGroup(struct.group.degree, members,
-                        name=f"stab({point})", _elements=members)
+        S = conjugate_subgroup(orb.stabilizer, orb.transport[point], f"stab({point})")
         ctx = rr.ctx_for(struct.sctx, S, cb.g)
     cb._point_ctx[point] = ctx
     return ctx
@@ -213,10 +210,7 @@ def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
         return value_at(elt, ci, point)
     y = struct.gset.act(w.inverse(), point)
     v = value_at(elt, ci, y)           # over Λ_{Stab(y)}(rep)
-    wi = w.inverse()
-    members = [w * s * wi for s in v.ctx.group.elements]
-    S = FiniteGroup(struct.group.degree, members, name=f"stab*({point})",
-                    _elements=members)
+    S = conjugate_subgroup(v.ctx.group, w, f"stab*({point})")
     return rr.conjugate(v, w, rr.ctx_for(struct.sctx, S, h))
 
 
@@ -478,9 +472,7 @@ def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
                 continue
             r = ts[0]                 # r^{-1} g r == h0
             v = elt.components[hi][0]
-            ri = r.inverse()
-            members = [r * s * ri for s in v.ctx.group.elements]
-            S = FiniteGroup(G.degree, members, name="conj-cent", _elements=members)
+            S = conjugate_subgroup(v.ctx.group, r, "conj-cent")
             moved = rr.conjugate(v, r, rr.ctx_for(sctx, S, g))
             acc = acc + rr.induce_to(moved, tctx)
         out.append([acc])

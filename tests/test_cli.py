@@ -98,6 +98,41 @@ def test_cap_env_override(monkeypatch):
     assert main(["point", "--group", "S3"]) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+def test_cap_env_must_be_positive_integer(monkeypatch, capsys, tmp_path, value):
+    u = tmp_path / "u.json"
+    assert main(["unit", "--group", "C2", "--json", str(u)]) == 0
+    monkeypatch.setenv("QELL_ORDER_CAP", value)
+    expected = f"error: QELL_ORDER_CAP must be a positive integer, got {value!r}\n"
+    for argv in (["point", "--group", "S3"],
+                 ["op", "mu", "--n", "2", "--input", str(u)]):
+        capsys.readouterr()
+        assert main(argv) == 5
+        assert capsys.readouterr().err == expected
+
+
+def test_file_errors_name_the_path(capsys, tmp_path):
+    u = tmp_path / "u.json"
+    assert main(["unit", "--group", "C2", "--json", str(u)]) == 0
+    missing = tmp_path / "missing.json"
+    unwritable = tmp_path / "no-such-dir" / "out.json"
+    for argv, path in [
+        (["op", "mu", "--input", str(missing)], missing),
+        (["op", "mu", "--input", str(tmp_path)], tmp_path),        # a directory
+        (["op", "transfer", "--group", "C4", "--input", str(missing)], missing),
+        (["op", "kunneth", "--left", str(missing), "--right", str(u)], missing),
+        (["op", "kunneth", "--left", str(u), "--right", str(missing)], missing),
+        (["unit", "--group", "C2", "--json", str(unwritable)], unwritable),
+        (["op", "mu", "--input", str(u), "--json", str(unwritable)], unwritable),
+        (["point", "--group", "C2", "--json", str(unwritable)], unwritable),
+    ]:
+        capsys.readouterr()
+        assert main(argv) == 5, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, argv
+        assert err.count("\n") == 1, argv
+
+
 def test_verify_exit_zero(capsys):
     assert main(["verify", "--suite", "paper"]) == 0
     out = capsys.readouterr().out
@@ -144,6 +179,39 @@ def test_element_round_trip_regular_and_cosets():
     H = G.subgroup([Permutation([1, 2, 0])], name="C3<S3")
     Z = jsonio.cosets_space(G, H)
     _round_trip(qc.random_element(qc.structure(G, Z, sctx), rng), sctx)
+
+
+# One cosets-space element, S3 over C3, in schema v1: the subgroup block lists
+# every element of C3, in sorted order, as its "generators".
+COSETS_UNIT_S3_C3 = json.dumps(json.loads(
+    '{"schema_version": "1", "group": {"spec": "S3", "degree": 3, "order": 6, '
+    '"generators": [[1, 0, 2], [1, 2, 0]]}, "space": {"kind": "cosets", '
+    '"subgroup": {"spec": null, "degree": 3, "order": 3, '
+    '"generators": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}}, "classes": ['
+    '{"rep": [0, 1, 2], "rep_order": 1, "centralizer_order": 6, "orbits": ['
+    '{"orbit_rep": 0, "stabilizer_order": 3, "rank": 3, "basis": ['
+    '{"irr": 0, "degree": 1, "c": "0/1"}, {"irr": 1, "degree": 1, "c": "0/1"}, '
+    '{"irr": 2, "degree": 1, "c": "0/1"}], '
+    '"coeffs": [[{"exp": "0/1", "coef": 1}], [], []]}]}, '
+    '{"rep": [0, 2, 1], "rep_order": 2, "centralizer_order": 2, "orbits": []}, '
+    '{"rep": [1, 2, 0], "rep_order": 3, "centralizer_order": 3, "orbits": ['
+    '{"orbit_rep": 0, "stabilizer_order": 3, "rank": 3, "basis": ['
+    '{"irr": 0, "degree": 1, "c": "0/1"}, {"irr": 1, "degree": 1, "c": "1/3"}, '
+    '{"irr": 2, "degree": 1, "c": "2/3"}], '
+    '"coeffs": [[{"exp": "0/1", "coef": 1}], [], []]}, '
+    '{"orbit_rep": 1, "stabilizer_order": 3, "rank": 3, "basis": ['
+    '{"irr": 0, "degree": 1, "c": "0/1"}, {"irr": 1, "degree": 1, "c": "1/3"}, '
+    '{"irr": 2, "degree": 1, "c": "2/3"}], '
+    '"coeffs": [[{"exp": "0/1", "coef": 1}], [], []]}]}]}'), indent=1)
+
+
+def test_cosets_element_golden_bytes():
+    from qell.groups import Permutation
+    G = symmetric(3)
+    sctx = ScalarContext.for_groups([G])
+    H = G.subgroup([Permutation([1, 2, 0])], name="C3<S3")
+    unit = qc.structure(G, jsonio.cosets_space(G, H), sctx).unit()
+    assert jsonio.dumps(jsonio.element_payload(unit)) == COSETS_UNIT_S3_C3
 
 
 def test_structure_payload_schema():

@@ -1,0 +1,78 @@
+"""One ScalarContext shared by several threads gives single-threaded results.
+
+The memo caches (character tables, rotation contexts, structures, conjugacy
+data, decomposition columns) fill lazily and without locks.  Each entry is
+complete before it is stored, so two threads can at worst build the same
+entry twice.  This test runs the same workload on fresh groups and a fresh
+context, once in one thread and once in four threads sharing everything.  The
+threads start each step together, with a tiny interpreter switch interval, so
+that they interleave inside the same cache fills.
+"""
+
+import random
+import sys
+import threading
+
+from qell import jsonio
+from qell import qell_core as qc
+from qell.charmod import ScalarContext
+from qell.groups import all_subgroups, dihedral, symmetric
+from qell.gsets import point_set, regular_gset
+
+N_THREADS = 4
+
+
+def fresh_world():
+    G = symmetric(4)
+    subs = [H for H in all_subgroups(G) if H.order in (2, 3, 4, 6, 8)][:8]
+    D = dihedral(4)
+    return G, subs, D, ScalarContext.for_groups([G, D])
+
+
+def steps(G, subs, D, sctx) -> list:
+    """The workload as a list of calls, each returning serialised elements."""
+    def dump(*elts):
+        return [jsonio.dumps(jsonio.element_payload(e)) for e in elts]
+
+    def on_subgroup(H):
+        a = qc.random_element(qc.structure(H, point_set(H), sctx),
+                              random.Random(H.order))
+        t = qc.transfer(G, a, algorithm="B")
+        return dump(t, t * t, qc.mu(t, 2), qc.adams(t, 3))
+
+    def on_regular():
+        b = qc.random_element(qc.structure(D, regular_gset(D), sctx), random.Random(1))
+        return dump(b * b, qc.exterior_power(b, 2))
+
+    return [lambda H=H: on_subgroup(H) for H in subs] + [on_regular]
+
+
+def test_shared_context_matches_single_thread():
+    expected = [step() for step in steps(*fresh_world())]
+    shared = steps(*fresh_world())
+    results = [[] for _ in range(N_THREADS)]
+    errors = []
+    in_step = threading.Barrier(N_THREADS, timeout=60)
+
+    def run(i):
+        try:
+            for step in shared:
+                in_step.wait()          # lock step: all threads miss the same entries
+                results[i].append(step())
+        except Exception as exc:      # surfaced below, not lost in the thread
+            errors.append(exc)
+            in_step.abort()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(N_THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert all(r == expected for r in results)

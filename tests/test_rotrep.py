@@ -213,9 +213,8 @@ def test_conjugate_transports_three_cycle(S3, s3_ctx):
     assert g2 == g * g                 # (12)(012)(12) = (021)
     ctx = rr.ctx_build(S3, g, s3_ctx)
     wi = h.inverse()
-    members = [h * s * wi for s in ctx.group.elements]
-    from qell.groups import FiniteGroup
-    tgt_group = FiniteGroup(3, members, _elements=members)
+    from qell.groups import from_elements
+    tgt_group = from_elements(3, [h * s * wi for s in ctx.group.elements])
     tgt = rr.ctx_for(s3_ctx, tgt_group, g2)
     src_third = next(i for i, c in enumerate(ctx.angles) if c == Fraction(1, 3))
     out = rr.conjugate(ctx.basis_elt(src_third), h, tgt)
@@ -236,13 +235,12 @@ def test_conjugate_composition(S3, s3_ctx):
     ctx = rr.ctx_build(S3, g, s3_ctx)
     rng = random.Random(8)
     a = random_elt(ctx, rng)
-    from qell.groups import FiniteGroup
+    from qell.groups import from_elements
     h1, h2 = Permutation([2, 1, 0]), Permutation([1, 2, 0])
 
     def conj_ctx(base, w):
         wi = w.inverse()
-        members = [w * s * wi for s in base.group.elements]
-        Gc = FiniteGroup(3, members, _elements=members)
+        Gc = from_elements(3, [w * s * wi for s in base.group.elements])
         return rr.ctx_for(s3_ctx, Gc, w * base.g * wi)
 
     c2 = conj_ctx(ctx, h2)
