@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import modp
 from .errors import PreconditionError, ScalarContextError, InternalCheckError
-from .groups import FiniteGroup, GroupHom, Permutation
+from .groups import FiniteGroup, GroupHom, Permutation, memo
 
 
 class ScalarContext:
@@ -34,6 +34,7 @@ class ScalarContext:
                 raise InternalCheckError("root of unity has wrong order")
         self._tables: dict = {}
         self._lambda_ctxs: dict = {}
+        self._structures: dict = {}
 
     @classmethod
     def for_groups(cls, groups) -> "ScalarContext":
@@ -68,10 +69,7 @@ class ScalarContext:
         return v - self.p if v > self.p // 2 else v
 
     def table(self, G: FiniteGroup) -> "CharacterTable":
-        key = G.key()
-        if key not in self._tables:
-            self._tables[key] = character_table(G, self)
-        return self._tables[key]
+        return memo(self._tables, G.key(), character_table, G, self)
 
     def __repr__(self) -> str:
         return f"ScalarContext(N={self.N}, p={self.p})"
@@ -141,10 +139,7 @@ class CharacterTable:
         raise InternalCheckError("class function is not a row of the table")
 
     def angle(self, i: int, g: Permutation) -> Fraction:
-        key = (i, g)
-        if key not in self._angle_cache:
-            self._angle_cache[key] = central_angle(self.rows[i], g, self.ctx)
-        return self._angle_cache[key]
+        return memo(self._angle_cache, (i, g), central_angle, self.rows[i], g, self.ctx)
 
 
 def character_table(G: FiniteGroup, ctx: ScalarContext) -> CharacterTable:

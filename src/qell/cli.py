@@ -104,11 +104,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 
-def _load_element(path: str, sctx_groups: list[FiniteGroup]):
-    with open(path, encoding="utf-8") as fh:
-        data = jsonio.loads(fh.read())
+def _read_payload(path: str) -> dict:
+    """The JSON object in the file at ``path``; text that is not UTF-8 is a SchemaError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"not UTF-8 text ({exc.reason} at byte {exc.start}): {path}") from None
+    data = jsonio.loads(text)
     if not isinstance(data, dict):
         raise SchemaError("payload is not a JSON object")
+    return data
+
+
+def _load_element(path: str, sctx_groups: list[FiniteGroup]):
+    data = _read_payload(path)
     G = jsonio.group_from_payload(data.get("group", {}))
     sctx = ScalarContext.for_groups(sctx_groups + [G])
     return jsonio.element_from_payload(data, sctx), sctx
@@ -177,12 +188,8 @@ def cmd_op(args) -> int:
     if op == "kunneth":
         if not (args.left and args.right):
             raise PreconditionError("kunneth needs --left and --right")
-        with open(args.left, encoding="utf-8") as fh:
-            left_data = jsonio.loads(fh.read())
-        with open(args.right, encoding="utf-8") as fh:
-            right_data = jsonio.loads(fh.read())
-        if not isinstance(left_data, dict) or not isinstance(right_data, dict):
-            raise SchemaError("payload is not a JSON object")
+        left_data = _read_payload(args.left)
+        right_data = _read_payload(args.right)
         G = jsonio.group_from_payload(left_data.get("group", {}))
         H = jsonio.group_from_payload(right_data.get("group", {}))
         P = direct_product(G, H, spec=f"({G.spec})x({H.spec})"

@@ -23,6 +23,21 @@ from .perm import Permutation, from_cycles, identity
 DEFAULT_ORDER_CAP = 20160
 
 
+def memo(cache: dict, key, build, *args):
+    """``cache[key]``, filled with ``build(*args)`` on a miss.
+
+    Every keyed cache in qell is filled here.  An entry is stored only after
+    ``build`` has returned and is never replaced, so a reader sees no entry
+    or a finished one, and every caller gets the same object.  Threads that
+    miss together may each build it; the first to finish publishes.
+    """
+    try:
+        return cache[key]
+    except KeyError:
+        pass
+    return cache.setdefault(key, build(*args))
+
+
 def order_cap() -> int:
     env = os.environ.get("QELL_ORDER_CAP")
     try:
@@ -212,9 +227,8 @@ class ConjugacyData:
             raise PreconditionError(f"{g!r} is not an element of {self.group.name}") from None
 
     def centralizer(self, class_idx: int) -> FiniteGroup:
-        if class_idx not in self._centralizers:
-            self._centralizers[class_idx] = self.group.centralizer(self.class_reps[class_idx])
-        return self._centralizers[class_idx]
+        return memo(self._centralizers, class_idx,
+                    self.group.centralizer, self.class_reps[class_idx])
 
     def transport_to_rep(self, g: Permutation) -> tuple[int, Permutation]:
         """Return (class index i, w) with ``g == w * rep_i * w^{-1}``."""

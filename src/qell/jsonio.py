@@ -23,7 +23,7 @@ import json
 from fractions import Fraction
 
 from . import qlaurent
-from .errors import SchemaError
+from .errors import InvalidGeneratorError, SchemaError
 from .gsets import FiniteGSet, point_set, regular_gset
 from .groups import FiniteGroup, Permutation, from_elements, make_group
 from .qell_core import QEllElt, QEllStructure, structure
@@ -46,10 +46,13 @@ def group_from_payload(data: dict) -> FiniteGroup:
         gens = [Permutation(images) for images in data["generators"]]
         spec = data.get("spec")
         order = int(data["order"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidGeneratorError) as exc:
         raise SchemaError(f"bad group payload: {exc}") from exc
     name = spec if isinstance(spec, str) else ""
-    G = make_group(degree, gens, name=name, spec=spec)
+    try:
+        G = make_group(degree, gens, name=name, spec=spec)
+    except InvalidGeneratorError as exc:
+        raise SchemaError(f"bad group payload: {exc}") from exc
     if G.order != order:
         raise SchemaError(f"group payload order {order} != computed {G.order}")
     return G
@@ -79,6 +82,8 @@ def space_from_payload(G: FiniteGroup, data: dict) -> FiniteGSet:
     if kind == "regular":
         return regular_gset(G)
     if kind == "cosets":
+        if not isinstance(data.get("subgroup"), dict):
+            raise SchemaError("cosets space has no subgroup object")
         H = group_from_payload(data["subgroup"])
         if not G.is_subgroup(H):
             raise SchemaError("space subgroup does not sit inside the group")
@@ -184,7 +189,10 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
         raise SchemaError("classes array does not match the group")
     for ci, entry in enumerate(classes):
         cb = struct.classes[ci]
-        if tuple(entry.get("rep", ())) != cb.g.images:
+        if not isinstance(entry, dict):
+            raise SchemaError(f"class entry {ci} is not an object")
+        rep = entry.get("rep")
+        if not isinstance(rep, list) or tuple(rep) != cb.g.images:
             raise SchemaError(f"class {ci} representative mismatch")
         rep_index = {orb.rep: oi for oi, orb in enumerate(cb.orbits)}
         orbits = entry.get("orbits", ())

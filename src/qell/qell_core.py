@@ -14,13 +14,14 @@ import random
 from fractions import Fraction
 
 from . import rotrep as rr
-from .charmod import ScalarContext
+from .charmod import ClassFunction, ScalarContext
 from .errors import InternalCheckError, PreconditionError
 from .groups import (
     FiniteGroup,
     GroupHom,
     Permutation,
     conjugate_subgroup,
+    memo,
     product_split,
     transporter,
 )
@@ -95,13 +96,7 @@ class QEllStructure:
 
 def structure(G: FiniteGroup, X: FiniteGSet, sctx: ScalarContext) -> QEllStructure:
     """Cached structure constructor (one object per (G, X) and context)."""
-    cache = getattr(sctx, "_qell_structs", None)
-    if cache is None:
-        cache = sctx._qell_structs = {}
-    key = (G.key(), X.key())
-    if key not in cache:
-        cache[key] = QEllStructure(G, X, sctx)
-    return cache[key]
+    return memo(sctx._structures, (G.key(), X.key()), QEllStructure, G, X, sctx)
 
 
 class QEllElt:
@@ -171,18 +166,15 @@ class QEllElt:
 
 def _point_ctx(struct: QEllStructure, ci: int, point: int) -> LambdaCtx:
     """Context at an arbitrary point of X^g (stabilizer conjugated from rep)."""
+    return memo(struct.classes[ci]._point_ctx, point, _transported_ctx, struct, ci, point)
+
+
+def _transported_ctx(struct: QEllStructure, ci: int, point: int) -> LambdaCtx:
+    # at the orbit rep the transport is the identity and ctx_for returns cb.ctxs[oi]
     cb = struct.classes[ci]
-    if point in cb._point_ctx:
-        return cb._point_ctx[point]
-    oi = cb.orbit_of_point[point]
-    orb = cb.orbits[oi]
-    if point == orb.rep:
-        ctx = cb.ctxs[oi]
-    else:
-        S = conjugate_subgroup(orb.stabilizer, orb.transport[point], f"stab({point})")
-        ctx = rr.ctx_for(struct.sctx, S, cb.g)
-    cb._point_ctx[point] = ctx
-    return ctx
+    orb = cb.orbits[cb.orbit_of_point[point]]
+    S = conjugate_subgroup(orb.stabilizer, orb.transport[point], f"stab({point})")
+    return rr.ctx_for(struct.sctx, S, cb.g)
 
 
 def value_at(elt: QEllElt, ci: int, point: int) -> LambdaElt:
@@ -277,10 +269,12 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
 def _kunneth_index(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
                    P: FiniteGroup) -> dict:
     """(i, j) -> basis row of ctxP carrying the external product character."""
-    cache_key = ("kun", ctxA.key(), ctxB.key())
-    if cache_key in ctxP._decomp_cache:
-        return ctxP._decomp_cache[cache_key]
-    from .charmod import ClassFunction
+    return memo(ctxP._decomp_cache, ("kun", ctxA.key(), ctxB.key()),
+                _kunneth_table, ctxA, ctxB, ctxP, P)
+
+
+def _kunneth_table(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
+                   P: FiniteGroup) -> dict:
     reps = ctxP.group.conjugacy().class_reps
     parts = [product_split(P, rep) for rep in reps]
     conjA = ctxA.group.conjugacy()
@@ -299,7 +293,6 @@ def _kunneth_index(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
             if ctxP.angles[k] != c - int(c):
                 raise InternalCheckError("product basis element has wrong angle")
             table[(i, j)] = (k, int(c))
-    ctxP._decomp_cache[cache_key] = table
     return table
 
 
@@ -641,20 +634,13 @@ def tate_presentation_report(N: int, sctx: ScalarContext | None = None) -> dict:
                 break
             seen_rows.add(idx)
         xn_ok = powers_ok and (power * x) == ctx.q(m)
-        cover_ok = powers_ok and seen_rows == set(range(ctx.rank)) - {_trivial_row(ctx)}
+        cover_ok = powers_ok and seen_rows == set(range(ctx.rank)) - {ctx.trivial_row}
         entry.update({"angle_ok": angle_ok, "xN_ok": xn_ok,
                       "powers_cover_basis": cover_ok})
         entry["ok"] = all((entry["rank_ok"], angle_ok, xn_ok, powers_ok, cover_ok))
         report["components"].append(entry)
         report["ok"] = report["ok"] and entry["ok"]
     return report
-
-
-def _trivial_row(ctx: LambdaCtx) -> int:
-    from .charmod import ClassFunction
-    return ctx.table.irreducible_index(
-        ClassFunction(ctx.group, ctx.sctx,
-                      [1] * ctx.group.conjugacy().n_classes))
 
 
 # ---------------------------------------------------------------------------

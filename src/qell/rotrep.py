@@ -39,7 +39,7 @@ from .charmod import (
     restrict_cf,
 )
 from .errors import InternalCheckError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation
+from .groups import FiniteGroup, GroupHom, Permutation, memo
 from .qlaurent import ONE, QLaurent, ZERO, monomial, q_power
 
 
@@ -64,6 +64,8 @@ class LambdaCtx:
             if ordg % c.denominator:
                 raise InternalCheckError("angle denominator does not divide ord(g)")
         self.rank = self.table.n_irr
+        self.trivial_row = self.table.irreducible_index(
+            ClassFunction(group, sctx, [1] * self.rank))
         self._mul_cache: dict = {}
         self._decomp_cache: dict = {}
 
@@ -86,10 +88,7 @@ class LambdaCtx:
         return LambdaElt(self, (ZERO,) * self.rank)
 
     def unit(self) -> "LambdaElt":
-        trivial = self.table.irreducible_index(
-            ClassFunction(self.group, self.sctx,
-                          [1] * self.group.conjugacy().n_classes))
-        return self.basis_elt(trivial)
+        return self.basis_elt(self.trivial_row)
 
     def basis_elt(self, i: int, coeff: QLaurent = ONE) -> "LambdaElt":
         coeffs = [ZERO] * self.rank
@@ -106,32 +105,35 @@ class LambdaCtx:
         return self.unit() * q_power(exponent)
 
     def _product_columns(self, i: int, j: int):
-        """Structure constants of basis product i*j: list of (μ, mult), shift."""
-        if (i, j) not in self._mul_cache:
-            c = self.angles[i] + self.angles[j]
-            shift = int(c)    # 0 or 1
-            target_angle = c - shift
-            prod = self.table.rows[i] * self.table.rows[j]
-            mults = decompose(prod, self.table)
-            cols = []
-            for mu, m in enumerate(mults):
-                if m:
-                    if self.angles[mu] != target_angle:
-                        raise InternalCheckError(
-                            "product constituent carries the wrong central angle"
-                        )
-                    cols.append((mu, m))
-            self._mul_cache[(i, j)] = (cols, shift)
-            self._mul_cache[(j, i)] = (cols, shift)
-        return self._mul_cache[(i, j)]
+        """Structure constants of basis product i*j: list of (μ, mult·q^shift)."""
+        return memo(self._mul_cache, (i, j) if i <= j else (j, i),
+                    self._multiply_basis, i, j)
+
+    def _multiply_basis(self, i: int, j: int):
+        c = self.angles[i] + self.angles[j]
+        shift = int(c)    # 0 or 1
+        mults = decompose(self.table.rows[i] * self.table.rows[j], self.table)
+        return _constituents(mults, self, c - shift, "product", shift)
+
+
+def _constituents(mults, target: LambdaCtx, angle: Fraction, what: str, shift=0):
+    """Columns [(j, m·q^shift)] of the nonzero multiplicities m over target's rows.
+
+    Every constituent must carry the central angle ``angle``.
+    """
+    cols = []
+    for j, m in enumerate(mults):
+        if m:
+            if target.angles[j] != angle:
+                raise InternalCheckError(
+                    f"{what} constituent carries the wrong central angle")
+            cols.append((j, monomial(m, shift)))
+    return cols
 
 
 def ctx_for(sctx: ScalarContext, group: FiniteGroup, g: Permutation) -> LambdaCtx:
     """Cached context for (group, central element)."""
-    key = (group.key(), g.images)
-    if key not in sctx._lambda_ctxs:
-        sctx._lambda_ctxs[key] = LambdaCtx(sctx, group, g)
-    return sctx._lambda_ctxs[key]
+    return memo(sctx._lambda_ctxs, (group.key(), g.images), LambdaCtx, sctx, group, g)
 
 
 def ctx_build(G: FiniteGroup, g: Permutation, sctx: ScalarContext) -> LambdaCtx:
@@ -183,10 +185,9 @@ class LambdaElt:
             for j, gj in enumerate(other.coeffs):
                 if gj.is_zero():
                     continue
-                cols, shift = self.ctx._product_columns(i, j)
-                scaled = (fi * gj).shift(shift)
-                for mu, m in cols:
-                    out[mu] = out[mu] + scaled * m
+                fg = fi * gj
+                for mu, mult in self.ctx._product_columns(i, j):
+                    out[mu] = out[mu] + fg * mult
         return LambdaElt(self.ctx, tuple(out))
 
     __rmul__ = __mul__
@@ -234,13 +235,22 @@ def pairing(a: LambdaElt, b: LambdaElt) -> QLaurent:
     return out
 
 
-def _basis_transform(elt: LambdaElt, target: LambdaCtx, column) -> LambdaElt:
-    """Linear extension of a basis map i ↦ [(j, coeff multiplier), ...]."""
+def _basis_map(elt: LambdaElt, target: LambdaCtx, key, build,
+               scale=None) -> LambdaElt:
+    """Linear extension of a basis map i ↦ build(i) = [(j, coeff multiplier), ...].
+
+    Columns are cached on the source context, one dict per ``key`` with one
+    entry per source row.  ``scale`` first substitutes q ↦ q^scale in every
+    coefficient.
+    """
+    columns = memo(elt.ctx._decomp_cache, key, dict)
     out = [ZERO] * target.rank
     for i, f in enumerate(elt.coeffs):
         if f.is_zero():
             continue
-        for j, mult in column(i):
+        if scale is not None:
+            f = f.rescale(scale)
+        for j, mult in memo(columns, i, build, i):
             out[j] = out[j] + f * mult
     return LambdaElt(target, tuple(out))
 
@@ -257,24 +267,12 @@ def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaEl
     if phi(target.g) != src.g:
         raise PreconditionError("homomorphism does not carry g to g")
     hom_key = tuple(phi(x).images for x in target.group.elements)
-    cache = src._decomp_cache.setdefault(("res", target.key(), hom_key), {})
 
     def column(i):
-        if i not in cache:
-            pulled = restrict_cf(phi, src.table.rows[i])
-            mults = decompose(pulled, target.table)
-            cols = []
-            for j, m in enumerate(mults):
-                if m:
-                    if target.angles[j] != src.angles[i]:
-                        raise InternalCheckError(
-                            "restricted constituent carries the wrong central angle"
-                        )
-                    cols.append((j, QLaurent([(0, m)])))
-            cache[i] = cols
-        return cache[i]
+        mults = decompose(restrict_cf(phi, src.table.rows[i]), target.table)
+        return _constituents(mults, target, src.angles[i], "restricted")
 
-    return _basis_transform(elt, target, column)
+    return _basis_map(elt, target, ("res", target.key(), hom_key), column)
 
 
 def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
@@ -285,28 +283,17 @@ def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
     if not target.group.is_subgroup(src.group):
         raise PreconditionError(f"{src.group.name} is not inside {target.group.name}")
     index = target.group.order // src.group.order
-    cache = src._decomp_cache.setdefault(("ind", target.key()), {})
 
     def column(i):
-        if i not in cache:
-            ind = induce_cf(target.group, src.group, src.table.rows[i])
-            mults = decompose(ind, target.table)
-            cols = []
-            total = 0
-            for j, m in enumerate(mults):
-                if m:
-                    if target.angles[j] != src.angles[i]:
-                        raise InternalCheckError(
-                            "induced constituent carries the wrong central angle"
-                        )
-                    cols.append((j, QLaurent([(0, m)])))
-                    total += m * target.table.degree(j)
-            if total != index * src.table.degree(i):
-                raise InternalCheckError("induction degree mismatch")
-            cache[i] = cols
-        return cache[i]
+        ind = induce_cf(target.group, src.group, src.table.rows[i])
+        mults = decompose(ind, target.table)
+        cols = _constituents(mults, target, src.angles[i], "induced")
+        total = sum(m * target.table.degree(j) for j, m in enumerate(mults))
+        if total != index * src.table.degree(i):
+            raise InternalCheckError("induction degree mismatch")
+        return cols
 
-    return _basis_transform(elt, target, column)
+    return _basis_map(elt, target, ("ind", target.key()), column)
 
 
 def conjugate(elt: LambdaElt, w: Permutation, target: LambdaCtx) -> LambdaElt:
@@ -315,22 +302,19 @@ def conjugate(elt: LambdaElt, w: Permutation, target: LambdaCtx) -> LambdaElt:
     wi = w.inverse()
     if target.g != w * src.g * wi:
         raise PreconditionError("conjugation does not carry g to target g")
-    cache = src._decomp_cache.setdefault(("conj", w.images, target.key()), {})
 
     def column(i):
-        if i not in cache:
-            chi = src.table.rows[i]
-            src_conj = src.group.conjugacy()
-            values = [chi.values[src_conj.class_index(wi * rep * w)]
-                      for rep in target.group.conjugacy().class_reps]
-            j = target.table.irreducible_index(
-                ClassFunction(target.group, src.sctx, values))
-            if target.angles[j] != src.angles[i]:
-                raise InternalCheckError("conjugation changed a central angle")
-            cache[i] = [(j, ONE)]
-        return cache[i]
+        chi = src.table.rows[i]
+        src_conj = src.group.conjugacy()
+        values = [chi.values[src_conj.class_index(wi * rep * w)]
+                  for rep in target.group.conjugacy().class_reps]
+        j = target.table.irreducible_index(
+            ClassFunction(target.group, src.sctx, values))
+        if target.angles[j] != src.angles[i]:
+            raise InternalCheckError("conjugation changed a central angle")
+        return [(j, ONE)]
 
-    return _basis_transform(elt, target, column)
+    return _basis_map(elt, target, ("conj", w.images, target.key()), column)
 
 
 def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
@@ -348,35 +332,22 @@ def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
     if not src.group.is_subgroup(target.group):
         raise PreconditionError("target group does not sit inside the source group")
     incl = GroupHom.inclusion(target.group, src.group)
-    cache = src._decomp_cache.setdefault(("mu", n, target.key()), {})
 
     def column(i):
-        if i not in cache:
-            c = src.angles[i]
-            pulled = restrict_cf(incl, src.table.rows[i])
-            mults = decompose(pulled, target.table)
-            cols = []
-            for j, m in enumerate(mults):
-                if m:
-                    d = target.angles[j]
-                    num = c - n * d
-                    if num.denominator != 1:
-                        raise InternalCheckError(
-                            "non-integral rotation shift in root transport"
-                        )
-                    cols.append((j, monomial(m, Fraction(num, n))))
-            cache[i] = cols
-        return cache[i]
+        c = src.angles[i]
+        mults = decompose(restrict_cf(incl, src.table.rows[i]), target.table)
+        cols = []
+        for j, m in enumerate(mults):
+            if m:
+                num = c - n * target.angles[j]
+                if num.denominator != 1:
+                    raise InternalCheckError(
+                        "non-integral rotation shift in root transport"
+                    )
+                cols.append((j, monomial(m, Fraction(num, n))))
+        return cols
 
-    out = [ZERO] * target.rank
-    inv = Fraction(1, n)
-    for i, f in enumerate(elt.coeffs):
-        if f.is_zero():
-            continue
-        fr = f.rescale(inv)
-        for j, mult in column(i):
-            out[j] = out[j] + fr * mult
-    return LambdaElt(target, tuple(out))
+    return _basis_map(elt, target, ("mu", n, target.key()), column, Fraction(1, n))
 
 
 def adams(elt: LambdaElt, m: int) -> LambdaElt:
@@ -384,34 +355,14 @@ def adams(elt: LambdaElt, m: int) -> LambdaElt:
     if m < 1:
         raise PreconditionError("Adams operation index must be >= 1")
     ctx = elt.ctx
-    cache = ctx._decomp_cache.setdefault(("adams", m), {})
 
     def column(i):
-        if i not in cache:
-            c = m * ctx.angles[i]
-            shift = int(c)
-            target_angle = c - shift
-            psi = adams_cf(ctx.table.rows[i], m)
-            mults = decompose(psi, ctx.table, virtual=True)
-            cols = []
-            for j, mm in enumerate(mults):
-                if mm:
-                    if ctx.angles[j] != target_angle:
-                        raise InternalCheckError(
-                            "Adams constituent carries the wrong central angle"
-                        )
-                    cols.append((j, monomial(mm, shift)))
-            cache[i] = cols
-        return cache[i]
+        c = m * ctx.angles[i]
+        shift = int(c)
+        mults = decompose(adams_cf(ctx.table.rows[i], m), ctx.table, virtual=True)
+        return _constituents(mults, ctx, c - shift, "Adams", shift)
 
-    out = [ZERO] * ctx.rank
-    for i, f in enumerate(elt.coeffs):
-        if f.is_zero():
-            continue
-        fm = f.rescale(m)
-        for j, mult in column(i):
-            out[j] = out[j] + fm * mult
-    return LambdaElt(ctx, tuple(out))
+    return _basis_map(elt, ctx, ("adams", m), column, m)
 
 
 def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:

@@ -133,6 +133,44 @@ def test_file_errors_name_the_path(capsys, tmp_path):
         assert err.count("\n") == 1, argv
 
 
+def test_non_utf8_input_is_a_schema_error(capsys, tmp_path):
+    u = tmp_path / "u.json"
+    assert main(["unit", "--group", "C2", "--json", str(u)]) == 0
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for argv in (["op", "mu", "--input", str(binary)],
+                 ["op", "kunneth", "--left", str(binary), "--right", str(u)]):
+        capsys.readouterr()
+        assert main(argv) == 4, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(binary) in err, argv
+        assert err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("path, value", [
+    (("classes", 0), 5),
+    (("classes", 0, "rep"), 5),
+    (("space",), {"kind": "cosets"}),
+    (("group", "generators"), [[0, 0]]),
+    (("group", "degree"), 4),
+], ids=["class-not-object", "rep-not-list", "cosets-without-subgroup",
+        "not-a-permutation", "degree-mismatch"])
+def test_malformed_element_is_a_schema_error(capsys, tmp_path, path, value):
+    u = tmp_path / "u.json"
+    assert main(["unit", "--group", "S3", "--json", str(u)]) == 0
+    payload = json.loads(u.read_text())
+    *parents, last = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    u.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["op", "mu", "--input", str(u)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_exit_zero(capsys):
     assert main(["verify", "--suite", "paper"]) == 0
     out = capsys.readouterr().out

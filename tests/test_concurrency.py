@@ -1,9 +1,10 @@
 """One ScalarContext shared by several threads gives single-threaded results.
 
-The memo caches (character tables, rotation contexts, structures, conjugacy
-data, decomposition columns) fill lazily and without locks.  Each entry is
-complete before it is stored, so two threads can at worst build the same
-entry twice.  This test runs the same workload on fresh groups and a fresh
+The memo caches (character tables, central angles, centralizers, rotation
+contexts, structures, point contexts, product, decomposition and Künneth
+columns) fill lazily and without locks, all through ``groups.memo``.  Each
+entry is complete before it is stored and a stored entry is never replaced,
+so two threads can at worst build the same entry twice.  This test runs the same workload on fresh groups and a fresh
 context, once in one thread and once in four threads sharing everything.  The
 threads start each step together, with a tiny interpreter switch interval, so
 that they interleave inside the same cache fills.

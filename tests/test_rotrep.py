@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from qell import qell_core as qc
 from qell import rotrep as rr
 from qell.charmod import ClassFunction, ScalarContext
-from qell.errors import PreconditionError
-from qell.groups import GroupHom, Permutation, cyclic, make_hom
+from qell.errors import InternalCheckError, PreconditionError
+from qell.groups import GroupHom, Permutation, cyclic, direct_product, make_hom
+from qell.gsets import point_set
 from qell.qlaurent import ONE, QLaurent, ZERO, q_power
 
 
@@ -367,3 +369,106 @@ def test_exterior_top_of_permutation_character(S3, s3_ctx):
     perm3 = ctx.basis_elt(0) + ctx.basis_elt(2)   # trivial + standard
     assert rr.exterior_power(perm3, 3) == ctx.basis_elt(1)  # top power is sign
     assert rr.exterior_power(perm3, 2) == ctx.basis_elt(1) + ctx.basis_elt(2)
+
+
+# -- internal checks ------------------------------------------------------------
+#
+# Each map re-derives central angles (and induction degrees) from the character
+# theory and checks them against the target context.  Corrupting a fresh
+# context, one no cache hands out, must trip the check.
+
+def _bad_angles(ctx):
+    """Claim angle 1/2 for every row; at g = e every row really has angle 0."""
+    ctx.angles = (Fraction(1, 2),) * ctx.rank
+    return ctx
+
+
+def _product(new, S3, C2, C3):
+    ctx = _bad_angles(new(S3))
+    ctx.unit() * ctx.unit()
+
+
+def _restricted(new, S3, C2, C3):
+    rr.restrict_along(GroupHom.inclusion(C2, S3), new(S3).unit(), _bad_angles(new(C2)))
+
+
+def _induced(new, S3, C2, C3):
+    rr.induce_to(new(C3).unit(), _bad_angles(new(S3)))
+
+
+def _induction_degree(new, S3, C2, C3):
+    target = new(S3)
+    target.table.degrees = tuple(d + 1 for d in target.table.degrees)
+    rr.induce_to(new(C3).unit(), target)
+
+
+def _conjugation(new, S3, C2, C3):
+    rr.conjugate(new(S3).unit(), Permutation([1, 0, 2]), _bad_angles(new(S3)))
+
+
+def _adams(new, S3, C2, C3):
+    rr.adams(_bad_angles(new(S3)).unit(), 2)
+
+
+def _mu_integrality(new, S3, C2, C3):
+    rr.mu_transport(new(S3).unit(), 1, _bad_angles(new(C3)))
+
+
+@pytest.mark.parametrize("corrupted, message", [
+    (_product, "product constituent carries the wrong central angle"),
+    (_restricted, "restricted constituent carries the wrong central angle"),
+    (_induced, "induced constituent carries the wrong central angle"),
+    (_induction_degree, "induction degree mismatch"),
+    (_conjugation, "conjugation changed a central angle"),
+    (_adams, "Adams constituent carries the wrong central angle"),
+    (_mu_integrality, "non-integral rotation shift in root transport"),
+], ids=["product", "restricted", "induced", "induction-degree", "conjugation", "adams",
+        "mu-integrality"])
+def test_internal_checks_fire(S3, c2_in_s3, c3_in_s3, corrupted, message):
+    sctx = ScalarContext.for_groups([S3])
+
+    def new(G):
+        return rr.LambdaCtx(sctx, G, G.identity)
+
+    with pytest.raises(InternalCheckError, match=message):
+        corrupted(new, S3, c2_in_s3, c3_in_s3)
+
+
+# -- caches -----------------------------------------------------------------------
+
+def test_cached_builders_return_the_same_object(S3):
+    sctx = ScalarContext.for_groups([S3])
+    assert sctx.table(S3) is sctx.table(S3)
+    assert rr.ctx_for(sctx, S3, S3.identity) is rr.ctx_for(sctx, S3, S3.identity)
+    X = point_set(S3)
+    assert qc.structure(S3, X, sctx) is qc.structure(S3, X, sctx)
+
+
+def test_warm_maps_make_no_decompositions(S3, c2_in_s3, c3_in_s3, monkeypatch):
+    C2, C3 = c2_in_s3, c3_in_s3
+    P = direct_product(C2, C3)
+    sctx = ScalarContext.for_groups([S3, P])
+    e = S3.identity
+    ctx, ctx2, ctx3 = (rr.ctx_for(sctx, G, e) for G in (S3, C2, C3))
+    rng = random.Random(5)
+    a, b = random_elt(ctx, rng, density=1), random_elt(ctx, rng, density=1)
+    c = random_elt(ctx3, rng, density=1)
+    maps = {
+        "product": lambda: a * b,
+        "restrict_along": lambda: rr.restrict_along(GroupHom.inclusion(C2, S3), a, ctx2),
+        "induce_to": lambda: rr.induce_to(c, ctx),
+        "conjugate": lambda: rr.conjugate(a, Permutation([1, 0, 2]), ctx),
+        "mu_transport": lambda: rr.mu_transport(a, 2, ctx3),
+        "adams": lambda: rr.adams(a, 3),
+    }
+    cold = {name: fn() for name, fn in maps.items()}
+    calls = []
+    decompose = rr.decompose
+    monkeypatch.setattr(rr, "decompose",
+                        lambda *args, **kw: calls.append(1) or decompose(*args, **kw))
+    for name, fn in maps.items():
+        assert fn() == cold[name], name
+        assert not calls, name
+    ctxP = rr.ctx_for(sctx, P, P.identity)
+    kun = qc._kunneth_index(ctx2, ctx3, ctxP, P)
+    assert qc._kunneth_index(ctx2, ctx3, ctxP, P) is kun
