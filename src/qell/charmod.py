@@ -127,6 +127,7 @@ class CharacterTable:
         self.degrees = tuple(r.values[e_idx] for r in self.rows)
         self.n_irr = len(self.rows)
         self._angle_cache: dict = {}
+        self._products: dict = {}         # (i, j), i <= j -> multiplicities
 
     def degree(self, i: int) -> int:
         return self.degrees[i]
@@ -140,6 +141,16 @@ class CharacterTable:
 
     def angle(self, i: int, g: Permutation) -> Fraction:
         return memo(self._angle_cache, (i, g), central_angle, self.rows[i], g, self.ctx)
+
+    def product_multiplicities(self, i: int, j: int) -> tuple[int, ...]:
+        """Multiplicities of rows[i]·rows[j] over the rows, decomposed once
+        per unordered pair and shared by every context over this table."""
+        return memo(self._products, (i, j) if i <= j else (j, i),
+                    _decompose_product, self, i, j)
+
+
+def _decompose_product(table: CharacterTable, i: int, j: int) -> tuple[int, ...]:
+    return tuple(decompose(table.rows[i] * table.rows[j], table))
 
 
 def character_table(G: FiniteGroup, ctx: ScalarContext) -> CharacterTable:

@@ -72,6 +72,7 @@ class FiniteGroup:
         self.spec = spec
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._conjugacy = None
+        self._induced: dict = {}          # (H.key(), X.key()) -> G x_H X
         self._exponent = None
         self._key = None
         self.identity = identity(self.degree)
@@ -214,6 +215,7 @@ class ConjugacyData:
         self.class_elements = tuple(tuple(c) for c in class_elements)
         self.class_sizes = tuple(len(c) for c in class_elements)
         self._centralizers: dict[int, FiniteGroup] = {}
+        self._transports: dict[Permutation, tuple[int, Permutation]] = {}
         self._inverse_classes: tuple[int, ...] | None = None
 
     @property
@@ -231,11 +233,15 @@ class ConjugacyData:
                     self.group.centralizer, self.class_reps[class_idx])
 
     def transport_to_rep(self, g: Permutation) -> tuple[int, Permutation]:
-        """Return (class index i, w) with ``g == w * rep_i * w^{-1}``."""
+        """Return (class index i, w) with ``g == w * rep_i * w^{-1}``.
+
+        w is the least such element, found once per g by a transporter scan.
+        """
+        return memo(self._transports, g, self._least_transport, g)
+
+    def _least_transport(self, g: Permutation) -> tuple[int, Permutation]:
         i = self.class_index(g)
-        rep = self.class_reps[i]
-        ts = transporter(self.group, g, rep)
-        return i, ts[0]
+        return i, transporter(self.group, g, self.class_reps[i])[0]
 
     def power_class(self, class_idx: int, m: int) -> int:
         return self.class_index(self.class_reps[class_idx] ** m)

@@ -10,7 +10,7 @@ recorded here.
 from __future__ import annotations
 
 from .errors import NotSubgroupError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, from_elements
+from .groups import FiniteGroup, GroupHom, Permutation, from_elements, memo
 
 
 class FiniteGSet:
@@ -26,6 +26,7 @@ class FiniteGSet:
         else:
             table = {g: tuple(row) for g, row in act.items()}
         self._table = table
+        self._key = None
         self.name = name or f"gset<{group.name}:{self.n_points}>"
         self.labels = list(labels) if labels is not None else None
         if check:
@@ -71,10 +72,15 @@ class FiniteGSet:
                           labels=self.labels)
 
     def key(self):
-        return (self.group.key(), self.n_points,
-                tuple(self._table[g] for g in self.group.elements))
+        """Structural identity: group key, size and every action row."""
+        if self._key is None:
+            self._key = (self.group.key(), self.n_points,
+                         tuple(self._table[g] for g in self.group.elements))
+        return self._key
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, FiniteGSet) and self.key() == other.key()
 
     def __hash__(self) -> int:
@@ -188,33 +194,37 @@ def induced_gset(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet) -> FiniteGSet:
     """G x_H X: H-orbits of G x X under (g, x) ~ (g h^{-1}, h x).
 
     Points are labelled by canonical pairs (least (element index, point)).
+    Built once per (H, X) and cached on G: equal arguments get the same
+    object, named after the first.
     """
     if not G.is_subgroup(H):
         raise NotSubgroupError(f"{H.name} is not a subgroup of {G.name}")
     if X.group != H:
         raise PreconditionError("X must be an H-set")
+    return memo(G._induced, (H.key(), X.key()), _build_induced_gset, G, H, X)
 
-    def canon(g: Permutation, x: int) -> tuple[int, int]:
-        return min((G.index(g * h.inverse()), X.act(h, x)) for h in H.elements)
 
-    rep_index: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
+def _build_induced_gset(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet) -> FiniteGSet:
+    # Each H-orbit {(g h^{-1}, h x)} is walked once; every member is labelled
+    # by the orbit's least pair, so no entry takes a min over H.
+    moves = [(h.inverse(), X._table[h]) for h in H.elements]
+    canon: dict[tuple[int, int], tuple[int, int]] = {}
     for gi, g in enumerate(G.elements):
         for x in X.points():
-            c = canon(g, x)
-            if c not in rep_index:
-                rep_index[c] = 0
-    for c in sorted(rep_index):
-        rep_index[c] = len(reps)
-        reps.append(c)
+            if (gi, x) in canon:
+                continue
+            orbit = [(G.index(g * hi), row[x]) for hi, row in moves]
+            c = min(orbit)
+            for pair in orbit:
+                canon[pair] = c
+    reps = sorted(set(canon.values()))
     assert len(reps) * H.order == G.order * X.n_points
+    rep_index = {c: i for i, c in enumerate(reps)}
 
     table = {}
     for a in G.elements:
-        row = []
-        for (gi, x) in reps:
-            row.append(rep_index[canon(a * G.elements[gi], x)])
-        table[a] = tuple(row)
+        table[a] = tuple(rep_index[canon[G.index(a * G.elements[gi]), x]]
+                         for (gi, x) in reps)
     return FiniteGSet(G, len(reps), table, name=f"{G.name}x_{H.name}{X.name}",
                       check=False, labels=reps)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import qlaurent
 from .errors import InvalidGeneratorError, SchemaError
@@ -129,14 +130,10 @@ def structure_payload(struct: QEllStructure, tables: bool = False) -> dict:
         if tables:
             for oi, orbit_entry in enumerate(entry["orbits"]):
                 ctx = cb.ctxs[oi]
-                tab = []
-                for i in range(ctx.rank):
-                    row = []
-                    for j in range(ctx.rank):
-                        prod = ctx.basis_elt(i) * ctx.basis_elt(j)
-                        row.append([qlaurent.serialize(f) for f in prod.coeffs])
-                    tab.append(row)
-                orbit_entry["table"] = tab
+                orbit_entry["table"] = [
+                    [[qlaurent.serialize(f) for f in ctx.basis_product(i, j)]
+                     for j in range(ctx.rank)]
+                    for i in range(ctx.rank)]
         classes.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -220,7 +217,45 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=1)
+    """The text of ``json.dumps(payload, indent=1)``, written directly.
+
+    The standard library encodes indented JSON through nested generators, a
+    yield per token per level; a product table has a million tokens.  Payloads
+    are trees of str-keyed dicts, lists, strings, ints, bools and None; any
+    other value is encoded by ``json.dumps``.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    # newline is "\n" plus the current indent; children get one space more
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + " "
+        sep = "," + inner
+        if isinstance(value, dict):
+            out.append("{" + inner)
+            for n, (k, v) in enumerate(value.items()):
+                out.append((sep if n else "") + _encode_str(k) + ": ")
+                _write(v, inner, out)
+            out.append(newline + "}")
+        else:
+            out.append("[" + inner)
+            for n, v in enumerate(value):
+                if n:
+                    out.append(sep)
+                _write(v, inner, out)
+            out.append(newline + "]")
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def loads(text: str) -> dict:

@@ -104,6 +104,14 @@ class LambdaCtx:
     def q(self, exponent=1) -> "LambdaElt":
         return self.unit() * q_power(exponent)
 
+    def basis_product(self, i: int, j: int) -> list[QLaurent]:
+        """Coefficients of basis_elt(i) * basis_elt(j), read off the cached
+        structure constants."""
+        coeffs = [ZERO] * self.rank
+        for mu, mult in self._product_columns(i, j):
+            coeffs[mu] = mult
+        return coeffs
+
     def _product_columns(self, i: int, j: int):
         """Structure constants of basis product i*j: list of (μ, mult·q^shift)."""
         return memo(self._mul_cache, (i, j) if i <= j else (j, i),
@@ -112,8 +120,8 @@ class LambdaCtx:
     def _multiply_basis(self, i: int, j: int):
         c = self.angles[i] + self.angles[j]
         shift = int(c)    # 0 or 1
-        mults = decompose(self.table.rows[i] * self.table.rows[j], self.table)
-        return _constituents(mults, self, c - shift, "product", shift)
+        return _constituents(self.table.product_multiplicities(i, j),
+                             self, c - shift, "product", shift)
 
 
 def _constituents(mults, target: LambdaCtx, angle: Fraction, what: str, shift=0):

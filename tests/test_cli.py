@@ -267,6 +267,33 @@ def test_structure_payload_schema():
     assert "table" in orb
 
 
+
+def test_dumps_is_json_indent_one():
+    sctx = ScalarContext.for_groups([symmetric(4)])
+    for spec in ("S4", "C2xC4", "D6"):
+        G = parse_group_spec(spec)
+        st_ = qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+        payload = jsonio.structure_payload(st_, tables=True)
+        assert jsonio.dumps(payload) == json.dumps(payload, indent=1)
+    S4 = symmetric(4)
+    elt = qc.structure(S4, regular_gset(S4), sctx).unit()
+    payload = jsonio.element_payload(elt)
+    assert jsonio.dumps(payload) == json.dumps(payload, indent=1)
+
+
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_trees)
+def test_dumps_is_json_indent_one_on_any_tree(tree):
+    assert jsonio.dumps(tree) == json.dumps(tree, indent=1)
+
 def test_schema_rejects_bad_payloads():
     G = cyclic(2)
     sctx = ScalarContext.for_groups([G])

@@ -2,9 +2,11 @@
 
 The memo caches (character tables, central angles, centralizers, rotation
 contexts, structures, point contexts, product, decomposition and Künneth
-columns) fill lazily and without locks, all through ``groups.memo``.  Each
-entry is complete before it is stored and a stored entry is never replaced,
-so two threads can at worst build the same entry twice.  This test runs the same workload on fresh groups and a fresh
+columns, induced G-sets on each group and class transports on each
+group's conjugacy data) fill lazily and without locks, all through
+``groups.memo``.  Each entry is complete before it is stored and a stored
+entry is never replaced, so two threads can at worst build the same entry
+twice.  This test runs the same workload on fresh groups and a fresh
 context, once in one thread and once in four threads sharing everything.  The
 threads start each step together, with a tiny interpreter switch interval, so
 that they interleave inside the same cache fills.
@@ -39,7 +41,10 @@ def steps(G, subs, D, sctx) -> list:
         a = qc.random_element(qc.structure(H, point_set(H), sctx),
                               random.Random(H.order))
         t = qc.transfer(G, a, algorithm="B")
-        return dump(t, t * t, qc.mu(t, 2), qc.adams(t, 3))
+        ta = qc.transfer(G, a, point_set(G), algorithm="A")
+        z = qc.change_of_group_inverse(G, H, point_set(H), a)
+        back = qc.change_of_group(G, H, point_set(H), z)
+        return dump(t, t * t, qc.mu(t, 2), qc.adams(t, 3), ta, z, back)
 
     def on_regular():
         b = qc.random_element(qc.structure(D, regular_gset(D), sctx), random.Random(1))

@@ -3,7 +3,15 @@
 import pytest
 
 from qell.errors import NotSubgroupError, PreconditionError
-from qell.groups import Permutation, cyclic
+from qell.groups import (
+    Permutation,
+    all_subgroups,
+    cyclic,
+    dihedral,
+    direct_product,
+    symmetric,
+    transporter,
+)
 from qell.gsets import (
     FiniteGSet,
     coset_gset,
@@ -54,6 +62,65 @@ def test_induced_rejects_non_subgroup(S3):
     C2 = cyclic(2)
     with pytest.raises(NotSubgroupError):
         induced_gset(S3, C2, point_set(C2))
+
+
+def induced_by_definition(G, H, X):
+    """G x_H X with every pair labelled by its least (g h^{-1}, h x) over H."""
+    def canon(g, x):
+        return min((G.index(g * h.inverse()), X.act(h, x)) for h in H.elements)
+
+    reps = sorted({canon(g, x) for g in G.elements for x in X.points()})
+    index = {c: i for i, c in enumerate(reps)}
+    table = {a: tuple(index[canon(a * G.elements[gi], x)] for gi, x in reps)
+             for a in G.elements}
+    return FiniteGSet(G, len(reps), table, check=False, labels=reps)
+
+
+@pytest.mark.parametrize("G", [symmetric(4), dihedral(6),
+                               direct_product(cyclic(2), cyclic(4))],
+                         ids=["S4", "D6", "C2xC4"])
+def test_induced_gset_matches_definition(G):
+    for H in all_subgroups(G):
+        for X in (point_set(H), regular_gset(H)):
+            Z, oracle = induced_gset(G, H, X), induced_by_definition(G, H, X)
+            assert Z.labels == oracle.labels
+            assert Z.key() == oracle.key()
+            assert Z.n_points == oracle.n_points
+
+
+def test_induced_gset_is_cached_per_equal_hset(S3, c3_in_s3):
+    X = regular_gset(c3_in_s3)
+    Z = induced_gset(S3, c3_in_s3, X)
+    X2 = X.restrict_group(c3_in_s3)
+    assert X2 is not X and X2 == X
+    assert induced_gset(S3, c3_in_s3, X2) is Z
+    H2 = S3.subgroup([Permutation([1, 2, 0])])
+    assert H2 is not c3_in_s3
+    assert induced_gset(S3, H2, X2) is Z
+
+
+def test_induced_gset_checks_preconditions_on_a_warm_cache(S3, c2_in_s3, monkeypatch):
+    C2 = cyclic(2)
+    Z = induced_gset(S3, c2_in_s3, point_set(c2_in_s3))
+    # even an entry stored under the bad arguments' key must not skip the checks
+    monkeypatch.setitem(S3._induced, (C2.key(), point_set(C2).key()), Z)
+    monkeypatch.setitem(S3._induced, (c2_in_s3.key(), point_set(S3).key()), Z)
+    with pytest.raises(NotSubgroupError):
+        induced_gset(S3, C2, point_set(C2))
+    with pytest.raises(PreconditionError, match="X must be an H-set"):
+        induced_gset(S3, c2_in_s3, point_set(S3))
+
+
+@pytest.mark.parametrize("G", [symmetric(4), dihedral(6)], ids=["S4", "D6"])
+def test_transport_to_rep_is_least_transporter(G):
+    conj = G.conjugacy()
+    for g in G.elements:
+        i, w = conj.transport_to_rep(g)
+        rep = conj.class_reps[i]
+        assert i == conj.class_index(g)
+        assert w == transporter(G, g, rep)[0]
+        assert g == w * rep * w.inverse()
+        assert conj.transport_to_rep(g) is conj.transport_to_rep(g)
 
 
 def test_quotient_free_transitive():

@@ -5,12 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from qell import groups
+from qell import gsets
 from qell import qell_core as qc
 from qell import rotrep as rr
 from qell.charmod import ClassFunction, ScalarContext
 from qell.errors import InternalCheckError, PreconditionError
-from qell.groups import GroupHom, Permutation, cyclic, direct_product, make_hom
-from qell.gsets import point_set
+from qell.groups import (
+    GroupHom,
+    Permutation,
+    cyclic,
+    direct_product,
+    make_hom,
+    symmetric,
+)
+from qell.gsets import point_set, regular_gset
 from qell.qlaurent import ONE, QLaurent, ZERO, q_power
 
 
@@ -444,6 +453,38 @@ def test_cached_builders_return_the_same_object(S3):
     assert qc.structure(S3, X, sctx) is qc.structure(S3, X, sctx)
 
 
+
+def test_basis_product_is_the_product_of_basis_elements(S3):
+    for G in (S3, direct_product(cyclic(2), cyclic(4))):
+        sctx = ScalarContext.for_groups([G])
+        for g in G.elements:
+            if any(s * g != g * s for s in G.generators):
+                continue
+            ctx = rr.ctx_for(sctx, G, g)
+            for i in range(ctx.rank):
+                for j in range(ctx.rank):
+                    assert ctx.basis_product(i, j) == \
+                        list((ctx.basis_elt(i) * ctx.basis_elt(j)).coeffs)
+
+
+def test_product_decompositions_are_shared_per_table(monkeypatch):
+    """Contexts over one group share its table's decompositions of row products."""
+    from qell import charmod
+    G = direct_product(cyclic(2), cyclic(4))
+    sctx = ScalarContext.for_groups([G])
+    calls = []
+    decompose = charmod.decompose
+    monkeypatch.setattr(charmod, "decompose",
+                        lambda *args, **kw: calls.append(1) or decompose(*args, **kw))
+    for g in G.elements:
+        ctx = rr.ctx_for(sctx, G, g)
+        for i in range(ctx.rank):
+            for j in range(ctx.rank):
+                ctx.basis_product(i, j)
+    assert len(calls) == G.order * (G.order + 1) // 2
+    t = sctx.table(G)
+    assert t.product_multiplicities(1, 2) is t.product_multiplicities(2, 1)
+
 def test_warm_maps_make_no_decompositions(S3, c2_in_s3, c3_in_s3, monkeypatch):
     C2, C3 = c2_in_s3, c3_in_s3
     P = direct_product(C2, C3)
@@ -472,3 +513,33 @@ def test_warm_maps_make_no_decompositions(S3, c2_in_s3, c3_in_s3, monkeypatch):
     ctxP = rr.ctx_for(sctx, P, P.identity)
     kun = qc._kunneth_index(ctx2, ctx3, ctxP, P)
     assert qc._kunneth_index(ctx2, ctx3, ctxP, P) is kun
+
+
+def test_warm_group_maps_redo_no_group_work(monkeypatch):
+    G = symmetric(3)
+    H = G.subgroup([Permutation([1, 0, 2])])   # not the least transposition
+    X = regular_gset(G)
+    XH = X.restrict_group(H)
+    sctx = ScalarContext.for_groups([G])
+    a = qc.random_element(qc.structure(H, XH, sctx), random.Random(3))
+    z = qc.change_of_group_inverse(G, H, XH, a)
+    maps = {
+        "change_of_group_inverse": lambda: qc.change_of_group_inverse(G, H, XH, a),
+        "change_of_group": lambda: qc.change_of_group(G, H, XH, z),
+        "transfer_A": lambda: qc.transfer(G, a, X, algorithm="A"),
+    }
+    cold = {name: fn() for name, fn in maps.items()}
+    assert cold["change_of_group"] == a
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.append(name) or fn(*args))
+
+    counted(gsets, "_build_induced_gset")
+    counted(groups, "transporter")
+    counted(rr, "decompose")
+    for name, fn in maps.items():
+        assert fn() == cold[name], name
+        assert not calls, (name, calls)
