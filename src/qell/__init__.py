@@ -17,7 +17,6 @@ from .charmod import (
     induce_cf,
     inner_product,
     restrict_cf,
-    tensor_cf,
 )
 from .errors import (
     GroupTooLargeError,

@@ -331,10 +331,6 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
     return total % p * pow(G.order, -1, p) % p
 
 
-def tensor_cf(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
-    return chi * psi
-
-
 def decompose(f: ClassFunction, table: CharacterTable,
               virtual: bool = False) -> list[int]:
     """Multiplicities of f over the irreducible rows.

@@ -102,7 +102,7 @@ def _frac_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def _orbit_payload(cb, oi, coeffs=None) -> dict:
+def _orbit_payload(cb, oi, coeffs=None, table=False) -> dict:
     orb = cb.orbits[oi]
     ctx = cb.ctxs[oi]
     out = {
@@ -115,56 +115,37 @@ def _orbit_payload(cb, oi, coeffs=None) -> dict:
     }
     if coeffs is not None:
         out["coeffs"] = [qlaurent.serialize(f) for f in coeffs]
+    if table:
+        out["table"] = [[[qlaurent.serialize(f) for f in ctx.basis_product(i, j)]
+                         for j in range(ctx.rank)]
+                        for i in range(ctx.rank)]
     return out
 
 
-def structure_payload(struct: QEllStructure, tables: bool = False) -> dict:
-    classes = []
-    for cb in struct.classes:
-        entry = {
-            "rep": list(cb.g.images),
-            "rep_order": cb.g.order(),
-            "centralizer_order": cb.centralizer.order,
-            "orbits": [_orbit_payload(cb, oi) for oi in range(len(cb.orbits))],
-        }
-        if tables:
-            for oi, orbit_entry in enumerate(entry["orbits"]):
-                ctx = cb.ctxs[oi]
-                orbit_entry["table"] = [
-                    [[qlaurent.serialize(f) for f in ctx.basis_product(i, j)]
-                     for j in range(ctx.rank)]
-                    for i in range(ctx.rank)]
-        classes.append(entry)
+def _document(struct: QEllStructure, orbits) -> dict:
+    """The schema-v1 document of a structure; ``orbits(ci, cb)`` lists the
+    orbit entries of class ci."""
     return {
         "schema_version": SCHEMA_VERSION,
         "group": group_payload(struct.group),
         "space": space_payload(struct),
-        "classes": classes,
+        "classes": [{"rep": list(cb.g.images),
+                     "rep_order": cb.g.order(),
+                     "centralizer_order": cb.centralizer.order,
+                     "orbits": orbits(ci, cb)}
+                    for ci, cb in enumerate(struct.classes)],
     }
+
+
+def structure_payload(struct: QEllStructure, tables: bool = False) -> dict:
+    return _document(struct, lambda ci, cb: [_orbit_payload(cb, oi, table=tables)
+                                             for oi in range(len(cb.orbits))])
 
 
 def element_payload(elt: QEllElt) -> dict:
-    struct = elt.structure
-    classes = []
-    for ci, cb in enumerate(struct.classes):
-        orbits = []
-        for oi in range(len(cb.orbits)):
-            v = elt.components[ci][oi]
-            if v.is_zero():
-                continue
-            orbits.append(_orbit_payload(cb, oi, coeffs=v.coeffs))
-        classes.append({
-            "rep": list(cb.g.images),
-            "rep_order": cb.g.order(),
-            "centralizer_order": cb.centralizer.order,
-            "orbits": orbits,
-        })
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "group": group_payload(struct.group),
-        "space": space_payload(struct),
-        "classes": classes,
-    }
+    return _document(elt.structure, lambda ci, cb: [
+        _orbit_payload(cb, oi, coeffs=v.coeffs)
+        for oi, v in enumerate(elt.components[ci]) if not v.is_zero()])
 
 
 def element_from_payload(data: dict, sctx) -> QEllElt:

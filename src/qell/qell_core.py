@@ -23,7 +23,6 @@ from .groups import (
     conjugate_subgroup,
     memo,
     product_split,
-    transporter,
 )
 from .gsets import FiniteGSet, induced_gset, inertia_skeleton, point_set
 from .qlaurent import QLaurent, ZERO, q_power
@@ -356,10 +355,9 @@ def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
     incl = GroupHom.inclusion(H, G)
     pulled = pullback_hom(incl, elt)
     label_index = {lab: i for i, lab in enumerate(Z.labels)}
-    imap = []
-    for x in X.points():
-        canon = min((G.index(h.inverse()), X.act(h, x)) for h in H.elements)
-        imap.append(label_index[canon])
+    # The identity is element 0 of every group, and the only pair in the
+    # H-orbit of [e, x] with element index 0 is (0, x): that is its label.
+    imap = [label_index[(0, x)] for x in X.points()]
     return pullback_map(imap, pulled, X)
 
 
@@ -453,23 +451,16 @@ def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
         raise PreconditionError(f"{H.name} is not a subgroup of {G.name}")
     sctx = elt.structure.sctx
     target = structure(G, point_set(G), sctx)
-    conj_h = H.conjugacy()
-    out = []
-    for cb in target.classes:
-        g = cb.g
-        tctx = cb.ctxs[0]
-        acc = tctx.zero()
-        for hi, h0 in enumerate(conj_h.class_reps):
-            ts = transporter(G, g, h0)
-            if not ts:
-                continue
-            r = ts[0]                 # r^{-1} g r == h0
-            v = elt.components[hi][0]
-            S = conjugate_subgroup(v.ctx.group, r, "conj-cent")
-            moved = rr.conjugate(v, r, rr.ctx_for(sctx, S, g))
-            acc = acc + rr.induce_to(moved, tctx)
-        out.append([acc])
-    return QEllElt(target, out)
+    acc = [cb.ctxs[0].zero() for cb in target.classes]
+    for hi, h0 in enumerate(H.conjugacy().class_reps):
+        ci, w = G.conjugacy().transport_to_rep(h0)
+        r = w.inverse()               # r^{-1} g r == h0 for g the class rep
+        cb = target.classes[ci]
+        v = elt.components[hi][0]
+        S = conjugate_subgroup(v.ctx.group, r, "conj-cent")
+        moved = rr.conjugate(v, r, rr.ctx_for(sctx, S, cb.g))
+        acc[ci] = acc[ci] + rr.induce_to(moved, cb.ctxs[0])
+    return QEllElt(target, [[a] for a in acc])
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +615,8 @@ def tate_presentation_report(N: int, sctx: ScalarContext | None = None) -> dict:
         powers_ok = True
         for jexp in range(1, N):
             power = power * x
-            hits = [(idx, c.as_monomial()) for idx, c in enumerate(power.coeffs) if c]
-            if len(hits) != 1 or hits[0][1] is None:
-                powers_ok = False
-                break
-            idx, (expo, coef) = hits[0]
-            if coef != 1 or expo.denominator != 1:
+            idx = power.basis_index()
+            if idx is None:
                 powers_ok = False
                 break
             seen_rows.add(idx)

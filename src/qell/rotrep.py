@@ -172,6 +172,14 @@ class LambdaElt:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.coeffs)
 
+    def basis_index(self) -> int | None:
+        """i if this is basis element i times an integral power of q, else None."""
+        hits = [(i, f.as_monomial()) for i, f in enumerate(self.coeffs) if f]
+        if len(hits) != 1 or hits[0][1] is None:
+            return None
+        i, (expo, coef) = hits[0]
+        return i if coef == 1 and expo.denominator == 1 else None
+
     def __add__(self, other: "LambdaElt") -> "LambdaElt":
         _same_ctx(self, other)
         return LambdaElt(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))

@@ -32,3 +32,11 @@ def c2_in_s3(S3):
 @pytest.fixture(scope="session")
 def c3_in_s3(S3):
     return S3.subgroup([Permutation([1, 2, 0])], name="C3<S3")
+
+
+@pytest.fixture(scope="session")
+def assert_pass():
+    """Assert that every (name, ok, detail) check from qell.verify passed."""
+    def check(checks):
+        assert all(ok for _, ok, _ in checks), [c for c in checks if not c[1]]
+    return check

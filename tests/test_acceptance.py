@@ -6,17 +6,12 @@ pytest verdict itself is the per-criterion pass/fail record.
 
 import random
 import time
-from fractions import Fraction
-
-import pytest
 
 from qell import qell_core as qc
-from qell import rotrep as rr
+from qell import verify
 from qell.charmod import ScalarContext, inner_product, induce_cf, restrict_cf
 from qell.groups import (
     GroupHom,
-    Permutation,
-    all_subgroups,
     alternating,
     cyclic,
     dihedral,
@@ -25,54 +20,26 @@ from qell.groups import (
 )
 from qell.gsets import point_set, product_gset, regular_gset
 from qell.qlaurent import q_power
-from qell.verify import _kunneth_pair_bijection
 
 
 def _report(n, text):
     print(f"ACCEPTANCE {n}: PASS: {text}")
 
 
-def test_criterion_01_cyclic_presentations():
+def test_criterion_01_cyclic_presentations(assert_pass):
     start = time.perf_counter()
-    for N in range(1, 9):
-        G = cyclic(N)
-        sctx = ScalarContext.for_groups([G])
-        st = qc.structure(G, point_set(G), sctx)
-        s = G.generators[0] if N > 1 else G.identity
-        zN = sctx.root_of_unity(N) if N > 1 else 1
-        for m in range(N):
-            ci = st.conjugacy.class_index(s ** m)
-            ctx = st.classes[ci].ctxs[0]
-            assert ctx.rank == N
-            j1 = next(i for i in range(ctx.rank)
-                      if ctx.table.rows[i](s) == zN % sctx.p)
-            x = ctx.basis_elt(j1)
-            assert x ** N == ctx.q(m)
+    checks = verify.cyclic_presentations(range(1, 9))
     elapsed = time.perf_counter() - start
+    assert_pass(checks)
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _report(1, f"cyclic presentations N=1..8 exact in {elapsed:.2f}s")
 
 
-def test_criterion_02_symmetric3_rings():
+def test_criterion_02_symmetric3_rings(assert_pass):
     start = time.perf_counter()
-    S3 = symmetric(3)
-    sctx = ScalarContext.for_groups([S3])
-    conj = S3.conjugacy()
-    e_ctx = rr.ctx_build(S3, S3.identity, sctx)
-    X, Y = e_ctx.basis_elt(1), e_ctx.basis_elt(2)
-    assert X * Y == Y
-    assert X * X == e_ctx.unit()
-    assert Y * Y == e_ctx.unit() + X + Y
-    c12 = rr.ctx_build(S3, conj.class_reps[1], sctx)
-    assert c12.rank == 2
-    x = c12.basis_elt(1)
-    assert x * x == c12.q()
-    c123 = rr.ctx_build(S3, conj.class_reps[2], sctx)
-    assert c123.rank == 3
-    x3 = next(c123.basis_elt(i) for i in range(3)
-              if c123.angles[i] == Fraction(1, 3))
-    assert x3 ** 3 == c123.q()
+    checks = verify.symmetric3_rings()
     elapsed = time.perf_counter() - start
+    assert_pass(checks)
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _report(2, f"symmetric-3 ring relations exact in {elapsed:.2f}s")
 
@@ -86,80 +53,26 @@ def test_criterion_03_torsion_scheme_presentations():
     _report(3, "torsion-scheme ring presentations verified for N=1..8")
 
 
-def test_criterion_04_kunneth_basis_bijection():
-    for G, H in ((cyclic(2), cyclic(3)), (cyclic(2), cyclic(2)),
-                 (symmetric(3), cyclic(2))):
-        assert _kunneth_pair_bijection(G, H), (G.name, H.name)
+def test_criterion_04_kunneth_basis_bijection(assert_pass):
+    assert_pass(verify.kunneth_on_points(((cyclic(2), cyclic(3)), (cyclic(2), cyclic(2)),
+                                           (symmetric(3), cyclic(2)))))
     _report(4, "Künneth on points is a basis bijection for all three pairs")
 
 
-def test_criterion_05_change_of_group_round_trips():
-    S3 = symmetric(3)
-    C4 = cyclic(4)
-    pairs = [
-        (S3, S3.subgroup([Permutation([1, 0, 2])], name="C2<S3")),
-        (S3, S3.subgroup([Permutation([1, 2, 0])], name="C3<S3")),
-        (C4, C4.subgroup([Permutation([2, 3, 0, 1])], name="C2<C4")),
-    ]
-    for G, H in pairs:
-        sctx = ScalarContext.for_groups([G])
-        for X in (point_set(H), regular_gset(H)):
-            stH = qc.structure(H, X, sctx)
-            rng = random.Random(2024)
-            for _ in range(50):
-                a = qc.random_element(stH, rng)
-                z = qc.change_of_group_inverse(G, H, X, a)
-                assert qc.change_of_group(G, H, X, z) == a
+def test_criterion_05_change_of_group_round_trips(assert_pass):
+    assert_pass(verify.change_of_group_round_trips(50, 2024))
     _report(5, "change-of-group round trips, 50 random elements per pair and space")
 
 
-def test_criterion_06_transfer_cross_check_and_table():
-    for G in (symmetric(3), dihedral(4)):
-        sctx = ScalarContext.for_groups([G])
-        X = point_set(G)
-        rng = random.Random(99)
-        for H in all_subgroups(G):
-            stH = qc.structure(H, point_set(H), sctx)
-            for _ in range(50):
-                a = qc.random_element(stH, rng)
-                assert qc.transfer(G, a, X, algorithm="A") == \
-                    qc.transfer(G, a, algorithm="B")
-    # the committed hand-derived table for the unit transfer from C3 in S3:
-    #   at e: trivial + sign; at transpositions: 0; at 3-cycles: 2 * unit
-    S3 = symmetric(3)
-    sctx = ScalarContext.for_groups([S3])
-    C3 = S3.subgroup([Permutation([1, 2, 0])], name="C3<S3")
-    sH = qc.structure(C3, point_set(C3), sctx)
-    sG = qc.structure(S3, point_set(S3), sctx)
-    e_ctx, f_ctx, t_ctx = (cb.ctxs[0] for cb in sG.classes)
-    hand_table = qc.QEllElt(sG, [
-        [e_ctx.basis_elt(0) + e_ctx.basis_elt(1)],
-        [f_ctx.zero()],
-        [t_ctx.unit() * 2],
-    ])
-    assert qc.transfer(S3, sH.unit(), algorithm="B") == hand_table
-    assert qc.transfer(S3, sH.unit(), point_set(S3), algorithm="A") == hand_table
+def test_criterion_06_transfer_cross_check_and_table(assert_pass):
+    assert_pass(verify.transfer_cross_checks(50, 99))
+    assert_pass(verify.transfer_tables())
     _report(6, "transfer algorithms agree on every subgroup of S3 and D4; "
                "worked table reproduced")
 
 
-def test_criterion_07_mu_family():
-    for G in (symmetric(3), cyclic(4)):
-        sctx = ScalarContext.for_groups([G])
-        st = qc.structure(G, point_set(G), sctx)
-        rng = random.Random(777)
-        for _ in range(50):
-            a = qc.random_element(st, rng)
-            b = qc.random_element(st, rng)
-            assert qc.mu(a, 1) == a
-            for n in (2, 3):
-                assert qc.mu(a * b, n) == qc.mu(a, n) * qc.mu(b, n)
-        for _ in range(5):
-            a = qc.random_element(st, rng)
-            for n in (1, 2, 3):
-                for k in (0, 1, 2):
-                    assert qc.mu(qc.exterior_power(a, k), n) == \
-                        qc.exterior_power(qc.mu(a, n), k)
+def test_criterion_07_mu_family(assert_pass):
+    assert_pass(verify.mu_properties((symmetric(3), cyclic(4)), 50, 777))
     _report(7, "root-transport family: identity, multiplicativity, "
                "exterior-power commutation")
 
@@ -243,7 +156,7 @@ def test_criterion_09_character_suite_order_48():
                f"in {elapsed:.2f}s")
 
 
-def test_criterion_10_performance():
+def test_criterion_10_performance(assert_pass):
     start = time.perf_counter()
     S5 = symmetric(5)
     sctx = ScalarContext.for_groups([S5])
@@ -258,11 +171,10 @@ def test_criterion_10_performance():
     s5_time = time.perf_counter() - start
     assert s5_time < 10.0, f"S5 structure took {s5_time:.2f}s"
 
-    from qell.verify import run_suite
     start = time.perf_counter()
-    checks = run_suite("all", seed=0)
+    checks = verify.run_suite("all", seed=0)
     verify_time = time.perf_counter() - start
-    assert all(ok for _, ok, _ in checks), [n for n, ok, _ in checks if not ok]
+    assert_pass(checks)
     assert verify_time < 120.0, f"verify all took {verify_time:.2f}s"
     _report(10, f"S5 structure with {tables} table entries in {s5_time:.2f}s; "
                 f"full verification suite in {verify_time:.2f}s")

@@ -15,7 +15,6 @@ from qell.charmod import (
     induce_cf,
     inner_product,
     restrict_cf,
-    tensor_cf,
 )
 from qell.errors import PreconditionError, ScalarContextError
 from qell.groups import GroupHom, Permutation, cyclic, dihedral, direct_product, symmetric
@@ -98,15 +97,15 @@ def test_inner_product_examples(S3, s3_ctx):
     triv = t3.rows[0]
     assert inner_product(reg, triv) == 1
     Y = t.rows[2]
-    assert inner_product(tensor_cf(Y, Y), Y) == 1
+    assert inner_product(Y * Y, Y) == 1
 
 
 def test_tensor_decompose_examples(S3, s3_ctx):
     t = s3_ctx.table(S3)
     X, Y = t.rows[1], t.rows[2]
-    assert tensor_cf(X, Y) == Y
-    assert decompose(tensor_cf(Y, Y), t) == [1, 1, 1]
-    assert tensor_cf(t.rows[0], Y) == Y
+    assert X * Y == Y
+    assert decompose(Y * Y, t) == [1, 1, 1]
+    assert t.rows[0] * Y == Y
 
 
 def test_decompose_rejects_non_character(S3, s3_ctx):
@@ -212,7 +211,7 @@ def test_central_angle_additivity(C4):
     g = C4.generators[0]
     for a in t.rows:
         for b in t.rows:
-            prod = tensor_cf(a, b)
+            prod = a * b
             mults = decompose(prod, t)
             target = central_angle(a, g, ctx) + central_angle(b, g, ctx)
             target -= int(target)

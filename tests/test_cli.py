@@ -185,6 +185,57 @@ def test_verify_determinism(capsys):
     assert first == second
 
 
+# The whole report of one seed: check names, details and order are CLI output.
+VERIFY_ALL_SEED_3 = """\
+PASS  cyclic order-1 torsion presentation x^1 = q^m per component
+PASS  cyclic order-2 torsion presentation x^2 = q^m per component
+PASS  cyclic order-3 torsion presentation x^3 = q^m per component
+PASS  cyclic order-4 torsion presentation x^4 = q^m per component
+PASS  cyclic order-5 torsion presentation x^5 = q^m per component
+PASS  cyclic order-6 torsion presentation x^6 = q^m per component
+PASS  cyclic order-7 torsion presentation x^7 = q^m per component
+PASS  cyclic order-8 torsion presentation x^8 = q^m per component
+PASS  cyclic-product presentation x_j^N_j = q^k_j (C2 x C3)
+PASS  cyclic-product presentation x_j^N_j = q^k_j (C2 x C4)
+PASS  cyclic-product presentation x_j^N_j = q^k_j (C3 x C3)
+PASS  sign/standard ring relations at the identity sector  [XY=Y, X^2=1, Y^2=1+X+Y]
+PASS  transposition sector: rank 2 and x^2 = q
+PASS  3-cycle sector: rank 3 and x^3 = q
+PASS  Künneth on points is a basis bijection (C2, C3)
+PASS  Künneth on points is a basis bijection (C2, C2)
+PASS  Künneth on points is a basis bijection (S3, C2)
+PASS  change-of-group round trip (S3 | C2)
+PASS  change-of-group round trip (S3 | C3)
+PASS  change-of-group round trip (C4 | C2)
+PASS  free action on the regular set collapses to Z[q^±] (C2)  [total rank 1]
+PASS  free action on the regular set collapses to Z[q^±] (S3)  [total rank 1]
+PASS  unit transfer from the 3-element subgroup of S3
+PASS  unit transfer from a 2-element subgroup of S3
+PASS  componentwise ring axioms on random elements
+PASS  transfer: covering composite equals the coset-sum formula (S3)  [50 random elements per subgroup]
+PASS  transfer: covering composite equals the coset-sum formula (D4)  [50 random elements per subgroup]
+PASS  change-of-group round trips, 50 random elements (S3 | C2)
+PASS  change-of-group round trips, 50 random elements (S3 | C3)
+PASS  change-of-group round trips, 50 random elements (C4 | C2)
+PASS  μ^1 = id on random elements (S3)
+PASS  μ^n is multiplicative, n in 2..3 (S3)
+PASS  μ^n commutes with exterior powers λ^k, k ≤ 2 (S3)
+PASS  μ^1 = id on random elements (C4)
+PASS  μ^n is multiplicative, n in 2..3 (C4)
+PASS  μ^n commutes with exterior powers λ^k, k ≤ 2 (C4)
+PASS  pullback contravariance along composed inclusions
+PASS  Frobenius reciprocity across all subgroups of S3
+PASS  report: composite root transports match μ^{nm} (informational)  [observed agreement]
+
+39/39 checks passed (suite=all, seed=3)
+"""
+
+
+def test_verify_all_seed_3_stdout(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == VERIFY_ALL_SEED_3
+
+
 # -- JSON round trips ---------------------------------------------------------------
 
 def _round_trip(elt, sctx):

@@ -6,6 +6,7 @@ import pytest
 
 from qell import qell_core as qc
 from qell import rotrep as rr
+from qell import verify
 from qell.charmod import ScalarContext
 from qell.groups import GroupHom, Permutation, alternating, make_group, symmetric
 from qell.gsets import FiniteGSet
@@ -70,40 +71,9 @@ def test_mu_on_nontrivial_gset(s4_natural):
         assert qc.mu(st.unit(), n) == st.unit()
 
 
-def test_abelian_product_presentation():
+def test_abelian_product_presentation(assert_pass):
     """Every component of C2 x C3 is Z[q^±][x1,x2]/(x1^2 - q^k1, x2^3 - q^k2)."""
-    from fractions import Fraction
-    from qell.groups import cyclic, direct_product, product_pair
-
-    G = direct_product(cyclic(2), cyclic(3))
-    sctx = ScalarContext.for_groups([G])
-    s1 = product_pair(G, cyclic(2).generators[0], cyclic(3).identity)
-    s2 = product_pair(G, cyclic(2).identity, cyclic(3).generators[0])
-    z2, z3 = sctx.root_of_unity(2), sctx.root_of_unity(3)
-    for k1 in range(2):
-        for k2 in range(3):
-            sigma = s1 ** k1 * s2 ** k2
-            ctx = rr.ctx_build(G, sigma, sctx)
-            assert ctx.rank == 6
-            i1 = next(i for i in range(6) if ctx.table.rows[i](s1) == z2
-                      and ctx.table.rows[i](s2) == 1)
-            i2 = next(i for i in range(6) if ctx.table.rows[i](s1) == 1
-                      and ctx.table.rows[i](s2) == z3)
-            x1, x2 = ctx.basis_elt(i1), ctx.basis_elt(i2)
-            assert ctx.angles[i1] == Fraction(k1, 2)
-            assert ctx.angles[i2] == Fraction(k2, 3)
-            assert x1 ** 2 == ctx.q(k1)
-            assert x2 ** 3 == ctx.q(k2)
-            seen = set()
-            for a in range(2):
-                for b in range(3):
-                    hits = [(i, f.as_monomial())
-                            for i, f in enumerate((x1 ** a * x2 ** b).coeffs) if f]
-                    assert len(hits) == 1
-                    expo, coef = hits[0][1]
-                    assert coef == 1 and expo.denominator == 1
-                    seen.add(hits[0][0])
-            assert seen == set(range(6))
+    assert_pass(verify.abelian_product_presentations(((2, 3),)))
 
 
 def test_pullback_along_surjection():

@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qell import qell_core as qc
-from qell import rotrep as rr
+from qell import verify
 from qell.charmod import ScalarContext, central_angle
 from qell.errors import PreconditionError
 from qell.groups import (
     GroupHom,
-    Permutation,
-    all_subgroups,
     cyclic,
     dihedral,
     direct_product,
@@ -164,9 +162,8 @@ def test_kunneth_halves_make_whole_q():
         assert central_angle(cb.ctxs[0].table.rows[k], cb.g, sctx) == 0
 
 
-def test_kunneth_basis_bijection_z2_z3():
-    from qell.verify import _kunneth_pair_bijection
-    assert _kunneth_pair_bijection(cyclic(2), cyclic(3))
+def test_kunneth_basis_bijection_z2_z3(assert_pass):
+    assert_pass(verify.kunneth_on_points(((cyclic(2), cyclic(3)),)))
 
 
 # -- change of group -----------------------------------------------------------
@@ -197,51 +194,23 @@ def test_cog_regular_c3(S3, c3_in_s3):
     assert stZ.total_rank() == stH.total_rank() == 1
 
 
-def test_cog_round_trips(S3, c2_in_s3, c3_in_s3, C4):
-    pairs = [(S3, c2_in_s3), (S3, c3_in_s3),
-             (C4, C4.subgroup([Permutation([2, 3, 0, 1])], name="C2<C4"))]
-    for G, H in pairs:
-        sctx = ScalarContext.for_groups([G])
-        for X in (point_set(H), regular_gset(H)):
-            stH = qc.structure(H, X, sctx)
-            rng = random.Random(5)
-            for _ in range(10):
-                a = qc.random_element(stH, rng)
-                z = qc.change_of_group_inverse(G, H, X, a)
-                assert qc.change_of_group(G, H, X, z) == a
-                assert qc.change_of_group_inverse(G, H, X,
-                                                  qc.change_of_group(G, H, X, z)) == z
+def test_cog_round_trips(assert_pass):
+    assert_pass(verify.change_of_group_round_trips(10, 5))
 
 
 # -- transfer -------------------------------------------------------------------
 
-def test_transfer_worked_table_c3(S3, c3_in_s3):
-    """Frozen hand-derived table for the unit transfer from the 3-cycle subgroup.
+def test_transfer_worked_table_c3(assert_pass):
+    """The unit transfer from the 3-cycle subgroup of S3, by algorithms A and B.
 
     Per class: at e the induced character 1 + sign; nothing at transpositions;
     at 3-cycles both cosets are fixed, giving 2 * unit.
     """
-    sctx = ScalarContext.for_groups([S3])
-    sH = qc.structure(c3_in_s3, point_set(c3_in_s3), sctx)
-    sG = qc.structure(S3, point_set(S3), sctx)
-    got = qc.transfer(S3, sH.unit(), algorithm="B")
-    e_ctx, f_ctx, t_ctx = (cb.ctxs[0] for cb in sG.classes)
-    expected = qc.QEllElt(sG, [[e_ctx.basis_elt(0) + e_ctx.basis_elt(1)],
-                               [f_ctx.zero()],
-                               [t_ctx.unit() * 2]])
-    assert got == expected
+    assert_pass(verify.transfer_tables()[:1])
 
 
-def test_transfer_worked_table_c2(S3, c2_in_s3):
-    sctx = ScalarContext.for_groups([S3])
-    sH = qc.structure(c2_in_s3, point_set(c2_in_s3), sctx)
-    sG = qc.structure(S3, point_set(S3), sctx)
-    got = qc.transfer(S3, sH.unit(), algorithm="B")
-    e_ctx, f_ctx, t_ctx = (cb.ctxs[0] for cb in sG.classes)
-    expected = qc.QEllElt(sG, [[e_ctx.basis_elt(0) + e_ctx.basis_elt(2)],
-                               [f_ctx.unit()],
-                               [t_ctx.zero()]])
-    assert got == expected
+def test_transfer_worked_table_c2(assert_pass):
+    assert_pass(verify.transfer_tables()[1:])
 
 
 def test_transfer_identity_subgroup(S3, s3_point):
@@ -250,17 +219,8 @@ def test_transfer_identity_subgroup(S3, s3_point):
     assert qc.transfer(S3, a, algorithm="B") == a
 
 
-def test_transfer_algorithms_agree(S3, D4):
-    for G in (S3, D4):
-        sctx = ScalarContext.for_groups([G])
-        X = point_set(G)
-        rng = random.Random(7)
-        for H in all_subgroups(G):
-            stH = qc.structure(H, point_set(H), sctx)
-            for _ in range(5):
-                a = qc.random_element(stH, rng)
-                assert qc.transfer(G, a, X, algorithm="A") == \
-                    qc.transfer(G, a, algorithm="B")
+def test_transfer_algorithms_agree(assert_pass):
+    assert_pass(verify.transfer_cross_checks(5, 7))
 
 
 def test_transfer_b_rejects_bigger_sets(S3, c2_in_s3):
@@ -296,18 +256,8 @@ def test_mu_z2_worked_example():
     assert qc.mu(sgn_at_e * sgn_at_e, 2) == out * out
 
 
-def test_mu_ring_hom_and_exterior_commute(s3_point, C4):
-    for st in (s3_point,):
-        rng = random.Random(9)
-        for n in (2, 3):
-            for _ in range(6):
-                a = qc.random_element(st, rng)
-                b = qc.random_element(st, rng)
-                assert qc.mu(a * b, n) == qc.mu(a, n) * qc.mu(b, n)
-            a = qc.random_element(st, rng)
-            for k in (0, 1, 2):
-                assert qc.mu(qc.exterior_power(a, k), n) == \
-                    qc.exterior_power(qc.mu(a, n), k)
+def test_mu_ring_hom_and_exterior_commute(S3, assert_pass):
+    assert_pass(verify.mu_properties((S3,), 6, 9))
 
 
 def test_mu_exponent_denominators(s3_point):
@@ -365,11 +315,8 @@ def test_trivial_split_rejects_acting_h():
         qc.trivial_split(stP.unit())
 
 
-def test_tate_reports():
-    for N in (1, 2, 5, 8):
-        rep = qc.tate_presentation_report(N)
-        assert rep["ok"], rep
-        assert len(rep["components"]) == N
+def test_tate_reports(assert_pass):
+    assert_pass(verify.cyclic_presentations((1, 2, 5, 8)))
 
 
 def test_tate_n6_m4_directly():
