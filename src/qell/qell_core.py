@@ -354,11 +354,14 @@ def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
         raise PreconditionError("element does not live on the induced G-set")
     incl = GroupHom.inclusion(H, G)
     pulled = pullback_hom(incl, elt)
-    label_index = {lab: i for i, lab in enumerate(Z.labels)}
     # The identity is element 0 of every group, and the only pair in the
     # H-orbit of [e, x] with element index 0 is (0, x): that is its label.
-    imap = [label_index[(0, x)] for x in X.points()]
-    return pullback_map(imap, pulled, X)
+    # Labels are sorted, so the (0, x) come first and [e, x] is point x.
+    for x in X.points():
+        if Z.labels[x] != (0, x):
+            raise InternalCheckError(
+                "[e, x] is not point x: induced G-set labels must sort the (0, x) first")
+    return pullback_map(range(X.n_points), pulled, X)
 
 
 def change_of_group_inverse(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,

@@ -347,10 +347,10 @@ def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
         raise PreconditionError("source central element is not target g to the n")
     if not src.group.is_subgroup(target.group):
         raise PreconditionError("target group does not sit inside the source group")
-    incl = GroupHom.inclusion(target.group, src.group)
 
     def column(i):
         c = src.angles[i]
+        incl = GroupHom.inclusion(target.group, src.group)
         mults = decompose(restrict_cf(incl, src.table.rows[i]), target.table)
         cols = []
         for j, m in enumerate(mults):

@@ -147,14 +147,23 @@ def test_non_utf8_input_is_a_schema_error(capsys, tmp_path):
         assert err.count("\n") == 1, argv
 
 
+TERM = ("classes", 0, "orbits", 0, "coeffs", 0, 0)     # the unit's one term
+
+
 @pytest.mark.parametrize("path, value", [
     (("classes", 0), 5),
     (("classes", 0, "rep"), 5),
     (("space",), {"kind": "cosets"}),
     (("group", "generators"), [[0, 0]]),
     (("group", "degree"), 4),
+    (TERM + ("coef",), 1.5),
+    (TERM + ("coef",), True),
+    (TERM + ("exp",), 0.5),
+    (TERM + ("exp",), "1/0"),
+    (TERM + ("exp",), "x"),
 ], ids=["class-not-object", "rep-not-list", "cosets-without-subgroup",
-        "not-a-permutation", "degree-mismatch"])
+        "not-a-permutation", "degree-mismatch", "coef-float", "coef-bool", "exp-float",
+        "exp-zero-denominator", "exp-garbage"])
 def test_malformed_element_is_a_schema_error(capsys, tmp_path, path, value):
     u = tmp_path / "u.json"
     assert main(["unit", "--group", "S3", "--json", str(u)]) == 0

@@ -8,7 +8,7 @@ import pytest
 from qell import qell_core as qc
 from qell import verify
 from qell.charmod import ScalarContext, central_angle
-from qell.errors import PreconditionError
+from qell.errors import InternalCheckError, PreconditionError
 from qell.groups import (
     GroupHom,
     cyclic,
@@ -17,6 +17,7 @@ from qell.groups import (
     symmetric,
 )
 from qell.gsets import (
+    FiniteGSet,
     induced_gset,
     point_set,
     product_gset,
@@ -192,6 +193,19 @@ def test_cog_regular_c3(S3, c3_in_s3):
     stZ = qc.structure(S3, Z, sctx)
     stH = qc.structure(c3_in_s3, X, sctx)
     assert stZ.total_rank() == stH.total_rank() == 1
+
+
+def test_cog_checks_that_e_x_is_point_x(S3, c3_in_s3, monkeypatch):
+    X = regular_gset(c3_in_s3)
+    z = qc.change_of_group_inverse(S3, c3_in_s3, X, qc.random_element(
+        qc.structure(c3_in_s3, X, ScalarContext.for_groups([S3])), random.Random(2)))
+    Z = induced_gset(S3, c3_in_s3, X)
+    assert Z.labels[:X.n_points] == [(0, x) for x in X.points()]
+    unsorted = FiniteGSet(S3, Z.n_points, {g: Z._table[g] for g in S3.elements},
+                          check=False, labels=Z.labels[::-1])
+    monkeypatch.setattr(qc, "induced_gset", lambda G, H, X: unsorted)
+    with pytest.raises(InternalCheckError, match="must sort the"):
+        qc.change_of_group(S3, c3_in_s3, X, z)
 
 
 def test_cog_round_trips(assert_pass):

@@ -524,11 +524,13 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
     a = qc.random_element(qc.structure(H, XH, sctx), random.Random(3))
     z = qc.change_of_group_inverse(G, H, XH, a)
     b = qc.random_element(qc.structure(H, point_set(H), sctx), random.Random(4))
+    c = qc.random_element(qc.structure(G, point_set(G), sctx), random.Random(5))
     maps = {
         "change_of_group_inverse": lambda: qc.change_of_group_inverse(G, H, XH, a),
         "change_of_group": lambda: qc.change_of_group(G, H, XH, z),
         "transfer_A": lambda: qc.transfer(G, a, X, algorithm="A"),
         "transfer_B": lambda: qc.transfer(G, b, algorithm="B"),
+        "mu": lambda: qc.mu(c, 2),
     }
     cold = {name: fn() for name, fn in maps.items()}
     assert cold["change_of_group"] == a
@@ -544,6 +546,13 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
         if hasattr(module, "transporter"):
             counted(module, "transporter")
     counted(rr, "decompose")
+    homs = []
+    hom_init = groups.GroupHom.__init__
+    monkeypatch.setattr(groups.GroupHom, "__init__", lambda self, *args, **kwargs:
+                        homs.append(args[0].name) or hom_init(self, *args, **kwargs))
     for name, fn in maps.items():
+        homs.clear()
         assert fn() == cold[name], name
         assert not calls, (name, calls)
+        # μ builds its inclusion only for a column miss
+        assert name != "mu" or not homs, homs
