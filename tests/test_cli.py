@@ -1,5 +1,6 @@
 """The command-line surface: parsing, exit codes, JSON round trips, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -417,6 +418,30 @@ def test_product_of_cyclics_components():
     for cb in st.classes:
         assert cb.centralizer.order == 6
         assert cb.ctxs[0].rank == 6
+
+
+# sha256 of the files `qell point --json` and `qell unit --json` write, pinned
+# from the schema-v1 output before subgroups were interned.
+GOLDEN_SHA256 = {
+    ("point", "--group", "S4"):
+        "fa2d48cfb31f8677f78a39256bc7ee8b72a91cbdaffdc908643544f874cd9385",
+    ("point", "--group", "D6"):
+        "8e71dd84be7a81645454ba7dcf9f776f134b5e14fac397a391b6f194b0284902",
+    ("point", "--group", "C2xC4"):
+        "4129458e331860421db5d06fe1aa7a92b11a15ff849806b1fb857e54f5167b8d",
+    ("point", "--group", "A5"):
+        "d2c0d3b4506e648f71821d5c3cf4bec8284c5b6ac23bf0ec3890338e941a7596",
+    ("unit", "--group", "S4", "--space", "regular"):
+        "b67c5931cde31e7d29ac2a3e3ff362cd0888df21782bbe4fd17b6ebb247a11a4",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
+def test_structure_json_golden_bytes(tmp_path, capsys, argv):
+    path = tmp_path / "out.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
 
 
 def test_point_json_deterministic(tmp_path):
