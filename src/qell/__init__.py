@@ -42,7 +42,6 @@ from .groups import (
     cyclic,
     dihedral,
     direct_product,
-    from_elements,
     make_group,
     make_hom,
     symmetric,

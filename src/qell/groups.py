@@ -53,7 +53,7 @@ class FiniteGroup:
     """A permutation group with a cached, sorted element list."""
 
     def __init__(self, degree: int, generators, name: str = "", spec: str | None = None,
-                 _elements=None):
+                 _elements=None, _root=None):
         self.degree = int(degree)
         gens = []
         for g in generators:
@@ -73,6 +73,8 @@ class FiniteGroup:
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._conjugacy = None
         self._induced: dict = {}          # (H.key(), X.key()) -> G x_H X
+        self._root = _root or self        # the group whose registry holds self
+        self._subgroups: dict = {}        # member bitmask -> subgroup (on a root)
         self._exponent = None
         self._key = None
         self.identity = identity(self.degree)
@@ -145,9 +147,26 @@ class FiniteGroup:
             self._conjugacy = _conjugacy_data(self)
         return self._conjugacy
 
+    def subgroup_of(self, members) -> "FiniteGroup":
+        """The subgroup of self with elements ``members``, one object per set.
+
+        The root group (one not built here) keeps the registry, keyed by the
+        bitmask of the members' indices in its element list.  A new entry,
+        the root's own set included, takes as each generator the least member
+        outside the span so far: at most log2|H| generators.  Raises
+        NotSubgroupError for a member outside self, InvalidGeneratorError if
+        the members are not a group.
+        """
+        root, members = self._root, list(members)
+        mask = 0
+        for g in members:
+            if g not in self._index:
+                raise NotSubgroupError(f"{g!r} is not in {self.name}")
+            mask |= 1 << root._index[g]
+        return memo(root._subgroups, mask, _least_first, root, members)
+
     def centralizer(self, g: Permutation) -> "FiniteGroup":
-        members = [h for h in self.elements if h * g == g * h]
-        return from_elements(self.degree, members, name=f"C_{self.name}({g!r})")
+        return self.subgroup_of([h for h in self.elements if h * g == g * h])
 
 
 def _closure(degree: int, generators) -> list[Permutation]:
@@ -176,29 +195,23 @@ def make_group(degree: int, generators, name: str = "", spec: str | None = None)
     return FiniteGroup(degree, generators, name=name, spec=spec)
 
 
-def from_elements(degree: int, members, name: str = "") -> FiniteGroup:
-    """The group whose elements are ``members``, generated least-first.
-
-    Each generator is the least member outside the subgroup generated so far,
-    so each at least doubles it: at most log2|H| generators.  Raises
-    InvalidGeneratorError if they do not close to exactly ``members``.
-    """
+def _least_first(root: FiniteGroup, members) -> FiniteGroup:
     members = sorted(set(members))
-    gens, span = [], {identity(degree)}
+    gens, span = [], {root.identity}
     for g in members:
         if g not in span:
             gens.append(g)
-            span = set(_closure(degree, gens))
+            span = set(_closure(root.degree, gens))
     if len(span) != len(members):
         raise InvalidGeneratorError("invalid generator: the members do not form a group")
-    return FiniteGroup(degree, gens, name=name, _elements=span)
+    return FiniteGroup(root.degree, gens, name=f"sub<{root.name}:{len(span)}>",
+                       _elements=span, _root=root)
 
 
-def conjugate_subgroup(S: FiniteGroup, w: Permutation, name: str) -> FiniteGroup:
-    """w S w^{-1}, on the conjugated generators of S; no closure is run."""
+def conjugate_subgroup(G: FiniteGroup, S: FiniteGroup, w: Permutation) -> FiniteGroup:
+    """w S w^{-1}, for S <= G and w in G, from G's registry."""
     wi = w.inverse()
-    return FiniteGroup(S.degree, [w * s * wi for s in S.generators], name=name,
-                       _elements=[w * s * wi for s in S.elements])
+    return G.subgroup_of([w * s * wi for s in S.elements])
 
 
 class ConjugacyData:
@@ -259,6 +272,7 @@ class ConjugacyData:
 def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
     class_of: dict[Permutation, int] = {}
     reps, classes = [], []
+    conjugators = [(s, s.inverse()) for s in G.generators]
     for g in G.elements:
         if g in class_of:
             continue
@@ -268,8 +282,8 @@ def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
         while frontier:
             nxt = []
             for x in frontier:
-                for s in G.generators:
-                    y = s * x * s.inverse()
+                for s, si in conjugators:
+                    y = s * x * si
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
@@ -327,8 +341,7 @@ class GroupHom:
 
     def kernel(self) -> FiniteGroup:
         e = self.codomain.identity
-        members = [g for g in self.domain.elements if self.image_of[g] == e]
-        return from_elements(self.domain.degree, members, name=f"ker<{self.domain.name}>")
+        return self.domain.subgroup_of([g for g, x in self.image_of.items() if x == e])
 
     @staticmethod
     def identity_on(G: FiniteGroup) -> "GroupHom":

@@ -10,7 +10,7 @@ recorded here.
 from __future__ import annotations
 
 from .errors import NotSubgroupError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, from_elements, memo
+from .groups import FiniteGroup, GroupHom, Permutation, memo
 
 
 class FiniteGSet:
@@ -182,8 +182,7 @@ def orbits_with_stabilizers(C: FiniteGroup, X: FiniteGSet, subset=None) -> list[
             if y not in transport:
                 transport[y] = c
         pts = sorted(transport)
-        stab = from_elements(C.degree, [c for c in C.elements if X.act(c, x) == x],
-                             name=f"stab({x})")
+        stab = C.subgroup_of([c for c in C.elements if X.act(c, x) == x])
         assert len(pts) * stab.order == C.order
         out.append(Orbit(x, pts, stab, transport))
         seen.update(pts)

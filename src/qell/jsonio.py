@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from . import qlaurent
 from .errors import InvalidGeneratorError, SchemaError
 from .gsets import FiniteGSet, point_set, regular_gset
-from .groups import FiniteGroup, Permutation, from_elements, make_group
+from .groups import FiniteGroup, Permutation, make_group
 from .qell_core import QEllElt, QEllStructure, structure
 
 SCHEMA_VERSION = "1"
@@ -64,11 +64,11 @@ def space_payload(struct: QEllStructure) -> dict:
     G = struct.group
     if X == point_set(G):
         return {"kind": "pt"}
-    if X == regular_gset(G):
+    if X.n_points == G.order and X == regular_gset(G):
         return {"kind": "regular"}
     # a coset space is recovered canonically: the identity coset is point 0,
     # so its stabilizer is the inducing subgroup
-    H = from_elements(G.degree, [g for g in G.elements if X.act(g, 0) == 0])
+    H = G.subgroup_of([g for g in G.elements if X.act(g, 0) == 0])
     if X == cosets_space(G, H):
         # schema v1 lists every element of the subgroup as a generator
         return {"kind": "cosets", "subgroup": dict(

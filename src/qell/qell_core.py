@@ -40,7 +40,6 @@ class ClassBlock:
         self.orbit_of_point = entry.orbit_of_point
         self.ctxs = tuple(rr.ctx_for(sctx, orb.stabilizer, entry.g)
                           for orb in entry.orbits)
-        self._point_ctx: dict = {}
 
     @property
     def ranks(self):
@@ -163,19 +162,6 @@ class QEllElt:
 # ---------------------------------------------------------------------------
 # point evaluation with transport
 
-def _point_ctx(struct: QEllStructure, ci: int, point: int) -> LambdaCtx:
-    """Context at an arbitrary point of X^g (stabilizer conjugated from rep)."""
-    return memo(struct.classes[ci]._point_ctx, point, _transported_ctx, struct, ci, point)
-
-
-def _transported_ctx(struct: QEllStructure, ci: int, point: int) -> LambdaCtx:
-    # at the orbit rep the transport is the identity and ctx_for returns cb.ctxs[oi]
-    cb = struct.classes[ci]
-    orb = cb.orbits[cb.orbit_of_point[point]]
-    S = conjugate_subgroup(orb.stabilizer, orb.transport[point], f"stab({point})")
-    return rr.ctx_for(struct.sctx, S, cb.g)
-
-
 def value_at(elt: QEllElt, ci: int, point: int) -> LambdaElt:
     """The component of elt at (class ci, point), transported from the orbit rep."""
     struct = elt.structure
@@ -185,7 +171,9 @@ def value_at(elt: QEllElt, ci: int, point: int) -> LambdaElt:
     v = elt.components[ci][oi]
     if point == orb.rep:
         return v
-    return rr.conjugate(v, orb.transport[point], _point_ctx(struct, ci, point))
+    t = orb.transport[point]
+    S = conjugate_subgroup(struct.group, orb.stabilizer, t)
+    return rr.conjugate(v, t, rr.ctx_for(struct.sctx, S, cb.g))
 
 
 def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
@@ -201,7 +189,7 @@ def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
         return value_at(elt, ci, point)
     y = struct.gset.act(w.inverse(), point)
     v = value_at(elt, ci, y)           # over Λ_{Stab(y)}(rep)
-    S = conjugate_subgroup(v.ctx.group, w, f"stab*({point})")
+    S = conjugate_subgroup(struct.group, v.ctx.group, w)
     return rr.conjugate(v, w, rr.ctx_for(struct.sctx, S, h))
 
 
@@ -460,7 +448,7 @@ def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
         r = w.inverse()               # r^{-1} g r == h0 for g the class rep
         cb = target.classes[ci]
         v = elt.components[hi][0]
-        S = conjugate_subgroup(v.ctx.group, r, "conj-cent")
+        S = conjugate_subgroup(G, v.ctx.group, r)
         moved = rr.conjugate(v, r, rr.ctx_for(sctx, S, cb.g))
         acc[ci] = acc[ci] + rr.induce_to(moved, cb.ctxs[0])
     return QEllElt(target, [[a] for a in acc])

@@ -1,10 +1,10 @@
 """One ScalarContext shared by several threads gives single-threaded results.
 
 The memo caches (character tables, central angles, centralizers, rotation
-contexts, structures, point contexts, product, decomposition and Künneth
-columns, induced G-sets on each group and class transports on each
-group's conjugacy data) fill lazily and without locks, all through
-``groups.memo``.  Each entry is complete before it is stored and a stored
+contexts, structures, product, decomposition and Künneth columns, the
+subgroup registry on each root group, induced G-sets on each group and
+class transports on each group's conjugacy data) fill lazily and without
+locks, all through ``groups.memo``.  Each entry is complete before it is stored and a stored
 entry is never replaced, so two threads can at worst build the same entry
 twice.  This test runs the same workload on fresh groups and a fresh
 context, once in one thread and once in four threads sharing everything.  The

@@ -1,6 +1,9 @@
 """Cross-module stress tests on larger groups and non-trivial G-sets."""
 
+import importlib
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +121,27 @@ def test_exterior_power_vanishes_beyond_dimension():
     assert rr.exterior_power(Y, 4).is_zero()
     perm = ctx.basis_elt(0) + ctx.basis_elt(2)
     assert rr.exterior_power(perm, 4).is_zero()
+
+
+def test_benchmark_traced_names_are_defined():
+    """Every target of perfbench/tracing.py resolves where ``Tracer.install``
+    looks it up: in its class's or module's ``__dict__``.  The file is run,
+    not imported, so no bytecode is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    targets = runpy.run_path(str(path))["TARGETS"]
+    for name, modname, clsname, attr, _kind in targets:
+        owner = importlib.import_module(modname)
+        if clsname:
+            owner = vars(owner)[clsname]
+        assert callable(vars(owner).get(attr)), name
+    guarded = {("qell.groups", "FiniteGroup", "centralizer"),
+               ("qell.groups", None, "transporter"),
+               ("qell.gsets", None, "inertia_skeleton"),
+               ("qell.gsets", None, "orbits_with_stabilizers"),
+               ("qell.qell_core", None, "value_at_element"),
+               ("qell.qlaurent", None, "serialize"),
+               ("qell.qlaurent", None, "deserialize")}
+    guarded |= {("qell.qlaurent", "QLaurent", attr) for attr in (
+        "__init__", "__mul__", "__add__", "__sub__", "__neg__", "__pow__",
+        "rescale", "shift", "divide_int_exact")}
+    assert guarded <= {target[1:4] for target in targets}

@@ -9,7 +9,7 @@ twelve seeded random ``perm:`` groups of degree <= 7, the test checks:
 - the group order;
 - the conjugacy classes, as sets of elements;
 - the order of the centralizer of each class representative;
-- the contract of ``from_elements`` on every centralizer and on the group
+- the contract of ``subgroup_of`` on every centralizer and on the group
   itself: its generators close to exactly the members, and there are at
   most floor(log2 |H|) of them.
 """
@@ -21,7 +21,7 @@ import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
-from qell.groups import _closure, builtin, from_elements
+from qell.groups import _closure, builtin
 from qell.groupspec import parse_group_spec
 from qell.perm import Permutation
 
@@ -69,7 +69,7 @@ def check_against_sympy(G):
         assert C.order == P.centralizer(
             SympyPermutation(list(rep.images), size=G.degree)).order()
         assert_small_generating_set(C)
-    assert_small_generating_set(from_elements(G.degree, G.elements))
+    assert_small_generating_set(G.subgroup_of(G.elements))
 
 
 @pytest.mark.parametrize("spec", BUILTINS)

@@ -8,12 +8,15 @@ from qell.errors import (
     GroupTooLargeError,
     InvalidGeneratorError,
     NotHomomorphismError,
+    NotSubgroupError,
 )
 from qell.groups import (
     GroupHom,
     Permutation,
+    _closure,
     all_subgroups,
     alternating,
+    conjugate_subgroup,
     cyclic,
     dihedral,
     direct_product,
@@ -22,6 +25,8 @@ from qell.groups import (
     symmetric,
     transporter,
 )
+from qell.groupspec import parse_group_spec
+from qell.gsets import inertia_skeleton, point_set
 from qell.perm import from_cycles, identity
 
 
@@ -201,3 +206,63 @@ def test_direct_product_classes_are_pairs():
     for rep in conj.class_reps:
         a, b = product_split(P, rep)
         assert a in symmetric(3)
+
+
+# -- the subgroup registry ---------------------------------------------------------
+
+# the perm: spec lists a redundant generator: (0 1) and (1 2) with the 5-cycle
+@pytest.fixture(scope="module",
+                params=["S4", "D6", "perm:5:(0,1,2,3,4);(0,1);(1,2)"])
+def registry_group(request):
+    return parse_group_spec(request.param)
+
+
+def test_centralizers_are_interned(registry_group):
+    G = registry_group
+    conj = G.conjugacy()
+    for ci in range(conj.n_classes):
+        C = conj.centralizer(ci)
+        assert G.subgroup_of(C.elements) is C
+        assert G.subgroup_of(reversed(C.elements)) is C
+        assert C.subgroup_of(C.elements) is C       # one registry, on the root
+
+
+def test_one_point_stabilizers_are_centralizers(registry_group):
+    for entry in inertia_skeleton(registry_group, point_set(registry_group)):
+        (orbit,) = entry.orbits
+        assert orbit.stabilizer is entry.centralizer
+
+
+def test_full_member_set_is_a_least_first_copy(registry_group):
+    G = registry_group
+    H = G.subgroup_of(G.elements)
+    assert H == G and H is not G
+    assert G.subgroup_of(G.elements) is H
+    for k, g in enumerate(H.generators):
+        span = set(_closure(G.degree, H.generators[:k]))
+        assert g == min(x for x in G.elements if x not in span)
+    assert set(_closure(G.degree, H.generators)) == set(G.elements)
+
+
+def test_subgroup_of_rejects_non_groups(registry_group):
+    G = registry_group
+    g = next(x for x in G.elements if x.order() > 2)
+    for members in ([G.identity, g], G.elements[1:]):
+        with pytest.raises(InvalidGeneratorError):
+            G.subgroup_of(members)
+    C = G.conjugacy().centralizer(1)
+    outside = next(x for x in G.elements if x not in C)
+    with pytest.raises(NotSubgroupError):
+        C.subgroup_of(C.elements + (outside,))
+
+
+def test_conjugation_is_interned(registry_group):
+    G = registry_group
+    conj = G.conjugacy()
+    for ci in range(conj.n_classes):
+        C = conj.centralizer(ci)
+        for w in G.elements:
+            S = conjugate_subgroup(G, C, w)
+            assert conjugate_subgroup(G, C, w) is S
+            assert set(S.elements) == {w * c * w.inverse() for c in C.elements}
+        assert all(conjugate_subgroup(G, C, c) is C for c in C.elements)

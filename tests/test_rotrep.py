@@ -224,8 +224,7 @@ def test_conjugate_transports_three_cycle(S3, s3_ctx):
     assert g2 == g * g                 # (12)(012)(12) = (021)
     ctx = rr.ctx_build(S3, g, s3_ctx)
     wi = h.inverse()
-    from qell.groups import from_elements
-    tgt_group = from_elements(3, [h * s * wi for s in ctx.group.elements])
+    tgt_group = S3.subgroup_of([h * s * wi for s in ctx.group.elements])
     tgt = rr.ctx_for(s3_ctx, tgt_group, g2)
     src_third = next(i for i, c in enumerate(ctx.angles) if c == Fraction(1, 3))
     out = rr.conjugate(ctx.basis_elt(src_third), h, tgt)
@@ -246,12 +245,11 @@ def test_conjugate_composition(S3, s3_ctx):
     ctx = rr.ctx_build(S3, g, s3_ctx)
     rng = random.Random(8)
     a = random_elt(ctx, rng)
-    from qell.groups import from_elements
     h1, h2 = Permutation([2, 1, 0]), Permutation([1, 2, 0])
 
     def conj_ctx(base, w):
         wi = w.inverse()
-        Gc = from_elements(3, [w * s * wi for s in base.group.elements])
+        Gc = S3.subgroup_of([w * s * wi for s in base.group.elements])
         return rr.ctx_for(s3_ctx, Gc, w * base.g * wi)
 
     c2 = conj_ctx(ctx, h2)
@@ -550,9 +548,16 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
     hom_init = groups.GroupHom.__init__
     monkeypatch.setattr(groups.GroupHom, "__init__", lambda self, *args, **kwargs:
                         homs.append(args[0].name) or hom_init(self, *args, **kwargs))
+    builds = []
+    group_init = groups.FiniteGroup.__init__
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", lambda self, *args, **kwargs:
+                        builds.append(args) or group_init(self, *args, **kwargs))
     for name, fn in maps.items():
         homs.clear()
+        builds.clear()
         assert fn() == cold[name], name
         assert not calls, (name, calls)
         # μ builds its inclusion only for a column miss
         assert name != "mu" or not homs, homs
+        # conjugated stabilizers come back from the registry
+        assert not builds, (name, len(builds))
