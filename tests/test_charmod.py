@@ -16,7 +16,7 @@ from qell.charmod import (
     inner_product,
     restrict_cf,
 )
-from qell.errors import PreconditionError, ScalarContextError
+from qell.errors import InternalCheckError, PreconditionError, ScalarContextError
 from qell.groups import GroupHom, Permutation, cyclic, dihedral, direct_product, symmetric
 
 
@@ -218,3 +218,47 @@ def test_central_angle_additivity(C4):
             for i, m in enumerate(mults):
                 if m:
                     assert central_angle(t.rows[i], g, ctx) == target
+
+
+# -- injected faults ------------------------------------------------------------
+#
+# character_table checks the rows it is handed; corrupting the rows one of the
+# two row builders returns must trip each of its conditions.
+
+def _scaled_standard(rows):
+    """The degree-2 row of S3 doubled: degree squares sum to 1 + 1 + 16."""
+    return [ClassFunction(r.group, r.ctx, [2 * v for v in r.values])
+            if r.values[0] == 2 else r for r in rows]
+
+
+def _split_standard(rows):
+    """The degree-2 row of S3 replaced by four sign rows: squares still sum
+    to 6, but there are six rows for three classes."""
+    sign = next(r for r in rows if r.values[0] == 1 and len(set(r.values)) > 1)
+    return [r for r in rows if r.values[0] != 2] + [sign] * 4
+
+
+def _duplicated_trivial(rows):
+    """A nontrivial linear row replaced by the trivial one: degrees and count
+    stay right, orthonormality breaks."""
+    trivial = next(r for r in rows if len(set(r.values)) == 1)
+    k = next(i for i, r in enumerate(rows) if r.values[0] == 1 and r is not trivial)
+    return rows[:k] + [trivial] + rows[k + 1:]
+
+
+@pytest.mark.parametrize("builder, group, corrupt, message", [
+    ("_class_matrix_rows", symmetric(3), _scaled_standard,
+     "degree squares do not sum to the group order"),
+    ("_class_matrix_rows", symmetric(3), _split_standard,
+     "wrong number of irreducible characters"),
+    ("_class_matrix_rows", symmetric(3), _duplicated_trivial,
+     "table rows are not orthonormal"),
+    ("_abelian_rows", direct_product(cyclic(2), cyclic(4)), _duplicated_trivial,
+     "table rows are not orthonormal"),
+], ids=["degree-squares", "count", "orthonormality", "orthonormality-abelian"])
+def test_character_table_checks_fire(monkeypatch, builder, group, corrupt, message):
+    from qell import charmod
+    original = getattr(charmod, builder)
+    monkeypatch.setattr(charmod, builder, lambda G, ctx: corrupt(original(G, ctx)))
+    with pytest.raises(InternalCheckError, match=message):
+        charmod.character_table(group, ScalarContext.for_groups([group]))

@@ -421,7 +421,8 @@ def test_product_of_cyclics_components():
 
 
 # sha256 of the files `qell point --json` and `qell unit --json` write, pinned
-# from the schema-v1 output before subgroups were interned.
+# from the schema-v1 output before subgroups were interned (C4xC4, the largest
+# product table, and S6 before the tables were written from nonzero entries).
 GOLDEN_SHA256 = {
     ("point", "--group", "S4"):
         "fa2d48cfb31f8677f78a39256bc7ee8b72a91cbdaffdc908643544f874cd9385",
@@ -431,6 +432,10 @@ GOLDEN_SHA256 = {
         "4129458e331860421db5d06fe1aa7a92b11a15ff849806b1fb857e54f5167b8d",
     ("point", "--group", "A5"):
         "d2c0d3b4506e648f71821d5c3cf4bec8284c5b6ac23bf0ec3890338e941a7596",
+    ("point", "--group", "C4xC4"):
+        "69730eb621f05e5106d706cb83fbd96c9cef799104ecdc854004780071cedebd",
+    ("point", "--group", "S6"):
+        "3e26306bfe412d2faf80997f36858d2da29fdea3ebbca8bd926d2d255e26cf3c",
     ("unit", "--group", "S4", "--space", "regular"):
         "b67c5931cde31e7d29ac2a3e3ff362cd0888df21782bbe4fd17b6ebb247a11a4",
 }
