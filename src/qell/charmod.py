@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from . import modp
 from .errors import PreconditionError, ScalarContextError, InternalCheckError
@@ -110,7 +111,8 @@ class ClassFunction:
         return f"cf{list(self.values)}"
 
 
-def _require_same_group(a: ClassFunction, b: ClassFunction):
+def _require_same_group(a, b):
+    """a and b: class functions, or a class function and a character table."""
     if a.group != b.group:
         raise PreconditionError("class functions live on different groups")
 
@@ -126,6 +128,13 @@ class CharacterTable:
         e_idx = conj.class_index(group.identity)
         self.degrees = tuple(r.values[e_idx] for r in self.rows)
         self.n_irr = len(self.rows)
+        # ⟨f, rows[i]⟩ = f · dual[i], dual[i][c] = |c|·χ_i(c⁻¹)/|G| mod p; and
+        # columns[c] is the rows' values at class c
+        p, inv, n_inv = ctx.p, conj.inverse_classes(), pow(group.order, -1, ctx.p)
+        self.dual = tuple(tuple(size * r.values[inv[c]] * n_inv % p
+                                for c, size in enumerate(conj.class_sizes))
+                          for r in self.rows)
+        self.columns = tuple(zip(*(r.values for r in self.rows)))
         self._angle_cache: dict = {}
         self._products: dict = {}         # (i, j), i <= j -> multiplicities
 
@@ -169,8 +178,8 @@ def character_table(G: FiniteGroup, ctx: ScalarContext) -> CharacterTable:
     if table.n_irr != conj.n_classes:
         raise InternalCheckError("wrong number of irreducible characters")
     for i, r in enumerate(table.rows):
-        for j in range(i, table.n_irr):
-            if inner_product(r, table.rows[j]) != (1 if i == j else 0):
+        for j, d in enumerate(table.dual):
+            if sum(map(mul, r.values, d)) % ctx.p != (1 if i == j else 0):
                 raise InternalCheckError("table rows are not orthonormal")
     return table
 
@@ -341,21 +350,15 @@ def decompose(f: ClassFunction, table: CharacterTable,
     combination at desk scale fails the bound.  The integer recombination is
     verified to reproduce f exactly.
     """
-    p = f.ctx.p
-    bound = f.ctx.max_order
-    mults = []
-    for r in table.rows:
-        m = f.ctx.lift_symmetric(inner_product(f, r))
+    _require_same_group(f, table)
+    p, lift, bound = f.ctx.p, f.ctx.lift_symmetric, f.ctx.max_order
+    mults = [lift(sum(map(mul, f.values, d))) for d in table.dual]
+    for m in mults:
         if abs(m) > bound or (m < 0 and not virtual):
             raise PreconditionError(
                 f"not a character combination: multiplicity lift {m}"
             )
-        mults.append(m)
-    rebuilt = [0] * len(f.values)
-    for m, r in zip(mults, table.rows):
-        for j, v in enumerate(r.values):
-            rebuilt[j] = (rebuilt[j] + m * v) % p
-    if tuple(rebuilt) != f.values:
+    if tuple(sum(map(mul, mults, col)) % p for col in table.columns) != f.values:
         raise PreconditionError("not a character combination")
     return mults
 

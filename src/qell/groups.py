@@ -482,9 +482,12 @@ def all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
     while frontier:
         nxt = []
         for H in frontier:
+            # <H, g0·h> = <H, g0>: one closure per coset g0·H, from its least element
+            tried = set(H.elements)
             for g in G.elements:
-                if g in H:
+                if g in tried:
                     continue
+                tried.update(g * h for h in H.elements)
                 K = FiniteGroup(G.degree, H.generators + (g,))
                 fz = frozenset(K.elements)
                 if fz not in seen:

@@ -116,10 +116,23 @@ def _orbit_payload(cb, oi, coeffs=None, table=False) -> dict:
     if coeffs is not None:
         out["coeffs"] = [qlaurent.serialize(f) for f in coeffs]
     if table:
-        out["table"] = [[[qlaurent.serialize(f) for f in ctx.basis_product(i, j)]
-                         for j in range(ctx.rank)]
-                        for i in range(ctx.rank)]
+        out["table"] = _product_table(ctx)
     return out
+
+
+def _product_table(ctx) -> list:
+    """Serialized coefficients of every basis product i*j, from its nonzero
+    columns.  The payload is written, not edited: entry (j, i) is the list of
+    (i, j), and an entry's zero columns share one empty list."""
+    n = ctx.rank
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entry = [[]] * n
+            for mu, f in ctx.product_columns(i, j):
+                entry[mu] = qlaurent.serialize(f)
+            rows[i][j] = rows[j][i] = entry
+    return rows
 
 
 def _document(struct: QEllStructure, orbits) -> dict:
@@ -201,42 +214,33 @@ def dumps(payload: dict) -> str:
     """The text of ``json.dumps(payload, indent=1)``, written directly.
 
     The standard library encodes indented JSON through nested generators, a
-    yield per token per level; a product table has a million tokens.  Payloads
-    are trees of str-keyed dicts, lists, strings, ints, bools and None; any
-    other value is encoded by ``json.dumps``.
+    yield per token per level; a product table has a million tokens, most of
+    them empty lists.  Payloads are trees of str-keyed dicts, lists, strings,
+    ints, bools and None; any other value is encoded by ``json.dumps``.
     """
-    out: list[str] = []
-    _write(payload, "\n", out)
-    return "".join(out)
+    return _text(payload, "\n")
 
 
-def _write(value, newline: str, out: list[str]) -> None:
-    # newline is "\n" plus the current indent; children get one space more
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif isinstance(value, (list, tuple, dict)):
+def _text(value, newline: str) -> str:
+    # newline is "\n" plus the current indent; children get one space more.
+    # A dict's str and int values and a list's empty lists are written inside
+    # the parent's join; any other child is one call.
+    if isinstance(value, dict):
         if not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
-            return
+            return "{}"
         inner = newline + " "
-        sep = "," + inner
-        if isinstance(value, dict):
-            out.append("{" + inner)
-            for n, (k, v) in enumerate(value.items()):
-                out.append((sep if n else "") + _encode_str(k) + ": ")
-                _write(v, inner, out)
-            out.append(newline + "}")
-        else:
-            out.append("[" + inner)
-            for n, v in enumerate(value):
-                if n:
-                    out.append(sep)
-                _write(v, inner, out)
-            out.append(newline + "]")
-    elif type(value) is int:
-        out.append(int.__repr__(value))
-    else:
-        out.append(json.dumps(value))
+        return "{" + inner + ("," + inner).join([_encode_str(k) + ": " + (
+            _encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
+            else _text(v, inner)) for k, v in value.items()]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + " "
+        return "[" + inner + ("," + inner).join(
+            ["[]" if v == [] else _text(v, inner) for v in value]) + newline + "]"
+    if type(value) is str:
+        return _encode_str(value)
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
 def loads(text: str) -> dict:

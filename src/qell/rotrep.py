@@ -59,7 +59,7 @@ class LambdaCtx:
         self.angles: tuple[Fraction, ...] = tuple(
             self.table.angle(i, g) for i in range(self.table.n_irr)
         )
-        ordg = g.order()
+        self.g_order = ordg = g.order()
         for c in self.angles:
             if ordg % c.denominator:
                 raise InternalCheckError("angle denominator does not divide ord(g)")
@@ -108,31 +108,36 @@ class LambdaCtx:
         """Coefficients of basis_elt(i) * basis_elt(j), read off the cached
         structure constants."""
         coeffs = [ZERO] * self.rank
-        for mu, mult in self._product_columns(i, j):
+        for mu, mult in self.product_columns(i, j):
             coeffs[mu] = mult
         return coeffs
 
-    def _product_columns(self, i: int, j: int):
-        """Structure constants of basis product i*j: list of (μ, mult·q^shift)."""
+    def product_columns(self, i: int, j: int):
+        """Structure constants of basis product i*j: the nonzero (μ, mult·q^shift)."""
         return memo(self._mul_cache, (i, j) if i <= j else (j, i),
                     self._multiply_basis, i, j)
 
     def _multiply_basis(self, i: int, j: int):
-        c = self.angles[i] + self.angles[j]
-        shift = int(c)    # 0 or 1
+        # angles are k/n with n = ord(g): add them as int numerators over n
+        n, a, b = self.g_order, self.angles[i], self.angles[j]
+        c = a.numerator * (n // a.denominator) + b.numerator * (n // b.denominator)
+        shift = int(c >= n)
         return _constituents(self.table.product_multiplicities(i, j),
-                             self, c - shift, "product", shift)
+                             self, (c - shift * n, n), "product", shift)
 
 
-def _constituents(mults, target: LambdaCtx, angle: Fraction, what: str, shift=0):
+def _constituents(mults, target: LambdaCtx, angle: tuple[int, int], what: str,
+                  shift=0):
     """Columns [(j, m·q^shift)] of the nonzero multiplicities m over target's rows.
 
-    Every constituent must carry the central angle ``angle``.
+    Every constituent must carry the central angle num/den, ``angle`` = (num, den).
     """
+    num, den = angle
     cols = []
     for j, m in enumerate(mults):
         if m:
-            if target.angles[j] != angle:
+            a = target.angles[j]
+            if a.numerator * den != num * a.denominator:
                 raise InternalCheckError(
                     f"{what} constituent carries the wrong central angle")
             cols.append((j, monomial(m, shift)))
@@ -202,7 +207,7 @@ class LambdaElt:
                 if gj.is_zero():
                     continue
                 fg = fi * gj
-                for mu, mult in self.ctx._product_columns(i, j):
+                for mu, mult in self.ctx.product_columns(i, j):
                     out[mu] = out[mu] + fg * mult
         return LambdaElt(self.ctx, tuple(out))
 
@@ -286,7 +291,8 @@ def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaEl
 
     def column(i):
         mults = decompose(restrict_cf(phi, src.table.rows[i]), target.table)
-        return _constituents(mults, target, src.angles[i], "restricted")
+        return _constituents(mults, target, src.angles[i].as_integer_ratio(),
+                             "restricted")
 
     return _basis_map(elt, target, ("res", target.key(), hom_key), column)
 
@@ -303,7 +309,7 @@ def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
     def column(i):
         ind = induce_cf(target.group, src.group, src.table.rows[i])
         mults = decompose(ind, target.table)
-        cols = _constituents(mults, target, src.angles[i], "induced")
+        cols = _constituents(mults, target, src.angles[i].as_integer_ratio(), "induced")
         total = sum(m * target.table.degree(j) for j, m in enumerate(mults))
         if total != index * src.table.degree(i):
             raise InternalCheckError("induction degree mismatch")
@@ -376,7 +382,7 @@ def adams(elt: LambdaElt, m: int) -> LambdaElt:
         c = m * ctx.angles[i]
         shift = int(c)
         mults = decompose(adams_cf(ctx.table.rows[i], m), ctx.table, virtual=True)
-        return _constituents(mults, ctx, c - shift, "Adams", shift)
+        return _constituents(mults, ctx, (c - shift).as_integer_ratio(), "Adams", shift)
 
     return _basis_map(elt, ctx, ("adams", m), column, m)
 

@@ -1,8 +1,11 @@
 """Character tables, inner products, induction, Adams operations, angles."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qell.charmod import (
     ClassFunction,
@@ -17,6 +20,7 @@ from qell.charmod import (
     restrict_cf,
 )
 from qell.errors import InternalCheckError, PreconditionError, ScalarContextError
+from qell.groupspec import parse_group_spec
 from qell.groups import GroupHom, Permutation, cyclic, dihedral, direct_product, symmetric
 
 
@@ -262,3 +266,105 @@ def test_character_table_checks_fire(monkeypatch, builder, group, corrupt, messa
     monkeypatch.setattr(charmod, builder, lambda G, ctx: corrupt(original(G, ctx)))
     with pytest.raises(InternalCheckError, match=message):
         charmod.character_table(group, ScalarContext.for_groups([group]))
+
+
+# -- decompose against the per-row inner products ----------------------------------
+
+def _reference_decompose(f, table, virtual=False):
+    """decompose as one inner_product per row, the form it replaced."""
+    p = f.ctx.p
+    bound = f.ctx.max_order
+    mults = []
+    for r in table.rows:
+        m = f.ctx.lift_symmetric(inner_product(f, r))
+        if abs(m) > bound or (m < 0 and not virtual):
+            raise PreconditionError(
+                f"not a character combination: multiplicity lift {m}"
+            )
+        mults.append(m)
+    rebuilt = [0] * len(f.values)
+    for m, r in zip(mults, table.rows):
+        for j, v in enumerate(r.values):
+            rebuilt[j] = (rebuilt[j] + m * v) % p
+    if tuple(rebuilt) != f.values:
+        raise PreconditionError("not a character combination")
+    return mults
+
+
+_ORACLE_SPECS = ("S4", "D6", "C2xC4", "A5")
+
+
+@cache
+def _oracle_tables():
+    groups = [parse_group_spec(spec) for spec in _ORACLE_SPECS]
+    ctx = ScalarContext.for_groups(groups)
+    return ctx, {spec: ctx.table(G) for spec, G in zip(_ORACLE_SPECS, groups)}
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return "ok", fn(*args, **kw)
+    except Exception as exc:            # compared by type and message
+        return type(exc), str(exc)
+
+
+def _agrees_with_reference(f, table, virtual):
+    got = _outcome(decompose, f, table, virtual=virtual)
+    assert got == _outcome(_reference_decompose, f, table, virtual=virtual)
+    return got
+
+
+def _combination(table, mults):
+    p = table.ctx.p
+    values = [sum(m * v for m, v in zip(mults, col)) % p
+              for col in zip(*(r.values for r in table.rows))]
+    return ClassFunction(table.group, table.ctx, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ORACLE_SPECS), st.data(), st.booleans())
+def test_decompose_matches_reference_on_combinations(spec, data, virtual):
+    ctx, tables = _oracle_tables()
+    t = tables[spec]
+    mults = data.draw(st.lists(st.integers(-4, 6), min_size=t.n_irr, max_size=t.n_irr))
+    if data.draw(st.booleans()):     # one multiplicity beyond the session bound
+        k = data.draw(st.integers(0, t.n_irr - 1))
+        mults[k] = data.draw(st.sampled_from((-1, 1))) * \
+            (ctx.max_order + data.draw(st.integers(1, 100)))
+    got = _agrees_with_reference(_combination(t, mults), t, virtual)
+    in_bound = all(abs(m) <= ctx.max_order for m in mults)
+    if in_bound and (virtual or min(mults) >= 0):
+        assert got == ("ok", mults)
+    else:
+        assert got[0] is PreconditionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ORACLE_SPECS), st.data(), st.booleans())
+def test_decompose_matches_reference_on_non_combinations(spec, data, virtual):
+    ctx, tables = _oracle_tables()
+    t = tables[spec]
+    k = t.n_irr
+    # mostly not combinations; zero is one, and so is 3·(indicator of the
+    # 3-cycles) in S4, virtually
+    if data.draw(st.booleans()):     # arbitrary values mod p
+        values = data.draw(st.lists(st.integers(0, ctx.p - 1), min_size=k, max_size=k))
+        f = ClassFunction(t.group, ctx, values)
+    else:                            # a small combination with one value moved
+        mults = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        values = list(_combination(t, mults).values)
+        values[data.draw(st.integers(0, k - 1))] += data.draw(st.integers(1, 5))
+        f = ClassFunction(t.group, ctx, values)
+    _agrees_with_reference(f, t, virtual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ORACLE_SPECS), st.sampled_from(_ORACLE_SPECS), st.data())
+def test_decompose_matches_reference_on_foreign_groups(spec, other, data):
+    ctx, tables = _oracle_tables()
+    if spec == other:
+        return
+    rows = tables[other].rows
+    f = rows[data.draw(st.integers(0, len(rows) - 1))]
+    got = _agrees_with_reference(f, tables[spec], data.draw(st.booleans()))
+    assert got == (PreconditionError, "class functions live on different groups")

@@ -11,6 +11,7 @@ from qell.errors import (
     NotSubgroupError,
 )
 from qell.groups import (
+    FiniteGroup,
     GroupHom,
     Permutation,
     _closure,
@@ -196,6 +197,37 @@ def test_hom_compose_round_trip(S3, c2_in_s3):
 def test_all_subgroups_counts(S3, D4):
     assert len(all_subgroups(S3)) == 6
     assert len(all_subgroups(D4)) == 10
+
+
+def _all_subgroups_every_element(G):
+    """all_subgroups as it was: one closure per subgroup and element outside it."""
+    trivial = FiniteGroup(G.degree, [], name="1")
+    seen = {frozenset(trivial.elements): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for g in G.elements:
+                if g in H:
+                    continue
+                K = FiniteGroup(G.degree, H.generators + (g,))
+                fz = frozenset(K.elements)
+                if fz not in seen:
+                    seen[fz] = K
+                    nxt.append(K)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda H: (H.order, [g.images for g in H.elements]))
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D6", "C2xC4", "A5"])
+def test_all_subgroups_one_closure_per_coset(spec):
+    """Skipping the rest of a tried coset finds the same subgroups, in the
+    same order, with the same generators."""
+    G = parse_group_spec(spec)
+
+    def data(subs):
+        return [(H.elements, H.generators) for H in subs]
+    assert data(all_subgroups(G)) == data(_all_subgroups_every_element(G))
 
 
 def test_direct_product_classes_are_pairs():
