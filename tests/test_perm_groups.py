@@ -200,7 +200,8 @@ def test_all_subgroups_counts(S3, D4):
 
 
 def _all_subgroups_every_element(G):
-    """all_subgroups as it was: one closure per subgroup and element outside it."""
+    """The reference for all_subgroups: one closure per subgroup and per
+    element outside it."""
     trivial = FiniteGroup(G.degree, [], name="1")
     seen = {frozenset(trivial.elements): trivial}
     frontier = [trivial]
