@@ -256,9 +256,8 @@ def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction
         # character row vector ω then satisfies ω·M = ω_i·ω
         M = [[0] * k for _ in range(k)]
         for l, z in enumerate(reps):
-            for x in elements_of[i]:
-                j = class_of(x.inverse() * z)
-                M[l][j] += 1
+            for y in elements_of[conj.inverse_class(i)]:      # the x^{-1}
+                M[l][class_of(y * z)] += 1
         return M
 
     # split the common eigenspaces until all are one-dimensional

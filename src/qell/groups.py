@@ -123,7 +123,7 @@ class FiniteGroup:
     def exponent(self) -> int:
         if self._exponent is None:
             e = 1
-            for g in self.elements:
+            for g in self.conjugacy().class_reps:     # order is a class function
                 e = math.lcm(e, g.order())
             self._exponent = e
         return self._exponent
@@ -166,28 +166,34 @@ class FiniteGroup:
         return memo(root._subgroups, mask, _least_first, root, members)
 
     def centralizer(self, g: Permutation) -> "FiniteGroup":
-        return self.subgroup_of([h for h in self.elements if h * g == g * h])
+        gi = g.images               # h*g == g*h, compared on images
+        return self.subgroup_of([h for h in self.elements if tuple(
+            map(h.images.__getitem__, gi)) == tuple(map(gi.__getitem__, h.images))])
 
 
-def _closure(degree: int, generators) -> list[Permutation]:
-    cap = order_cap()
-    e = identity(degree)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in generators:
-                h = g * s
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    if len(seen) > cap:
-                        raise GroupTooLargeError(
-                            f"group too large: order exceeds cap {cap}"
-                        )
-        frontier = nxt
-    return list(seen)
+def _closure(degree: int, generators) -> set[Permutation]:
+    return _span(identity(degree), generators, order_cap())[1]
+
+
+def _span(e: Permutation, candidates, cap: int) -> tuple[list, set]:
+    """(gens, span): the candidates outside the span of those before them, and
+    the group they generate.  <H, g> is a union of right cosets H·r (Dimino):
+    one more coset for each r·s outside it, r a coset rep, s a generator."""
+    gens, span = [], {e}
+    for g in candidates:
+        if g in span:
+            continue
+        gens.append(g)
+        H, reps = list(span), [e]
+        for r in reps:
+            for s in gens:
+                x = r * s
+                if x not in span:
+                    span.update([h * x for h in H])
+                    reps.append(x)
+                    if len(span) > cap:
+                        raise GroupTooLargeError(f"group too large: order exceeds cap {cap}")
+    return gens, span
 
 
 def make_group(degree: int, generators, name: str = "", spec: str | None = None) -> FiniteGroup:
@@ -197,11 +203,7 @@ def make_group(degree: int, generators, name: str = "", spec: str | None = None)
 
 def _least_first(root: FiniteGroup, members) -> FiniteGroup:
     members = sorted(set(members))
-    gens, span = [], {root.identity}
-    for g in members:
-        if g not in span:
-            gens.append(g)
-            span = set(_closure(root.degree, gens))
+    gens, span = _span(root.identity, members, root.order)
     if len(span) != len(members):
         raise InvalidGeneratorError("invalid generator: the members do not form a group")
     return FiniteGroup(root.degree, gens, name=f"sub<{root.name}:{len(span)}>",
@@ -272,25 +274,26 @@ class ConjugacyData:
 def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
     class_of: dict[Permutation, int] = {}
     reps, classes = [], []
-    conjugators = [(s, s.inverse()) for s in G.generators]
+    element_of = {g.images: g for g in G.elements}
+    conjugators = [(s.images.__getitem__, s.inverse().images) for s in G.generators]
     for g in G.elements:
         if g in class_of:
             continue
-        # orbit of g under conjugation by the generators
-        orbit = {g}
-        frontier = [g]
+        # orbit of g under conjugation by the generators: (s x s^-1)(i) = s(x(s^-1(i)))
+        orbit = {g.images}
+        frontier = [g.images]
         while frontier:
             nxt = []
             for x in frontier:
                 for s, si in conjugators:
-                    y = s * x * si
+                    y = tuple(map(s, map(x.__getitem__, si)))
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
             frontier = nxt
         idx = len(reps)
         reps.append(g)
-        cls = sorted(orbit)
+        cls = [element_of[y] for y in sorted(orbit)]
         classes.append(cls)
         for x in cls:
             class_of[x] = idx

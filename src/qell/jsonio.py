@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from . import qlaurent
 from .errors import InvalidGeneratorError, SchemaError
 from .gsets import FiniteGSet, point_set, regular_gset
-from .groups import FiniteGroup, Permutation, make_group
+from .groups import FiniteGroup, Permutation, make_group, memo
 from .qell_core import QEllElt, QEllStructure, structure
 
 SCHEMA_VERSION = "1"
@@ -126,11 +126,12 @@ def _product_table(ctx) -> list:
     (i, j), and an entry's zero columns share one empty list."""
     n = ctx.rank
     rows = [[None] * n for _ in range(n)]
+    cells: dict = {}                      # equal coefficients share one cell
     for i in range(n):
         for j in range(i, n):
             entry = [[]] * n
             for mu, f in ctx.product_columns(i, j):
-                entry[mu] = qlaurent.serialize(f)
+                entry[mu] = memo(cells, f, qlaurent.serialize, f)
             rows[i][j] = rows[j][i] = entry
     return rows
 
@@ -218,26 +219,33 @@ def dumps(payload: dict) -> str:
     them empty lists.  Payloads are trees of str-keyed dicts, lists, strings,
     ints, bools and None; any other value is encoded by ``json.dumps``.
     """
-    return _text(payload, "\n")
+    return _text(payload, "\n", {})
 
 
-def _text(value, newline: str) -> str:
+def _text(value, newline: str, written: dict) -> str:
     # newline is "\n" plus the current indent; children get one space more.
     # A dict's str and int values and a list's empty lists are written inside
-    # the parent's join; any other child is one call.
+    # the parent's join; any other child is one call.  Lists a payload shares
+    # (table entries, cells) are written once: ``written`` keeps each list's
+    # text by (id, indent), up to 1 KiB so that it holds no copy of the document.
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + " "
         return "{" + inner + ("," + inner).join([_encode_str(k) + ": " + (
             _encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
-            else _text(v, inner)) for k, v in value.items()]) + newline + "}"
+            else _text(v, inner, written)) for k, v in value.items()]) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = newline + " "
-        return "[" + inner + ("," + inner).join(
-            ["[]" if v == [] else _text(v, inner) for v in value]) + newline + "]"
+        text = written.get(key := (id(value), len(newline)))
+        if text is None:
+            inner = newline + " "
+            text = "[" + inner + ("," + inner).join(["[]" if v == [] else _text(
+                v, inner, written) for v in value]) + newline + "]"
+            if len(text) <= 1024:
+                written[key] = text
+        return text
     if type(value) is str:
         return _encode_str(value)
     return int.__repr__(value) if type(value) is int else json.dumps(value)

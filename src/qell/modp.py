@@ -228,13 +228,12 @@ def poly_gcd(f, g, p):
 
 
 def poly_powmod(f, e, h, p):
-    result = [1]
-    base = poly_rem(f, h, p)
-    while e:
-        if e & 1:
+    # left to right, so a linear base (all distinct_roots uses) multiplies in O(deg h)
+    result, base = [1], poly_rem(f, h, p)
+    for bit in bin(e)[2:] if e else ():
+        result = poly_mulmod(result, result, h, p)
+        if bit == "1":
             result = poly_mulmod(result, base, h, p)
-        base = poly_mulmod(base, base, h, p)
-        e >>= 1
     return result
 
 

@@ -49,7 +49,7 @@ class Permutation:
         b = other.images
         if len(a) != len(b):
             raise InvalidGeneratorError("degree mismatch in composition")
-        return Permutation._raw(tuple(a[j] for j in b))
+        return Permutation._raw(tuple(map(a.__getitem__, b)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)

@@ -355,6 +355,15 @@ _json_trees = st.recursive(
 def test_dumps_is_json_indent_one_on_any_tree(tree):
     assert jsonio.dumps(tree) == json.dumps(tree, indent=1)
 
+
+def test_dumps_writes_a_shared_list_at_each_depth():
+    cell = [{"exp": "0/1", "coef": 2}]
+    entry = [cell, [], cell]
+    long = list(range(400))                # text over the 1 KiB that dumps keeps
+    tree = {"a": [entry, entry], "b": [[entry], cell], "c": cell,
+            "d": [long, [long], long]}
+    assert jsonio.dumps(tree) == json.dumps(tree, indent=1)
+
 def test_schema_rejects_bad_payloads():
     G = cyclic(2)
     sctx = ScalarContext.for_groups([G])
