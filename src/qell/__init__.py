@@ -49,7 +49,6 @@ from .groups import (
 )
 from .gsets import (
     FiniteGSet,
-    InertiaSkeleton,
     coset_gset,
     fixed_points,
     induced_gset,

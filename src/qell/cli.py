@@ -25,7 +25,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, GroupHom, direct_product
 from .groupspec import parse_group_spec
-from .gsets import point_set, product_gset, regular_gset
+from .gsets import coset_gset, point_set, product_gset, regular_gset
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -253,7 +253,7 @@ def cmd_op(args) -> int:
         else:
             if elt.structure.group != G:
                 raise PreconditionError("input element must live on --group")
-            if elt.structure.gset != jsonio.cosets_space(G, H):
+            if elt.structure.gset != coset_gset(G, H):
                 raise PreconditionError(
                     "input element must live on the coset space of --subgroup")
             out = qc.change_of_group(G, H, point_set(H), elt)

@@ -94,28 +94,12 @@ def point_set(G: FiniteGroup) -> FiniteGSet:
     return FiniteGSet(G, 1, lambda g, x: 0, name="pt", check=False)
 
 def regular_gset(G: FiniteGroup) -> FiniteGSet:
-    """G acting on itself by left translation; points indexed by element order."""
-    idx = {g: i for i, g in enumerate(G.elements)}
-    return FiniteGSet(G, G.order,
-                      {g: tuple(idx[g * h] for h in G.elements) for g in G.elements},
-                      name=f"reg<{G.name}>", check=False)
+    """G acting on itself by left translation: G/1, points in element order."""
+    return coset_gset(G, G.subgroup_of([G.identity]))
 
 def coset_gset(G: FiniteGroup, H: FiniteGroup) -> FiniteGSet:
-    """G/H with left translation; cosets labelled by their least member."""
-    if not G.is_subgroup(H):
-        raise NotSubgroupError(f"{H.name} is not a subgroup of {G.name}")
-    rep_of = {}
-    reps = []
-    for g in G.elements:
-        coset = min(g * h for h in H.elements)
-        if coset not in rep_of:
-            rep_of[coset] = len(reps)
-            reps.append(coset)
-        rep_of[g] = rep_of[coset]
-    return FiniteGSet(G, len(reps),
-                      {g: tuple(rep_of[min(g * r * h for h in H.elements)] for r in reps)
-                       for g in G.elements},
-                      name=f"{G.name}/{H.name}", check=False, labels=reps)
+    """G/H = G x_H pt with left translation, cached on G like every induced set."""
+    return induced_gset(G, H, point_set(H))
 
 def product_gset(X: FiniteGSet, Y: FiniteGSet, P: FiniteGroup) -> FiniteGSet:
     """X x Y as a P-set for P = direct_product(X.group, Y.group).
@@ -204,26 +188,22 @@ def induced_gset(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet) -> FiniteGSet:
 
 
 def _build_induced_gset(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet) -> FiniteGSet:
-    # Each H-orbit {(g h^{-1}, h x)} is walked once; every member is labelled
-    # by the orbit's least pair, so no entry takes a min over H.
+    # Pairs are walked in (element index, point) order, so the first pair met
+    # of each H-orbit {(g h^{-1}, h x)} is its least and numbers the orbit in
+    # label order.  point_of[x][g] is the point of (g, x): a table entry is
+    # one product and one lookup.
     moves = [(h.inverse(), X._table[h]) for h in H.elements]
-    canon: dict[tuple[int, int], tuple[int, int]] = {}
+    point_of = [{} for _ in X.points()]
+    reps = []
     for gi, g in enumerate(G.elements):
         for x in X.points():
-            if (gi, x) in canon:
-                continue
-            orbit = [(G.index(g * hi), row[x]) for hi, row in moves]
-            c = min(orbit)
-            for pair in orbit:
-                canon[pair] = c
-    reps = sorted(set(canon.values()))
+            if g not in point_of[x]:
+                for hi, row in moves:
+                    point_of[row[x]][g * hi] = len(reps)
+                reps.append((gi, x))
     assert len(reps) * H.order == G.order * X.n_points
-    rep_index = {c: i for i, c in enumerate(reps)}
-
-    table = {}
-    for a in G.elements:
-        table[a] = tuple(rep_index[canon[G.index(a * G.elements[gi]), x]]
-                         for (gi, x) in reps)
+    cols = [(G.elements[gi], point_of[x]) for gi, x in reps]
+    table = {a: tuple(p[a * g] for g, p in cols) for a in G.elements}
     return FiniteGSet(G, len(reps), table, name=f"{G.name}x_{H.name}{X.name}",
                       check=False, labels=reps)
 
@@ -255,35 +235,20 @@ class SkeletonEntry:
                 f"{len(self.orbits)} orbit(s)")
 
 
-class InertiaSkeleton:
-    """Per conjugacy class rep g: the fixed set X^g cut into C_G(g)-orbits."""
-
-    def __init__(self, G: FiniteGroup, X: FiniteGSet):
-        if X.group != G:
-            raise PreconditionError("X is not a G-set for the given G")
-        self.group = G
-        self.gset = X
-        conj = G.conjugacy()
-        self.conjugacy = conj
-        entries = []
-        for ci, g in enumerate(conj.class_reps):
-            C = conj.centralizer(ci)
-            fixed = tuple(fixed_points(X, g))
-            orbits = orbits_with_stabilizers(C, X, fixed)
-            for orb in orbits:
-                if g not in orb.stabilizer:
-                    raise PreconditionError(
-                        f"stabilizer at {orb.rep} does not contain the class rep"
-                    )
-            entries.append(SkeletonEntry(g, g.order(), C, fixed, orbits))
-        self.entries = entries
-
-    def entry(self, class_idx: int) -> SkeletonEntry:
-        return self.entries[class_idx]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def inertia_skeleton(G: FiniteGroup, X: FiniteGSet) -> InertiaSkeleton:
-    return InertiaSkeleton(G, X)
+def inertia_skeleton(G: FiniteGroup, X: FiniteGSet) -> list[SkeletonEntry]:
+    """Per conjugacy class rep g, in class order: X^g cut into C_G(g)-orbits."""
+    if X.group != G:
+        raise PreconditionError("X is not a G-set for the given G")
+    conj = G.conjugacy()
+    entries = []
+    for ci, g in enumerate(conj.class_reps):
+        C = conj.centralizer(ci)
+        fixed = tuple(fixed_points(X, g))
+        orbits = orbits_with_stabilizers(C, X, fixed)
+        for orb in orbits:
+            if g not in orb.stabilizer:
+                raise PreconditionError(
+                    f"stabilizer at {orb.rep} does not contain the class rep"
+                )
+        entries.append(SkeletonEntry(g, g.order(), C, fixed, orbits))
+    return entries

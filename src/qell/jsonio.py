@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import qlaurent
 from .errors import InvalidGeneratorError, SchemaError
-from .gsets import FiniteGSet, point_set, regular_gset
+from .gsets import FiniteGSet, coset_gset, point_set, regular_gset
 from .groups import FiniteGroup, Permutation, make_group, memo
 from .qell_core import QEllElt, QEllStructure, structure
 
@@ -64,12 +64,12 @@ def space_payload(struct: QEllStructure) -> dict:
     G = struct.group
     if X == point_set(G):
         return {"kind": "pt"}
-    if X.n_points == G.order and X == regular_gset(G):
-        return {"kind": "regular"}
-    # a coset space is recovered canonically: the identity coset is point 0,
-    # so its stabilizer is the inducing subgroup
+    # G/H is recovered canonically: the identity coset is point 0, so its
+    # stabilizer is H; the regular set is G/1
     H = G.subgroup_of([g for g in G.elements if X.act(g, 0) == 0])
-    if X == cosets_space(G, H):
+    if X == coset_gset(G, H):
+        if H.order == 1:
+            return {"kind": "regular"}
         # schema v1 lists every element of the subgroup as a generator
         return {"kind": "cosets", "subgroup": dict(
             group_payload(H), generators=[list(g.images) for g in H.elements])}
@@ -88,14 +88,8 @@ def space_from_payload(G: FiniteGroup, data: dict) -> FiniteGSet:
         H = group_from_payload(data["subgroup"])
         if not G.is_subgroup(H):
             raise SchemaError("space subgroup does not sit inside the group")
-        return cosets_space(G, H)
+        return coset_gset(G, H)
     raise SchemaError(f"unknown space kind {kind!r}")
-
-
-def cosets_space(G: FiniteGroup, H: FiniteGroup) -> FiniteGSet:
-    """The one-point H-set induced up to G (the coset space with canonical labels)."""
-    from .gsets import induced_gset
-    return induced_gset(G, H, point_set(H))
 
 
 def _frac_str(r: Fraction) -> str:

@@ -57,8 +57,7 @@ class QEllStructure:
         self.gset = X
         self.sctx = sctx
         self.conjugacy = G.conjugacy()
-        self.skeleton = inertia_skeleton(G, X)
-        self.classes = tuple(ClassBlock(sctx, e) for e in self.skeleton.entries)
+        self.classes = tuple(ClassBlock(sctx, e) for e in inertia_skeleton(G, X))
 
     @property
     def n_classes(self) -> int:

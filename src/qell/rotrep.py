@@ -104,14 +104,6 @@ class LambdaCtx:
     def q(self, exponent=1) -> "LambdaElt":
         return self.unit() * q_power(exponent)
 
-    def basis_product(self, i: int, j: int) -> list[QLaurent]:
-        """Coefficients of basis_elt(i) * basis_elt(j), read off the cached
-        structure constants."""
-        coeffs = [ZERO] * self.rank
-        for mu, mult in self.product_columns(i, j):
-            coeffs[mu] = mult
-        return coeffs
-
     def product_columns(self, i: int, j: int):
         """Structure constants of basis product i*j: the nonzero (μ, mult·q^shift)."""
         return memo(self._mul_cache, (i, j) if i <= j else (j, i),

@@ -14,7 +14,7 @@ from qell.cli import main
 from qell.errors import ParseError, SchemaError
 from qell.groups import cyclic, symmetric
 from qell.groupspec import parse_group_spec
-from qell.gsets import point_set, regular_gset
+from qell.gsets import coset_gset, point_set, regular_gset
 
 
 # -- group-spec parser ---------------------------------------------------------
@@ -276,7 +276,7 @@ def test_element_round_trip_regular_and_cosets():
         qc.structure(G, regular_gset(G), sctx), rng), sctx)
     from qell.groups import Permutation
     H = G.subgroup([Permutation([1, 2, 0])], name="C3<S3")
-    Z = jsonio.cosets_space(G, H)
+    Z = coset_gset(G, H)
     _round_trip(qc.random_element(qc.structure(G, Z, sctx), rng), sctx)
 
 
@@ -309,7 +309,7 @@ def test_cosets_element_golden_bytes():
     G = symmetric(3)
     sctx = ScalarContext.for_groups([G])
     H = G.subgroup([Permutation([1, 2, 0])], name="C3<S3")
-    unit = qc.structure(G, jsonio.cosets_space(G, H), sctx).unit()
+    unit = qc.structure(G, coset_gset(G, H), sctx).unit()
     assert jsonio.dumps(jsonio.element_payload(unit)) == COSETS_UNIT_S3_C3
 
 

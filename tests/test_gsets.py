@@ -2,8 +2,12 @@
 
 import pytest
 
-from qell.errors import NotSubgroupError, PreconditionError
+from qell import gsets, jsonio
+from qell import qell_core as qc
+from qell.charmod import ScalarContext
+from qell.errors import NotSubgroupError, PreconditionError, SchemaError
 from qell.groups import (
+    GroupHom,
     Permutation,
     all_subgroups,
     cyclic,
@@ -12,6 +16,7 @@ from qell.groups import (
     symmetric,
     transporter,
 )
+from qell.groupspec import parse_group_spec
 from qell.gsets import (
     FiniteGSet,
     coset_gset,
@@ -23,6 +28,10 @@ from qell.gsets import (
     quotient_set,
     regular_gset,
 )
+
+SMALL_GROUPS = pytest.mark.parametrize(
+    "G", [symmetric(4), dihedral(6), direct_product(cyclic(2), cyclic(4))],
+    ids=["S4", "D6", "C2xC4"])
 
 
 def natural_gset(G):
@@ -76,9 +85,7 @@ def induced_by_definition(G, H, X):
     return FiniteGSet(G, len(reps), table, check=False, labels=reps)
 
 
-@pytest.mark.parametrize("G", [symmetric(4), dihedral(6),
-                               direct_product(cyclic(2), cyclic(4))],
-                         ids=["S4", "D6", "C2xC4"])
+@SMALL_GROUPS
 def test_induced_gset_matches_definition(G):
     for H in all_subgroups(G):
         for X in (point_set(H), regular_gset(H)):
@@ -139,9 +146,9 @@ def test_orbit_stabilizer_invariant(S3):
 
 def test_skeleton_s3_point(S3):
     sk = inertia_skeleton(S3, point_set(S3))
-    cents = [e.centralizer.order for e in sk.entries]
+    cents = [e.centralizer.order for e in sk]
     assert cents == [6, 2, 3]
-    for e in sk.entries:
+    for e in sk:
         assert len(e.orbits) == 1
         assert e.orbits[0].stabilizer == e.centralizer
         assert e.g in e.orbits[0].stabilizer
@@ -150,19 +157,19 @@ def test_skeleton_s3_point(S3):
 def test_skeleton_free_action():
     C2 = cyclic(2)
     sk = inertia_skeleton(C2, regular_gset(C2))
-    assert len(sk.entries[0].orbits) == 1
-    assert sk.entries[0].orbits[0].stabilizer.order == 1
-    assert sk.entries[1].fixed == ()
+    assert len(sk[0].orbits) == 1
+    assert sk[0].orbits[0].stabilizer.order == 1
+    assert sk[1].fixed == ()
 
 
 def test_skeleton_s3_on_cosets(S3, c2_in_s3):
     X = induced_gset(S3, c2_in_s3, point_set(c2_in_s3))
     sk = inertia_skeleton(S3, X)
     # brute-force oracle for fixed sets
-    for entry in sk.entries:
+    for entry in sk:
         oracle = tuple(x for x in X.points() if X.act(entry.g, x) == x)
         assert entry.fixed == oracle
-    by_order = {e.g.order(): e for e in sk.entries}
+    by_order = {e.g.order(): e for e in sk}
     assert len(by_order[1].orbits) == 1 and by_order[1].orbits[0].stabilizer.order == 2
     assert len(by_order[2].fixed) == 1 and by_order[2].orbits[0].stabilizer.order == 2
     assert by_order[3].fixed == () and by_order[3].orbits == []
@@ -174,6 +181,92 @@ def test_coset_gset_matches_induced(S3, c2_in_s3):
     orbs = orbits_with_stabilizers(S3, A)
     assert len(orbs) == 1
 
+
+
+# -- references for the removed G/H builders and the old space classifier ------
+
+def coset_gset_by_min(G, H):
+    """G/H with every (g, coset) labelled by a min over H: O(|G|^2 |H|)."""
+    rep_of = {}
+    reps = []
+    for g in G.elements:
+        coset = min(g * h for h in H.elements)
+        if coset not in rep_of:
+            rep_of[coset] = len(reps)
+            reps.append(coset)
+        rep_of[g] = rep_of[coset]
+    return FiniteGSet(G, len(reps),
+                      {g: tuple(rep_of[min(g * r * h for h in H.elements)] for r in reps)
+                       for g in G.elements},
+                      name=f"{G.name}/{H.name}", check=False, labels=reps)
+
+
+def regular_gset_by_table(G):
+    """G acting on itself by left translation, from a |G|^2 table of indices."""
+    idx = {g: i for i, g in enumerate(G.elements)}
+    return FiniteGSet(G, G.order,
+                      {g: tuple(idx[g * h] for h in G.elements) for g in G.elements},
+                      name=f"reg<{G.name}>", check=False)
+
+
+def space_payload_by_regular_table(struct):
+    """The space classifier that compared with a rebuilt regular table."""
+    X, G = struct.gset, struct.group
+    if X == point_set(G):
+        return {"kind": "pt"}
+    if X.n_points == G.order and X == regular_gset_by_table(G):
+        return {"kind": "regular"}
+    H = G.subgroup_of([g for g in G.elements if X.act(g, 0) == 0])
+    if X == induced_gset(G, H, point_set(H)):
+        return {"kind": "cosets", "subgroup": dict(
+            jsonio.group_payload(H), generators=[list(g.images) for g in H.elements])}
+    raise SchemaError(f"space {X.name} has no JSON descriptor")
+
+
+def classified(classify, struct):
+    try:
+        return classify(struct)
+    except SchemaError as exc:
+        return "SchemaError", str(exc)
+
+
+@SMALL_GROUPS
+def test_coset_and_regular_gsets_match_the_removed_builders(G):
+    assert regular_gset(G).key() == regular_gset_by_table(G).key()
+    for H in all_subgroups(G):
+        assert coset_gset(G, H).key() == coset_gset_by_min(G, H).key()
+
+
+@SMALL_GROUPS
+def test_space_payload_matches_the_regular_table_classifier(G):
+    sctx = ScalarContext.for_groups([G])
+    spaces = [point_set(G), regular_gset(G)] + [coset_gset(G, H) for H in all_subgroups(G)]
+    for X in spaces:
+        struct = qc.structure(G, X, sctx)
+        assert classified(jsonio.space_payload, struct) == \
+            classified(space_payload_by_regular_table, struct)
+
+
+def test_space_payload_on_a_set_without_descriptor():
+    S4 = symmetric(4)
+    H = parse_group_spec("perm:4:(0,1,2);(0,1)")
+    X = regular_gset(S4).via_hom(GroupHom.inclusion(H, S4))
+    struct = qc.structure(H, X, ScalarContext.for_groups([S4]))
+    new = classified(jsonio.space_payload, struct)
+    assert new == classified(space_payload_by_regular_table, struct)
+    assert new == ("SchemaError", f"space {X.name} has no JSON descriptor")
+
+
+def test_classifying_a_regular_structure_builds_no_induced_set(monkeypatch):
+    G = symmetric(4)
+    struct = qc.structure(G, regular_gset(G), ScalarContext.for_groups([G]))
+    assert jsonio.space_payload(struct) == {"kind": "regular"}
+    calls = []
+    build = gsets._build_induced_gset
+    monkeypatch.setattr(gsets, "_build_induced_gset",
+                        lambda *args: calls.append(1) or build(*args))
+    assert jsonio.space_payload(struct) == {"kind": "regular"}
+    assert calls == []
 
 def test_restrict_and_via_hom(S3, c3_in_s3):
     from qell.groups import GroupHom
