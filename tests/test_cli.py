@@ -431,7 +431,9 @@ def test_product_of_cyclics_components():
 
 # sha256 of the files `qell point --json` and `qell unit --json` write, pinned
 # from the schema-v1 output before subgroups were interned (C4xC4, the largest
-# product table, and S6 before the tables were written from nonzero entries).
+# product table, and S6 before the tables were written from nonzero entries;
+# D4xD4 and S3xS3xS3, many-class products whose class matrices have repeated
+# eigenvalues, before the eigenspace split was rewritten).
 GOLDEN_SHA256 = {
     ("point", "--group", "S4"):
         "fa2d48cfb31f8677f78a39256bc7ee8b72a91cbdaffdc908643544f874cd9385",
@@ -445,6 +447,10 @@ GOLDEN_SHA256 = {
         "69730eb621f05e5106d706cb83fbd96c9cef799104ecdc854004780071cedebd",
     ("point", "--group", "S6"):
         "3e26306bfe412d2faf80997f36858d2da29fdea3ebbca8bd926d2d255e26cf3c",
+    ("point", "--group", "D4xD4"):
+        "ee3c674904cd7e3b57febc9fe9a9449d8d97555b7cc0a8f2f7c55fcb54dd9f5a",
+    ("point", "--group", "S3xS3xS3"):
+        "f74df2ba15e8dc6ea23dde36715cb63f19c121752f02979fa8d6cfa1e998de54",
     ("unit", "--group", "S4", "--space", "regular"):
         "b67c5931cde31e7d29ac2a3e3ff362cd0888df21782bbe4fd17b6ebb247a11a4",
 }

@@ -12,17 +12,30 @@ twelve seeded random ``perm:`` groups of degree <= 7, the test checks:
 - the contract of ``subgroup_of`` on every centralizer and on the group
   itself: its generators close to exactly the members, and there are at
   most floor(log2 |H|) of them.
+
+It also checks ``total_rank()`` against a count that uses no character
+table and no prime: Burnside's lemma on commuting triples,
+
+    rank of QEll_G(X) = (1/|G|) · Σ_{pairwise-commuting (g, h, k)} |X^⟨g,h,k⟩|,
+
+on many-class products, on S4 with its point, regular and coset sets, and on
+hypothesis-drawn ``perm:`` groups of small order.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
+from qell.charmod import ScalarContext
 from qell.groups import _closure, builtin
 from qell.groupspec import parse_group_spec
+from qell.gsets import coset_gset, point_set, regular_gset
+from qell.qell_core import structure
 from qell.perm import Permutation
 
 BUILTINS = ([f"S{n}" for n in range(1, 7)] + [f"A{n}" for n in range(1, 7)]
@@ -80,3 +93,70 @@ def test_builtin_group_matches_sympy(spec):
 @pytest.mark.parametrize("spec", RANDOM_SPECS)
 def test_random_perm_group_matches_sympy(spec):
     check_against_sympy(parse_group_spec(spec))
+
+
+# -- the rank of QEll_G(X) from commuting triples ------------------------------
+
+def commuting_triple_rank(G, X) -> int:
+    """(1/|G|) · Σ |X^⟨g,h,k⟩| over pairwise-commuting triples (g, h, k).
+
+    The triples are walked through element centralizer sets, and each fixed
+    set is a bitmask over the points of X.
+    """
+    cent = {g: frozenset(x for x in G.elements if g * x == x * g) for g in G.elements}
+    fixed = {g: sum(1 << x for x in X.points() if X.act(g, x) == x) for g in G.elements}
+    total = 0
+    for g, cg in cent.items():
+        fg = fixed[g]
+        for h in cg:
+            fgh = fg & fixed[h]
+            if fgh:
+                total += sum(bin(fgh & fixed[k]).count("1") for k in cg & cent[h])
+    assert total % G.order == 0
+    return total // G.order
+
+
+def assert_rank_matches_triples(G, X):
+    struct = structure(G, X, ScalarContext.for_groups([G]))
+    assert struct.total_rank() == commuting_triple_rank(G, X)
+
+
+@pytest.mark.parametrize("spec", ["D4xD4", "D6xC2xC2", "S4"])
+def test_rank_of_point_matches_commuting_triples(spec):
+    G = parse_group_spec(spec)
+    assert_rank_matches_triples(G, point_set(G))
+
+
+def _s4_subgroups():
+    G = parse_group_spec("S4")
+    stab0 = G.subgroup_of([g for g in G.elements if g(0) == 0])
+    klein = G.subgroup_of([g for g in G.elements
+                           if g.order() <= 2 and len(g.cycles()) != 1])
+    return G, {"stab0": stab0, "klein": klein, "whole": G}
+
+
+@pytest.mark.parametrize("space", ["regular", "stab0", "klein", "whole"])
+def test_rank_of_s4_sets_matches_commuting_triples(space):
+    G, subgroups = _s4_subgroups()
+    X = regular_gset(G) if space == "regular" else coset_gset(G, subgroups[space])
+    assert_rank_matches_triples(G, X)
+
+
+@st.composite
+def small_perm_specs(draw):
+    """``perm:`` specs of one or two generators on at most five points."""
+    degree = draw(st.integers(2, 5))
+    gens = []
+    for images in draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2)):
+        cycles = Permutation(images).cycles() or [(0,)]
+        gens.append("".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
+    return f"perm:{degree}:" + ";".join(gens)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_perm_specs())
+def test_rank_of_random_groups_matches_commuting_triples(spec):
+    G = parse_group_spec(spec)
+    stab0 = G.subgroup_of([g for g in G.elements if g(0) == 0])
+    for X in (point_set(G), regular_gset(G), coset_gset(G, stab0)):
+        assert_rank_matches_triples(G, X)
