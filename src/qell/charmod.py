@@ -242,64 +242,96 @@ def _abelian_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
     return rows
 
 
+def _class_matrix_column(conj, class_i, j: int) -> tuple[tuple, tuple]:
+    """Nonzero entries (rows, values) of column j of class i's matrix M.
+
+    M[l][j] = #{x in class i : x^{-1} * rep_l in class j}, so the central
+    character row vector ω satisfies ω·M = ω_i·ω.  Counting pairs gives
+    M[t][j] = |C_j|·#{x in class i : x * rep_j in C_t} / |C_t|: one image
+    tuple and one lookup per x, and at most |class i| nonzero entries.
+    ``class_i`` holds the ``images.__getitem__`` of class i's elements.
+    """
+    counts: dict[int, int] = {}
+    g = conj.class_reps[j].images
+    for x in class_i:
+        t = conj.class_of_images[tuple(map(x, g))]
+        counts[t] = counts.get(t, 0) + 1
+    sizes = conj.class_sizes
+    return tuple(counts), tuple(sizes[j] * n // sizes[t] for t, n in counts.items())
+
+
+def _eigenspaces(A, B, pivots, p: int, rng: random.Random):
+    """Split span(B) along the eigenvalues of A, the action on B's coordinates.
+
+    B is in RREF with the given pivot columns.  Each eigenspace is yielded as
+    (Y·B, its pivots) with Y an RREF basis of {y : y·A = λ·y}; Y·B is then in
+    RREF too, with B's pivots at Y's, and is summed over the nonzero entries
+    of Y and B.
+    """
+    d, k = len(B), len(B[0])
+    nonzero = [[(t, b) for t, b in enumerate(row) if b] for row in B]
+    for lam in modp.distinct_roots(modp.charpoly(A, p), p, rng):
+        # row vectors y with y*(A - lam) = 0: nullspace of transpose
+        AT = [[(A[r][c] - (lam if r == c else 0)) % p for r in range(d)]
+              for c in range(d)]
+        ys = modp.nullspace(AT, p)
+        if ys:
+            Y, y_pivots = modp.rref(ys, p)
+            sub = []
+            for y in Y:
+                v = [0] * k
+                for t, yt in enumerate(y):
+                    if yt:
+                        for c, b in nonzero[t]:
+                            v[c] += yt * b
+                sub.append([x % p for x in v])
+            yield sub, [pivots[q] for q in y_pivots]
+
+
 def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
-    """Character rows from simultaneous eigenvectors of class-sum matrices."""
+    """Character rows from simultaneous eigenvectors of class-sum matrices.
+
+    Each common eigenspace is kept as a basis B in RREF with its pivot
+    columns.  A class matrix M acts on B's coordinates by A = B·M, read at
+    the pivot columns only; a scalar A leaves the space whole, any other A
+    splits it along its eigenvalues.
+    """
     p = ctx.p
     conj = G.conjugacy()
     k = conj.n_classes
-    elements_of = conj.class_elements
-    class_of = conj.class_index
-    reps = conj.class_reps
-
-    def class_matrix(i: int):
-        # M[l][j] = #{x in class i : x^{-1} * rep_l in class j}; the central
-        # character row vector ω then satisfies ω·M = ω_i·ω
-        M = [[0] * k for _ in range(k)]
-        for l, z in enumerate(reps):
-            for y in elements_of[conj.inverse_class(i)]:      # the x^{-1}
-                M[l][class_of(y * z)] += 1
-        return M
-
-    # split the common eigenspaces until all are one-dimensional
-    spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
+    spaces = [([[1 if i == j else 0 for j in range(k)] for i in range(k)], list(range(k)))]
     rng = random.Random(0xD17)
+    # split the common eigenspaces until all are one-dimensional
     for i in range(1, k):
-        if all(len(S) == 1 for S in spaces):
+        if all(len(B) == 1 for B, _ in spaces):
             break
-        M = class_matrix(i)
+        class_i = [x.images.__getitem__ for x in conj.class_elements[i]]
+        columns: dict[int, tuple] = {}      # M's columns, built as needed
         new_spaces = []
-        for S in spaces:
-            if len(S) == 1:
-                new_spaces.append(S)
-                continue
-            B, pivots = modp.rref(S, p)
-            A = []
-            for row in B:
-                img = [sum(row[t] * M[t][c] for t in range(k)) % p for c in range(k)]
-                A.append([img[c] for c in pivots])
-            # A acts on coordinates; split by its eigenvalues
-            cp = modp.charpoly(A, p)
-            for lam in modp.distinct_roots(cp, p, rng):
-                shifted = [[(A[r][c] - (lam if r == c else 0)) % p
-                            for c in range(len(A))] for r in range(len(A))]
-                # row vectors y with y*(A - lam) = 0: nullspace of transpose
-                AT = [list(col) for col in zip(*shifted)]
-                ys = modp.nullspace(AT, p)
-                if ys:
-                    sub = [[sum(y[t] * B[t][c] for t in range(len(B))) % p
-                            for c in range(k)] for y in ys]
-                    sub, _ = modp.rref(sub, p)
-                    new_spaces.append(sub)
+        for B, pivots in spaces:
+            d = len(B)
+            if d > 1:
+                A = [[0] * d for _ in range(d)]
+                for c, j in enumerate(pivots):
+                    ts, ms = memo(columns, j, _class_matrix_column, conj, class_i, j)
+                    for r, row in enumerate(B):
+                        A[r][c] = sum(map(mul, map(row.__getitem__, ts), ms)) % p
+                lam = A[0][0]
+                if any(A[r][c] != (lam if r == c else 0)
+                       for r in range(d) for c in range(d)):
+                    new_spaces.extend(_eigenspaces(A, B, pivots, p, rng))
+                    continue
+            new_spaces.append((B, pivots))
         spaces = new_spaces
-    if any(len(S) != 1 for S in spaces) or len(spaces) != k:
+    if any(len(B) != 1 for B, _ in spaces) or len(spaces) != k:
         raise InternalCheckError("class matrices failed to split the algebra")
 
-    e_idx = class_of(G.identity)
-    inv_class = [conj.inverse_class(i) for i in range(k)]
+    e_idx = conj.class_index(G.identity)
+    inv_class = conj.inverse_classes()
     sizes = conj.class_sizes
     rows = []
-    for S in spaces:
-        v = S[0]
+    for B, _ in spaces:
+        v = B[0]
         if v[e_idx] == 0:
             raise InternalCheckError("central character vanishes at the identity")
         scale = pow(v[e_idx], -1, p)

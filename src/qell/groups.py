@@ -223,10 +223,12 @@ class ConjugacyData:
     group's element order, listed in that same order.
     """
 
-    def __init__(self, group: FiniteGroup, class_reps, class_of, class_elements):
+    def __init__(self, group: FiniteGroup, class_reps, class_of, class_elements,
+                 class_of_images):
         self.group = group
         self.class_reps = tuple(class_reps)
         self.class_of = class_of          # Permutation -> class index
+        self.class_of_images = class_of_images    # image tuple -> class index
         self.class_elements = tuple(tuple(c) for c in class_elements)
         self.class_sizes = tuple(len(c) for c in class_elements)
         self._centralizers: dict[int, FiniteGroup] = {}
@@ -273,6 +275,7 @@ class ConjugacyData:
 
 def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
     class_of: dict[Permutation, int] = {}
+    class_of_images: dict[tuple, int] = {}
     reps, classes = [], []
     element_of = {g.images: g for g in G.elements}
     conjugators = [(s.images.__getitem__, s.inverse().images) for s in G.generators]
@@ -297,7 +300,8 @@ def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
         classes.append(cls)
         for x in cls:
             class_of[x] = idx
-    data = ConjugacyData(G, reps, class_of, classes)
+            class_of_images[x.images] = idx
+    data = ConjugacyData(G, reps, class_of, classes, class_of_images)
     assert sum(data.class_sizes) == G.order
     return data
 

@@ -65,14 +65,15 @@ def space_payload(struct: QEllStructure) -> dict:
     if X == point_set(G):
         return {"kind": "pt"}
     # G/H is recovered canonically: the identity coset is point 0, so its
-    # stabilizer is H; the regular set is G/1
-    H = G.subgroup_of([g for g in G.elements if X.act(g, 0) == 0])
-    if X == coset_gset(G, H):
-        if H.order == 1:
-            return {"kind": "regular"}
-        # schema v1 lists every element of the subgroup as a generator
-        return {"kind": "cosets", "subgroup": dict(
-            group_payload(H), generators=[list(g.images) for g in H.elements])}
+    # stabilizer is H; the regular set is G/1.  An empty set is no G/H.
+    if X.n_points:
+        H = G.subgroup_of([g for g in G.elements if X.act(g, 0) == 0])
+        if X == coset_gset(G, H):
+            if H.order == 1:
+                return {"kind": "regular"}
+            # schema v1 lists every element of the subgroup as a generator
+            return {"kind": "cosets", "subgroup": dict(
+                group_payload(H), generators=[list(g.images) for g in H.elements])}
     raise SchemaError(f"space {X.name} has no JSON descriptor")
 
 

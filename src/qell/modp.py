@@ -3,8 +3,15 @@
 Everything the character-table machinery needs from number theory lives here:
 deterministic Miller-Rabin, prime search in an arithmetic progression,
 primitive roots, Tonelli-Shanks square roots, and small dense matrix /
-polynomial routines over F_p (row reduction, characteristic polynomial,
-root extraction of fully split polynomials).
+polynomial routines over F_p:
+
+- row reduction and nullspaces;
+- the characteristic polynomial by Hessenberg reduction (Cohen, *A Course in
+  Computational Algebraic Number Theory*, Alg. 2.2.9), O(n³) and valid for
+  every prime p;
+- the roots in F_p of a polynomial: its squarefree part f / gcd(f, f') first,
+  then closed forms up to degree 2 and gcd with x^p - x and random
+  quadratic-residue splitting above.
 """
 
 from __future__ import annotations
@@ -161,26 +168,54 @@ def nullspace(A, p):
 
 
 def charpoly(A, p):
-    """Characteristic polynomial of A over F_p via Faddeev-LeVerrier.
+    """Characteristic polynomial det(x - A) of A over F_p, for any prime p.
 
-    Returns coefficients c[0..n] (c[n] = 1) of sum c[i] x^i; needs p > n.
+    Returns coefficients c[0..n] (c[n] = 1) of sum c[i] x^i.  A is brought to
+    upper Hessenberg form H by similarity (row operations below the
+    subdiagonal, each undone on the columns), and the charpoly of H follows
+    from the recurrence on its leading principal minors (Cohen, Alg. 2.2.9):
+
+        p_m = (x - h_mm)·p_{m-1} - Σ_{i<m} h_im·(h_{i+1,i} ⋯ h_{m,m-1})·p_{i-1}
+
+    O(n³) operations in all.
     """
     n = len(A)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    if n == 0:
-        return coeffs
-    M = [row[:] for row in A]
-    c = (-sum(M[i][i] for i in range(n))) % p
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        for i in range(n):
-            M[i][i] = (M[i][i] + c) % p
-        M = mat_mul(A, M, p)
-        tr = sum(M[i][i] for i in range(n)) % p
-        c = (-tr * pow(k, -1, p)) % p
-        coeffs[n - k] = c
-    return coeffs
+    H = [[x % p for x in row] for row in A]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(H[m][m - 1], -1, p)
+        Hm = H[m]
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv % p
+            if u:
+                # row_i -= u·row_m, then col_m += u·col_i keeps H similar to A
+                H[i] = [(x - u * y) % p for x, y in zip(H[i], Hm)]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % p
+    # polys[m] = charpoly of the leading m×m block, low degree first
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        cur = [0] + prev                                  # x·p_{m}
+        for d, c in enumerate(prev):
+            cur[d] = (cur[d] - H[m][m] * c) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % p
+            if not t:
+                break
+            f = t * H[i][m] % p
+            if f:
+                for d, c in enumerate(polys[i]):
+                    cur[d] = (cur[d] - f * c) % p
+        polys.append(cur)
+    return polys[n]
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +286,46 @@ def poly_div_exact(f, g, p):
     return poly_trim(out)
 
 
-def distinct_roots(f, p, rng: random.Random) -> list[int]:
-    """All roots in F_p of a polynomial known to split over F_p.
+def poly_deriv(f, p):
+    return poly_trim([i * c % p for i, c in enumerate(f)][1:])
 
-    Passes to the squarefree split part via gcd with x^p - x, then splits
-    by random quadratic-residue probes.
+
+def _small_roots(h, p) -> list[int] | None:
+    """Roots of a monic squarefree h of degree <= 2 in closed form, sorted;
+    None where no closed form applies (higher degree, or p = 2)."""
+    if len(h) == 2:
+        return [-h[0] % p]
+    if len(h) != 3 or p == 2:
+        return None
+    # x² + bx + c: x = (-b ± √(b² - 4c)) / 2
+    b, c = h[1], h[0]
+    s = sqrt_mod(b * b - 4 * c, p)
+    if s is None:
+        return []
+    half = pow(2, -1, p)
+    return sorted({(-b + s) * half % p, (-b - s) * half % p})
+
+
+def distinct_roots(f, p, rng: random.Random) -> list[int]:
+    """All roots in F_p of a nonzero polynomial f, sorted, without repeats.
+
+    f is made monic and, when deg f < p, replaced by its squarefree part
+    f / gcd(f, f'), which has the same roots.  Degrees 1 and 2 are solved in
+    closed form (sqrt_mod).  Above that the gcd with x^p - x keeps the
+    product of the linear factors, and random quadratic-residue probes split
+    it, again with closed forms at degree <= 2.
     """
     f = poly_trim(list(f))
     if len(f) <= 1:
         return []
     inv = pow(f[-1], -1, p)
     f = [x * inv % p for x in f]
+    if len(f) - 1 < p:
+        # below degree p, f' != 0 and f / gcd(f, f') is squarefree
+        f = poly_div_exact(f, poly_gcd(f, poly_deriv(f, p), p), p)
+    small = _small_roots(f, p)
+    if small is not None:
+        return small
     xp = poly_powmod([0, 1], p, f, p)
     xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p
@@ -273,8 +337,9 @@ def distinct_roots(f, p, rng: random.Random) -> list[int]:
         d = len(h) - 1
         if d <= 0:
             return
-        if d == 1:
-            roots.append((-h[0] * pow(h[1], -1, p)) % p)
+        small = _small_roots(h, p)
+        if small is not None:
+            roots.extend(small)
             return
         if h[0] == 0:
             roots.append(0)

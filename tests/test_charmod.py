@@ -226,8 +226,9 @@ def test_central_angle_additivity(C4):
 # -- injected faults ------------------------------------------------------------
 #
 # character_table checks the rows it is handed; corrupting the rows one of the
-# two row builders returns must trip each of its conditions.  Class 0 is the
-# identity's, so values[0] is a row's degree.
+# two row builders returns must trip each of its conditions, and so must an
+# eigenvalue search that loses a root.  Class 0 is the identity's, so
+# values[0] is a row's degree.
 
 def _scaled_standard(rows):
     """The degree-2 row of S3 doubled: degree squares sum to 1 + 1 + 16."""
@@ -250,20 +251,29 @@ def _duplicated_trivial(rows):
     return rows[:k] + [trivial] + rows[k + 1:]
 
 
-@pytest.mark.parametrize("builder, group, corrupt, message", [
-    ("_class_matrix_rows", symmetric(3), _scaled_standard,
+def _dropped_root(roots):
+    """The eigenvalue search loses its last root, so an eigenspace is lost."""
+    return roots[:-1]
+
+
+@pytest.mark.parametrize("target, group, corrupt, message", [
+    ("charmod._class_matrix_rows", symmetric(3), _scaled_standard,
      "degree squares do not sum to the group order"),
-    ("_class_matrix_rows", symmetric(3), _split_standard,
+    ("charmod._class_matrix_rows", symmetric(3), _split_standard,
      "wrong number of irreducible characters"),
-    ("_class_matrix_rows", symmetric(3), _duplicated_trivial,
+    ("charmod._class_matrix_rows", symmetric(3), _duplicated_trivial,
      "table rows are not orthonormal"),
-    ("_abelian_rows", direct_product(cyclic(2), cyclic(4)), _duplicated_trivial,
+    ("charmod._abelian_rows", direct_product(cyclic(2), cyclic(4)), _duplicated_trivial,
      "table rows are not orthonormal"),
-], ids=["degree-squares", "count", "orthonormality", "orthonormality-abelian"])
-def test_character_table_checks_fire(monkeypatch, builder, group, corrupt, message):
-    from qell import charmod
-    original = getattr(charmod, builder)
-    monkeypatch.setattr(charmod, builder, lambda G, ctx: corrupt(original(G, ctx)))
+    ("modp.distinct_roots", symmetric(3), _dropped_root,
+     "class matrices failed to split the algebra"),
+], ids=["degree-squares", "count", "orthonormality", "orthonormality-abelian", "split"])
+def test_character_table_checks_fire(monkeypatch, target, group, corrupt, message):
+    from qell import charmod, modp
+    module, name = target.split(".")
+    owner = {"charmod": charmod, "modp": modp}[module]
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: corrupt(original(*args)))
     with pytest.raises(InternalCheckError, match=message):
         charmod.character_table(group, ScalarContext.for_groups([group]))
 

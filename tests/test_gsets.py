@@ -257,6 +257,14 @@ def test_space_payload_on_a_set_without_descriptor():
     assert new == ("SchemaError", f"space {X.name} has no JSON descriptor")
 
 
+def test_structure_payload_on_an_empty_set():
+    S3 = symmetric(3)
+    X = FiniteGSet(S3, 0, lambda g, x: x, name="empty")
+    struct = qc.structure(S3, X, ScalarContext.for_groups([S3]))
+    with pytest.raises(SchemaError, match="space empty has no JSON descriptor"):
+        jsonio.structure_payload(struct)
+
+
 def test_classifying_a_regular_structure_builds_no_induced_set(monkeypatch):
     G = symmetric(4)
     struct = qc.structure(G, regular_gset(G), ScalarContext.for_groups([G]))
