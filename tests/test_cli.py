@@ -447,6 +447,14 @@ GOLDEN_SHA256 = {
         "69730eb621f05e5106d706cb83fbd96c9cef799104ecdc854004780071cedebd",
     ("point", "--group", "S6"):
         "3e26306bfe412d2faf80997f36858d2da29fdea3ebbca8bd926d2d255e26cf3c",
+    ("point", "--group", "D12"):
+        "a933c3a3616c6012f9eb3b95b8c5a8fcd564ea12235962ccbefc924788e15833",
+    ("point", "--group", "C2xS4"):
+        "80b1db48db05714798b95644a91878d0418a155561deccdd214a73d4153a1368",
+    ("point", "--group", "S5"):
+        "832031f178ed4606fccba783e48ed85f24a1730a4cdfc7f234b12ab3bf401f70",
+    ("point", "--group", "A6"):
+        "7fa883d842faa923d99712b8fe61a6bb784595b95c0f3b9edb89f6f8c76354ff",
     ("point", "--group", "D4xD4"):
         "ee3c674904cd7e3b57febc9fe9a9449d8d97555b7cc0a8f2f7c55fcb54dd9f5a",
     ("point", "--group", "S3xS3xS3"):
