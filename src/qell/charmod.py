@@ -135,31 +135,43 @@ class CharacterTable:
                                 for c, size in enumerate(conj.class_sizes))
                           for r in self.rows)
         self.columns = tuple(zip(*(r.values for r in self.rows)))
+        self.row_of = {r.values: i for i, r in enumerate(self.rows)}
         self._angle_cache: dict = {}
-        self._products: dict = {}         # (i, j), i <= j -> multiplicities
+        self._products: dict = {}         # (i, j), i <= j -> (row, mult) pairs
 
     def degree(self, i: int) -> int:
         return self.degrees[i]
 
     def irreducible_index(self, f: ClassFunction) -> int:
         """Row index of an irreducible given by its values; error if absent."""
-        for i, r in enumerate(self.rows):
-            if r.values == f.values:
-                return i
-        raise InternalCheckError("class function is not a row of the table")
+        i = self.row_of.get(f.values)
+        if i is None:
+            raise InternalCheckError("class function is not a row of the table")
+        return i
 
     def angle(self, i: int, g: Permutation) -> Fraction:
         return memo(self._angle_cache, (i, g), central_angle, self.rows[i], g, self.ctx)
 
-    def product_multiplicities(self, i: int, j: int) -> tuple[int, ...]:
-        """Multiplicities of rows[i]·rows[j] over the rows, decomposed once
-        per unordered pair and shared by every context over this table."""
+    def product_multiplicities(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """The nonzero (row, multiplicity) pairs of rows[i]·rows[j], in row
+        order, found once per unordered pair and shared by every context
+        over this table."""
         return memo(self._products, (i, j) if i <= j else (j, i),
                     _decompose_product, self, i, j)
 
 
-def _decompose_product(table: CharacterTable, i: int, j: int) -> tuple[int, ...]:
-    return tuple(decompose(table.rows[i] * table.rows[j], table))
+def _decompose_product(table: CharacterTable, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    # λ linear and χ irreducible give ⟨λχ, λχ⟩ = ⟨χ, χ⟩ = 1: λχ is a row, and
+    # finding it by its values is decompose's answer with its checks met
+    p = table.ctx.p
+    values = tuple(a * b % p for a, b in zip(table.rows[i].values, table.rows[j].values))
+    if table.degrees[i] == 1 or table.degrees[j] == 1:
+        k = table.row_of.get(values)
+        if k is None:
+            raise InternalCheckError("product with a linear row is not a row of the table")
+        return ((k, 1),)
+    mults = decompose(ClassFunction(table.group, table.ctx, values), table)
+    return tuple((k, m) for k, m in enumerate(mults) if m)
 
 
 def character_table(G: FiniteGroup, ctx: ScalarContext) -> CharacterTable:

@@ -118,15 +118,20 @@ def _orbit_payload(cb, oi, coeffs=None, table=False) -> dict:
 def _product_table(ctx) -> list:
     """Serialized coefficients of every basis product i*j, from its nonzero
     columns.  The payload is written, not edited: entry (j, i) is the list of
-    (i, j), and an entry's zero columns share one empty list."""
+    (i, j), equal entries (same columns) are one list, and an entry's zero
+    columns share one empty list."""
     n = ctx.rank
     rows = [[None] * n for _ in range(n)]
     cells: dict = {}                      # equal coefficients share one cell
+    entries: dict = {}                    # equal columns share one entry
     for i in range(n):
         for j in range(i, n):
-            entry = [[]] * n
-            for mu, f in ctx.product_columns(i, j):
-                entry[mu] = memo(cells, f, qlaurent.serialize, f)
+            cols = tuple(ctx.product_columns(i, j))
+            entry = entries.get(cols)
+            if entry is None:
+                entry = entries[cols] = [[]] * n
+                for mu, f in cols:
+                    entry[mu] = memo(cells, f, qlaurent.serialize, f)
             rows[i][j] = rows[j][i] = entry
     return rows
 

@@ -118,15 +118,16 @@ class LambdaCtx:
                              self, (c - shift * n, n), "product", shift)
 
 
-def _constituents(mults, target: LambdaCtx, angle: tuple[int, int], what: str,
+def _constituents(pairs, target: LambdaCtx, angle: tuple[int, int], what: str,
                   shift=0):
-    """Columns [(j, m·q^shift)] of the nonzero multiplicities m over target's rows.
+    """Columns [(j, m·q^shift)] of the nonzero m among ``pairs`` (j, m) over
+    target's rows.
 
     Every constituent must carry the central angle num/den, ``angle`` = (num, den).
     """
     num, den = angle
     cols = []
-    for j, m in enumerate(mults):
+    for j, m in pairs:
         if m:
             a = target.angles[j]
             if a.numerator * den != num * a.denominator:
@@ -283,8 +284,8 @@ def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaEl
 
     def column(i):
         mults = decompose(restrict_cf(phi, src.table.rows[i]), target.table)
-        return _constituents(mults, target, src.angles[i].as_integer_ratio(),
-                             "restricted")
+        return _constituents(enumerate(mults), target,
+                             src.angles[i].as_integer_ratio(), "restricted")
 
     return _basis_map(elt, target, ("res", target.key(), hom_key), column)
 
@@ -301,7 +302,8 @@ def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
     def column(i):
         ind = induce_cf(target.group, src.group, src.table.rows[i])
         mults = decompose(ind, target.table)
-        cols = _constituents(mults, target, src.angles[i].as_integer_ratio(), "induced")
+        cols = _constituents(enumerate(mults), target,
+                             src.angles[i].as_integer_ratio(), "induced")
         total = sum(m * target.table.degree(j) for j, m in enumerate(mults))
         if total != index * src.table.degree(i):
             raise InternalCheckError("induction degree mismatch")
@@ -374,7 +376,8 @@ def adams(elt: LambdaElt, m: int) -> LambdaElt:
         c = m * ctx.angles[i]
         shift = int(c)
         mults = decompose(adams_cf(ctx.table.rows[i], m), ctx.table, virtual=True)
-        return _constituents(mults, ctx, (c - shift).as_integer_ratio(), "Adams", shift)
+        return _constituents(enumerate(mults), ctx, (c - shift).as_integer_ratio(),
+                             "Adams", shift)
 
     return _basis_map(elt, ctx, ("adams", m), column, m)
 

@@ -256,6 +256,16 @@ def _dropped_root(roots):
     return roots[:-1]
 
 
+def _doubled_sign(table):
+    """The sign row of S3 doubled after the table's checks: the rows' lookup
+    still holds the true sign, so no product with the doubled row is a row."""
+    k = next(i for i, r in enumerate(table.rows)
+             if r.values[0] == 1 and len(set(r.values)) > 1)
+    doubled = ClassFunction(table.group, table.ctx, [2 * v for v in table.rows[k].values])
+    table.rows = table.rows[:k] + (doubled,) + table.rows[k + 1:]
+    return table
+
+
 @pytest.mark.parametrize("target, group, corrupt, message", [
     ("charmod._class_matrix_rows", symmetric(3), _scaled_standard,
      "degree squares do not sum to the group order"),
@@ -267,7 +277,10 @@ def _dropped_root(roots):
      "table rows are not orthonormal"),
     ("modp.distinct_roots", symmetric(3), _dropped_root,
      "class matrices failed to split the algebra"),
-], ids=["degree-squares", "count", "orthonormality", "orthonormality-abelian", "split"])
+    ("charmod.character_table", symmetric(3), _doubled_sign,
+     "product with a linear row is not a row of the table"),
+], ids=["degree-squares", "count", "orthonormality", "orthonormality-abelian", "split",
+        "linear-product"])
 def test_character_table_checks_fire(monkeypatch, target, group, corrupt, message):
     from qell import charmod, modp
     module, name = target.split(".")
@@ -275,7 +288,33 @@ def test_character_table_checks_fire(monkeypatch, target, group, corrupt, messag
     original = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: corrupt(original(*args)))
     with pytest.raises(InternalCheckError, match=message):
-        charmod.character_table(group, ScalarContext.for_groups([group]))
+        table = charmod.character_table(group, ScalarContext.for_groups([group]))
+        for i in range(table.n_irr):
+            for j in range(table.n_irr):
+                table.product_multiplicities(i, j)
+
+
+def test_irreducible_index_finds_rows_and_rejects_the_rest(S3, s3_ctx):
+    t = s3_ctx.table(S3)
+    assert [t.irreducible_index(r) for r in t.rows] == list(range(t.n_irr))
+    with pytest.raises(InternalCheckError, match="class function is not a row of the table"):
+        t.irreducible_index(t.rows[0] + t.rows[1])
+
+
+# -- products with a linear row ----------------------------------------------------
+
+def test_products_with_a_linear_row_make_no_decompositions(monkeypatch):
+    from qell import charmod
+    G = parse_group_spec("S4")
+    t = ScalarContext.for_groups([G]).table(G)
+    calls = []
+    monkeypatch.setattr(charmod, "decompose",
+                        lambda *args, **kw: calls.append(1) or decompose(*args, **kw))
+    for i in range(t.n_irr):
+        for j in range(t.n_irr):
+            t.product_multiplicities(i, j)
+    nonlinear = sum(d > 1 for d in t.degrees)
+    assert len(calls) == nonlinear * (nonlinear + 1) // 2
 
 
 # -- decompose against the per-row inner products ----------------------------------

@@ -20,6 +20,10 @@ table and no prime: Burnside's lemma on commuting triples,
 
 on many-class products, on S4 with its point, regular and coset sets, and on
 hypothesis-drawn ``perm:`` groups of small order.
+
+Last, a table's sparse ``product_multiplicities(i, j)`` must be the nonzero
+entries of ``decompose(rows[i]·rows[j])`` on named groups and on
+hypothesis-drawn ``perm:`` groups of degree <= 6.
 """
 
 import math
@@ -31,7 +35,7 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
-from qell.charmod import ScalarContext
+from qell.charmod import ScalarContext, decompose
 from qell.groups import _closure, builtin
 from qell.groupspec import parse_group_spec
 from qell.gsets import coset_gset, point_set, regular_gset
@@ -143,9 +147,9 @@ def test_rank_of_s4_sets_matches_commuting_triples(space):
 
 
 @st.composite
-def small_perm_specs(draw):
-    """``perm:`` specs of one or two generators on at most five points."""
-    degree = draw(st.integers(2, 5))
+def small_perm_specs(draw, max_degree=5):
+    """``perm:`` specs of one or two generators on at most max_degree points."""
+    degree = draw(st.integers(2, max_degree))
     gens = []
     for images in draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2)):
         cycles = Permutation(images).cycles() or [(0,)]
@@ -160,3 +164,24 @@ def test_rank_of_random_groups_matches_commuting_triples(spec):
     stab0 = G.subgroup_of([g for g in G.elements if g(0) == 0])
     for X in (point_set(G), regular_gset(G), coset_gset(G, stab0)):
         assert_rank_matches_triples(G, X)
+
+
+def assert_products_match_decompose(table):
+    for i, chi in enumerate(table.rows):
+        for j, psi in enumerate(table.rows):
+            mults = decompose(chi * psi, table)
+            assert table.product_multiplicities(i, j) == tuple(
+                (k, m) for k, m in enumerate(mults) if m)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "C2xC4", "A5", "D12", "C2xS4"])
+def test_product_multiplicities_match_decompose(spec):
+    G = parse_group_spec(spec)
+    assert_products_match_decompose(ScalarContext.for_groups([G]).table(G))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_perm_specs(max_degree=6))
+def test_product_multiplicities_match_decompose_on_random_groups(spec):
+    G = parse_group_spec(spec)
+    assert_products_match_decompose(ScalarContext.for_groups([G]).table(G))

@@ -473,9 +473,9 @@ def test_product_decompositions_are_shared_per_table(monkeypatch):
     G = direct_product(cyclic(2), cyclic(4))
     sctx = ScalarContext.for_groups([G])
     calls = []
-    decompose = charmod.decompose
-    monkeypatch.setattr(charmod, "decompose",
-                        lambda *args, **kw: calls.append(1) or decompose(*args, **kw))
+    build = charmod._decompose_product
+    monkeypatch.setattr(charmod, "_decompose_product",
+                        lambda *args: calls.append(1) or build(*args))
     for g in G.elements:
         ctx = rr.ctx_for(sctx, G, g)
         for i in range(ctx.rank):
