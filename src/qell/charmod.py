@@ -18,7 +18,7 @@ from operator import mul
 
 from . import modp
 from .errors import PreconditionError, ScalarContextError, InternalCheckError
-from .groups import FiniteGroup, GroupHom, Permutation, memo
+from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, memo
 
 
 class ScalarContext:
@@ -407,14 +407,11 @@ def decompose(f: ClassFunction, table: CharacterTable,
 
 
 def restrict_cf(phi: GroupHom, psi: ClassFunction) -> ClassFunction:
-    """Pull a class function on the codomain back along a homomorphism."""
+    """Pull a class function on the codomain back along a homomorphism: a
+    gather through phi's class fusion."""
     if psi.group != phi.codomain:
         raise PreconditionError("class function does not live on the codomain")
-    G = phi.domain
-    conj_h = phi.codomain.conjugacy()
-    values = [psi.values[conj_h.class_index(phi(rep))]
-              for rep in G.conjugacy().class_reps]
-    return ClassFunction(G, psi.ctx, values)
+    return ClassFunction(phi.domain, psi.ctx, map(psi.values.__getitem__, phi.fusion()))
 
 
 def induce_cf(G: FiniteGroup, H: FiniteGroup, chi: ClassFunction) -> ClassFunction:
@@ -428,29 +425,21 @@ def induce_cf(G: FiniteGroup, H: FiniteGroup, chi: ClassFunction) -> ClassFuncti
         raise PreconditionError(f"{H.name} is not a verified subgroup of {G.name}")
     if chi.group != H:
         raise PreconditionError("class function does not live on the subgroup")
-    p = chi.ctx.p
-    conj_h = H.conjugacy()
-    conj_g = G.conjugacy()
-    k = conj_g.n_classes
-    totals = [0] * k
-    for i, h in enumerate(conj_h.class_reps):
-        j = conj_g.class_index(h)
-        cent_h = H.order // conj_h.class_sizes[i]
-        totals[j] = (totals[j] + chi.values[i] * pow(cent_h, -1, p)) % p
-    values = []
-    for j in range(k):
-        cent_g = G.order // conj_g.class_sizes[j]
-        values.append(cent_g * totals[j] % p)
-    return ClassFunction(G, chi.ctx, values)
+    p, sizes_h, sizes_g = chi.ctx.p, H.conjugacy().class_sizes, G.conjugacy().class_sizes
+    totals = [0] * len(sizes_g)
+    for i, j in enumerate(class_fusion(H, G)):
+        totals[j] += chi.values[i] * pow(H.order // sizes_h[i], -1, p)
+    return ClassFunction(G, chi.ctx, [G.order // size * t
+                                      for size, t in zip(sizes_g, totals)])
 
 
 def adams_cf(chi: ClassFunction, m: int) -> ClassFunction:
     """ψ^m: value at the class of g is χ at the class of g^m."""
     if m < 1:
         raise PreconditionError("Adams operation index must be >= 1")
-    conj = chi.group.conjugacy()
-    values = [chi.values[conj.power_class(i, m)] for i in range(conj.n_classes)]
-    return ClassFunction(chi.group, chi.ctx, values)
+    G = chi.group
+    return ClassFunction(G, chi.ctx, map(chi.values.__getitem__,
+                                         class_fusion(G, G, lambda g: g ** m)))
 
 
 def central_angle(chi: ClassFunction, g: Permutation, ctx: ScalarContext) -> Fraction:

@@ -129,7 +129,8 @@ def _emit(payload: dict, path: str | None):
     text = jsonio.dumps(payload)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 

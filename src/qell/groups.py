@@ -260,17 +260,19 @@ class ConjugacyData:
         i = self.class_index(g)
         return i, transporter(self.group, g, self.class_reps[i])[0]
 
-    def power_class(self, class_idx: int, m: int) -> int:
-        return self.class_index(self.class_reps[class_idx] ** m)
-
     def inverse_classes(self) -> tuple[int, ...]:
         if self._inverse_classes is None:
-            self._inverse_classes = tuple(
-                self.class_index(rep.inverse()) for rep in self.class_reps)
+            self._inverse_classes = class_fusion(self.group, self.group, Permutation.inverse)
         return self._inverse_classes
 
-    def inverse_class(self, class_idx: int) -> int:
-        return self.inverse_classes()[class_idx]
+
+def class_fusion(H: FiniteGroup, G: FiniteGroup, f=None) -> tuple[int, ...]:
+    """For each class rep of H, in class order, the class of G holding f(rep);
+    f = None is the inclusion H <= G.  A class function on G pulls back along
+    f as the gather ``values[fusion[i]]``."""
+    index = G.conjugacy().class_index
+    reps = H.conjugacy().class_reps
+    return tuple(map(index, reps if f is None else map(f, reps)))
 
 
 def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
@@ -319,6 +321,7 @@ class GroupHom:
         self.domain = domain
         self.codomain = codomain
         self.image_of = dict(image_of)
+        self._fusion = None
         if check:
             self._verify()
 
@@ -338,6 +341,12 @@ class GroupHom:
 
     def __call__(self, g: Permutation) -> Permutation:
         return self.image_of[g]
+
+    def fusion(self) -> tuple[int, ...]:
+        """The class fusion of the domain into the codomain, found once."""
+        if self._fusion is None:
+            self._fusion = class_fusion(self.domain, self.codomain, self.image_of.__getitem__)
+        return self._fusion
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner (apply ``inner`` first)."""

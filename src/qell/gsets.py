@@ -216,7 +216,11 @@ def quotient_set(X: FiniteGSet, G: FiniteGroup | None = None) -> list[tuple[int,
 
 
 class SkeletonEntry:
-    """Data at one torsion class representative g: X^g and its orbit pieces."""
+    """Data at one torsion class representative g: X^g and its orbit pieces.
+
+    A structure over the skeleton sets ``ctxs``, one rotation-ring context
+    per orbit; ``ranks`` are their ranks.
+    """
 
     def __init__(self, g: Permutation, order: int, centralizer: FiniteGroup,
                  fixed: tuple, orbits: list[Orbit]):
@@ -229,6 +233,11 @@ class SkeletonEntry:
         for oi, orb in enumerate(orbits):
             for x in orb.points:
                 self.orbit_of_point[x] = oi
+        self.ctxs = ()
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(ctx.rank for ctx in self.ctxs)
 
     def __repr__(self) -> str:
         return (f"skeleton@{self.g!r}: |X^g|={len(self.fixed)}, "

@@ -20,30 +20,15 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Permutation,
+    class_fusion,
     conjugate_subgroup,
     memo,
+    product_pair,
     product_split,
 )
 from .gsets import FiniteGSet, induced_gset, inertia_skeleton, point_set
 from .qlaurent import QLaurent, ZERO, q_power
 from .rotrep import LambdaCtx, LambdaElt
-
-
-class ClassBlock:
-    """Orbit decomposition of X^g with one representation ring per orbit."""
-
-    def __init__(self, sctx: ScalarContext, entry):
-        self.g = entry.g
-        self.centralizer = entry.centralizer
-        self.fixed = entry.fixed
-        self.orbits = entry.orbits
-        self.orbit_of_point = entry.orbit_of_point
-        self.ctxs = tuple(rr.ctx_for(sctx, orb.stabilizer, entry.g)
-                          for orb in entry.orbits)
-
-    @property
-    def ranks(self):
-        return tuple(ctx.rank for ctx in self.ctxs)
 
 
 class QEllStructure:
@@ -57,7 +42,9 @@ class QEllStructure:
         self.gset = X
         self.sctx = sctx
         self.conjugacy = G.conjugacy()
-        self.classes = tuple(ClassBlock(sctx, e) for e in inertia_skeleton(G, X))
+        self.classes = tuple(inertia_skeleton(G, X))
+        for cb in self.classes:       # one representation ring per orbit
+            cb.ctxs = tuple(rr.ctx_for(sctx, orb.stabilizer, cb.g) for orb in cb.orbits)
 
     @property
     def n_classes(self) -> int:
@@ -259,20 +246,22 @@ def _kunneth_index(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
                 _kunneth_table, ctxA, ctxB, ctxP, P)
 
 
+def _factor_fusions(S: FiniteGroup, P: FiniteGroup, A: FiniteGroup, B: FiniteGroup):
+    """The class fusions of S <= P into A and B along P's two projections."""
+    return (class_fusion(S, A, lambda x: product_split(P, x)[0]),
+            class_fusion(S, B, lambda x: product_split(P, x)[1]))
+
+
 def _kunneth_table(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
                    P: FiniteGroup) -> dict:
-    reps = ctxP.group.conjugacy().class_reps
-    parts = [product_split(P, rep) for rep in reps]
-    conjA = ctxA.group.conjugacy()
-    conjB = ctxB.group.conjugacy()
+    parts = list(zip(*_factor_fusions(ctxP.group, P, ctxA.group, ctxB.group)))
     table = {}
     p = ctxP.sctx.p
     for i in range(ctxA.rank):
-        va = ctxA.table.rows[i]
+        va = ctxA.table.rows[i].values
         for j in range(ctxB.rank):
-            vb = ctxB.table.rows[j]
-            values = [va.values[conjA.class_index(a)] * vb.values[conjB.class_index(b)] % p
-                      for (a, b) in parts]
+            vb = ctxB.table.rows[j].values
+            values = [va[a] * vb[b] % p for a, b in parts]
             k = ctxP.table.irreducible_index(
                 ClassFunction(ctxP.group, ctxP.sctx, values))
             c = ctxA.angles[i] + ctxB.angles[j]
@@ -294,11 +283,8 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
     nY = sb.gset.n_points
     conjA, conjB = sa.conjugacy, sb.conjugacy
     out = []
-    for cb in target.classes:
-        sigma, tau = product_split(P, cb.g)
-        gi = conjA.class_index(sigma)
-        hi = conjB.class_index(tau)
-        if conjA.class_reps[gi] != sigma or conjB.class_reps[hi] != tau:
+    for cb, gi, hi in zip(target.classes, *_factor_fusions(P, P, sa.group, sb.group)):
+        if product_pair(P, conjA.class_reps[gi], conjB.class_reps[hi]) != cb.g:
             raise InternalCheckError("product class rep is not a pair of reps")
         row = []
         for orb, tctx in zip(cb.orbits, cb.ctxs):
@@ -521,7 +507,6 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
         raise PreconditionError("element's group is not a direct product")
     G, H = P.factors
     X = struct.gset
-    from .groups import product_pair
     for h in H.elements:
         ph = product_pair(P, G.identity, h)
         for x in X.points():
@@ -535,12 +520,9 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
                     name=f"{X.name}|left", check=False)
     sG = structure(G, XG, sctx)
     sH = structure(H, point_set(H), sctx)
-    conjG, conjH = sG.conjugacy, sH.conjugacy
     pieces: dict[tuple[int, int], QEllElt] = {}
-    for ci, cb in enumerate(struct.classes):
-        sigma, tau = product_split(P, cb.g)
-        gi = conjG.class_index(sigma)
-        hi = conjH.class_index(tau)
+    fusions = _factor_fusions(P, P, G, H)
+    for ci, (cb, gi, hi) in enumerate(zip(struct.classes, *fusions)):
         cbG = sG.classes[gi]
         ctxB = sH.classes[hi].ctxs[0]
         for oi, (orb, v) in enumerate(zip(cb.orbits, elt.components[ci])):

@@ -6,21 +6,23 @@ element per irreducible λ of S.  The rotation partner of λ is forced by the
 scalar through which g acts: writing λ(g) = e^{2πi c}·id with c in [0,1), the
 basis element is the pair (λ, c) and q is the rotation line (triv, exponent 1).
 
-Structure constants follow from evaluating actual representations:
+Every ring map is a restriction along a group map, an induction, or a
+rescaling of the rotation, and sends a source of rotation weight w to
+constituents under one rule (``_constituents``): constituent λ with angle d_λ
+and multiplicity m becomes m·q^{(w − n·d_λ)/n}·(λ, d_λ), and w − n·d_λ must be
+an integer (asserted at runtime).  n is 1 except for μ^n.
 
-* product:   (λ,c)(λ',c') carries rotation weight c+c'; folding the weight
-  back into [0,1) extracts q^⌊c+c'⌋, so the product is
-  q^⌊c+c'⌋ · Σ_μ ⟨λλ', μ⟩ (μ, frac(c+c')), and every constituent μ of λλ'
-  has g-scalar e^{2πi(c+c')}; asserted at runtime.
+* product:   (λ,c)(λ',c') has weight c+c'; its constituents are the table's
+  product multiplicities, so the product is q^⌊c+c'⌋ · Σ_μ ⟨λλ', μ⟩ (μ, frac(c+c')).
 * Adams ψ^m: group elements [h,t] power to [h^m, mt], so ψ^m sends q to q^m,
-  coefficients f(q) to f(q^m), and (λ,c) to q^⌊mc⌋ Σ (ψ^m λ constituents,
-  frac(mc)).
-* n-th root transport: for S ≤ T with g^n central in T, restricting along
-  the inclusion S x R/<(g^n,-1)> → T x R/<(g^n,-1)> and rescaling rotation
-  speed by n identifies the target with the source extended by q^{1/n};
-  chasing a basis element (ρ,c) through gives
-  Σ_λ ⟨ρ|_S, λ⟩ q^{(c - n·d_λ)/n} (λ, d_λ), the exponent an integer over n
-  because frac(n·d_λ) = c for every constituent; asserted at runtime.
+  coefficients f(q) to f(q^m), and (λ,c), of weight mc, to the constituents
+  of ψ^m λ.
+* restriction: pullback along φ, conjugation s ↦ w s w^{-1} (restriction
+  along t ↦ w^{-1} t w) and μ^n (the inclusion S ≤ T, g^n central in T,
+  then q ↦ q^{1/n}) gather a row through the map's class fusion; a gathered
+  row found in the target table is its own decomposition.  μ^n sends (ρ,c)
+  to Σ_λ ⟨ρ|_S, λ⟩ q^{(c − n·d_λ)/n} (λ, d_λ).
+* induction: Ind of a row, decomposed, at weight c; degrees are checked.
 
 All multiplicities are computed exactly in the scalar context's prime field.
 """
@@ -36,10 +38,9 @@ from .charmod import (
     adams_cf,
     decompose,
     induce_cf,
-    restrict_cf,
 )
 from .errors import InternalCheckError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, memo
+from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, memo
 from .qlaurent import ONE, QLaurent, ZERO, monomial, q_power
 
 
@@ -113,27 +114,31 @@ class LambdaCtx:
         # angles are k/n with n = ord(g): add them as int numerators over n
         n, a, b = self.g_order, self.angles[i], self.angles[j]
         c = a.numerator * (n // a.denominator) + b.numerator * (n // b.denominator)
-        shift = int(c >= n)
-        return _constituents(self.table.product_multiplicities(i, j),
-                             self, (c - shift * n, n), "product", shift)
+        return _constituents(self.table.product_multiplicities(i, j), self, (c, n),
+                             "product constituent carries the wrong central angle")
 
 
-def _constituents(pairs, target: LambdaCtx, angle: tuple[int, int], what: str,
-                  shift=0):
-    """Columns [(j, m·q^shift)] of the nonzero m among ``pairs`` (j, m) over
-    target's rows.
+def _constituents(pairs, target: LambdaCtx, weight: tuple[int, int], message: str,
+                  n: int = 1):
+    """Columns [(j, m·q^{(w − n·d_j)/n})] of the nonzero m among ``pairs``
+    (j, m) over target's rows d_j, for a source of rotation weight w = num/den,
+    ``weight`` = (num, den).
 
-    Every constituent must carry the central angle num/den, ``angle`` = (num, den).
+    The one angle-and-shift rule of every ring map: w − n·d_j must be an
+    integer, else ``message`` is raised.  n is 1 except for μ^n.
     """
-    num, den = angle
+    num, den = weight
     cols = []
     for j, m in pairs:
         if m:
             a = target.angles[j]
-            if a.numerator * den != num * a.denominator:
-                raise InternalCheckError(
-                    f"{what} constituent carries the wrong central angle")
-            cols.append((j, monomial(m, shift)))
+            # w − n·d_j = top / bottom
+            top = num * a.denominator - n * a.numerator * den
+            bottom = den * a.denominator
+            if top % bottom:
+                raise InternalCheckError(message)
+            shift = top // bottom
+            cols.append((j, monomial(m, shift if n == 1 else Fraction(shift, n))))
     return cols
 
 
@@ -145,7 +150,8 @@ def ctx_for(sctx: ScalarContext, group: FiniteGroup, g: Permutation) -> LambdaCt
 def ctx_build(G: FiniteGroup, g: Permutation, sctx: ScalarContext) -> LambdaCtx:
     """Context over the full centralizer of g in G."""
     conj = G.conjugacy()
-    C = conj.centralizer(conj.class_index(g))
+    ci = conj.class_index(g)
+    C = conj.centralizer(ci) if conj.class_reps[ci] == g else G.centralizer(g)
     return ctx_for(sctx, C, g)
 
 
@@ -269,25 +275,45 @@ def _basis_map(elt: LambdaElt, target: LambdaCtx, key, build,
     return LambdaElt(target, tuple(out))
 
 
+def _restriction(elt: LambdaElt, target: LambdaCtx, key, fusion, message: str,
+                 n: int = 1, row: bool = False) -> LambdaElt:
+    """Restriction along a group map into elt's group, then q ↦ q^{1/n}.
+
+    ``fusion()`` is the map's class fusion of target.group into elt's group,
+    asked for once, on the first column built.  A restricted row found in
+    target's ``row_of`` is its own decomposition; ``row`` requires that.
+    """
+    src, found = elt.ctx, {}
+
+    def column(i):
+        values = tuple(map(src.table.rows[i].values.__getitem__, memo(found, 0, fusion)))
+        j = target.table.row_of.get(values)
+        if j is not None:
+            pairs = ((j, 1),)
+        elif row:
+            raise InternalCheckError("class function is not a row of the table")
+        else:
+            pairs = enumerate(decompose(ClassFunction(target.group, src.sctx, values),
+                                        target.table))
+        return _constituents(pairs, target, src.angles[i].as_integer_ratio(), message, n)
+
+    return _basis_map(elt, target, key, column, Fraction(1, n) if n > 1 else None)
+
+
 def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
     """Pull back along φ: target.group -> elt group with φ(target.g) = elt.g.
 
     A ring homomorphism; every constituent of a pulled-back basis character
-    inherits its central angle unchanged.
+    inherits its central angle unchanged.  Columns are keyed by φ's class
+    fusion.
     """
     src = elt.ctx
     if phi.domain != target.group or phi.codomain != src.group:
         raise PreconditionError("homomorphism does not match the contexts")
     if phi(target.g) != src.g:
         raise PreconditionError("homomorphism does not carry g to g")
-    hom_key = tuple(phi(x).images for x in target.group.elements)
-
-    def column(i):
-        mults = decompose(restrict_cf(phi, src.table.rows[i]), target.table)
-        return _constituents(enumerate(mults), target,
-                             src.angles[i].as_integer_ratio(), "restricted")
-
-    return _basis_map(elt, target, ("res", target.key(), hom_key), column)
+    return _restriction(elt, target, ("res", target.key(), phi.fusion()), phi.fusion,
+                        "restricted constituent carries the wrong central angle")
 
 
 def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
@@ -302,8 +328,8 @@ def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
     def column(i):
         ind = induce_cf(target.group, src.group, src.table.rows[i])
         mults = decompose(ind, target.table)
-        cols = _constituents(enumerate(mults), target,
-                             src.angles[i].as_integer_ratio(), "induced")
+        cols = _constituents(enumerate(mults), target, src.angles[i].as_integer_ratio(),
+                             "induced constituent carries the wrong central angle")
         total = sum(m * target.table.degree(j) for j, m in enumerate(mults))
         if total != index * src.table.degree(i):
             raise InternalCheckError("induction degree mismatch")
@@ -313,24 +339,15 @@ def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
 
 
 def conjugate(elt: LambdaElt, w: Permutation, target: LambdaCtx) -> LambdaElt:
-    """Transport along s ↦ w s w^{-1}; a ring isomorphism preserving angles."""
+    """Transport along s ↦ w s w^{-1}: restriction along t ↦ w^{-1} t w, a
+    ring isomorphism, so every restricted row is a row of target's table."""
     src = elt.ctx
     wi = w.inverse()
     if target.g != w * src.g * wi:
         raise PreconditionError("conjugation does not carry g to target g")
-
-    def column(i):
-        chi = src.table.rows[i]
-        src_conj = src.group.conjugacy()
-        values = [chi.values[src_conj.class_index(wi * rep * w)]
-                  for rep in target.group.conjugacy().class_reps]
-        j = target.table.irreducible_index(
-            ClassFunction(target.group, src.sctx, values))
-        if target.angles[j] != src.angles[i]:
-            raise InternalCheckError("conjugation changed a central angle")
-        return [(j, ONE)]
-
-    return _basis_map(elt, target, ("conj", w.images, target.key()), column)
+    return _restriction(elt, target, ("conj", w.images, target.key()),
+                        lambda: class_fusion(target.group, src.group, lambda t: wi * t * w),
+                        "conjugation changed a central angle", row=True)
 
 
 def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
@@ -347,23 +364,9 @@ def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
         raise PreconditionError("source central element is not target g to the n")
     if not src.group.is_subgroup(target.group):
         raise PreconditionError("target group does not sit inside the source group")
-
-    def column(i):
-        c = src.angles[i]
-        incl = GroupHom.inclusion(target.group, src.group)
-        mults = decompose(restrict_cf(incl, src.table.rows[i]), target.table)
-        cols = []
-        for j, m in enumerate(mults):
-            if m:
-                num = c - n * target.angles[j]
-                if num.denominator != 1:
-                    raise InternalCheckError(
-                        "non-integral rotation shift in root transport"
-                    )
-                cols.append((j, monomial(m, Fraction(num, n))))
-        return cols
-
-    return _basis_map(elt, target, ("mu", n, target.key()), column, Fraction(1, n))
+    return _restriction(elt, target, ("mu", n, target.key()),
+                        lambda: class_fusion(target.group, src.group),
+                        "non-integral rotation shift in root transport", n)
 
 
 def adams(elt: LambdaElt, m: int) -> LambdaElt:
@@ -373,11 +376,10 @@ def adams(elt: LambdaElt, m: int) -> LambdaElt:
     ctx = elt.ctx
 
     def column(i):
-        c = m * ctx.angles[i]
-        shift = int(c)
+        a = ctx.angles[i]
         mults = decompose(adams_cf(ctx.table.rows[i], m), ctx.table, virtual=True)
-        return _constituents(enumerate(mults), ctx, (c - shift).as_integer_ratio(),
-                             "Adams", shift)
+        return _constituents(enumerate(mults), ctx, (m * a.numerator, a.denominator),
+                             "Adams constituent carries the wrong central angle")
 
     return _basis_map(elt, ctx, ("adams", m), column, m)
 

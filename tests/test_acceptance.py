@@ -44,12 +44,8 @@ def test_criterion_02_symmetric3_rings(assert_pass):
     _report(2, f"symmetric-3 ring relations exact in {elapsed:.2f}s")
 
 
-def test_criterion_03_torsion_scheme_presentations():
-    for N in range(1, 9):
-        report = qc.tate_presentation_report(N)
-        assert report["ok"], report
-        assert all(e["rank_ok"] and e["xN_ok"] and e["powers_cover_basis"]
-                   for e in report["components"])
+def test_criterion_03_torsion_scheme_presentations(assert_pass):
+    assert_pass(verify.cyclic_presentations(range(1, 9)))
     _report(3, "torsion-scheme ring presentations verified for N=1..8")
 
 

@@ -9,12 +9,13 @@ from qell import groups
 from qell import gsets
 from qell import qell_core as qc
 from qell import rotrep as rr
-from qell.charmod import ClassFunction, ScalarContext
+from qell.charmod import ClassFunction, ScalarContext, decompose, restrict_cf
 from qell.errors import InternalCheckError, PreconditionError
 from qell.groups import (
     GroupHom,
     Permutation,
     cyclic,
+    dihedral,
     direct_product,
     make_hom,
     symmetric,
@@ -365,7 +366,7 @@ def test_exterior_square_of_standard(S3, s3_ctx):
     conj = S3.conjugacy()
     chi = ctx.table.rows[2]
     inv2 = pow(2, -1, p)
-    oracle = [(chi.values[ci] ** 2 - chi.values[conj.power_class(ci, 2)])
+    oracle = [(chi.values[ci] ** 2 - chi.values[conj.class_index(conj.class_reps[ci] ** 2)])
               * inv2 % p for ci in range(conj.n_classes)]
     lam2_cf = ClassFunction(S3, s3_ctx, oracle)
     assert lam2_cf == ctx.table.rows[1]
@@ -421,6 +422,28 @@ def _mu_integrality(new, S3, C2, C3):
     rr.mu_transport(new(S3).unit(), 1, _bad_angles(new(C3)))
 
 
+def _mu_square(new, S3, C2, C3):
+    """At n = 2 a claimed angle 1/4 leaves 0 − 2·(1/4) off the integers."""
+    target = new(C3)
+    target.angles = (Fraction(1, 4),) * target.rank
+    rr.mu_transport(new(S3).unit(), 2, target)
+
+
+def _conjugation_row(new, S3, C2, C3):
+    """The degree-2 row of S3 is no row of C3's table."""
+    rr.conjugate(new(S3).basis_elt(2), S3.identity, new(C3))
+
+
+def _product_past_one(new, S3, C2, C3):
+    """At the generator of C2 the sign row has angle 1/2, so sign·sign has
+    weight 1; claiming 1/2 for the trivial row breaks the shift rule."""
+    s = C2.generators[0]
+    ctx = rr.LambdaCtx(new(C2).sctx, C2, s)
+    sign = next(i for i in range(ctx.rank) if ctx.angles[i] == Fraction(1, 2))
+    ctx.angles = (Fraction(1, 2),) * ctx.rank
+    ctx.basis_elt(sign) * ctx.basis_elt(sign)
+
+
 @pytest.mark.parametrize("corrupted, message", [
     (_product, "product constituent carries the wrong central angle"),
     (_restricted, "restricted constituent carries the wrong central angle"),
@@ -429,8 +452,11 @@ def _mu_integrality(new, S3, C2, C3):
     (_conjugation, "conjugation changed a central angle"),
     (_adams, "Adams constituent carries the wrong central angle"),
     (_mu_integrality, "non-integral rotation shift in root transport"),
+    (_mu_square, "non-integral rotation shift in root transport"),
+    (_conjugation_row, "class function is not a row of the table"),
+    (_product_past_one, "product constituent carries the wrong central angle"),
 ], ids=["product", "restricted", "induced", "induction-degree", "conjugation", "adams",
-        "mu-integrality"])
+        "mu-integrality", "mu-square", "conjugation-row", "product-past-one"])
 def test_internal_checks_fire(S3, c2_in_s3, c3_in_s3, corrupted, message):
     sctx = ScalarContext.for_groups([S3])
 
@@ -563,3 +589,71 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
         assert name != "mu" or not homs, homs
         # conjugated stabilizers come back from the registry
         assert not builds, (name, len(builds))
+
+
+# -- restriction along class fusions ----------------------------------------------
+#
+# restrict_cf and the restrict_along, conjugate and μ columns gather through a
+# class fusion.  The oracles below are the bodies they replaced: one class
+# lookup per image of a class rep, then a full decomposition.
+
+def _lookup_restrict_cf(phi, psi):
+    conj = phi.codomain.conjugacy()
+    return ClassFunction(phi.domain, psi.ctx, [psi.values[conj.class_index(phi(rep))]
+                                               for rep in phi.domain.conjugacy().class_reps])
+
+
+def _lookup_column(phi, src, i, target, n=1, coeff=ONE):
+    """coeff·(row i), restricted along phi into target, as an element of target
+    with q ↦ q^{1/n}: Σ_j m_j·coeff(q^{1/n})·q^{(c_i − n·d_j)/n}·(j)."""
+    mults = decompose(_lookup_restrict_cf(phi, src.table.rows[i]), target.table)
+    coeffs = []
+    for j, m in enumerate(mults):
+        shift = src.angles[i] - n * target.angles[j]
+        assert m == 0 or shift.denominator == 1
+        coeffs.append(coeff.rescale(Fraction(1, n)) * QLaurent([(shift / n, m)]))
+    return target.from_coeffs(coeffs)
+
+
+def _center(H):
+    return [z for z in H.elements if all(z * s == s * z for s in H.generators)]
+
+
+@pytest.mark.parametrize("G", [symmetric(4), dihedral(6), direct_product(cyclic(2), cyclic(4))],
+                         ids=["S4", "D6", "C2xC4"])
+def test_restriction_columns_match_class_lookups(G):
+    sctx = ScalarContext.for_groups([G])
+    q = q_power(1)
+    for H in groups.all_subgroups(G):
+        H = G.subgroup_of(H.elements)
+        incl = GroupHom.inclusion(H, G)
+        for chi in sctx.table(G).rows:
+            assert restrict_cf(incl, chi) == _lookup_restrict_cf(incl, chi)
+        for g in _center(H):
+            target = rr.ctx_for(sctx, H, g)
+            src = rr.ctx_build(G, g, sctx)
+            incl = GroupHom.inclusion(H, src.group)
+            for i in range(src.rank):
+                assert rr.restrict_along(incl, src.basis_elt(i, q), target) == \
+                    _lookup_column(incl, src, i, target, coeff=q)
+            for n in (1, 2, 3):
+                src = rr.ctx_build(G, g ** n, sctx)
+                incl = GroupHom.inclusion(H, src.group)
+                for i in range(src.rank):
+                    assert rr.mu_transport(src.basis_elt(i, q), n, target) == \
+                        _lookup_column(incl, src, i, target, n, q)
+        # conjugation s ↦ w s w⁻¹ from H to T = wHw⁻¹ is restriction along
+        # t ↦ w⁻¹ t w from T to H
+        for w in G.elements:
+            wi = w.inverse()
+            T = groups.conjugate_subgroup(G, H, w)
+            back = GroupHom(T, H, {t: wi * t * w for t in T.elements})
+            for chi in sctx.table(H).rows:
+                assert restrict_cf(back, chi) == _lookup_restrict_cf(back, chi)
+            for g in _center(H):
+                src = rr.ctx_for(sctx, H, g)
+                target = rr.ctx_for(sctx, T, w * g * wi)
+                for i in range(src.rank):
+                    expected = _lookup_column(back, src, i, target, coeff=q)
+                    assert rr.conjugate(src.basis_elt(i, q), w, target) == expected
+                    assert rr.restrict_along(back, src.basis_elt(i, q), target) == expected
