@@ -5,7 +5,12 @@ set X^g cut into centralizer orbits, and attaches to each orbit the
 representation ring of the rotation-extended stabilizer at g.  Elements carry
 one coefficient vector per orbit.  Every map that lands on a non-representative
 element or point routes through conjugation transport along cached coset
-representatives, so all operations are deterministic functions.
+representatives (``_moved``), so all operations are deterministic functions.
+
+Every pullback is one map of pairs (φ: K -> G, f: X -> Y) with
+f(k·x) = φ(k)·f(x), i.e. of global quotients X//K -> Y//G (``_pullback``):
+``pullback_hom`` is (φ, id), ``pullback_map`` is (id, f), and
+``change_of_group`` is (H ≤ G, x ↦ [e, x]).
 """
 
 from __future__ import annotations
@@ -96,6 +101,9 @@ class QEllElt:
         for comp, cb in zip(self.components, struct.classes):
             if len(comp) != len(cb.orbits):
                 raise PreconditionError("orbit count does not match the structure")
+            for v, ctx in zip(comp, cb.ctxs):
+                if v.ctx is not ctx and v.ctx != ctx:
+                    raise PreconditionError("component does not live in its orbit's ring")
 
     def __setattr__(self, name, value):
         raise AttributeError("QEllElt is immutable")
@@ -148,6 +156,12 @@ class QEllElt:
 # ---------------------------------------------------------------------------
 # point evaluation with transport
 
+def _moved(v: LambdaElt, w: Permutation, G: FiniteGroup) -> LambdaElt:
+    """v transported along s ↦ w s w⁻¹, onto the ring over w S w⁻¹ at w g w⁻¹."""
+    S = conjugate_subgroup(G, v.ctx.group, w)
+    return rr.conjugate(v, w, rr.ctx_for(v.ctx.sctx, S, w * v.ctx.g * w.inverse()))
+
+
 def value_at(elt: QEllElt, ci: int, point: int) -> LambdaElt:
     """The component of elt at (class ci, point), transported from the orbit rep."""
     struct = elt.structure
@@ -157,9 +171,7 @@ def value_at(elt: QEllElt, ci: int, point: int) -> LambdaElt:
     v = elt.components[ci][oi]
     if point == orb.rep:
         return v
-    t = orb.transport[point]
-    S = conjugate_subgroup(struct.group, orb.stabilizer, t)
-    return rr.conjugate(v, t, rr.ctx_for(struct.sctx, S, cb.g))
+    return _moved(v, orb.transport[point], struct.group)
 
 
 def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
@@ -169,39 +181,32 @@ def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
     the orbit; the result lives over the stabilizer of ``point`` in C_G(h).
     """
     struct = elt.structure
-    conj = struct.conjugacy
-    ci, w = conj.transport_to_rep(h)
+    ci, w = struct.conjugacy.transport_to_rep(h)
     if w == struct.group.identity:
         return value_at(elt, ci, point)
-    y = struct.gset.act(w.inverse(), point)
-    v = value_at(elt, ci, y)           # over Λ_{Stab(y)}(rep)
-    S = conjugate_subgroup(struct.group, v.ctx.group, w)
-    return rr.conjugate(v, w, rr.ctx_for(struct.sctx, S, h))
+    return _moved(value_at(elt, ci, struct.gset.act(w.inverse(), point)), w, struct.group)
 
 
 # ---------------------------------------------------------------------------
-# pullbacks
+# pullbacks along maps of pairs
 
-def pullback_hom(phi: GroupHom, elt: QEllElt, sctx=None) -> QEllElt:
-    """Restriction along φ: G -> H, from QEll_H(X) to QEll_G(X via φ)."""
+def _pullback(phi: GroupHom, points, elt: QEllElt, X: FiniteGSet) -> QEllElt:
+    """Pullback along (φ: K -> G, f: X -> Y) with f(k·x) = φ(k)·f(x), from
+    QEll_G(Y) to QEll_K(X); ``points[x]`` is f(x).  The component at (τ, x)
+    restricts elt's value at (φ(τ), f(x)) along φ."""
+    target = structure(X.group, X, elt.structure.sctx)
+    return QEllElt(target, [
+        [rr.restrict_along(phi, value_at_element(elt, phi(cb.g), points[orb.rep]), tctx)
+         for orb, tctx in zip(cb.orbits, cb.ctxs)]
+        for cb in target.classes])
+
+
+def pullback_hom(phi: GroupHom, elt: QEllElt) -> QEllElt:
+    """Restriction along φ: K -> G, from QEll_G(X) to QEll_K(X via φ)."""
     src = elt.structure
     if phi.codomain != src.group:
         raise PreconditionError("hom codomain does not match the element's group")
-    sctx = sctx or src.sctx
-    target = structure(phi.domain, src.gset.via_hom(phi), sctx)
-    H_conj = src.conjugacy
-    out = []
-    for cb in target.classes:
-        tau = cb.g
-        h = phi(tau)
-        row = []
-        for orb, tctx in zip(cb.orbits, cb.ctxs):
-            v = value_at_element(elt, h, orb.rep)
-            psi = GroupHom(orb.stabilizer, v.ctx.group,
-                           {s: phi(s) for s in orb.stabilizer.elements}, check=False)
-            row.append(rr.restrict_along(psi, v, tctx))
-        out.append(row)
-    return QEllElt(target, out)
+    return _pullback(phi, src.gset.points(), elt, src.gset.via_hom(phi))
 
 
 def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
@@ -223,17 +228,7 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
         for x in X.points():
             if point_map[X.act(g, x)] != Y.act(g, point_map[x]):
                 raise PreconditionError("point map is not equivariant")
-    target = structure(G, X, src.sctx)
-    out = []
-    for ci, cb in enumerate(target.classes):
-        row = []
-        for orb, tctx in zip(cb.orbits, cb.ctxs):
-            y = point_map[orb.rep]
-            v = value_at(elt, ci, y)
-            incl = GroupHom.inclusion(orb.stabilizer, v.ctx.group)
-            row.append(rr.restrict_along(incl, v, tctx))
-        out.append(row)
-    return QEllElt(target, out)
+    return _pullback(GroupHom.identity_on(G), point_map, elt, X)
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +313,22 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
 
 def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
                     elt: QEllElt) -> QEllElt:
-    """Forward map QEll_G(G x_H X) -> QEll_H(X): restrict, then evaluate at [e, x]."""
+    """Forward map QEll_G(G x_H X) -> QEll_H(X): the pullback along (H ≤ G, x ↦ [e, x])."""
     if not G.is_subgroup(H):
         raise PreconditionError(f"{H.name} is not a subgroup of {G.name}")
     src = elt.structure
     Z = induced_gset(G, H, X)
     if src.gset != Z:
         raise PreconditionError("element does not live on the induced G-set")
-    incl = GroupHom.inclusion(H, G)
-    pulled = pullback_hom(incl, elt)
     # The identity is element 0 of every group, and the only pair in the
     # H-orbit of [e, x] with element index 0 is (0, x): that is its label.
     # Labels are sorted, so the (0, x) come first and [e, x] is point x.
+    # Then x ↦ [e, x] is H-equivariant: h·[e, x] = [h, x] = [e, h·x].
     for x in X.points():
         if Z.labels[x] != (0, x):
             raise InternalCheckError(
                 "[e, x] is not point x: induced G-set labels must sort the (0, x) first")
-    return pullback_map(range(X.n_points), pulled, X)
+    return _pullback(GroupHom.inclusion(H, G), X.points(), elt, X)
 
 
 def change_of_group_inverse(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
@@ -425,17 +419,13 @@ def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
         raise PreconditionError("algorithm B applies only to the one-point set")
     if not G.is_subgroup(H):
         raise PreconditionError(f"{H.name} is not a subgroup of {G.name}")
-    sctx = elt.structure.sctx
-    target = structure(G, point_set(G), sctx)
+    target = structure(G, point_set(G), elt.structure.sctx)
     acc = [cb.ctxs[0].zero() for cb in target.classes]
     for hi, h0 in enumerate(H.conjugacy().class_reps):
         ci, w = G.conjugacy().transport_to_rep(h0)
-        r = w.inverse()               # r^{-1} g r == h0 for g the class rep
-        cb = target.classes[ci]
-        v = elt.components[hi][0]
-        S = conjugate_subgroup(G, v.ctx.group, r)
-        moved = rr.conjugate(v, r, rr.ctx_for(sctx, S, cb.g))
-        acc[ci] = acc[ci] + rr.induce_to(moved, cb.ctxs[0])
+        # h0 == w g w^{-1} for g the class rep, so w^{-1} moves h0 to g
+        moved = _moved(elt.components[hi][0], w.inverse(), G)
+        acc[ci] = acc[ci] + rr.induce_to(moved, target.classes[ci].ctxs[0])
     return QEllElt(target, [[a] for a in acc])
 
 
@@ -550,7 +540,7 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
     return out
 
 
-def tate_presentation_report(N: int, sctx: ScalarContext | None = None) -> dict:
+def tate_presentation_report(N: int) -> dict:
     """Check the cyclic-group components are Z[q^±][x]/(x^N - q^m) on the nose.
 
     For each component m: the canonical generator is the basis element pairing
@@ -562,7 +552,7 @@ def tate_presentation_report(N: int, sctx: ScalarContext | None = None) -> dict:
     if N < 1:
         raise PreconditionError("N must be >= 1")
     G = cyclic(N)
-    sctx = sctx or ScalarContext.for_groups([G])
+    sctx = ScalarContext.for_groups([G])
     struct = structure(G, point_set(G), sctx)
     s = G.generators[0] if N > 1 else G.identity
     conj = struct.conjugacy
@@ -605,8 +595,7 @@ def tate_presentation_report(N: int, sctx: ScalarContext | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # randomized elements for property testing
 
-def random_element(struct: QEllStructure, rng: random.Random,
-                   density: float = 0.6, max_terms: int = 2) -> QEllElt:
+def random_element(struct: QEllStructure, rng: random.Random) -> QEllElt:
     """Deterministic pseudo-random element given a seeded Random."""
     comps = []
     for cb in struct.classes:
@@ -614,9 +603,9 @@ def random_element(struct: QEllStructure, rng: random.Random,
         for ctx in cb.ctxs:
             coeffs = []
             for _ in range(ctx.rank):
-                if rng.random() < density:
+                if rng.random() < 0.6:
                     terms = [(rng.randint(-2, 2), rng.randint(-3, 3))
-                             for _ in range(rng.randint(1, max_terms))]
+                             for _ in range(rng.randint(1, 2))]
                     coeffs.append(QLaurent(terms))
                 else:
                     coeffs.append(ZERO)

@@ -301,18 +301,21 @@ def _restriction(elt: LambdaElt, target: LambdaCtx, key, fusion, message: str,
 
 
 def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
-    """Pull back along φ: target.group -> elt group with φ(target.g) = elt.g.
+    """Pull back along φ, on target.group ≤ φ's domain, into elt's group, with
+    φ(target.g) = elt.g.
 
     A ring homomorphism; every constituent of a pulled-back basis character
-    inherits its central angle unchanged.  Columns are keyed by φ's class
-    fusion.
+    inherits its central angle unchanged.  Columns are keyed by the class
+    fusion of target.group along φ.
     """
-    src = elt.ctx
-    if phi.domain != target.group or phi.codomain != src.group:
+    src, S = elt.ctx, target.group
+    # φ is a hom, so it carries S into src.group when it carries S's generators
+    if not (phi.domain.is_subgroup(S) and all(phi(s) in src.group for s in S.generators)):
         raise PreconditionError("homomorphism does not match the contexts")
     if phi(target.g) != src.g:
         raise PreconditionError("homomorphism does not carry g to g")
-    return _restriction(elt, target, ("res", target.key(), phi.fusion()), phi.fusion,
+    fusion = class_fusion(S, src.group, phi.image_of.__getitem__)
+    return _restriction(elt, target, ("res", target.key(), fusion), lambda: fusion,
                         "restricted constituent carries the wrong central angle")
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from qell import groups
 from qell import qell_core as qc
+from qell import rotrep as rr
 from qell import verify
 from qell.charmod import ScalarContext, central_angle
 from qell.errors import InternalCheckError, PreconditionError
@@ -14,10 +16,12 @@ from qell.groups import (
     cyclic,
     dihedral,
     direct_product,
+    make_hom,
     symmetric,
 )
 from qell.gsets import (
     FiniteGSet,
+    coset_gset,
     induced_gset,
     point_set,
     product_gset,
@@ -119,6 +123,127 @@ def test_pullback_map_rejects_non_equivariant(S3, s3_point):
     bad = list(range(X.n_points))   # identity into a 1-point set is nonsense
     with pytest.raises(PreconditionError):
         qc.pullback_map(bad, s3_point.unit(), X)
+
+
+def test_element_rejects_a_component_from_another_ring(S3, s3_point):
+    def with_component(v):
+        comps = [list(row) for row in s3_point.zero().components]
+        comps[1][0] = v
+        return comps
+
+    with pytest.raises(PreconditionError, match="does not live in its orbit's ring"):
+        qc.QEllElt(s3_point, with_component(s3_point.classes[2].ctxs[0].unit()))
+    other = ScalarContext.for_groups([S3])
+    assert other is not s3_point.sctx
+    ctx = s3_point.classes[1].ctxs[0]
+    with pytest.raises(PreconditionError, match="does not live in its orbit's ring"):
+        qc.QEllElt(s3_point, with_component(rr.ctx_for(other, ctx.group, ctx.g).unit()))
+    # an equal context built outside the cache is the same ring
+    twin = rr.LambdaCtx(s3_point.sctx, ctx.group, ctx.g)
+    assert twin is not ctx
+    assert qc.QEllElt(s3_point, with_component(twin.unit())) == \
+        qc.QEllElt(s3_point, with_component(ctx.unit()))
+
+
+# -- one pullback along maps of pairs ------------------------------------------
+#
+# pullback_hom, pullback_map and change_of_group end in one body.  The oracles
+# below are the bodies it replaced: a GroupHom per orbit, the transport
+# snippet inline, and change of group as pullback_hom along H <= G followed
+# by pullback_map along x -> [e, x].
+
+def _old_value_at(elt, ci, point):
+    struct = elt.structure
+    cb = struct.classes[ci]
+    oi = cb.orbit_of_point[point]
+    orb = cb.orbits[oi]
+    v = elt.components[ci][oi]
+    if point == orb.rep:
+        return v
+    t = orb.transport[point]
+    S = groups.conjugate_subgroup(struct.group, orb.stabilizer, t)
+    return rr.conjugate(v, t, rr.ctx_for(struct.sctx, S, cb.g))
+
+
+def _old_value_at_element(elt, h, point):
+    struct = elt.structure
+    ci, w = struct.conjugacy.transport_to_rep(h)
+    if w == struct.group.identity:
+        return _old_value_at(elt, ci, point)
+    v = _old_value_at(elt, ci, struct.gset.act(w.inverse(), point))
+    S = groups.conjugate_subgroup(struct.group, v.ctx.group, w)
+    return rr.conjugate(v, w, rr.ctx_for(struct.sctx, S, h))
+
+
+def _old_pullback_hom(phi, elt):
+    src = elt.structure
+    target = qc.structure(phi.domain, src.gset.via_hom(phi), src.sctx)
+    out = []
+    for cb in target.classes:
+        row = []
+        for orb, tctx in zip(cb.orbits, cb.ctxs):
+            v = _old_value_at_element(elt, phi(cb.g), orb.rep)
+            psi = GroupHom(orb.stabilizer, v.ctx.group,
+                           {s: phi(s) for s in orb.stabilizer.elements}, check=False)
+            row.append(rr.restrict_along(psi, v, tctx))
+        out.append(row)
+    return qc.QEllElt(target, out)
+
+
+def _old_pullback_map(point_map, elt, X):
+    target = qc.structure(X.group, X, elt.structure.sctx)
+    out = []
+    for ci, cb in enumerate(target.classes):
+        row = []
+        for orb, tctx in zip(cb.orbits, cb.ctxs):
+            v = _old_value_at(elt, ci, point_map[orb.rep])
+            incl = GroupHom.inclusion(orb.stabilizer, v.ctx.group)
+            row.append(rr.restrict_along(incl, v, tctx))
+        out.append(row)
+    return qc.QEllElt(target, out)
+
+
+def _old_change_of_group(G, H, X, elt):
+    pulled = _old_pullback_hom(GroupHom.inclusion(H, G), elt)
+    return _old_pullback_map(range(X.n_points), pulled, X)
+
+
+@pytest.mark.parametrize("G", [symmetric(4), dihedral(6), direct_product(cyclic(2), cyclic(4))],
+                         ids=["S4", "D6", "C2xC4"])
+def test_pullbacks_match_the_per_orbit_bodies(G):
+    sctx = ScalarContext.for_groups([G])
+    rng = random.Random(7)
+    on_G = [qc.random_element(qc.structure(G, Y, sctx), rng)
+            for Y in (point_set(G), regular_gset(G))]
+    subgroups = [G.subgroup_of(H.elements) for H in groups.all_subgroups(G)]
+    for H in subgroups:
+        incl = GroupHom.inclusion(H, G)
+        for a in on_G:
+            assert qc.pullback_hom(incl, a) == _old_pullback_hom(incl, a)
+        for X in (point_set(H), regular_gset(H)):
+            z = qc.random_element(qc.structure(G, induced_gset(G, H, X), sctx), rng)
+            assert qc.change_of_group(G, H, X, z) == _old_change_of_group(G, H, X, z)
+        # G/K -> G/H for K <= H: the coset of element gi goes to gi·H, and
+        # point 0 of G/H is the coset of the identity
+        GH = coset_gset(G, H)
+        y = qc.random_element(qc.structure(G, GH, sctx), rng)
+        for K in subgroups:
+            if H.is_subgroup(K):
+                GK = coset_gset(G, K)
+                f = [GH.act(G.elements[gi], 0) for gi, _ in GK.labels]
+                assert qc.pullback_map(f, y, GK) == _old_pullback_map(f, y, GK)
+
+
+def test_pullback_along_the_sign_map_matches_the_per_orbit_body():
+    S3, C2 = symmetric(3), cyclic(2)
+    sctx = ScalarContext.for_groups([S3, C2])
+    sign = make_hom(S3, C2, [C2.generators[0] if sum(len(c) - 1 for c in g.cycles()) % 2
+                             else C2.identity for g in S3.generators])
+    rng = random.Random(5)
+    for Y in (point_set(C2), regular_gset(C2)):
+        for _ in range(3):
+            a = qc.random_element(qc.structure(C2, Y, sctx), rng)
+            assert qc.pullback_hom(sign, a) == _old_pullback_hom(sign, a)
 
 
 # -- Künneth -------------------------------------------------------------------

@@ -157,6 +157,52 @@ def test_restrict_is_ring_hom(S3, s3_ctx, c3_in_s3):
     assert rr.restrict_along(incl, big.unit(), small) == small.unit()
 
 
+def test_restrict_along_checks_its_map(S3, s3_ctx, c2_in_s3, c3_in_s3):
+    e = S3.identity
+    C2 = S3.subgroup_of(c2_in_s3.elements)
+    C3 = S3.subgroup_of(c3_in_s3.elements)
+    on_S3 = rr.ctx_for(s3_ctx, S3, e).unit()
+    on_C2 = rr.ctx_for(s3_ctx, C2, e)
+    # the domain misses target.group
+    with pytest.raises(PreconditionError, match="does not match the contexts"):
+        rr.restrict_along(GroupHom.identity_on(C3), on_S3, on_C2)
+    # an image outside elt's group
+    with pytest.raises(PreconditionError, match="does not match the contexts"):
+        rr.restrict_along(GroupHom.identity_on(S3), rr.ctx_for(s3_ctx, C3, e).unit(), on_C2)
+    # g not carried to g
+    tau = C2.generators[0]
+    with pytest.raises(PreconditionError, match="does not carry g to g"):
+        rr.restrict_along(GroupHom.identity_on(S3), on_S3, rr.ctx_for(s3_ctx, C2, tau))
+
+
+@pytest.mark.parametrize("G", [symmetric(4), dihedral(6)], ids=["S4", "D6"])
+def test_restrict_along_a_hom_on_a_larger_domain(G):
+    """φ on a proper subgroup S of its domain is the restriction φ|_S."""
+    sctx = ScalarContext.for_groups([G])
+    q = q_power(1)
+    ident = GroupHom.identity_on(G)
+    for w in (G.identity, *G.generators):
+        wi = w.inverse()
+        back = GroupHom(G, G, {t: wi * t * w for t in G.elements})
+        for H in groups.all_subgroups(G):
+            H = G.subgroup_of(H.elements)
+            if H.order == G.order:
+                continue
+            T = groups.conjugate_subgroup(G, H, w)
+            for g in _center(H):
+                src = rr.ctx_build(G, g, sctx)
+                target = rr.ctx_for(sctx, H, g)
+                incl = GroupHom(H, src.group, {h: h for h in H.elements})
+                moved = rr.ctx_for(sctx, T, w * g * wi)
+                back_T = GroupHom(T, src.group, {t: back(t) for t in T.elements})
+                for i in range(src.rank):
+                    x = src.basis_elt(i, q)
+                    assert rr.restrict_along(ident, x, target) == \
+                        _lookup_column(incl, src, i, target, coeff=q)
+                    assert rr.restrict_along(back, x, moved) == \
+                        _lookup_column(back_T, src, i, moved, coeff=q)
+
+
 # -- induction ---------------------------------------------------------------
 
 def test_induce_identity(S3, s3_ctx):
@@ -551,7 +597,10 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
     z = qc.change_of_group_inverse(G, H, XH, a)
     b = qc.random_element(qc.structure(H, point_set(H), sctx), random.Random(4))
     c = qc.random_element(qc.structure(G, point_set(G), sctx), random.Random(5))
+    d = qc.random_element(qc.structure(G, X, sctx), random.Random(6))
+    incl = GroupHom.inclusion(H, G)
     maps = {
+        "pullback_hom": lambda: qc.pullback_hom(incl, d),
         "change_of_group_inverse": lambda: qc.change_of_group_inverse(G, H, XH, a),
         "change_of_group": lambda: qc.change_of_group(G, H, XH, z),
         "transfer_A": lambda: qc.transfer(G, a, X, algorithm="A"),
@@ -585,8 +634,10 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
         builds.clear()
         assert fn() == cold[name], name
         assert not calls, (name, calls)
-        # μ builds its inclusion only for a column miss
-        assert name != "mu" or not homs, homs
+        # μ builds its inclusion only for a column miss, a pullback no hom
+        # per orbit: change of group builds H <= G and nothing else
+        assert name not in ("mu", "pullback_hom") or not homs, (name, homs)
+        assert name != "change_of_group" or len(homs) == 1, homs
         # conjugated stabilizers come back from the registry
         assert not builds, (name, len(builds))
 
