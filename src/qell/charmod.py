@@ -36,6 +36,8 @@ class ScalarContext:
         self._tables: dict = {}
         self._lambda_ctxs: dict = {}
         self._structures: dict = {}
+        self._terms: dict = {}      # rotrep column terms and columns, one object per value
+        self._columns: dict = {}
 
     @classmethod
     def for_groups(cls, groups) -> "ScalarContext":

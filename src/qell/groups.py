@@ -322,6 +322,7 @@ class GroupHom:
         self.codomain = codomain
         self.image_of = dict(image_of)
         self._fusion = None
+        self._restrictions: dict = {}   # (source ctx, target ctx) -> checked fusion, columns
         if check:
             self._verify()
 

@@ -27,6 +27,7 @@ class FiniteGSet:
             table = {g: tuple(row) for g, row in act.items()}
         self._table = table
         self._key = None
+        self._covers: dict = {}   # X.key() -> covering map onto X (on an induced set)
         self.name = name or f"gset<{group.name}:{self.n_points}>"
         self.labels = list(labels) if labels is not None else None
         if check:

@@ -60,7 +60,7 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return self.inverse() ** (-n)
-        result = identity(len(self.images))
+        result = Permutation._raw(tuple(range(len(self.images))))
         base = self
         while n:
             if n & 1:

@@ -4,8 +4,10 @@ A structure fixes, per torsion conjugacy class representative g, the fixed
 set X^g cut into centralizer orbits, and attaches to each orbit the
 representation ring of the rotation-extended stabilizer at g.  Elements carry
 one coefficient vector per orbit.  Every map that lands on a non-representative
-element or point routes through conjugation transport along cached coset
-representatives (``_moved``), so all operations are deterministic functions.
+element or point reads the component at its class and orbit representatives
+and conjugates it there in one step along cached transport elements
+(``value_at_element``, ``_moved``), so all operations are deterministic
+functions; each route and each conjugated ring is found once.
 
 Every pullback is one map of pairs (φ: K -> G, f: X -> Y) with
 f(k·x) = φ(k)·f(x), i.e. of global quotients X//K -> Y//G (``_pullback``):
@@ -50,6 +52,8 @@ class QEllStructure:
         self.classes = tuple(inertia_skeleton(G, X))
         for cb in self.classes:       # one representation ring per orbit
             cb.ctxs = tuple(rr.ctx_for(sctx, orb.stabilizer, cb.g) for orb in cb.orbits)
+        self._routes: dict = {}       # (h, point) -> (class, orbit, transport or None)
+        self._powers: dict = {}       # n -> the class reps' n-th powers
 
     @property
     def n_classes(self) -> int:
@@ -157,34 +161,40 @@ class QEllElt:
 # point evaluation with transport
 
 def _moved(v: LambdaElt, w: Permutation, G: FiniteGroup) -> LambdaElt:
-    """v transported along s ↦ w s w⁻¹, onto the ring over w S w⁻¹ at w g w⁻¹."""
-    S = conjugate_subgroup(G, v.ctx.group, w)
-    return rr.conjugate(v, w, rr.ctx_for(v.ctx.sctx, S, w * v.ctx.g * w.inverse()))
+    """v transported along s ↦ w s w⁻¹, onto the ring over w S w⁻¹ at w g w⁻¹;
+    that ring is found once per w on v's ring."""
+    src = v.ctx
+    return rr.conjugate(v, w, memo(src._conjugates, w, _conjugated_ctx, src, w, G))
 
 
-def value_at(elt: QEllElt, ci: int, point: int) -> LambdaElt:
-    """The component of elt at (class ci, point), transported from the orbit rep."""
-    struct = elt.structure
-    cb = struct.classes[ci]
-    oi = cb.orbit_of_point[point]
-    orb = cb.orbits[oi]
-    v = elt.components[ci][oi]
-    if point == orb.rep:
-        return v
-    return _moved(v, orb.transport[point], struct.group)
+def _conjugated_ctx(src: LambdaCtx, w: Permutation, G: FiniteGroup) -> LambdaCtx:
+    return rr.ctx_for(src.sctx, conjugate_subgroup(G, src.group, w),
+                      w * src.g * w.inverse())
 
 
 def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
     """Component at an arbitrary torsion element h and point of X^h.
 
     Conjugates from the class representative of h, then transports within
-    the orbit; the result lives over the stabilizer of ``point`` in C_G(h).
+    the orbit, in one step; the result lives over the stabilizer of
+    ``point`` in C_G(h).
     """
     struct = elt.structure
-    ci, w = struct.conjugacy.transport_to_rep(h)
-    if w == struct.group.identity:
-        return value_at(elt, ci, point)
-    return _moved(value_at(elt, ci, struct.gset.act(w.inverse(), point)), w, struct.group)
+    ci, oi, w = memo(struct._routes, (h, point), _route, struct, h, point)
+    v = elt.components[ci][oi]
+    return v if w is None else _moved(v, w, struct.group)
+
+
+def _route(struct: QEllStructure, h: Permutation, point: int):
+    """(class, orbit, w): with h = u·g·u⁻¹ for g the class rep, ``point`` is
+    u·t·rep for the orbit rep and its transport t, and w = u·t (None if e)."""
+    ci, u = struct.conjugacy.transport_to_rep(h)
+    cb = struct.classes[ci]
+    if u != struct.group.identity:
+        point = struct.gset.act(u.inverse(), point)
+    oi = cb.orbit_of_point[point]
+    w = u * cb.orbits[oi].transport[point]
+    return ci, oi, None if w == struct.group.identity else w
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +396,7 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
     Z = induced_gset(G, H, XH)
     if zelt.structure.gset != Z:
         raise InternalCheckError("induced set drifted between constructions")
-    cover = [X.act(G.elements[gi], x) for (gi, x) in Z.labels]
-    for g in G.elements:
-        for z in Z.points():
-            if cover[Z.act(g, z)] != X.act(g, cover[z]):
-                raise InternalCheckError("covering map is not equivariant")
+    cover = memo(Z._covers, X.key(), _cover, G, Z, X)
     target = structure(G, X, elt.structure.sctx)
     zstruct = zelt.structure
     out = []
@@ -406,11 +412,21 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
                     continue
                 piece = {Z.act(s, z) for s in orb.stabilizer.elements}
                 done.update(piece)
-                v = value_at(zelt, ci, z)
+                v = value_at_element(zelt, zcb.g, z)
                 acc = acc + rr.induce_to(v, tctx)
             row.append(acc)
         out.append(row)
     return QEllElt(target, out)
+
+
+def _cover(G: FiniteGroup, Z: FiniteGSet, X: FiniteGSet) -> list[int]:
+    """The covering map G x_H X -> X, [g, x] ↦ g·x, checked equivariant."""
+    cover = [X.act(G.elements[gi], x) for (gi, x) in Z.labels]
+    for g in G.elements:
+        for z in Z.points():
+            if cover[Z.act(g, z)] != X.act(g, cover[z]):
+                raise InternalCheckError("covering map is not equivariant")
+    return cover
 
 
 def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
@@ -437,9 +453,9 @@ def mu(elt: QEllElt, n: int) -> QEllElt:
     if n < 1:
         raise PreconditionError("mu degree must be >= 1")
     struct = elt.structure
+    powers = memo(struct._powers, n, lambda: tuple(cb.g ** n for cb in struct.classes))
     out = []
-    for cb in struct.classes:
-        gn = cb.g ** n
+    for cb, gn in zip(struct.classes, powers):
         row = []
         for orb, tctx in zip(cb.orbits, cb.ctxs):
             v = value_at_element(elt, gn, orb.rep)

@@ -24,6 +24,11 @@ an integer (asserted at runtime).  n is 1 except for μ^n.
   to Σ_λ ⟨ρ|_S, λ⟩ q^{(c − n·d_λ)/n} (λ, d_λ).
 * induction: Ind of a row, decomposed, at weight c; degrees are checked.
 
+A map's preconditions, and the group work behind it (class fusion, the
+conjugated context), run once per entry: each (source context, map, target
+context) has one checked entry, filled through ``groups.memo`` only after
+its checks pass, so a warm call is a lookup and a bad input is never stored.
+
 All multiplicities are computed exactly in the scalar context's prime field.
 """
 
@@ -67,8 +72,11 @@ class LambdaCtx:
         self.rank = self.table.n_irr
         self.trivial_row = self.table.irreducible_index(
             ClassFunction(group, sctx, [1] * self.rank))
+        self._hash = hash(self.key())
         self._mul_cache: dict = {}
         self._decomp_cache: dict = {}
+        self._maps: dict = {}          # checked map entries, by (kind, n or w, target)
+        self._conjugates: dict = {}    # w -> the context over w S w⁻¹ at w g w⁻¹
 
     def key(self):
         return (self.group.key(), self.g.images)
@@ -78,7 +86,7 @@ class LambdaCtx:
             and self.sctx is other.sctx
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Lambda({self.group.name}, {self.g!r}; rank {self.rank})"
@@ -120,14 +128,17 @@ class LambdaCtx:
 
 def _constituents(pairs, target: LambdaCtx, weight: tuple[int, int], message: str,
                   n: int = 1):
-    """Columns [(j, m·q^{(w − n·d_j)/n})] of the nonzero m among ``pairs``
+    """Columns ((j, m·q^{(w − n·d_j)/n}), ...) of the nonzero m among ``pairs``
     (j, m) over target's rows d_j, for a source of rotation weight w = num/den,
     ``weight`` = (num, den).
 
     The one angle-and-shift rule of every ring map: w − n·d_j must be an
-    integer, else ``message`` is raised.  n is 1 except for μ^n.
+    integer, else ``message`` is raised.  n is 1 except for μ^n.  Equal terms
+    (j, m, shift, n) and equal columns are one object each per scalar
+    context, shared by every map.
     """
     num, den = weight
+    terms = target.sctx._terms
     cols = []
     for j, m in pairs:
         if m:
@@ -137,9 +148,13 @@ def _constituents(pairs, target: LambdaCtx, weight: tuple[int, int], message: st
             bottom = den * a.denominator
             if top % bottom:
                 raise InternalCheckError(message)
-            shift = top // bottom
-            cols.append((j, monomial(m, shift if n == 1 else Fraction(shift, n))))
-    return cols
+            cols.append(memo(terms, (j, m, top // bottom, n), _term, j, m, top // bottom, n))
+    cols = tuple(cols)
+    return memo(target.sctx._columns, cols, tuple, cols)    # the first equal column
+
+
+def _term(j: int, m: int, shift: int, n: int):
+    return j, monomial(m, shift if n == 1 else Fraction(shift, n))
 
 
 def ctx_for(sctx: ScalarContext, group: FiniteGroup, g: Permutation) -> LambdaCtx:
@@ -255,15 +270,13 @@ def pairing(a: LambdaElt, b: LambdaElt) -> QLaurent:
     return out
 
 
-def _basis_map(elt: LambdaElt, target: LambdaCtx, key, build,
+def _basis_map(elt: LambdaElt, target: LambdaCtx, columns: dict, build,
                scale=None) -> LambdaElt:
     """Linear extension of a basis map i ↦ build(i) = [(j, coeff multiplier), ...].
 
-    Columns are cached on the source context, one dict per ``key`` with one
-    entry per source row.  ``scale`` first substitutes q ↦ q^scale in every
-    coefficient.
+    ``columns`` is the map's cache, one entry per source row.  ``scale``
+    first substitutes q ↦ q^scale in every coefficient.
     """
-    columns = memo(elt.ctx._decomp_cache, key, dict)
     out = [ZERO] * target.rank
     for i, f in enumerate(elt.coeffs):
         if f.is_zero():
@@ -275,18 +288,21 @@ def _basis_map(elt: LambdaElt, target: LambdaCtx, key, build,
     return LambdaElt(target, tuple(out))
 
 
-def _restriction(elt: LambdaElt, target: LambdaCtx, key, fusion, message: str,
-                 n: int = 1, row: bool = False) -> LambdaElt:
+def _restriction(elt: LambdaElt, target: LambdaCtx, cache: dict, key, prepare,
+                 message: str, n: int = 1, row: bool = False) -> LambdaElt:
     """Restriction along a group map into elt's group, then q ↦ q^{1/n}.
 
-    ``fusion()`` is the map's class fusion of target.group into elt's group,
-    asked for once, on the first column built.  A restricted row found in
-    target's ``row_of`` is its own decomposition; ``row`` requires that.
+    The map's entry ``cache[key]`` is (its class fusion of target.group into
+    elt's group, its columns).  ``prepare()`` runs the map's checks and
+    returns that pair; it runs only when the entry is built, so a failed
+    check stores nothing.  A restricted row found in target's ``row_of`` is
+    its own decomposition; ``row`` requires that.
     """
-    src, found = elt.ctx, {}
+    src = elt.ctx
+    fusion, columns = memo(cache, key, prepare)
 
     def column(i):
-        values = tuple(map(src.table.rows[i].values.__getitem__, memo(found, 0, fusion)))
+        values = tuple(map(src.table.rows[i].values.__getitem__, fusion))
         j = target.table.row_of.get(values)
         if j is not None:
             pairs = ((j, 1),)
@@ -297,7 +313,7 @@ def _restriction(elt: LambdaElt, target: LambdaCtx, key, fusion, message: str,
                                         target.table))
         return _constituents(pairs, target, src.angles[i].as_integer_ratio(), message, n)
 
-    return _basis_map(elt, target, key, column, Fraction(1, n) if n > 1 else None)
+    return _basis_map(elt, target, columns, column, Fraction(1, n) if n > 1 else None)
 
 
 def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
@@ -305,28 +321,36 @@ def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaEl
     φ(target.g) = elt.g.
 
     A ring homomorphism; every constituent of a pulled-back basis character
-    inherits its central angle unchanged.  Columns are keyed by the class
-    fusion of target.group along φ.
+    inherits its central angle unchanged.  The checks and the class fusion of
+    target.group along φ are kept on φ per (elt's context, target); columns
+    are keyed by the fusion, so maps with equal fusions share them.
     """
     src, S = elt.ctx, target.group
-    # φ is a hom, so it carries S into src.group when it carries S's generators
-    if not (phi.domain.is_subgroup(S) and all(phi(s) in src.group for s in S.generators)):
-        raise PreconditionError("homomorphism does not match the contexts")
-    if phi(target.g) != src.g:
-        raise PreconditionError("homomorphism does not carry g to g")
-    fusion = class_fusion(S, src.group, phi.image_of.__getitem__)
-    return _restriction(elt, target, ("res", target.key(), fusion), lambda: fusion,
+
+    def prepare():
+        # φ is a hom, so it carries S into src.group when it carries S's generators
+        if not (phi.domain.is_subgroup(S) and all(phi(s) in src.group for s in S.generators)):
+            raise PreconditionError("homomorphism does not match the contexts")
+        if phi(target.g) != src.g:
+            raise PreconditionError("homomorphism does not carry g to g")
+        fusion = class_fusion(S, src.group, phi.image_of.__getitem__)
+        return fusion, memo(src._decomp_cache, ("res", target, fusion), dict)
+
+    return _restriction(elt, target, phi._restrictions, (src, target), prepare,
                         "restricted constituent carries the wrong central angle")
 
 
 def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
     """Additive induction from Λ over S ≤ S' at the same central element."""
     src = elt.ctx
-    if src.g != target.g:
-        raise PreconditionError("induction must preserve the central element")
-    if not target.group.is_subgroup(src.group):
-        raise PreconditionError(f"{src.group.name} is not inside {target.group.name}")
     index = target.group.order // src.group.order
+
+    def prepare():
+        if src.g != target.g:
+            raise PreconditionError("induction must preserve the central element")
+        if not target.group.is_subgroup(src.group):
+            raise PreconditionError(f"{src.group.name} is not inside {target.group.name}")
+        return {}
 
     def column(i):
         ind = induce_cf(target.group, src.group, src.table.rows[i])
@@ -338,18 +362,21 @@ def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
             raise InternalCheckError("induction degree mismatch")
         return cols
 
-    return _basis_map(elt, target, ("ind", target.key()), column)
+    return _basis_map(elt, target, memo(src._maps, ("ind", target), prepare), column)
 
 
 def conjugate(elt: LambdaElt, w: Permutation, target: LambdaCtx) -> LambdaElt:
     """Transport along s ↦ w s w^{-1}: restriction along t ↦ w^{-1} t w, a
     ring isomorphism, so every restricted row is a row of target's table."""
     src = elt.ctx
-    wi = w.inverse()
-    if target.g != w * src.g * wi:
-        raise PreconditionError("conjugation does not carry g to target g")
-    return _restriction(elt, target, ("conj", w.images, target.key()),
-                        lambda: class_fusion(target.group, src.group, lambda t: wi * t * w),
+
+    def prepare():
+        wi = w.inverse()
+        if target.g != w * src.g * wi:
+            raise PreconditionError("conjugation does not carry g to target g")
+        return class_fusion(target.group, src.group, lambda t: wi * t * w), {}
+
+    return _restriction(elt, target, src._maps, ("conj", w, target), prepare,
                         "conjugation changed a central angle", row=True)
 
 
@@ -363,12 +390,15 @@ def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
     if n < 1:
         raise PreconditionError("transport degree must be >= 1")
     src = elt.ctx
-    if src.g != target.g ** n:
-        raise PreconditionError("source central element is not target g to the n")
-    if not src.group.is_subgroup(target.group):
-        raise PreconditionError("target group does not sit inside the source group")
-    return _restriction(elt, target, ("mu", n, target.key()),
-                        lambda: class_fusion(target.group, src.group),
+
+    def prepare():
+        if src.g != target.g ** n:
+            raise PreconditionError("source central element is not target g to the n")
+        if not src.group.is_subgroup(target.group):
+            raise PreconditionError("target group does not sit inside the source group")
+        return class_fusion(target.group, src.group), {}
+
+    return _restriction(elt, target, src._maps, ("mu", n, target), prepare,
                         "non-integral rotation shift in root transport", n)
 
 
@@ -384,7 +414,7 @@ def adams(elt: LambdaElt, m: int) -> LambdaElt:
         return _constituents(enumerate(mults), ctx, (m * a.numerator, a.denominator),
                              "Adams constituent carries the wrong central angle")
 
-    return _basis_map(elt, ctx, ("adams", m), column, m)
+    return _basis_map(elt, ctx, memo(ctx._decomp_cache, ("adams", m), dict), column, m)
 
 
 def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:

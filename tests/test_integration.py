@@ -1,8 +1,11 @@
 """Cross-module stress tests on larger groups and non-trivial G-sets."""
 
 import importlib
+import os
 import random
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,15 @@ def test_benchmark_traced_names_are_defined():
         "__init__", "__mul__", "__add__", "__sub__", "__neg__", "__pow__",
         "rescale", "shift", "divide_int_exact")}
     assert guarded <= {target[1:4] for target in targets}
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py passes: a change to the library that breaks the
+    benchmark (a renamed traced function, a wrong map it no longer flags)
+    fails the suite.  With PYTHONDONTWRITEBYTECODE no bytecode is written
+    under perfbench/."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=600,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -51,6 +51,24 @@ def test_make_group_s3():
     assert sorted(G.elements) == list(G.elements)
 
 
+@pytest.mark.parametrize("p", [from_cycles(5, [(0, 1, 2), (3, 4)]), identity(4), identity(0)],
+                         ids=["order-6", "identity", "degree-0"])
+def test_power_matches_repeated_products(p):
+    """p ** n for n = 0, n < 0 and n >= ord(p), against products from the identity."""
+    pi = p.inverse()
+    order = p.order()
+    for n in range(-2 * order - 1, 2 * order + 2):
+        expected = identity(p.degree)
+        for _ in range(abs(n)):
+            expected = expected * (p if n > 0 else pi)
+        assert p ** n == expected, n
+        assert (p ** n).images == expected.images
+    assert p ** 0 == identity(p.degree)
+    assert p ** order == identity(p.degree)
+    assert p ** (order + 1) == p
+    assert p ** -1 == pi
+
+
 def test_make_group_trivial_and_cyclic():
     assert make_group(1, []).order == 1
     assert make_group(4, [from_cycles(4, [(0, 1, 2, 3)])]).order == 4

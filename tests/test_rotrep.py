@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qell import charmod
 from qell import groups
 from qell import gsets
 from qell import qell_core as qc
@@ -588,9 +589,20 @@ def test_warm_maps_make_no_decompositions(S3, c2_in_s3, c3_in_s3, monkeypatch):
 
 
 def test_warm_group_maps_redo_no_group_work(monkeypatch):
-    G = symmetric(3)
-    H = G.subgroup([Permutation([1, 0, 2])])   # not the least transposition
-    X = regular_gset(G)
+    _warm_maps_do_no_group_work(monkeypatch, symmetric(3), regular_gset,
+                                Permutation([0, 1, 2]), 3)
+
+
+def test_warm_group_maps_redo_no_group_work_on_s4_point(monkeypatch):
+    _warm_maps_do_no_group_work(monkeypatch, symmetric(4), point_set,
+                                Permutation([1, 0, 2, 3]), 0)
+
+
+def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
+    """Warm maps over (G, space(G)) with H = <(0 1)>; value_at_element is
+    taken at (h, point)."""
+    H = G.subgroup([Permutation([1, 0, *range(2, G.degree)])])   # not the least transposition
+    X = space(G)
     XH = X.restrict_group(H)
     sctx = ScalarContext.for_groups([G])
     a = qc.random_element(qc.structure(H, XH, sctx), random.Random(3))
@@ -599,6 +611,10 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
     c = qc.random_element(qc.structure(G, point_set(G), sctx), random.Random(5))
     d = qc.random_element(qc.structure(G, X, sctx), random.Random(6))
     incl = GroupHom.inclusion(H, G)
+    # (h, point) is no (class rep, orbit rep): the value is conjugated there
+    ci = d.structure.conjugacy.class_index(h)
+    orb = d.structure.classes[ci].orbits[d.structure.classes[ci].orbit_of_point[point]]
+    assert d.structure.conjugacy.class_reps[ci] != h or orb.rep != point
     maps = {
         "pullback_hom": lambda: qc.pullback_hom(incl, d),
         "change_of_group_inverse": lambda: qc.change_of_group_inverse(G, H, XH, a),
@@ -606,21 +622,33 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
         "transfer_A": lambda: qc.transfer(G, a, X, algorithm="A"),
         "transfer_B": lambda: qc.transfer(G, b, algorithm="B"),
         "mu": lambda: qc.mu(c, 2),
+        "mu3": lambda: qc.mu(c, 3),
+        "mu_on_X": lambda: qc.mu(d, 2),
+        "value_at_element": lambda: qc.value_at_element(d, h, point),
     }
+    # warm, these are lookups and Z[q^Q] arithmetic only
+    lookups_only = ("pullback_hom", "mu", "mu3", "mu_on_X", "value_at_element")
     cold = {name: fn() for name, fn in maps.items()}
     assert cold["change_of_group"] == a
     calls = []
+    group_work = []
 
-    def counted(module, name):
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args: calls.append(name) or fn(*args))
+    def counted(owner, name, log):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, **kwargs: log.append(name) or fn(*args, **kwargs))
 
-    counted(gsets, "_build_induced_gset")
+    counted(gsets, "_build_induced_gset", calls)
     for module in (groups, qc):     # any module that binds its own transporter
         if hasattr(module, "transporter"):
-            counted(module, "transporter")
-    counted(rr, "decompose")
+            counted(module, "transporter", calls)
+    counted(rr, "decompose", calls)
+    for name in ("__mul__", "inverse", "__pow__"):
+        counted(Permutation, name, group_work)
+    counted(groups.FiniteGroup, "is_subgroup", group_work)
+    for module in (groups, rr, qc, charmod):    # every module that binds class_fusion
+        if hasattr(module, "class_fusion"):
+            counted(module, "class_fusion", group_work)
     homs = []
     hom_init = groups.GroupHom.__init__
     monkeypatch.setattr(groups.GroupHom, "__init__", lambda self, *args, **kwargs:
@@ -632,14 +660,93 @@ def test_warm_group_maps_redo_no_group_work(monkeypatch):
     for name, fn in maps.items():
         homs.clear()
         builds.clear()
+        group_work.clear()
         assert fn() == cold[name], name
         assert not calls, (name, calls)
         # μ builds its inclusion only for a column miss, a pullback no hom
         # per orbit: change of group builds H <= G and nothing else
-        assert name not in ("mu", "pullback_hom") or not homs, (name, homs)
+        assert name not in lookups_only or not homs, (name, homs)
         assert name != "change_of_group" or len(homs) == 1, homs
         # conjugated stabilizers come back from the registry
         assert not builds, (name, len(builds))
+        # checks, fusions, transports and powers come back from their entries
+        assert name not in lookups_only or not group_work, (name, group_work)
+
+
+# -- a warm cache never answers a bad input ---------------------------------------
+#
+# Each ring map runs its checks when its entry is built.  Every bad call below
+# sits next to a good one: the same map with its source, map or target
+# changed.  With the good entry warm it must raise as on a cold cache, and
+# store nothing.
+
+W = Permutation([1, 0, 2, 3])                    # w = (0 1)
+WR = W * Permutation([0, 3, 2, 1])              # w·r, with r g r⁻¹ = g⁻¹
+
+
+def _s4_rings():
+    """Fresh S4 rings and homs: g = (0 1 2 3) with C(g) = C4 and C(g²) = D4,
+    Z2 = <g²>, C2 = <w> and T = wC4w⁻¹."""
+    G = symmetric(4)
+    sctx = ScalarContext.for_groups([G])
+    e, g = G.identity, Permutation([1, 2, 3, 0])
+    g2, wi = g * g, W.inverse()
+    C4, D4, Z2 = G.centralizer(g), G.centralizer(g2), G.subgroup_of([e, g2])
+    T = groups.conjugate_subgroup(G, C4, W)
+    rings = {name: rr.ctx_for(sctx, S, x) for name, S, x in (
+        ("C4@g", C4, g), ("C4@e", C4, e), ("C4@g2", C4, g2), ("D4@g2", D4, g2),
+        ("D4@e", D4, e), ("Z2@g2", Z2, g2), ("Z2@e", Z2, e),
+        ("C2@e", G.subgroup_of([e, W]), e),
+        ("T@wgw", T, W * g * wi), ("T@wg'w", T, W * g.inverse() * wi))}
+    return rings, {"G": GroupHom.identity_on(G), "C4": GroupHom.identity_on(C4)}
+
+
+def _full(ctx):
+    return ctx.from_coeffs([q_power(i) for i in range(ctx.rank)])
+
+
+def _stored(rings, homs):
+    return ([(len(c._maps), len(c._decomp_cache), len(c._conjugates)) for c in rings.values()],
+            [len(phi._restrictions) for phi in homs.values()])
+
+
+_MU = lambda R, H: rr.mu_transport(_full(R["D4@g2"]), 2, R["C4@g"])    # noqa: E731
+_CONJ = lambda R, H: rr.conjugate(_full(R["C4@g"]), W, R["T@wgw"])  # noqa: E731
+_RES = lambda R, H: rr.restrict_along(H["G"], _full(R["D4@g2"]), R["Z2@g2"])  # noqa: E731
+WARM_BAD_INPUTS = {
+    "mu-degree": (_MU, lambda R, H: rr.mu_transport(_full(R["D4@g2"]), 0, R["C4@g"])),
+    "mu-power": (_MU, lambda R, H: rr.mu_transport(_full(R["D4@g2"]), 2, R["C4@e"])),
+    "mu-inside": (lambda R, H: rr.mu_transport(_full(R["Z2@g2"]), 1, R["Z2@g2"]),
+                  lambda R, H: rr.mu_transport(_full(R["Z2@g2"]), 1, R["D4@g2"])),
+    "conj-target": (_CONJ, lambda R, H: rr.conjugate(_full(R["C4@g"]), W, R["T@wg'w"])),
+    "conj-map": (_CONJ, lambda R, H: rr.conjugate(_full(R["C4@g"]), WR, R["T@wgw"])),
+    "res-source": (_RES, lambda R, H: rr.restrict_along(H["G"], _full(R["C2@e"]), R["Z2@g2"])),
+    "res-domain": (lambda R, H: rr.restrict_along(H["C4"], _full(R["C4@g2"]), R["Z2@g2"]),
+                   lambda R, H: rr.restrict_along(H["C4"], _full(R["C4@g2"]), R["D4@g2"])),
+    "res-g": (_RES, lambda R, H: rr.restrict_along(H["G"], _full(R["D4@g2"]), R["Z2@e"])),
+    "res-source-g": (_RES,
+                     lambda R, H: rr.restrict_along(H["G"], _full(R["D4@e"]), R["Z2@g2"])),
+    "ind-g": (lambda R, H: rr.induce_to(_full(R["Z2@g2"]), R["D4@g2"]),
+              lambda R, H: rr.induce_to(_full(R["Z2@g2"]), R["D4@e"])),
+    "ind-inside": (lambda R, H: rr.induce_to(_full(R["D4@g2"]), R["D4@g2"]),
+                   lambda R, H: rr.induce_to(_full(R["D4@g2"]), R["C4@g2"])),
+}
+
+
+@pytest.mark.parametrize("good, bad", WARM_BAD_INPUTS.values(), ids=WARM_BAD_INPUTS.keys())
+def test_warm_cache_never_answers_a_bad_input(good, bad):
+    with pytest.raises(PreconditionError) as cold:
+        bad(*_s4_rings())
+    rings, homs = _s4_rings()
+    value = good(rings, homs)
+    stored = _stored(rings, homs)
+    for _ in range(2):      # raising again shows that the first bad call stored nothing
+        with pytest.raises(PreconditionError) as warm:
+            bad(rings, homs)
+        assert type(warm.value) is type(cold.value)
+        assert str(warm.value) == str(cold.value)
+        assert _stored(rings, homs) == stored
+    assert good(rings, homs) == value
 
 
 # -- restriction along class fusions ----------------------------------------------
