@@ -138,7 +138,6 @@ class CharacterTable:
                           for r in self.rows)
         self.columns = tuple(zip(*(r.values for r in self.rows)))
         self.row_of = {r.values: i for i, r in enumerate(self.rows)}
-        self._angle_cache: dict = {}
         self._products: dict = {}         # (i, j), i <= j -> (row, mult) pairs
 
     def degree(self, i: int) -> int:
@@ -150,9 +149,6 @@ class CharacterTable:
         if i is None:
             raise InternalCheckError("class function is not a row of the table")
         return i
-
-    def angle(self, i: int, g: Permutation) -> Fraction:
-        return memo(self._angle_cache, (i, g), central_angle, self.rows[i], g, self.ctx)
 
     def product_multiplicities(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """The nonzero (row, multiplicity) pairs of rows[i]·rows[j], in row

@@ -448,13 +448,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = "",
                    spec: str | None = None) -> FiniteGroup:
     """G x H acting on the disjoint union of the factors' point sets."""
     dG, dH = G.degree, H.degree
-
-    def pair(a: Permutation, b: Permutation) -> Permutation:
-        return Permutation(tuple(a.images) + tuple(i + dG for i in b.images))
-
-    elements = [pair(a, b) for a in G.elements for b in H.elements]
-    gens = [pair(a, H.identity) for a in G.generators] + \
-           [pair(G.identity, b) for b in H.generators]
+    elements = [_pair(dG, a, b) for a in G.elements for b in H.elements]
+    gens = [_pair(dG, a, H.identity) for a in G.generators] + \
+           [_pair(dG, G.identity, b) for b in H.generators]
     if len(elements) > order_cap():
         raise GroupTooLargeError(f"group too large: order exceeds cap {order_cap()}")
     P = FiniteGroup(dG + dH, gens, name=name or f"{G.name}x{H.name}",
@@ -476,7 +472,11 @@ def product_split(P: FiniteGroup, g: Permutation) -> tuple[Permutation, Permutat
 def product_pair(P: FiniteGroup, a: Permutation, b: Permutation) -> Permutation:
     if P.factor_degrees is None:
         raise PreconditionError(f"{P.name} is not a direct product")
-    dG, _ = P.factor_degrees
+    return _pair(P.factor_degrees[0], a, b)
+
+
+def _pair(dG: int, a: Permutation, b: Permutation) -> Permutation:
+    """(a, b) on the disjoint union, b's points shifted past a's dG points."""
     return Permutation(tuple(a.images) + tuple(i + dG for i in b.images))
 
 

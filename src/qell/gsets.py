@@ -109,12 +109,6 @@ def product_gset(X: FiniteGSet, Y: FiniteGSet, P: FiniteGroup) -> FiniteGSet:
     """
     from .groups import product_split
     nY = Y.n_points
-
-    def act(g, pt):
-        a, b = product_split(P, g)
-        x, y = divmod(pt, nY)
-        return X.act(a, x) * nY + Y.act(b, y)
-
     table = {}
     for g in P.elements:
         a, b = product_split(P, g)

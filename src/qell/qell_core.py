@@ -18,10 +18,9 @@ f(k·x) = φ(k)·f(x), i.e. of global quotients X//K -> Y//G (``_pullback``):
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import rotrep as rr
-from .charmod import ClassFunction, ScalarContext
+from .charmod import ScalarContext
 from .errors import InternalCheckError, PreconditionError
 from .groups import (
     FiniteGroup,
@@ -266,9 +265,9 @@ def _kunneth_table(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
         va = ctxA.table.rows[i].values
         for j in range(ctxB.rank):
             vb = ctxB.table.rows[j].values
-            values = [va[a] * vb[b] % p for a, b in parts]
-            k = ctxP.table.irreducible_index(
-                ClassFunction(ctxP.group, ctxP.sctx, values))
+            k = ctxP.table.row_of.get(tuple(va[a] * vb[b] % p for a, b in parts))
+            if k is None:
+                raise InternalCheckError("class function is not a row of the table")
             c = ctxA.angles[i] + ctxB.angles[j]
             if ctxP.angles[k] != c - int(c):
                 raise InternalCheckError("product basis element has wrong angle")
@@ -526,7 +525,7 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
                     name=f"{X.name}|left", check=False)
     sG = structure(G, XG, sctx)
     sH = structure(H, point_set(H), sctx)
-    pieces: dict[tuple[int, int], QEllElt] = {}
+    pieces: dict[tuple[int, int], list] = {}     # (hi, j) -> a_i's component lists
     fusions = _factor_fusions(P, P, G, H)
     for ci, (cb, gi, hi) in enumerate(zip(struct.classes, *fusions)):
         cbG = sG.classes[gi]
@@ -541,71 +540,16 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
                 if f.is_zero():
                     continue
                 i, j, shift = back[k]
-                piece_key = (hi, j)
-                if piece_key not in pieces:
-                    pieces[piece_key] = sG.zero()
-                comp = [list(row) for row in pieces[piece_key].components]
+                if (hi, j) not in pieces:
+                    pieces[(hi, j)] = [list(row) for row in sG.zero().components]
+                comp = pieces[(hi, j)]
                 comp[gi][oa] = comp[gi][oa] + ctxA.basis_elt(i, f.shift(-shift))
-                pieces[piece_key] = QEllElt(sG, comp)
     out = []
     for (hi, j) in sorted(pieces):
-        b = sH.zero().components
-        b = [list(row) for row in b]
+        b = [list(row) for row in sH.zero().components]
         b[hi][0] = sH.classes[hi].ctxs[0].basis_elt(j)
-        out.append((pieces[(hi, j)], QEllElt(sH, b)))
+        out.append((QEllElt(sG, pieces[(hi, j)]), QEllElt(sH, b)))
     return out
-
-
-def tate_presentation_report(N: int) -> dict:
-    """Check the cyclic-group components are Z[q^±][x]/(x^N - q^m) on the nose.
-
-    For each component m: the canonical generator is the basis element pairing
-    the dual generator character with angle m/N; its N-th power must equal
-    q^m, and its lower powers must sweep the remaining basis elements up to
-    integral q-shifts.
-    """
-    from .groups import cyclic
-    if N < 1:
-        raise PreconditionError("N must be >= 1")
-    G = cyclic(N)
-    sctx = ScalarContext.for_groups([G])
-    struct = structure(G, point_set(G), sctx)
-    s = G.generators[0] if N > 1 else G.identity
-    conj = struct.conjugacy
-    table = sctx.table(G)
-    zN = sctx.root_of_unity(N) if N > 1 else 1
-    gen_rows = [i for i in range(table.n_irr) if table.rows[i](s) == zN % sctx.p]
-    report = {"N": N, "components": [], "ok": True}
-    if len(gen_rows) != 1:
-        raise InternalCheckError("dual generator character is not unique")
-    j1 = gen_rows[0]
-    for m in range(N):
-        g = s ** m
-        ci = conj.class_index(g)
-        if conj.class_reps[ci] != g:
-            raise InternalCheckError("cyclic group class rep is not the element")
-        ctx = struct.classes[ci].ctxs[0]
-        entry = {"m": m, "rank": ctx.rank, "rank_ok": ctx.rank == N}
-        angle_ok = ctx.angles[j1] == Fraction(m % N, N) if N > 1 else True
-        x = ctx.basis_elt(j1)
-        power = ctx.unit()
-        seen_rows = set()
-        powers_ok = True
-        for jexp in range(1, N):
-            power = power * x
-            idx = power.basis_index()
-            if idx is None:
-                powers_ok = False
-                break
-            seen_rows.add(idx)
-        xn_ok = powers_ok and (power * x) == ctx.q(m)
-        cover_ok = powers_ok and seen_rows == set(range(ctx.rank)) - {ctx.trivial_row}
-        entry.update({"angle_ok": angle_ok, "xN_ok": xn_ok,
-                      "powers_cover_basis": cover_ok})
-        entry["ok"] = all((entry["rank_ok"], angle_ok, xn_ok, powers_ok, cover_ok))
-        report["components"].append(entry)
-        report["ok"] = report["ok"] and entry["ok"]
-    return report
 
 
 # ---------------------------------------------------------------------------

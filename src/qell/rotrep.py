@@ -41,6 +41,7 @@ from .charmod import (
     ClassFunction,
     ScalarContext,
     adams_cf,
+    central_angle,
     decompose,
     induce_cf,
 )
@@ -63,7 +64,7 @@ class LambdaCtx:
         self.g = g
         self.table: CharacterTable = sctx.table(group)
         self.angles: tuple[Fraction, ...] = tuple(
-            self.table.angle(i, g) for i in range(self.table.n_irr)
+            central_angle(row, g, sctx) for row in self.table.rows
         )
         self.g_order = ordg = g.order()
         for c in self.angles:

@@ -77,16 +77,9 @@ def paper_suite() -> list[Check]:
 
 def cyclic_presentations(orders) -> list[Check]:
     """Each component of QEll_{C_N}(pt) is Z[q^±][x]/(x^N - q^m), one check per N."""
-    out = []
-    for N in orders:
-        rep = qc.tate_presentation_report(N)
-        bad = [e["m"] for e in rep["components"] if not e["ok"]]
-        out.append(_check(
-            f"cyclic order-{N} torsion presentation x^{N} = q^m per component",
-            rep["ok"] and len(rep["components"]) == N,
-            f"failing components {bad}" if bad else "",
-        ))
-    return out
+    return [_verdict(f"cyclic order-{N} torsion presentation x^{N} = q^m per component",
+                     _product_components(N, 1))
+            for N in orders]
 
 
 def abelian_product_presentations(pairs) -> list[Check]:
@@ -98,22 +91,35 @@ def abelian_product_presentations(pairs) -> list[Check]:
 
 
 def _product_components(n1: int, n2: int):
-    G = direct_product(cyclic(n1), cyclic(n2))
+    """The components of QEll_G(pt) at k = (k1, k2), for G = C_{n1} x C_{n2}, or
+    G = C_{n1} itself when n2 = 1 (then s2 = e, and s1 = e too when n1 = 1).
+    Generator x_j is the one row with value ζ_{n_j} at s_j and 1 at the other."""
+    if n2 > 1:
+        G = direct_product(cyclic(n1), cyclic(n2))
+        s1 = product_pair(G, cyclic(n1).generators[0], cyclic(n2).identity)
+        s2 = product_pair(G, cyclic(n1).identity, cyclic(n2).generators[0])
+    else:
+        G = cyclic(n1)
+        s1, s2 = G.generators[0] if n1 > 1 else G.identity, G.identity
     sctx = ScalarContext.for_groups([G])
-    s1 = product_pair(G, cyclic(n1).generators[0], cyclic(n2).identity)
-    s2 = product_pair(G, cyclic(n1).identity, cyclic(n2).generators[0])
+    st = qc.structure(G, point_set(G), sctx)
     z1, z2 = sctx.root_of_unity(n1), sctx.root_of_unity(n2)
     for k1 in range(n1):
         for k2 in range(n2):
-            ctx = rr.ctx_build(G, s1 ** k1 * s2 ** k2, sctx)
+            case, g = f"k = ({k1}, {k2})", s1 ** k1 * s2 ** k2
+            ctx = st.classes[st.conjugacy.class_index(g)].ctxs[0]
             rows = ctx.table.rows
-            i1 = next(i for i in range(ctx.rank) if rows[i](s1) == z1 and rows[i](s2) == 1)
-            i2 = next(i for i in range(ctx.rank) if rows[i](s1) == 1 and rows[i](s2) == z2)
+            gens = [[i for i in range(ctx.rank) if rows[i](s1) == a and rows[i](s2) == b]
+                    for a, b in ((z1, 1), (1, z2))]
+            if any(len(found) != 1 for found in gens):
+                yield case, False
+                continue
+            (i1,), (i2,) = gens
             x1, x2 = ctx.basis_elt(i1), ctx.basis_elt(i2)
             swept = {(x1 ** a * x2 ** b).basis_index()
                      for a in range(n1) for b in range(n2)}
-            yield f"k = ({k1}, {k2})", (
-                ctx.rank == n1 * n2
+            yield case, (
+                ctx.g == g and ctx.rank == n1 * n2
                 and ctx.angles[i1] == Fraction(k1, n1) and ctx.angles[i2] == Fraction(k2, n2)
                 and x1 ** n1 == ctx.q(k1) and x2 ** n2 == ctx.q(k2)
                 and swept == set(range(ctx.rank)))
@@ -212,8 +218,7 @@ def free_action_examples() -> list[Check]:
         X = regular_gset(G)
         st = qc.structure(G, X, sctx)
         data = qc.free_quotient(st.q(2) + st.unit())
-        ok = (st.total_rank() == 1 and len(data) == 1
-              and data[0][1] == (q_power(2) + q_power(0)))
+        ok = st.total_rank() == 1 and data == [(0, q_power(2) + q_power(0))]
         out.append(_check(
             f"free action on the regular set collapses to Z[q^±] ({G.name})",
             ok, f"total rank {st.total_rank()}"))

@@ -18,8 +18,7 @@ from qell.groups import (
     direct_product,
     symmetric,
 )
-from qell.gsets import point_set, product_gset, regular_gset
-from qell.qlaurent import q_power
+from qell.gsets import point_set, product_gset
 
 
 def _report(n, text):
@@ -46,7 +45,9 @@ def test_criterion_02_symmetric3_rings(assert_pass):
 
 def test_criterion_03_torsion_scheme_presentations(assert_pass):
     assert_pass(verify.cyclic_presentations(range(1, 9)))
-    _report(3, "torsion-scheme ring presentations verified for N=1..8")
+    assert_pass(verify.abelian_product_presentations(((2, 3), (2, 4), (3, 3))))
+    _report(3, "torsion-scheme ring presentations verified for N=1..8 "
+               "and for C2xC3, C2xC4, C3xC3")
 
 
 def test_criterion_04_kunneth_basis_bijection(assert_pass):
@@ -73,13 +74,8 @@ def test_criterion_07_mu_family(assert_pass):
                "exterior-power commutation")
 
 
-def test_criterion_08_free_action_and_trivial_split():
-    for G in (cyclic(2), symmetric(3)):
-        sctx = ScalarContext.for_groups([G])
-        st = qc.structure(G, regular_gset(G), sctx)
-        assert st.total_rank() == 1
-        data = qc.free_quotient(st.q(3) - st.unit())
-        assert data == [(0, q_power(3) - q_power(0))]
+def test_criterion_08_free_action_and_trivial_split(assert_pass):
+    assert_pass(verify.free_action_examples())
     G, H = cyclic(2), cyclic(3)
     P = direct_product(G, H)
     sctx = ScalarContext.for_groups([P])

@@ -5,6 +5,7 @@ import pytest
 from qell import qell_core as qc
 from qell import rotrep as rr
 from qell import verify
+from qell.charmod import ClassFunction
 from qell.groups import cyclic
 
 
@@ -59,3 +60,12 @@ def test_injected_fault_flips_the_mu_composition_report(monkeypatch):
     assert verify.mu_composition_report(2, 0)[0][1:] == (True, "observed agreement")
     monkeypatch.setattr(qc, "mu", _plus_unit(qc.mu))
     assert verify.mu_composition_report(2, 0)[0][1:] == (True, "observed DISAGREEMENT")
+
+
+@pytest.mark.parametrize("run", [lambda: verify.cyclic_presentations((1, 3)),
+                                 lambda: verify.abelian_product_presentations(((2, 3),))],
+                         ids=["cyclic", "product"])
+def test_presentation_checks_fail_when_no_generator_row_matches(monkeypatch, run):
+    monkeypatch.setattr(ClassFunction, "__call__", lambda self, g: 0)
+    checks = run()
+    assert checks and all(not ok and detail for _, ok, detail in checks), checks
