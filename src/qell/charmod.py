@@ -34,6 +34,7 @@ class ScalarContext:
             if pow(self.zeta, self.N // f, self.p) == 1:
                 raise InternalCheckError("root of unity has wrong order")
         self._tables: dict = {}
+        self._angles: dict = {}     # n -> {ζ_n^k: k/n}
         self._lambda_ctxs: dict = {}
         self._structures: dict = {}
         self._terms: dict = {}      # rotrep column terms and columns, one object per value
@@ -440,21 +441,31 @@ def adams_cf(chi: ClassFunction, m: int) -> ClassFunction:
                                          class_fusion(G, G, lambda g: g ** m)))
 
 
-def central_angle(chi: ClassFunction, g: Permutation, ctx: ScalarContext) -> Fraction:
-    """The unique c = k/ord(g) in [0,1) with χ(g) = χ(1)·ζ^{kN/ord(g)}.
+def central_angle(chi: ClassFunction, g: Permutation, ctx: ScalarContext,
+                  order: int | None = None) -> Fraction:
+    """The unique c = k/n in [0,1), n = ord(g), with χ(g) = χ(1)·ζ^{kN/n}.
 
     Requires χ irreducible and g central in χ's group, so that χ(g)/χ(1)
-    is a root of unity of order dividing ord(g).
+    is a root of unity of order dividing n.  ``order`` is n, if the caller
+    has it.  χ(g)/χ(1) is looked up in the context's table of the powers of
+    ζ_n, built once per n.
     """
     G = chi.group
     conj = G.conjugacy()
     d = chi.values[conj.class_index(G.identity)]
     val = chi.values[conj.class_index(g)] * pow(d, -1, ctx.p) % ctx.p
-    n = g.order()
+    n = g.order() if order is None else order
+    angles = memo(ctx._angles, n, _angle_table, ctx, n)
+    if val not in angles:
+        raise InternalCheckError("no central angle found; scalar context corrupted")
+    return angles[val]
+
+
+def _angle_table(ctx: ScalarContext, n: int) -> dict[int, Fraction]:
+    """{ζ_n^k: k/n} for 0 <= k < n, the least k for a repeated power."""
     zeta_n = ctx.root_of_unity(n)
-    cur = 1
+    angles, cur = {}, 1
     for k in range(n):
-        if cur == val:
-            return Fraction(k, n)
+        angles.setdefault(cur, Fraction(k, n))
         cur = cur * zeta_n % ctx.p
-    raise InternalCheckError("no central angle found; scalar context corrupted")
+    return angles

@@ -4,15 +4,27 @@ Groups are fully enumerated with a deterministic element order (lexicographic
 on image tuples), so conjugacy classes, centralizers and transporters are
 exact brute-force computations.  The enumeration order fixes every canonical
 representative downstream.
+
+Closures, scans and sorts work on image tuples; each element is wrapped in a
+``Permutation`` once.  For image tuples a, b of degree >= 2,
+``itemgetter(*a)(b)`` is (b·a).images, so a product is one C call; on degree
+0 or 1 there is only the identity, and no product is taken.
+
+Each member set has one class walk: the least-first copy of a root's full
+member set shares the root's.  A central class has the whole group as its
+centralizer; any other class's centralizer is one scan.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
+from operator import attrgetter, itemgetter
 
 from .errors import (
     GroupTooLargeError,
+    InternalCheckError,
     InvalidGeneratorError,
     NotHomomorphismError,
     NotSubgroupError,
@@ -21,6 +33,8 @@ from .errors import (
 from .perm import Permutation, from_cycles, identity
 
 DEFAULT_ORDER_CAP = 20160
+
+_images = attrgetter("images")      # sort key: the order of Permutation.__lt__
 
 
 def memo(cache: dict, key, build, *args):
@@ -67,7 +81,7 @@ class FiniteGroup:
         self.generators = tuple(gens)
         if _elements is None:
             _elements = _closure(self.degree, self.generators)
-        self.elements = tuple(sorted(_elements))
+        self.elements = tuple(sorted(_elements, key=_images))
         self.name = name or f"group<{self.degree}:{len(self.elements)}>"
         self.spec = spec
         self._index = {g: i for i, g in enumerate(self.elements)}
@@ -121,11 +135,8 @@ class FiniteGroup:
         return f"{self.name} (order {self.order}, degree {self.degree})"
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            e = 1
-            for g in self.conjugacy().class_reps:     # order is a class function
-                e = math.lcm(e, g.order())
-            self._exponent = e
+        if self._exponent is None:      # order is a class function
+            self._exponent = math.lcm(*self.conjugacy().rep_orders)
         return self._exponent
 
     def is_abelian(self) -> bool:
@@ -143,8 +154,21 @@ class FiniteGroup:
         return FiniteGroup(self.degree, tuple(elements), name=name or f"sub<{self.name}>")
 
     def conjugacy(self) -> "ConjugacyData":
+        """The classes, from one class walk per member set.
+
+        The least-first copy of the root's own member set has the root's
+        elements in the root's order and the root's registry, so its classes,
+        centralizers and transports are the root's: it shares the root's
+        data, caches included, under its own ``group``.
+        """
         if self._conjugacy is None:
-            self._conjugacy = _conjugacy_data(self)
+            root = self._root
+            if root is not self and root.order == self.order:
+                data = copy.copy(root.conjugacy())
+                data.group = self
+                self._conjugacy = data
+            else:
+                self._conjugacy = _conjugacy_data(self)
         return self._conjugacy
 
     def subgroup_of(self, members) -> "FiniteGroup":
@@ -166,30 +190,36 @@ class FiniteGroup:
         return memo(root._subgroups, mask, _least_first, root, members)
 
     def centralizer(self, g: Permutation) -> "FiniteGroup":
-        gi = g.images               # h*g == g*h, compared on images
-        return self.subgroup_of([h for h in self.elements if tuple(
-            map(h.images.__getitem__, gi)) == tuple(map(gi.__getitem__, h.images))])
+        """The h with h*g == g*h, by one scan of the elements."""
+        if self.degree < 2:
+            return self.subgroup_of(self.elements)
+        gi, times_g = g.images, itemgetter(*g.images)
+        return self.subgroup_of([h for h in self.elements
+                                 if times_g(h.images) == itemgetter(*h.images)(gi)])
 
 
 def _closure(degree: int, generators) -> set[Permutation]:
-    return _span(identity(degree), generators, order_cap())[1]
+    return set(map(Permutation._raw, _span(degree, generators, order_cap())[1]))
 
 
-def _span(e: Permutation, candidates, cap: int) -> tuple[list, set]:
+def _span(degree: int, candidates, cap: int) -> tuple[list, set]:
     """(gens, span): the candidates outside the span of those before them, and
-    the group they generate.  <H, g> is a union of right cosets H·r (Dimino):
-    one more coset for each r·s outside it, r a coset rep, s a generator."""
-    gens, span = [], {e}
+    the image tuples of the group they generate.  <H, g> is a union of right
+    cosets H·r (Dimino): one more coset for each r·s outside it, r a coset
+    rep, s a generator."""
+    e = tuple(range(degree))
+    gens, steps, span = [], [], {e}
     for g in candidates:
-        if g in span:
+        if g.images in span:
             continue
         gens.append(g)
+        steps.append(itemgetter(*g.images))         # r ↦ (r·g).images
         H, reps = list(span), [e]
         for r in reps:
-            for s in gens:
-                x = r * s
+            for s in steps:
+                x = s(r)
                 if x not in span:
-                    span.update([h * x for h in H])
+                    span.update(map(itemgetter(*x), H))
                     reps.append(x)
                     if len(span) > cap:
                         raise GroupTooLargeError(f"group too large: order exceeds cap {cap}")
@@ -202,12 +232,13 @@ def make_group(degree: int, generators, name: str = "", spec: str | None = None)
 
 
 def _least_first(root: FiniteGroup, members) -> FiniteGroup:
-    members = sorted(set(members))
-    gens, span = _span(root.identity, members, root.order)
+    members = sorted(set(members), key=_images)
+    gens, span = _span(root.degree, members, root.order)
+    # every member lies in the span, so equal sizes mean the members are it
     if len(span) != len(members):
         raise InvalidGeneratorError("invalid generator: the members do not form a group")
     return FiniteGroup(root.degree, gens, name=f"sub<{root.name}:{len(span)}>",
-                       _elements=span, _root=root)
+                       _elements=members, _root=root)
 
 
 def conjugate_subgroup(G: FiniteGroup, S: FiniteGroup, w: Permutation) -> FiniteGroup:
@@ -220,7 +251,8 @@ class ConjugacyData:
     """Conjugacy classes of a group, with centralizers and transport helpers.
 
     Class representatives are the least elements of their classes in the
-    group's element order, listed in that same order.
+    group's element order, listed in that same order; ``rep_orders`` are
+    their orders.
     """
 
     def __init__(self, group: FiniteGroup, class_reps, class_of, class_elements,
@@ -231,6 +263,7 @@ class ConjugacyData:
         self.class_of_images = class_of_images    # image tuple -> class index
         self.class_elements = tuple(tuple(c) for c in class_elements)
         self.class_sizes = tuple(len(c) for c in class_elements)
+        self.rep_orders = tuple(g.order() for g in self.class_reps)
         self._centralizers: dict[int, FiniteGroup] = {}
         self._transports: dict[Permutation, tuple[int, Permutation]] = {}
         self._inverse_classes: tuple[int, ...] | None = None
@@ -246,8 +279,15 @@ class ConjugacyData:
             raise PreconditionError(f"{g!r} is not an element of {self.group.name}") from None
 
     def centralizer(self, class_idx: int) -> FiniteGroup:
-        return memo(self._centralizers, class_idx,
-                    self.group.centralizer, self.class_reps[class_idx])
+        """C_G(rep): the whole group for a central class (class 0, the
+        identity's, builds it), else one scan of G."""
+        return memo(self._centralizers, class_idx, self._centralizer, class_idx)
+
+    def _centralizer(self, ci: int) -> FiniteGroup:
+        G = self.group
+        if self.class_sizes[ci] > 1:
+            return G.centralizer(self.class_reps[ci])
+        return self.centralizer(0) if ci else G.subgroup_of(G.elements)
 
     def transport_to_rep(self, g: Permutation) -> tuple[int, Permutation]:
         """Return (class index i, w) with ``g == w * rep_i * w^{-1}``.
@@ -280,18 +320,19 @@ def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
     class_of_images: dict[tuple, int] = {}
     reps, classes = [], []
     element_of = {g.images: g for g in G.elements}
-    conjugators = [(s.images.__getitem__, s.inverse().images) for s in G.generators]
+    conjugators = [(s.images, itemgetter(*s.inverse().images))
+                   for s in G.generators if s != G.identity]
     for g in G.elements:
         if g in class_of:
             continue
-        # orbit of g under conjugation by the generators: (s x s^-1)(i) = s(x(s^-1(i)))
+        # orbit of g under conjugation by the generators: s·x·s⁻¹ = s·(x·s⁻¹)
         orbit = {g.images}
         frontier = [g.images]
         while frontier:
             nxt = []
             for x in frontier:
-                for s, si in conjugators:
-                    y = tuple(map(s, map(x.__getitem__, si)))
+                for s, times_si in conjugators:
+                    y = itemgetter(*times_si(x))(s)
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
@@ -304,7 +345,8 @@ def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
             class_of[x] = idx
             class_of_images[x.images] = idx
     data = ConjugacyData(G, reps, class_of, classes, class_of_images)
-    assert sum(data.class_sizes) == G.order
+    if sum(data.class_sizes) != G.order:
+        raise InternalCheckError("class sizes do not sum to the group order")
     return data
 
 

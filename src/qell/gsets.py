@@ -9,7 +9,7 @@ recorded here.
 
 from __future__ import annotations
 
-from .errors import NotSubgroupError, PreconditionError
+from .errors import InternalCheckError, NotSubgroupError, PreconditionError
 from .groups import FiniteGroup, GroupHom, Permutation, memo
 
 
@@ -162,7 +162,8 @@ def orbits_with_stabilizers(C: FiniteGroup, X: FiniteGSet, subset=None) -> list[
                 transport[y] = c
         pts = sorted(transport)
         stab = C.subgroup_of([c for c in C.elements if X.act(c, x) == x])
-        assert len(pts) * stab.order == C.order
+        if len(pts) * stab.order != C.order:
+            raise InternalCheckError(f"orbit-stabilizer count fails at point {x}")
         out.append(Orbit(x, pts, stab, transport))
         seen.update(pts)
     return out
@@ -196,7 +197,8 @@ def _build_induced_gset(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet) -> Finite
                 for hi, row in moves:
                     point_of[row[x]][g * hi] = len(reps)
                 reps.append((gi, x))
-    assert len(reps) * H.order == G.order * X.n_points
+    if len(reps) * H.order != G.order * X.n_points:
+        raise InternalCheckError("induced set has the wrong number of points")
     cols = [(G.elements[gi], point_of[x]) for gi, x in reps]
     table = {a: tuple(p[a * g] for g, p in cols) for a in G.elements}
     return FiniteGSet(G, len(reps), table, name=f"{G.name}x_{H.name}{X.name}",
@@ -254,5 +256,5 @@ def inertia_skeleton(G: FiniteGroup, X: FiniteGSet) -> list[SkeletonEntry]:
                 raise PreconditionError(
                     f"stabilizer at {orb.rep} does not contain the class rep"
                 )
-        entries.append(SkeletonEntry(g, g.order(), C, fixed, orbits))
+        entries.append(SkeletonEntry(g, conj.rep_orders[ci], C, fixed, orbits))
     return entries

@@ -62,7 +62,7 @@ def group_from_payload(data: dict) -> FiniteGroup:
 def space_payload(struct: QEllStructure) -> dict:
     X = struct.gset
     G = struct.group
-    if X == point_set(G):
+    if X.n_points == 1:         # a one-point set has only the trivial action
         return {"kind": "pt"}
     # G/H is recovered canonically: the identity coset is point 0, so its
     # stabilizer is H; the regular set is G/1.  An empty set is no G/H.
@@ -144,7 +144,7 @@ def _document(struct: QEllStructure, orbits) -> dict:
         "group": group_payload(struct.group),
         "space": space_payload(struct),
         "classes": [{"rep": list(cb.g.images),
-                     "rep_order": cb.g.order(),
+                     "rep_order": cb.order,
                      "centralizer_order": cb.centralizer.order,
                      "orbits": orbits(ci, cb)}
                     for ci, cb in enumerate(struct.classes)],

@@ -21,6 +21,9 @@ from qell.charmod import (
 from qell.errors import InternalCheckError, PreconditionError, ScalarContextError
 from qell.groupspec import parse_group_spec
 from qell.groups import GroupHom, Permutation, cyclic, dihedral, direct_product, symmetric
+from qell.gsets import point_set
+from qell.qell_core import structure
+from strategies import small_perm_specs
 
 
 def test_scalar_context_properties(S3, s3_ctx):
@@ -221,6 +224,45 @@ def test_central_angle_additivity(C4):
             for i, m in enumerate(mults):
                 if m:
                     assert central_angle(t.rows[i], g, ctx) == target
+
+
+
+def _angle_by_search(chi, g, ctx):
+    """The angle of g on χ by a linear search of the powers of ζ_{ord(g)}."""
+    G = chi.group
+    val = chi(g) * pow(chi(G.identity), -1, ctx.p) % ctx.p
+    n = g.order()
+    zeta_n = ctx.root_of_unity(n)
+    return next(Fraction(k, n) for k in range(n) if pow(zeta_n, k, ctx.p) == val)
+
+
+def _assert_angles_match_search(G):
+    sctx = ScalarContext.for_groups([G])
+    for cb in structure(G, point_set(G), sctx).classes:
+        for ctx in cb.ctxs:
+            expected = tuple(_angle_by_search(r, ctx.g, sctx) for r in ctx.table.rows)
+            assert ctx.angles == expected
+            assert tuple(central_angle(r, ctx.g, sctx) for r in ctx.table.rows) == expected
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "C2xC4", "A5"])
+def test_angles_match_a_linear_search(spec):
+    _assert_angles_match_search(parse_group_spec(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_perm_specs(max_degree=6))
+def test_angles_match_a_linear_search_on_random_groups(spec):
+    _assert_angles_match_search(parse_group_spec(spec))
+
+
+def test_central_angle_check_fires_on_a_corrupted_context():
+    C2 = cyclic(2)
+    ctx = ScalarContext.for_groups([C2])
+    sign = next(r for r in ctx.table(C2).rows if r(C2.generators[0]) != 1)
+    ctx.zeta = 1                # every ζ_n is now 1, so χ(g)/χ(1) = -1 is no power
+    with pytest.raises(InternalCheckError, match="no central angle found"):
+        central_angle(sign, C2.generators[0], ctx)
 
 
 # -- injected faults ------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from qell import gsets, jsonio
 from qell import qell_core as qc
 from qell.charmod import ScalarContext
-from qell.errors import NotSubgroupError, PreconditionError, SchemaError
+from qell.errors import InternalCheckError, NotSubgroupError, PreconditionError, SchemaError
 from qell.groups import (
     GroupHom,
     Permutation,
@@ -144,6 +144,26 @@ def test_orbit_stabilizer_invariant(S3):
             assert X.act(orb.transport[pt], orb.rep) == pt
 
 
+
+# An unchecked table that is no action: r² acts as r does.  The stabilizer of
+# 0 is the subgroup {e}, yet the orbit of 0 has 2 points, not |C3| = 3.
+def test_orbit_stabilizer_check_fires_on_an_unchecked_table():
+    C3 = cyclic(3)
+    e, r, r2 = C3.elements[0], C3.generators[0], C3.generators[0] ** 2
+    X = FiniteGSet(C3, 3, {e: (0, 1, 2), r: (1, 2, 0), r2: (1, 2, 0)}, check=False)
+    with pytest.raises(InternalCheckError, match="orbit-stabilizer"):
+        orbits_with_stabilizers(C3, X)
+
+
+# An unchecked C2-table whose generator sends both points to 0: the pairs
+# (g, x) then fall into 3 classes, not |C2 x X| / |C2| = 2.
+def test_induced_point_count_check_fires_on_an_unchecked_table():
+    C2 = cyclic(2)
+    e, s = C2.elements
+    X = FiniteGSet(C2, 2, {e: (0, 1), s: (0, 0)}, check=False)
+    with pytest.raises(InternalCheckError, match="induced set"):
+        induced_gset(C2, C2, X)
+
 def test_skeleton_s3_point(S3):
     sk = inertia_skeleton(S3, point_set(S3))
     cents = [e.centralizer.order for e in sk]
@@ -275,6 +295,15 @@ def test_classifying_a_regular_structure_builds_no_induced_set(monkeypatch):
                         lambda *args: calls.append(1) or build(*args))
     assert jsonio.space_payload(struct) == {"kind": "regular"}
     assert calls == []
+
+
+def test_a_one_point_space_is_classified_without_a_point_set(monkeypatch):
+    G = symmetric(4)
+    struct = qc.structure(G, coset_gset(G, G.subgroup_of(G.elements)),
+                          ScalarContext.for_groups([G]))
+    monkeypatch.setattr(jsonio, "point_set", None)
+    assert jsonio.space_payload(struct) == {"kind": "pt"}
+
 
 def test_restrict_and_via_hom(S3, c3_in_s3):
     from qell.groups import GroupHom

@@ -1,8 +1,9 @@
 """Dead-code checks on the library source, by its syntax tree alone.
 
 No module of ``qell`` except the package ``__init__`` (which re-exports)
-imports a name it never uses, and no function defines a nested function it
-never refers to.
+imports a name it never uses, no function defines a nested function it never
+refers to, and no module checks with a bare ``assert``, which ``python -O``
+strips.
 """
 
 import ast
@@ -64,6 +65,15 @@ def test_no_unused_nested_functions(path):
     assert unused_nested_functions(_tree(path)) == []
 
 
+def bare_asserts(tree) -> list[str]:
+    return [f"assert (line {n.lineno})" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_bare_asserts(path):
+    assert bare_asserts(_tree(path)) == []
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "from fractions import Fraction\n"
@@ -71,6 +81,8 @@ def test_the_checks_see_what_they_look_for():
         "def product_gset(X):\n"
         "    def act(g, pt):\n"
         "        return act(g, pt)\n"
+        "    assert X\n"
         "    return ScalarContext(X)\n")
     assert [s.split()[0] for s in unused_imports(tree)] == ["Fraction", "ClassFunction"]
     assert [s.split()[0] for s in unused_nested_functions(tree)] == ["product_gset.act"]
+    assert bare_asserts(tree) == ["assert (line 6)"]

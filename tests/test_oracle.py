@@ -31,7 +31,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
@@ -41,6 +40,7 @@ from qell.groupspec import parse_group_spec
 from qell.gsets import coset_gset, point_set, regular_gset
 from qell.qell_core import structure
 from qell.perm import Permutation
+from strategies import small_perm_specs
 
 BUILTINS = ([f"S{n}" for n in range(1, 7)] + [f"A{n}" for n in range(1, 7)]
             + [f"C{n}" for n in range(1, 13)] + [f"D{n}" for n in range(1, 13)])
@@ -144,17 +144,6 @@ def test_rank_of_s4_sets_matches_commuting_triples(space):
     G, subgroups = _s4_subgroups()
     X = regular_gset(G) if space == "regular" else coset_gset(G, subgroups[space])
     assert_rank_matches_triples(G, X)
-
-
-@st.composite
-def small_perm_specs(draw, max_degree=5):
-    """``perm:`` specs of one or two generators on at most max_degree points."""
-    degree = draw(st.integers(2, max_degree))
-    gens = []
-    for images in draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2)):
-        cycles = Permutation(images).cycles() or [(0,)]
-        gens.append("".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
-    return f"perm:{degree}:" + ";".join(gens)
 
 
 @settings(max_examples=25, deadline=None)

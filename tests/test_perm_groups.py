@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
+from qell import groups
 from qell.errors import (
     GroupTooLargeError,
     InvalidGeneratorError,
@@ -29,6 +31,7 @@ from qell.groups import (
 from qell.groupspec import parse_group_spec
 from qell.gsets import inertia_skeleton, point_set
 from qell.perm import from_cycles, identity
+from strategies import small_perm_specs
 
 
 def brute_conjugacy_classes(elements):
@@ -317,3 +320,100 @@ def test_conjugation_is_interned(registry_group):
             assert conjugate_subgroup(G, C, w) is S
             assert set(S.elements) == {w * c * w.inverse() for c in C.elements}
         assert all(conjugate_subgroup(G, C, c) is C for c in C.elements)
+
+
+# -- one class walk per member set ---------------------------------------------------
+
+WALK_SPECS = ["S4", "D6", "C2xC4", "A5", "perm:5:(0,1,2,3,4);(0,1);(1,2)"]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The groups ``_conjugacy_data`` walks, in call order."""
+    seen = []
+    walk = groups._conjugacy_data
+    monkeypatch.setattr(groups, "_conjugacy_data", lambda G: seen.append(G) or walk(G))
+    return seen
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_full_member_set_copy_has_the_roots_classes(spec):
+    G = parse_group_spec(spec)
+    H = G.subgroup_of(G.elements)
+    a, b = G.conjugacy(), H.conjugacy()
+    assert b.group is H
+    assert b.class_reps == a.class_reps and b.class_sizes == a.class_sizes
+    assert b.class_elements == a.class_elements
+    assert b.class_of_images == a.class_of_images
+    assert {g: b.class_index(g) for g in H} == {g: a.class_index(g) for g in G}
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_one_class_walk_per_member_set(spec, walks):
+    G = parse_group_spec(spec)
+    G.subgroup_of(G.elements).conjugacy()
+    G.conjugacy()
+    assert walks == [G]
+    conj = G.conjugacy()
+    for ci in range(conj.n_classes):
+        conj.centralizer(ci).conjugacy()
+    assert len(walks) == 1 + len({conj.centralizer(ci) for ci in range(conj.n_classes)
+                                  if conj.class_sizes[ci] > 1})
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_central_classes_have_the_whole_group_as_centralizer(spec):
+    G = parse_group_spec(spec)
+    conj = G.conjugacy()
+    for ci in range(conj.n_classes):
+        C = conj.centralizer(ci)
+        assert C.order * conj.class_sizes[ci] == G.order
+        if conj.class_sizes[ci] == 1:
+            assert C is G.subgroup_of(G.elements)
+        inner = C.conjugacy()           # a subgroup's central classes too
+        for cj, size in enumerate(inner.class_sizes):
+            if size == 1:
+                assert inner.centralizer(cj) is C
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_central_classes_need_no_scan(spec, monkeypatch):
+    scanned = []
+    scan = FiniteGroup.centralizer
+    monkeypatch.setattr(FiniteGroup, "centralizer",
+                        lambda self, g: scanned.append(g) or scan(self, g))
+    G = parse_group_spec(spec)
+    conj = G.conjugacy()
+    for ci in range(conj.n_classes):
+        assert conj.centralizer(ci).order * conj.class_sizes[ci] == G.order
+    assert scanned == [g for g, size in zip(conj.class_reps, conj.class_sizes) if size > 1]
+
+
+def _assert_elements_sorted_by_lt(G):
+    """Element order is the order of ``Permutation.__lt__``, for the group, its
+    full-set copy and every centralizer, so canonical reps cannot move."""
+    conj = G.conjugacy()
+    for H in (G, G.subgroup_of(G.elements), *map(conj.centralizer, range(conj.n_classes))):
+        assert list(H.elements) == sorted(H.elements)
+        assert H.conjugacy().class_reps == tuple(sorted(H.conjugacy().class_reps))
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_elements_follow_permutation_order(spec):
+    _assert_elements_sorted_by_lt(parse_group_spec(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_perm_specs(max_degree=6))
+def test_elements_follow_permutation_order_on_random_groups(spec):
+    _assert_elements_sorted_by_lt(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_groups_of_degree_below_two_are_trivial(degree):
+    e = identity(degree)
+    G = FiniteGroup(degree, [e, e])
+    assert G.elements == (e,) and G.exponent() == 1
+    assert G.conjugacy().class_reps == (e,)
+    assert G.centralizer(e).elements == (e,)
+    assert G.conjugacy().centralizer(0).elements == (e,)
