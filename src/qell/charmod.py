@@ -34,7 +34,7 @@ class ScalarContext:
             if pow(self.zeta, self.N // f, self.p) == 1:
                 raise InternalCheckError("root of unity has wrong order")
         self._tables: dict = {}
-        self._angles: dict = {}     # n -> {ζ_n^k: k/n}
+        self._angles: dict = {}     # (n, N, p, ζ) -> {ζ_n^k: k/n}
         self._lambda_ctxs: dict = {}
         self._structures: dict = {}
         self._terms: dict = {}      # rotrep column terms and columns, one object per value
@@ -441,21 +441,23 @@ def adams_cf(chi: ClassFunction, m: int) -> ClassFunction:
                                          class_fusion(G, G, lambda g: g ** m)))
 
 
-def central_angle(chi: ClassFunction, g: Permutation, ctx: ScalarContext,
-                  order: int | None = None) -> Fraction:
+def central_angle(chi: ClassFunction, g: Permutation, ctx: ScalarContext) -> Fraction:
     """The unique c = k/n in [0,1), n = ord(g), with χ(g) = χ(1)·ζ^{kN/n}.
 
     Requires χ irreducible and g central in χ's group, so that χ(g)/χ(1)
-    is a root of unity of order dividing n.  ``order`` is n, if the caller
-    has it.  χ(g)/χ(1) is looked up in the context's table of the powers of
-    ζ_n, built once per n.
+    is a root of unity of order dividing n.  n is read from the class data,
+    and χ(g)/χ(1) is looked up in a table of the powers of ζ_n.  The table
+    is kept per (n, N, p, ζ), the scalars it is built from, so a context
+    whose scalars change after a lookup builds a fresh table, and the check
+    sees the change.
     """
     G = chi.group
     conj = G.conjugacy()
+    ci = conj.class_index(g)
     d = chi.values[conj.class_index(G.identity)]
-    val = chi.values[conj.class_index(g)] * pow(d, -1, ctx.p) % ctx.p
-    n = g.order() if order is None else order
-    angles = memo(ctx._angles, n, _angle_table, ctx, n)
+    val = chi.values[ci] * pow(d, -1, ctx.p) % ctx.p
+    n = conj.rep_orders[ci]
+    angles = memo(ctx._angles, (n, ctx.N, ctx.p, ctx.zeta), _angle_table, ctx, n)
     if val not in angles:
         raise InternalCheckError("no central angle found; scalar context corrupted")
     return angles[val]

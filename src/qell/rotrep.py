@@ -63,10 +63,10 @@ class LambdaCtx:
         self.group = group
         self.g = g
         self.table: CharacterTable = sctx.table(group)
-        self.g_order = ordg = g.order()
         self.angles: tuple[Fraction, ...] = tuple(
-            central_angle(row, g, sctx, ordg) for row in self.table.rows
+            central_angle(row, g, sctx) for row in self.table.rows
         )
+        self.g_order = ordg = g.order()
         for c in self.angles:
             if ordg % c.denominator:
                 raise InternalCheckError("angle denominator does not divide ord(g)")

@@ -265,6 +265,17 @@ def test_central_angle_check_fires_on_a_corrupted_context():
         central_angle(sign, C2.generators[0], ctx)
 
 
+def test_central_angle_check_fires_on_a_context_corrupted_after_use():
+    C2 = cyclic(2)
+    ctx = ScalarContext.for_groups([C2])
+    g = C2.generators[0]
+    sign = next(r for r in ctx.table(C2).rows if r(g) != 1)
+    assert central_angle(sign, g, ctx) == Fraction(1, 2)
+    ctx.zeta = 1                # corrupted after ζ_2's powers were first read
+    with pytest.raises(InternalCheckError, match="no central angle found"):
+        central_angle(sign, g, ctx)
+
+
 # -- injected faults ------------------------------------------------------------
 #
 # character_table checks the rows it is handed; corrupting the rows one of the
