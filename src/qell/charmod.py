@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from . import modp
 from .errors import PreconditionError, ScalarContextError, InternalCheckError
@@ -139,7 +139,8 @@ class CharacterTable:
                           for r in self.rows)
         self.columns = tuple(zip(*(r.values for r in self.rows)))
         self.row_of = {r.values: i for i, r in enumerate(self.rows)}
-        self._products: dict = {}         # (i, j), i <= j -> (row, mult) pairs
+        self._products: dict = {}         # i -> (row, mult) pairs of i*j, j >= i
+        self._columns: dict = {}          # (pairs, shift) -> rotrep's product column
 
     def degree(self, i: int) -> int:
         return self.degrees[i]
@@ -155,8 +156,15 @@ class CharacterTable:
         """The nonzero (row, multiplicity) pairs of rows[i]·rows[j], in row
         order, found once per unordered pair and shared by every context
         over this table."""
-        return memo(self._products, (i, j) if i <= j else (j, i),
-                    _decompose_product, self, i, j)
+        return self.product_row(i)[j - i] if i <= j else self.product_row(j)[i - j]
+
+    def product_row(self, i: int) -> tuple:
+        """``product_multiplicities(i, j)`` for j = i, i+1, ..., n_irr - 1."""
+        return memo(self._products, i, _product_row, self, i)
+
+
+def _product_row(table: CharacterTable, i: int) -> tuple:
+    return tuple(_decompose_product(table, i, j) for j in range(i, table.n_irr))
 
 
 def _decompose_product(table: CharacterTable, i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -200,57 +208,53 @@ def _abelian_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
 
     Each step adjoins one generator a with a^s the first power landing in the
     current subgroup; a character extends s ways, one per s-th root of its
-    value at a^s inside the order-N cyclic group generated by ζ.
+    value at a^s inside the order-N cyclic group generated by ζ.  Elements
+    are image tuples, multiplied through ``itemgetter``; a character is the
+    list of its ζ-exponents on the covered elements, in their order.
     """
-    p, N, zeta = ctx.p, ctx.N, ctx.zeta
-    # character = map element -> exponent of zeta
-    chars: list[dict[Permutation, int]] = [{G.identity: 0}]
-    covered = [G.identity]
-    covered_set = {G.identity}
+    p, N = ctx.p, ctx.N
+    covered = [G.identity.images]
+    position = {covered[0]: 0}
+    chars: list[list[int]] = [[0]]
     for a in G.elements:
-        if a in covered_set:
+        a = a.images
+        if a in position:
             continue
-        s = 1
-        power = a
-        while power not in covered_set:
+        times_a = itemgetter(*a)        # x ↦ x·a
+        s, power = 1, a
+        while power not in position:
             s += 1
-            power = power * a
+            power = times_a(power)
         # a^s is in the current subgroup; extend every character s ways
+        at_power = position[power]
+        g, step = math.gcd(s, N), N // s if N % s == 0 else None
         new_chars = []
         for chi in chars:
-            t = chi[power]
+            t = chi[at_power]
             # solve s*u = t (mod N); solutions exist since s | N and values
             # of a genuine character are s-th powers in <zeta>
-            if t % math.gcd(s, N):
+            if t % g:
                 raise InternalCheckError("character value is not an s-th power")
-            u0 = (t // math.gcd(s, N)) * pow(s // math.gcd(s, N),
-                                             -1, N // math.gcd(s, N)) % (N // math.gcd(s, N))
-            step = N // s if N % s == 0 else None
+            u0 = (t // g) * pow(s // g, -1, N // g) % (N // g)
             if step is None:
                 raise InternalCheckError("extension index does not divide N")
-            sols = sorted((u0 + k * step) % N for k in range(s))
-            for u in sols:
-                ext = dict(chi)
-                x = G.identity
+            for u in sorted((u0 + k * step) % N for k in range(s)):
+                ext = chi[:]
                 for j in range(1, s):
-                    x = x * a
-                    for h in covered:
-                        ext[h * x] = (chi[h] + j * u) % N
+                    ju = j * u
+                    ext.extend([(c + ju) % N for c in chi])
                 new_chars.append(ext)
         chars = new_chars
-        x = G.identity
-        new_covered = list(covered)
-        for j in range(1, s):
-            x = x * a
-            new_covered.extend(h * x for h in covered)
-        covered = new_covered
-        covered_set = set(covered)
-    conj = G.conjugacy()
-    rows = []
-    for chi in chars:
-        rows.append(ClassFunction(G, ctx,
-                                  [pow(zeta, chi[rep], p) for rep in conj.class_reps]))
-    return rows
+        x, block = a, len(covered)
+        for j in range(1, s):           # the coset of a^j, in chi's extension order
+            covered.extend(map(itemgetter(*x), covered[:block]))
+            x = times_a(x)
+        position.update(zip(covered[block:], range(block, len(covered))))
+    zeta_powers = [1] * N
+    for k in range(1, N):
+        zeta_powers[k] = zeta_powers[k - 1] * ctx.zeta % p
+    reps = [position[r.images] for r in G.conjugacy().class_reps]
+    return [ClassFunction(G, ctx, [zeta_powers[chi[r]] for r in reps]) for chi in chars]
 
 
 def _class_matrix_column(conj, class_i, j: int) -> tuple[tuple, tuple]:

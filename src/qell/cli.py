@@ -126,13 +126,13 @@ def _load_element(path: str, sctx_groups: list[FiniteGroup]):
 
 
 def _emit(payload: dict, path: str | None):
-    text = jsonio.dumps(payload)
+    """Write the payload's text to the file at ``path`` piece by piece, or print it."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(jsonio.pieces(payload))
             fh.write("\n")
     else:
-        print(text)
+        print(jsonio.dumps(payload))
 
 
 def cmd_point(args) -> int:

@@ -86,7 +86,8 @@ class FiniteGroup:
         self.spec = spec
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._conjugacy = None
-        self._induced: dict = {}          # (H.key(), X.key()) -> G x_H X
+        # over subgroups H: (H.key(), X.key()) -> G x_H X, (H.key(),) -> H -> G
+        self._induced: dict = {}
         self._root = _root or self        # the group whose registry holds self
         self._subgroups: dict = {}        # member bitmask -> subgroup (on a root)
         self._exponent = None

@@ -15,6 +15,13 @@ Payload layout (schema_version "1"):
 Structures carry no "coeffs"; element payloads omit orbits whose component is
 zero.  All rationals are reduced "a/b" strings; key order is fixed so that
 serialize(parse(serialize(v))) is byte-identical.
+
+A structure payload with tables ("table": [[entry]], entry[μ] the coefficient
+of μ in basis product i*j) is written, not edited: every context of one
+document shares each entry list and each serialized cell.  ``dumps`` joins
+the pieces of ``pieces``, which writes shared lists once per indent and
+builds every list or dict below the top levels in one join; the CLI writes
+the pieces to a file without holding the whole text.
 """
 
 from __future__ import annotations
@@ -97,7 +104,7 @@ def _frac_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def _orbit_payload(cb, oi, coeffs=None, table=False) -> dict:
+def _orbit_payload(cb, oi, coeffs=None, shared=None) -> dict:
     orb = cb.orbits[oi]
     ctx = cb.ctxs[oi]
     out = {
@@ -110,30 +117,48 @@ def _orbit_payload(cb, oi, coeffs=None, table=False) -> dict:
     }
     if coeffs is not None:
         out["coeffs"] = [qlaurent.serialize(f) for f in coeffs]
-    if table:
-        out["table"] = _product_table(ctx)
+    if shared is not None:
+        out["table"] = _product_table(ctx, *shared)
     return out
 
 
-def _product_table(ctx) -> list:
+class _Shared(list):
+    """A list that a payload holds in many places (a table entry, a cell).
+
+    ``dumps`` writes its text once per indent and keeps it in ``texts``; the
+    payload is written, not edited.
+    """
+
+    __slots__ = ("texts",)
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.texts: dict = {}       # len(newline) -> text
+
+
+def _product_table(ctx, entries: dict, cells: dict) -> list:
     """Serialized coefficients of every basis product i*j, from its nonzero
-    columns.  The payload is written, not edited: entry (j, i) is the list of
-    (i, j), equal entries (same columns) are one list, and an entry's zero
+    columns.  Entry (j, i) is the list of (i, j); ``entries`` and ``cells``
+    hold the document's entries, by (rank, column), and cells, by
+    coefficient, so contexts over one table share them.  An entry's zero
     columns share one empty list."""
     n = ctx.rank
     rows = [[None] * n for _ in range(n)]
-    cells: dict = {}                      # equal coefficients share one cell
-    entries: dict = {}                    # equal columns share one entry
-    for i in range(n):
-        for j in range(i, n):
-            cols = tuple(ctx.product_columns(i, j))
-            entry = entries.get(cols)
-            if entry is None:
-                entry = entries[cols] = [[]] * n
-                for mu, f in cols:
-                    entry[mu] = memo(cells, f, qlaurent.serialize, f)
-            rows[i][j] = rows[j][i] = entry
+    for i, row in enumerate(rows):
+        for j, cols in enumerate(ctx.product_row(i), i):
+            row[j] = rows[j][i] = memo(entries, (n, cols), _entry, n, cols, cells)
     return rows
+
+
+def _entry(n: int, cols, cells: dict) -> _Shared:
+    entry = _Shared([[]] * n)
+    for mu, f in cols:
+        entry[mu] = memo(cells, f, _cell, f)
+    return entry
+
+
+def _cell(f) -> _Shared:
+    return _Shared(qlaurent.serialize(f))
 
 
 def _document(struct: QEllStructure, orbits) -> dict:
@@ -152,7 +177,8 @@ def _document(struct: QEllStructure, orbits) -> dict:
 
 
 def structure_payload(struct: QEllStructure, tables: bool = False) -> dict:
-    return _document(struct, lambda ci, cb: [_orbit_payload(cb, oi, table=tables)
+    shared = ({}, {}) if tables else None       # the document's entries and cells
+    return _document(struct, lambda ci, cb: [_orbit_payload(cb, oi, shared=shared)
                                              for oi in range(len(cb.orbits))])
 
 
@@ -219,36 +245,74 @@ def dumps(payload: dict) -> str:
     them empty lists.  Payloads are trees of str-keyed dicts, lists, strings,
     ints, bools and None; any other value is encoded by ``json.dumps``.
     """
-    return _text(payload, "\n", {})
+    return "".join(pieces(payload))
 
 
-def _text(value, newline: str, written: dict) -> str:
+def pieces(payload: dict):
+    """The text of ``dumps(payload)`` in pieces, to be written without being
+    held whole: in a structure payload, a piece is at most one table row."""
+    return _pieces(payload, "\n")
+
+
+# A container indented less than this is written child by child; one at this
+# indent or deeper (in a structure payload, a table row) in one join.
+_JOIN_INDENT = 6
+
+
+def _pieces(value, newline: str):
     # newline is "\n" plus the current indent; children get one space more.
-    # A dict's str and int values and a list's empty lists are written inside
-    # the parent's join; any other child is one call.  Lists a payload shares
-    # (table entries, cells) are written once: ``written`` keeps each list's
-    # text by (id, indent), up to 1 KiB so that it holds no copy of the document.
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + " "
-        return "{" + inner + ("," + inner).join([_encode_str(k) + ": " + (
-            _encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
-            else _text(v, inner, written)) for k, v in value.items()]) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        text = written.get(key := (id(value), len(newline)))
-        if text is None:
-            inner = newline + " "
-            text = "[" + inner + ("," + inner).join(["[]" if v == [] else _text(
-                v, inner, written) for v in value]) + newline + "]"
-            if len(text) <= 1024:
-                written[key] = text
-        return text
-    if type(value) is str:
+    if not value or not isinstance(value, (dict, list, tuple)) or type(value) is _Shared:
+        yield _text(value, newline)
+        return
+    inner = newline + " "
+    by_child = len(inner) <= _JOIN_INDENT        # the children's indent is below it
+    is_dict = isinstance(value, dict)
+    sep = ("{" if is_dict else "[") + inner
+    for key, v in value.items() if is_dict else enumerate(value):
+        yield sep + _encode_str(key) + ": " if is_dict else sep
+        sep = "," + inner
+        if by_child:
+            yield from _pieces(v, inner)
+        else:
+            yield _text(v, inner)
+    yield newline + ("}" if is_dict else "]")
+
+
+def _text(value, newline: str) -> str:
+    """The text of value at indent ``newline``: a list or dict in one join,
+    a _Shared list's text found once per indent and then read from it."""
+    t = type(value)
+    if t is str:
         return _encode_str(value)
-    return int.__repr__(value) if type(value) is int else json.dumps(value)
+    if t is int:
+        return int.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    if t is _Shared:
+        return memo(value.texts, len(newline), _joined, value, newline)
+    return _joined(value, newline)
+
+
+def _joined(value, newline: str) -> str:
+    inner = newline + " "
+    if isinstance(value, dict):
+        parts, sep = [], "{" + inner
+        for key, v in value.items():
+            parts.append(sep + _encode_str(key) + ": ")
+            parts.append(_text(v, inner))
+            sep = "," + inner
+        parts.append(newline + "}")
+        return "".join(parts)
+    depth = len(inner)
+    texts = ["[]" if v == [] else v.texts.get(depth) or _text(v, inner)
+             if type(v) is _Shared else _text(v, inner) for v in value]
+    # one join: the brackets ride on the first and last child
+    texts[0] = "[" + inner + texts[0]
+    texts[-1] += newline + "]"
+    return ("," + inner).join(texts)
 
 
 def loads(text: str) -> dict:

@@ -322,9 +322,11 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
 
 def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
                     elt: QEllElt) -> QEllElt:
-    """Forward map QEll_G(G x_H X) -> QEll_H(X): the pullback along (H ≤ G, x ↦ [e, x])."""
-    if not G.is_subgroup(H):
-        raise PreconditionError(f"{H.name} is not a subgroup of {G.name}")
+    """Forward map QEll_G(G x_H X) -> QEll_H(X): the pullback along (H ≤ G, x ↦ [e, x]).
+
+    The inclusion H -> G is checked once per (H, G) and kept on G, so its
+    restriction entries stay warm across calls."""
+    incl = memo(G._induced, (H.key(),), _inclusion, H, G)
     src = elt.structure
     Z = induced_gset(G, H, X)
     if src.gset != Z:
@@ -337,7 +339,15 @@ def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
         if Z.labels[x] != (0, x):
             raise InternalCheckError(
                 "[e, x] is not point x: induced G-set labels must sort the (0, x) first")
-    return _pullback(GroupHom.inclusion(H, G), X.points(), elt, X)
+    return _pullback(incl, X.points(), elt, X)
+
+
+def _inclusion(H: FiniteGroup, G: FiniteGroup) -> GroupHom:
+    """The inclusion H -> G as G's identity: a pullback reads φ on subgroups
+    of H only, so every H <= G shares one hom, the inclusion of G itself."""
+    if not G.is_subgroup(H):
+        raise PreconditionError(f"{H.name} is not a subgroup of {G.name}")
+    return memo(G._induced, (G.key(),), GroupHom.identity_on, G)
 
 
 def change_of_group_inverse(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,

@@ -14,6 +14,11 @@ an integer (asserted at runtime).  n is 1 except for μ^n.
 
 * product:   (λ,c)(λ',c') has weight c+c'; its constituents are the table's
   product multiplicities, so the product is q^⌊c+c'⌋ · Σ_μ ⟨λλ', μ⟩ (μ, frac(c+c')).
+  The columns belong to the character table, one per (multiplicities,
+  shift), and every context over the table shares them; a context does only
+  integer work, a row of products at a time: with its angles read as k/n,
+  n = ord(g), the shift and remainder are divmod(k_i + k_j, n), and every
+  constituent μ must have k_μ equal to the remainder.
 * Adams ψ^m: group elements [h,t] power to [h^m, mt], so ψ^m sends q to q^m,
   coefficients f(q) to f(q^m), and (λ,c), of weight mc, to the constituents
   of ψ^m λ.
@@ -74,7 +79,7 @@ class LambdaCtx:
         self.trivial_row = self.table.irreducible_index(
             ClassFunction(group, sctx, [1] * self.rank))
         self._hash = hash(self.key())
-        self._mul_cache: dict = {}
+        self._product_rows: dict = {}  # i -> the columns of i*j for j >= i
         self._decomp_cache: dict = {}
         self._maps: dict = {}          # checked map entries, by (kind, n or w, target)
         self._conjugates: dict = {}    # w -> the context over w S w⁻¹ at w g w⁻¹
@@ -116,15 +121,41 @@ class LambdaCtx:
 
     def product_columns(self, i: int, j: int):
         """Structure constants of basis product i*j: the nonzero (μ, mult·q^shift)."""
-        return memo(self._mul_cache, (i, j) if i <= j else (j, i),
-                    self._multiply_basis, i, j)
+        return self.product_row(i)[j - i] if i <= j else self.product_row(j)[i - j]
 
-    def _multiply_basis(self, i: int, j: int):
-        # angles are k/n with n = ord(g): add them as int numerators over n
-        n, a, b = self.g_order, self.angles[i], self.angles[j]
-        c = a.numerator * (n // a.denominator) + b.numerator * (n // b.denominator)
-        return _constituents(self.table.product_multiplicities(i, j), self, (c, n),
-                             "product constituent carries the wrong central angle")
+    def product_row(self, i: int) -> tuple:
+        """The product columns of i*j for j = i, i+1, ..., rank - 1."""
+        return memo(self._product_rows, i, self._product_row, i)
+
+    def _product_row(self, i: int) -> tuple:
+        # The angles are read now, as k/n with n = ord(g), so a context
+        # corrupted after construction fails here; a denominator that does
+        # not divide n fails too.
+        n, table = self.g_order, self.table
+        ratios = [a.as_integer_ratio() for a in self.angles]
+        if any(n % den for _, den in ratios):
+            raise InternalCheckError(_PRODUCT_ANGLE)
+        ks = [num * (n // den) for num, den in ratios]
+        ki, row, columns = ks[i], [], table._columns
+        for j, pairs in enumerate(table.product_row(i), i):
+            shift, k = divmod(ki + ks[j], n)
+            for mu, _ in pairs:
+                if ks[mu] != k:
+                    raise InternalCheckError(_PRODUCT_ANGLE)
+            row.append(memo(columns, (pairs, shift), _product_column, table, pairs, shift))
+        return tuple(row)
+
+
+_PRODUCT_ANGLE = "product constituent carries the wrong central angle"
+
+
+def _product_column(table: CharacterTable, pairs, shift: int):
+    """The column q^shift·Σ_μ m_μ·μ of a product with multiplicities ``pairs``:
+    the table keeps one per (pairs, shift), so at most one per (i, j, shift),
+    shared by every context over it."""
+    terms = table.ctx._terms
+    cols = tuple(memo(terms, (mu, m, shift, 1), _term, mu, m, shift, 1) for mu, m in pairs)
+    return memo(table.ctx._columns, cols, tuple, cols)
 
 
 def _constituents(pairs, target: LambdaCtx, weight: tuple[int, int], message: str,
@@ -323,8 +354,9 @@ def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaEl
 
     A ring homomorphism; every constituent of a pulled-back basis character
     inherits its central angle unchanged.  The checks and the class fusion of
-    target.group along φ are kept on φ per (elt's context, target); columns
-    are keyed by the fusion, so maps with equal fusions share them.
+    target.group along φ are kept on φ per (elt's context, target); the
+    (fusion, columns) pair is elt's ring's per fusion, so maps with equal
+    fusions share it.
     """
     src, S = elt.ctx, target.group
 
@@ -335,7 +367,7 @@ def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaEl
         if phi(target.g) != src.g:
             raise PreconditionError("homomorphism does not carry g to g")
         fusion = class_fusion(S, src.group, phi.image_of.__getitem__)
-        return fusion, memo(src._decomp_cache, ("res", target, fusion), dict)
+        return memo(src._decomp_cache, ("res", target, fusion), lambda: (fusion, {}))
 
     return _restriction(elt, target, phi._restrictions, (src, target), prepare,
                         "restricted constituent carries the wrong central angle")

@@ -329,6 +329,33 @@ def test_structure_payload_schema():
 
 
 
+def test_table_entries_have_their_orbits_rank():
+    """Entries are shared across the contexts of a document, never across ranks."""
+    for spec in ("S4", "D12"):
+        G = parse_group_spec(spec)
+        st_ = qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+        ranks = set()
+        for cls in jsonio.structure_payload(st_, tables=True)["classes"]:
+            for orb in cls["orbits"]:
+                ranks.add(orb["rank"])
+                assert len(orb["table"]) == orb["rank"]
+                for row in orb["table"]:
+                    assert [len(entry) for entry in row] == [orb["rank"]] * orb["rank"]
+        assert len(ranks) > 1, spec
+
+
+def test_c4xc4_payload_holds_a_column_per_table_pair_and_shift():
+    """C4xC4 has 16 contexts over one table of rank 16: 136 unordered pairs,
+    each at rotation shift 0 or 1."""
+    G = parse_group_spec("C4xC4")
+    st_ = qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+    jsonio.structure_payload(st_, tables=True)
+    columns = {id(ctx.product_columns(i, j)): 1
+               for cb in st_.classes for ctx in cb.ctxs
+               for i in range(ctx.rank) for j in range(ctx.rank)}
+    assert len(st_.classes) == 16 and 0 < len(columns) <= 2 * 136
+
+
 def test_dumps_is_json_indent_one():
     sctx = ScalarContext.for_groups([symmetric(4)])
     for spec in ("S4", "C2xC4", "D6"):
@@ -359,7 +386,7 @@ def test_dumps_is_json_indent_one_on_any_tree(tree):
 def test_dumps_writes_a_shared_list_at_each_depth():
     cell = [{"exp": "0/1", "coef": 2}]
     entry = [cell, [], cell]
-    long = list(range(400))                # text over the 1 KiB that dumps keeps
+    long = list(range(400))                # a long list, shared at two depths
     tree = {"a": [entry, entry], "b": [[entry], cell], "c": cell,
             "d": [long, [long], long]}
     assert jsonio.dumps(tree) == json.dumps(tree, indent=1)
@@ -470,6 +497,17 @@ def test_structure_json_golden_bytes(tmp_path, capsys, argv):
     assert main([*argv, "--json", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+def test_point_json_file_is_dumps_plus_newline(tmp_path, capsys):
+    """`point --json` writes the text in pieces, never whole; the bytes are the same."""
+    path = tmp_path / "out.json"
+    assert main(["point", "--group", "D4", "--json", str(path)]) == 0
+    G = parse_group_spec("D4")
+    st_ = qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+    text = jsonio.dumps(jsonio.structure_payload(st_, tables=True))
+    assert path.read_bytes() == (text + "\n").encode()
+    assert "".join(jsonio.pieces(jsonio.structure_payload(st_, tables=True))) == text
 
 
 def test_point_json_deterministic(tmp_path):

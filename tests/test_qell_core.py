@@ -333,6 +333,25 @@ def test_cog_checks_that_e_x_is_point_x(S3, c3_in_s3, monkeypatch):
         qc.change_of_group(S3, c3_in_s3, X, z)
 
 
+def test_cog_checks_its_inclusion_once_and_stores_no_failure(S3, c3_in_s3):
+    """The inclusion H <= G is kept on G after its check; a subgroup of
+    another group is refused whether or not a good inclusion is warm."""
+    G = symmetric(4)
+    sctx = ScalarContext.for_groups([G])
+    H = G.subgroup([groups.Permutation([1, 0, 2, 3])])
+    X = point_set(H)
+    z = qc.change_of_group_inverse(G, H, X, qc.structure(H, X, sctx).unit())
+    assert qc.change_of_group(G, H, X, z) == qc.structure(H, X, sctx).unit()
+    incl = G._induced[(H.key(),)]
+    assert qc.change_of_group(G, H, X, z) == qc.structure(H, X, sctx).unit()
+    assert G._induced[(H.key(),)] is incl
+    stored = dict(G._induced)
+    for K in (S3, c3_in_s3):            # degree 3: no subgroup of S4
+        with pytest.raises(PreconditionError, match="is not a subgroup of"):
+            qc.change_of_group(G, K, point_set(K), z)
+    assert G._induced == stored
+
+
 def test_cog_round_trips(assert_pass):
     assert_pass(verify.change_of_group_round_trips(10, 5))
 

@@ -491,6 +491,24 @@ def _product_past_one(new, S3, C2, C3):
     ctx.basis_elt(sign) * ctx.basis_elt(sign)
 
 
+def test_product_check_fires_on_a_second_context_over_a_filled_table():
+    """D4 ≤ S4 at e and at g² share one character table.  With every product
+    of the first context built, the second still checks its own angles."""
+    G = symmetric(4)
+    sctx = ScalarContext.for_groups([G])
+    g2 = Permutation([2, 3, 0, 1])
+    D4 = G.centralizer(g2)
+    first, second = rr.LambdaCtx(sctx, D4, G.identity), rr.LambdaCtx(sctx, D4, g2)
+    assert first.table is second.table and D4.order == 8
+    for i in range(first.rank):
+        for j in range(first.rank):
+            first.product_columns(i, j)
+    _bad_angles(second)
+    with pytest.raises(InternalCheckError,
+                       match="product constituent carries the wrong central angle"):
+        second.unit() * second.unit()
+
+
 @pytest.mark.parametrize("corrupted, message", [
     (_product, "product constituent carries the wrong central angle"),
     (_restricted, "restricted constituent carries the wrong central angle"),
@@ -557,6 +575,24 @@ def test_product_decompositions_are_shared_per_table(monkeypatch):
     assert len(calls) == G.order * (G.order + 1) // 2
     t = sctx.table(G)
     assert t.product_multiplicities(1, 2) is t.product_multiplicities(2, 1)
+
+def test_c4xc4_products_build_a_column_per_table_pair_and_shift(monkeypatch):
+    """The 16 contexts of C4xC4(pt) share one table: its 136 unordered pairs,
+    each at rotation shift 0 or 1, bound the column builds.  (Products with
+    equal multiplicities share a column, so there are fewer.)"""
+    G = direct_product(cyclic(4), cyclic(4))
+    sctx = ScalarContext.for_groups([G])
+    builds = []
+    build = rr._product_column
+    monkeypatch.setattr(rr, "_product_column", lambda *args: builds.append(1) or build(*args))
+    st = qc.structure(G, point_set(G), sctx)
+    for cb in st.classes:
+        ctx = cb.ctxs[0]
+        for i in range(ctx.rank):
+            for j in range(ctx.rank):
+                ctx.product_columns(i, j)
+    assert len(st.classes) == 16 and 0 < len(builds) <= 2 * 136
+
 
 def test_warm_maps_make_no_decompositions(S3, c2_in_s3, c3_in_s3, monkeypatch):
     C2, C3 = c2_in_s3, c3_in_s3
@@ -664,9 +700,8 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
         assert fn() == cold[name], name
         assert not calls, (name, calls)
         # μ builds its inclusion only for a column miss, a pullback no hom
-        # per orbit: change of group builds H <= G and nothing else
-        assert name not in lookups_only or not homs, (name, homs)
-        assert name != "change_of_group" or len(homs) == 1, homs
+        # per orbit, and change of group reuses its checked H <= G
+        assert not homs, (name, homs)
         # conjugated stabilizers come back from the registry
         assert not builds, (name, len(builds))
         # checks, fusions, transports and powers come back from their entries
