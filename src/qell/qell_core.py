@@ -221,7 +221,9 @@ def pullback_hom(phi: GroupHom, elt: QEllElt) -> QEllElt:
 def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
     """Pullback along an equivariant map of G-sets f: X -> Y, elt over (G, Y).
 
-    ``point_map[x]`` is f(x).  Equivariance is checked.
+    ``point_map[x]`` is f(x).  Equivariance is checked.  φ is G's identity,
+    the one hom ``change_of_group`` keeps on G, so restriction entries stay
+    warm across calls.
     """
     src = elt.structure
     G = src.group
@@ -237,7 +239,7 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
         for x in X.points():
             if point_map[X.act(g, x)] != Y.act(g, point_map[x]):
                 raise PreconditionError("point map is not equivariant")
-    return _pullback(GroupHom.identity_on(G), point_map, elt, X)
+    return _pullback(_inclusion(G, G), point_map, elt, X)
 
 
 # ---------------------------------------------------------------------------

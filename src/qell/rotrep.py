@@ -40,6 +40,7 @@ All multiplicities are computed exactly in the scalar context's prime field.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .charmod import (
     CharacterTable,
@@ -100,7 +101,7 @@ class LambdaCtx:
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "LambdaElt":
-        return LambdaElt(self, (ZERO,) * self.rank)
+        return _elt(self, (ZERO,) * self.rank)
 
     def unit(self) -> "LambdaElt":
         return self.basis_elt(self.trivial_row)
@@ -108,12 +109,9 @@ class LambdaCtx:
     def basis_elt(self, i: int, coeff: QLaurent = ONE) -> "LambdaElt":
         coeffs = [ZERO] * self.rank
         coeffs[i] = coeff
-        return LambdaElt(self, tuple(coeffs))
+        return _elt(self, tuple(coeffs))
 
     def from_coeffs(self, coeffs) -> "LambdaElt":
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.rank:
-            raise PreconditionError("coefficient vector has wrong length")
         return LambdaElt(self, coeffs)
 
     def q(self, exponent=1) -> "LambdaElt":
@@ -206,7 +204,11 @@ class LambdaElt:
     """Element of a rotation-extension representation ring.
 
     Coefficient vector over the canonical basis; coefficients live in Z[q^Q]
-    so fractional-exponent extensions need no separate type.
+    so fractional-exponent extensions need no separate type.  Arithmetic
+    touches only the nonzero coefficients: a sum copies the left vector and
+    combines at the right operand's support, and a product pairs the two
+    supports.  Results are built by ``_elt``, so only the public constructor
+    checks the vector's length.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -232,30 +234,29 @@ class LambdaElt:
         return i if coef == 1 and expo.denominator == 1 else None
 
     def __add__(self, other: "LambdaElt") -> "LambdaElt":
-        _same_ctx(self, other)
-        return LambdaElt(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, add)
 
     def __neg__(self) -> "LambdaElt":
-        return LambdaElt(self.ctx, tuple(-a for a in self.coeffs))
+        return _elt(self.ctx, tuple(-f if f.num else f for f in self.coeffs))
 
     def __sub__(self, other: "LambdaElt") -> "LambdaElt":
-        return self + (-other)
+        return _combine(self, other, sub)
 
     def __mul__(self, other) -> "LambdaElt":
         if isinstance(other, (QLaurent, int)):
-            return LambdaElt(self.ctx, tuple(f * other for f in self.coeffs))
+            return _elt(self.ctx, tuple(f * other if f.num else f for f in self.coeffs))
         _same_ctx(self, other)
-        out = [ZERO] * self.ctx.rank
-        for i, fi in enumerate(self.coeffs):
-            if fi.is_zero():
+        ctx = self.ctx
+        out = [ZERO] * ctx.rank
+        right = [(j, g) for j, g in enumerate(other.coeffs) if g.num]
+        for i, f in enumerate(self.coeffs):
+            if not f.num:
                 continue
-            for j, gj in enumerate(other.coeffs):
-                if gj.is_zero():
-                    continue
-                fg = fi * gj
-                for mu, mult in self.ctx.product_columns(i, j):
+            for j, g in right:
+                fg = f * g
+                for mu, mult in ctx.product_columns(i, j):
                     out[mu] = out[mu] + fg * mult
-        return LambdaElt(self.ctx, tuple(out))
+        return _elt(ctx, tuple(out))
 
     __rmul__ = __mul__
 
@@ -288,8 +289,26 @@ class LambdaElt:
         return " + ".join(parts) if parts else "0"
 
 
+def _elt(ctx: LambdaCtx, coeffs: tuple) -> LambdaElt:
+    """A LambdaElt from a tuple already known to have ctx.rank entries."""
+    e = object.__new__(LambdaElt)
+    object.__setattr__(e, "ctx", ctx)
+    object.__setattr__(e, "coeffs", coeffs)
+    return e
+
+
+def _combine(a: LambdaElt, b: LambdaElt, op) -> LambdaElt:
+    """a op b coefficient-wise, for op + or -: a's vector, changed at b's support."""
+    _same_ctx(a, b)
+    out = list(a.coeffs)
+    for j, g in enumerate(b.coeffs):
+        if g.num:
+            out[j] = op(out[j], g)
+    return _elt(a.ctx, tuple(out))
+
+
 def _same_ctx(a: LambdaElt, b: LambdaElt):
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise PreconditionError("elements live in different contexts")
 
 
@@ -317,7 +336,7 @@ def _basis_map(elt: LambdaElt, target: LambdaCtx, columns: dict, build,
             f = f.rescale(scale)
         for j, mult in memo(columns, i, build, i):
             out[j] = out[j] + f * mult
-    return LambdaElt(target, tuple(out))
+    return _elt(target, tuple(out))
 
 
 def _restriction(elt: LambdaElt, target: LambdaCtx, cache: dict, key, prepare,
@@ -453,23 +472,27 @@ def adams(elt: LambdaElt, m: int) -> LambdaElt:
 def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:
     """λ^k via the Newton recurrence k·λ^k = Σ (-1)^{i-1} ψ^i(x) λ^{k-i}(x).
 
-    Each division by k must be exact; failure signals a bug upstream.
+    λ⁰ = 1 and λ¹ = ψ¹ = x need no work, and the term ψ^i·λ⁰ is ψ^i itself,
+    so step i forms only the products ψ^j·λ^{i-j} with 1 ≤ j < i: λ³ takes
+    three products and ψ², ψ³.  Each division by i must be exact; failure
+    signals a bug upstream.
     """
     if k < 0:
         raise PreconditionError("exterior power index must be >= 0")
-    lam = [elt.ctx.unit()]
-    psi = [None]
-    for i in range(1, k + 1):
+    if k == 0:
+        return elt.ctx.unit()
+    lam = [None, elt]
+    psi = [None, elt]
+    for i in range(2, k + 1):
         psi.append(adams(elt, i))
-        acc = elt.ctx.zero()
-        sign = 1
-        for j in range(1, i + 1):
+        acc = elt * lam[i - 1]
+        for j in range(2, i):
             term = psi[j] * lam[i - j]
-            acc = acc + (term if sign > 0 else -term)
-            sign = -sign
+            acc = acc + term if j % 2 else acc - term
+        acc = acc + psi[i] if i % 2 else acc - psi[i]
         try:
-            lam.append(LambdaElt(elt.ctx,
-                                 tuple(f.divide_int_exact(i) for f in acc.coeffs)))
+            lam.append(_elt(elt.ctx, tuple(f.divide_int_exact(i) if f.num else f
+                                           for f in acc.coeffs)))
         except PreconditionError as exc:
             raise InternalCheckError(f"Newton recurrence not integral: {exc}") from exc
     return lam[k]

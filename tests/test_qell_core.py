@@ -234,6 +234,29 @@ def test_pullbacks_match_the_per_orbit_bodies(G):
                 assert qc.pullback_map(f, y, GK) == _old_pullback_map(f, y, GK)
 
 
+def test_pullback_map_reuses_the_identity_hom(monkeypatch):
+    """Two pullbacks along G-maps share G's identity hom (and with it its
+    restriction entries): it is built at most once."""
+    G = dihedral(6)
+    sctx = ScalarContext.for_groups([G])
+    built = []
+    identity_on = GroupHom.identity_on
+
+    def counted(H):
+        built.append(H)
+        return identity_on(H)
+
+    monkeypatch.setattr(GroupHom, "identity_on", staticmethod(counted))
+    Y = point_set(G)
+    X = regular_gset(G)
+    rng = random.Random(11)
+    for _ in range(2):
+        y = qc.random_element(qc.structure(G, Y, sctx), rng)
+        f = [0] * X.n_points
+        assert qc.pullback_map(f, y, X) == _old_pullback_map(f, y, X)
+    assert len(built) <= 1
+
+
 def test_pullback_along_the_sign_map_matches_the_per_orbit_body():
     S3, C2 = symmetric(3), cyclic(2)
     sctx = ScalarContext.for_groups([S3, C2])

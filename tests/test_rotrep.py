@@ -426,6 +426,149 @@ def test_exterior_top_of_permutation_character(S3, s3_ctx):
     assert rr.exterior_power(perm3, 2) == ctx.basis_elt(1) + ctx.basis_elt(2)
 
 
+def _old_exterior_power(elt, k):
+    """The full Newton recurrence: every ψ^i through ``adams`` and every
+    ψ^i·λ^{k-i} a product, λ⁰ = 1 included."""
+    if k < 0:
+        raise PreconditionError("exterior power index must be >= 0")
+    ctx = elt.ctx
+    lam = [ctx.unit()]
+    psi = [None]
+    for i in range(1, k + 1):
+        psi.append(rr.adams(elt, i))
+        acc = ctx.zero()
+        sign = 1
+        for j in range(1, i + 1):
+            term = psi[j] * lam[i - j]
+            acc = acc + (term if sign > 0 else -term)
+            sign = -sign
+        lam.append(rr.LambdaElt(ctx, tuple(f.divide_int_exact(i) for f in acc.coeffs)))
+    return lam[k]
+
+
+def _ref_mul(a, b):
+    """The product over every (i, j), zero coefficients included."""
+    ctx = a.ctx
+    out = [ZERO] * ctx.rank
+    for i, f in enumerate(a.coeffs):
+        for j, g in enumerate(b.coeffs):
+            for mu, mult in ctx.product_columns(i, j):
+                out[mu] = out[mu] + f * g * mult
+    return out
+
+
+ORACLE_CASES = ("S3@e", "S3@c3", "C2xC4@g", "D6@e", "D6@z", "mu2")
+
+
+@pytest.fixture(scope="module")
+def oracle_elements():
+    """Seeded elements per case: S3 at e and at a 3-cycle, C2xC4 at a
+    non-identity central element, D6 at e and at its central involution, and
+    μ² outputs, whose coefficients carry q^{1/2} exponents."""
+    S3, C2C4, D6 = symmetric(3), direct_product(cyclic(2), cyclic(4)), dihedral(6)
+    rng = random.Random(21)
+
+    def elements(sctx, G, g):
+        ctx = rr.ctx_build(G, g, sctx)
+        return [random_elt(ctx, rng, density) for density in (0.3, 0.7, 1.0)] + [ctx.zero()]
+
+    def mu2(sctx, G, g):
+        return [rr.mu_transport(a, 2, rr.ctx_build(G, g, sctx))
+                for a in elements(sctx, G, g ** 2)]
+
+    sctx = ScalarContext.for_groups([S3])
+    c3 = Permutation([1, 2, 0])
+    out = {"S3@e": elements(sctx, S3, S3.identity), "S3@c3": elements(sctx, S3, c3),
+           "mu2": mu2(sctx, S3, c3)}
+    sctx = ScalarContext.for_groups([C2C4])
+    g = next(g for g in C2C4.elements if g.order() == 4)
+    out["C2xC4@g"] = elements(sctx, C2C4, g)
+    out["mu2"] += mu2(sctx, C2C4, g)
+    sctx = ScalarContext.for_groups([D6])
+    z = next(z for z in D6.elements if z != D6.identity
+             and all(s * z == z * s for s in D6.generators))
+    out["D6@e"], out["D6@z"] = elements(sctx, D6, D6.identity), elements(sctx, D6, z)
+    assert any(f.den == 2 for a in out["mu2"] for f in a.coeffs)
+    return out
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_exterior_powers_match_the_full_recurrence(oracle_elements, case):
+    for a in oracle_elements[case]:
+        for k in range(5):
+            assert rr.exterior_power(a, k) == _old_exterior_power(a, k)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_arithmetic_matches_coefficient_wise_references(oracle_elements, case):
+    elts = oracle_elements[case]
+    for a in elts:
+        assert list((-a).coeffs) == [-f for f in a.coeffs]
+        for s in (0, 3, q_power(Fraction(1, 2)) - ONE):
+            assert list((a * s).coeffs) == [f * s for f in a.coeffs]
+        for b in elts:
+            if b.ctx != a.ctx:
+                continue
+            assert list((a + b).coeffs) == [f + g for f, g in zip(a.coeffs, b.coeffs)]
+            assert list((a - b).coeffs) == [f - g for f, g in zip(a.coeffs, b.coeffs)]
+            assert list((a * b).coeffs) == _ref_mul(a, b)
+
+
+def test_newton_check_fires_when_adams_is_the_identity(S3, monkeypatch):
+    """With ψ² = id, 2λ² of the sign is sign·sign − sign = 1 − sign, which
+    2 does not divide."""
+    sctx = ScalarContext.for_groups([S3])
+    ctx = rr.LambdaCtx(sctx, S3, S3.identity)
+    sign = next(i for i in range(ctx.rank)
+                if ctx.table.degree(i) == 1 and i != ctx.trivial_row)
+    monkeypatch.setattr(rr, "adams", lambda elt, m: elt)
+    with pytest.raises(InternalCheckError, match="Newton recurrence not integral"):
+        rr.exterior_power(ctx.basis_elt(sign), 2)
+
+
+def test_exterior_powers_make_no_unit_products(S3, monkeypatch):
+    """λ² of a non-unit element is one product (x·x) and λ³ three
+    (x·x, x·λ², ψ²x·x): no product by λ⁰ = 1."""
+    ctx = rr.ctx_build(S3, S3.identity, ScalarContext.for_groups([S3]))
+    x = random_elt(ctx, random.Random(3), 1.0)
+    assert x != ctx.unit()
+    calls = []
+    mul = rr.LambdaElt.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(rr.LambdaElt, "__mul__", counted)
+    for k, products in ((2, 1), (3, 3)):
+        calls.clear()
+        rr.exterior_power(x, k)
+        assert len(calls) == products
+
+
+def test_arithmetic_across_contexts_is_refused(S3):
+    sctx, C3 = ScalarContext.for_groups([S3]), cyclic(3)
+    home = rr.ctx_build(S3, S3.identity, sctx)
+    same = rr.LambdaCtx(sctx, S3, S3.identity)     # equal, not the same object
+    a = random_elt(home, random.Random(4))
+    b = same.from_coeffs(a.coeffs)
+    assert home is not same and a + b == a * 2 and rr.pairing(a, b) == rr.pairing(a, a)
+    others = [
+        rr.LambdaCtx(ScalarContext.for_groups([S3]), S3, S3.identity),  # another scalar context
+        rr.ctx_build(S3, Permutation([1, 2, 0]), sctx),
+        rr.ctx_build(C3, C3.identity, sctx),
+    ]
+    assert others[0].key() == home.key() and others[0].sctx.p == sctx.p
+    for other in others:
+        c = other.from_coeffs([ONE] * other.rank)
+        for x, y in ((a, c), (c, a)):
+            for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+                       rr.pairing):
+                with pytest.raises(PreconditionError,
+                                   match="elements live in different contexts"):
+                    op(x, y)
+
+
 # -- internal checks ------------------------------------------------------------
 #
 # Each map re-derives central angles (and induction degrees) from the character
