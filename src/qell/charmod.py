@@ -213,11 +213,10 @@ def _abelian_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
     list of its ζ-exponents on the covered elements, in their order.
     """
     p, N = ctx.p, ctx.N
-    covered = [G.identity.images]
+    covered = [G.identity]
     position = {covered[0]: 0}
     chars: list[list[int]] = [[0]]
     for a in G.elements:
-        a = a.images
         if a in position:
             continue
         times_a = itemgetter(*a)        # x ↦ x·a
@@ -253,7 +252,7 @@ def _abelian_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
     zeta_powers = [1] * N
     for k in range(1, N):
         zeta_powers[k] = zeta_powers[k - 1] * ctx.zeta % p
-    reps = [position[r.images] for r in G.conjugacy().class_reps]
+    reps = [position[r] for r in G.conjugacy().class_reps]
     return [ClassFunction(G, ctx, [zeta_powers[chi[r]] for r in reps]) for chi in chars]
 
 
@@ -264,12 +263,12 @@ def _class_matrix_column(conj, class_i, j: int) -> tuple[tuple, tuple]:
     character row vector ω satisfies ω·M = ω_i·ω.  Counting pairs gives
     M[t][j] = |C_j|·#{x in class i : x * rep_j in C_t} / |C_t|: one image
     tuple and one lookup per x, and at most |class i| nonzero entries.
-    ``class_i`` holds the ``images.__getitem__`` of class i's elements.
+    ``class_i`` holds the ``__getitem__`` of class i's elements.
     """
     counts: dict[int, int] = {}
-    g = conj.class_reps[j].images
+    g = conj.class_reps[j]
     for x in class_i:
-        t = conj.class_of_images[tuple(map(x, g))]
+        t = conj.class_of[tuple(map(x, g))]
         counts[t] = counts.get(t, 0) + 1
     sizes = conj.class_sizes
     return tuple(counts), tuple(sizes[j] * n // sizes[t] for t, n in counts.items())
@@ -320,7 +319,7 @@ def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction
     for i in range(1, k):
         if all(len(B) == 1 for B, _ in spaces):
             break
-        class_i = [x.images.__getitem__ for x in conj.class_elements[i]]
+        class_i = [x.__getitem__ for x in conj.class_elements[i]]
         columns: dict[int, tuple] = {}      # M's columns, built as needed
         new_spaces = []
         for B, pivots in spaces:

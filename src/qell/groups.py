@@ -5,14 +5,15 @@ on image tuples), so conjugacy classes, centralizers and transporters are
 exact brute-force computations.  The enumeration order fixes every canonical
 representative downstream.
 
-Closures, scans and sorts work on image tuples; each element is wrapped in a
-``Permutation`` once.  For image tuples a, b of degree >= 2,
-``itemgetter(*a)(b)`` is (b·a).images, so a product is one C call; on degree
-0 or 1 there is only the identity, and no product is taken.
+A ``Permutation`` is its image tuple, so closures, scans, sorts and class
+lookups take elements and plain image tuples alike.  For image tuples a, b
+of degree >= 2, ``itemgetter(*a)(b)`` is the images of b·a, so a product is
+one C call; on degree 0 or 1 there is only the identity, and no product is
+taken.
 
 Each member set has one class walk: the least-first copy of a root's full
 member set shares the root's.  A central class has the whole group as its
-centralizer; any other class's centralizer is one scan.
+centralizer; any other class's centralizer is one transporter scan.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import (
     GroupTooLargeError,
@@ -33,8 +34,6 @@ from .errors import (
 from .perm import Permutation, from_cycles, identity
 
 DEFAULT_ORDER_CAP = 20160
-
-_images = attrgetter("images")      # sort key: the order of Permutation.__lt__
 
 
 def memo(cache: dict, key, build, *args):
@@ -81,7 +80,7 @@ class FiniteGroup:
         self.generators = tuple(gens)
         if _elements is None:
             _elements = _closure(self.degree, self.generators)
-        self.elements = tuple(sorted(_elements, key=_images))
+        self.elements = tuple(sorted(_elements))
         self.name = name or f"group<{self.degree}:{len(self.elements)}>"
         self.spec = spec
         self._index = {g: i for i, g in enumerate(self.elements)}
@@ -91,7 +90,6 @@ class FiniteGroup:
         self._root = _root or self        # the group whose registry holds self
         self._subgroups: dict = {}        # member bitmask -> subgroup (on a root)
         self._exponent = None
-        self._key = None
         self.identity = identity(self.degree)
         if self.identity not in self._index:
             raise InvalidGeneratorError("invalid generator: identity missing from closure")
@@ -120,9 +118,7 @@ class FiniteGroup:
 
     def key(self):
         """Structural identity used for caching: degree plus element tuple."""
-        if self._key is None:
-            self._key = (self.degree, tuple(g.images for g in self.elements))
-        return self._key
+        return (self.degree, self.elements)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -191,12 +187,8 @@ class FiniteGroup:
         return memo(root._subgroups, mask, _least_first, root, members)
 
     def centralizer(self, g: Permutation) -> "FiniteGroup":
-        """The h with h*g == g*h, by one scan of the elements."""
-        if self.degree < 2:
-            return self.subgroup_of(self.elements)
-        gi, times_g = g.images, itemgetter(*g.images)
-        return self.subgroup_of([h for h in self.elements
-                                 if times_g(h.images) == itemgetter(*h.images)(gi)])
+        """The h with h*g == g*h: the transporter from g to itself."""
+        return self.subgroup_of(transporter(self, g, g))
 
 
 def _closure(degree: int, generators) -> set[Permutation]:
@@ -211,10 +203,10 @@ def _span(degree: int, candidates, cap: int) -> tuple[list, set]:
     e = tuple(range(degree))
     gens, steps, span = [], [], {e}
     for g in candidates:
-        if g.images in span:
+        if g in span:
             continue
         gens.append(g)
-        steps.append(itemgetter(*g.images))         # r ↦ (r·g).images
+        steps.append(itemgetter(*g))                # r ↦ r·g
         H, reps = list(span), [e]
         for r in reps:
             for s in steps:
@@ -233,7 +225,7 @@ def make_group(degree: int, generators, name: str = "", spec: str | None = None)
 
 
 def _least_first(root: FiniteGroup, members) -> FiniteGroup:
-    members = sorted(set(members), key=_images)
+    members = sorted(set(members))
     gens, span = _span(root.degree, members, root.order)
     # every member lies in the span, so equal sizes mean the members are it
     if len(span) != len(members):
@@ -256,12 +248,10 @@ class ConjugacyData:
     their orders.
     """
 
-    def __init__(self, group: FiniteGroup, class_reps, class_of, class_elements,
-                 class_of_images):
+    def __init__(self, group: FiniteGroup, class_reps, class_of, class_elements):
         self.group = group
         self.class_reps = tuple(class_reps)
-        self.class_of = class_of          # Permutation -> class index
-        self.class_of_images = class_of_images    # image tuple -> class index
+        self.class_of = class_of          # element or image tuple -> class index
         self.class_elements = tuple(tuple(c) for c in class_elements)
         self.class_sizes = tuple(len(c) for c in class_elements)
         self.rep_orders = tuple(g.order() for g in self.class_reps)
@@ -318,17 +308,15 @@ def class_fusion(H: FiniteGroup, G: FiniteGroup, f=None) -> tuple[int, ...]:
 
 def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
     class_of: dict[Permutation, int] = {}
-    class_of_images: dict[tuple, int] = {}
     reps, classes = [], []
-    element_of = {g.images: g for g in G.elements}
-    conjugators = [(s.images, itemgetter(*s.inverse().images))
-                   for s in G.generators if s != G.identity]
-    for g in G.elements:
+    elements, index = G.elements, G._index
+    conjugators = [(s, itemgetter(*s.inverse())) for s in G.generators if s != G.identity]
+    for g in elements:
         if g in class_of:
             continue
         # orbit of g under conjugation by the generators: s·x·s⁻¹ = s·(x·s⁻¹)
-        orbit = {g.images}
-        frontier = [g.images]
+        orbit = {g}
+        frontier = [g]
         while frontier:
             nxt = []
             for x in frontier:
@@ -340,12 +328,11 @@ def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
             frontier = nxt
         idx = len(reps)
         reps.append(g)
-        cls = [element_of[y] for y in sorted(orbit)]
+        cls = [elements[i] for i in sorted(map(index.__getitem__, orbit))]
         classes.append(cls)
         for x in cls:
             class_of[x] = idx
-            class_of_images[x.images] = idx
-    data = ConjugacyData(G, reps, class_of, classes, class_of_images)
+    data = ConjugacyData(G, reps, class_of, classes)
     if sum(data.class_sizes) != G.order:
         raise InternalCheckError("class sizes do not sum to the group order")
     return data
@@ -353,7 +340,12 @@ def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
 
 def transporter(G: FiniteGroup, g: Permutation, g2: Permutation) -> list[Permutation]:
     """The set {x in G : g*x == x*g2}, sorted; empty iff g, g2 not conjugate."""
-    return [x for x in G.elements if g * x == x * g2]
+    if len(g) != G.degree or len(g2) != G.degree:
+        raise InvalidGeneratorError("degree mismatch in composition")
+    if G.degree < 2:
+        return list(G.elements)
+    times_g2 = itemgetter(*g2)          # x ↦ x·g2, and itemgetter(*x)(g) is g·x
+    return [x for x in G.elements if times_g2(x) == itemgetter(*x)(g)]
 
 
 class GroupHom:
@@ -508,8 +500,7 @@ def product_split(P: FiniteGroup, g: Permutation) -> tuple[Permutation, Permutat
     if P.factor_degrees is None:
         raise PreconditionError(f"{P.name} is not a direct product")
     dG, _ = P.factor_degrees
-    return (Permutation(g.images[:dG]),
-            Permutation(tuple(i - dG for i in g.images[dG:])))
+    return Permutation(g[:dG]), Permutation(tuple(i - dG for i in g[dG:]))
 
 
 def product_pair(P: FiniteGroup, a: Permutation, b: Permutation) -> Permutation:
@@ -520,7 +511,7 @@ def product_pair(P: FiniteGroup, a: Permutation, b: Permutation) -> Permutation:
 
 def _pair(dG: int, a: Permutation, b: Permutation) -> Permutation:
     """(a, b) on the disjoint union, b's points shifted past a's dG points."""
-    return Permutation(tuple(a.images) + tuple(i + dG for i in b.images))
+    return Permutation(a + tuple(i + dG for i in b))
 
 
 def builtin(family: str, *params) -> FiniteGroup:
@@ -554,5 +545,5 @@ def all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
                     seen[fz] = K
                     nxt.append(K)
         frontier = nxt
-    subs = sorted(seen.values(), key=lambda H: (H.order, [g.images for g in H.elements]))
+    subs = sorted(seen.values(), key=lambda H: (H.order, H.elements))
     return subs

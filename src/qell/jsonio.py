@@ -44,7 +44,7 @@ def group_payload(G: FiniteGroup) -> dict:
         "spec": G.spec,
         "degree": G.degree,
         "order": G.order,
-        "generators": [list(g.images) for g in G.generators],
+        "generators": [list(g) for g in G.generators],
     }
 
 
@@ -80,7 +80,7 @@ def space_payload(struct: QEllStructure) -> dict:
                 return {"kind": "regular"}
             # schema v1 lists every element of the subgroup as a generator
             return {"kind": "cosets", "subgroup": dict(
-                group_payload(H), generators=[list(g.images) for g in H.elements])}
+                group_payload(H), generators=[list(g) for g in H.elements])}
     raise SchemaError(f"space {X.name} has no JSON descriptor")
 
 
@@ -168,7 +168,7 @@ def _document(struct: QEllStructure, orbits) -> dict:
         "schema_version": SCHEMA_VERSION,
         "group": group_payload(struct.group),
         "space": space_payload(struct),
-        "classes": [{"rep": list(cb.g.images),
+        "classes": [{"rep": list(cb.g),
                      "rep_order": cb.order,
                      "centralizer_order": cb.centralizer.order,
                      "orbits": orbits(ci, cb)}
@@ -210,7 +210,7 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
         if not isinstance(entry, dict):
             raise SchemaError(f"class entry {ci} is not an object")
         rep = entry.get("rep")
-        if not isinstance(rep, list) or tuple(rep) != cb.g.images:
+        if not isinstance(rep, list) or tuple(rep) != cb.g:
             raise SchemaError(f"class {ci} representative mismatch")
         rep_index = {orb.rep: oi for oi, orb in enumerate(cb.orbits)}
         orbits = entry.get("orbits", ())

@@ -1,4 +1,4 @@
-"""Permutations of {0..n-1}, stored as image tuples."""
+"""Permutations of {0..n-1}: a permutation is its image tuple."""
 
 from __future__ import annotations
 
@@ -7,60 +7,53 @@ import math
 from .errors import InvalidGeneratorError
 
 
-class Permutation:
-    """A bijection of {0..n-1}; ``images[i]`` is the image of point i.
+class Permutation(tuple):
+    """A bijection of {0..n-1}; ``p[i]`` is the image of point i.
 
-    Immutable and hashable.  Composition is left-to-right application of
-    the right factor first: ``(a * b)(x) == a(b(x))``.
+    A tuple of images, so it hashes, orders and compares equal as that
+    tuple does, and a plain image tuple finds its entry in any dict keyed
+    by permutations.  Composition is left-to-right application of the
+    right factor first: ``(a * b)(x) == a(b(x))``.
     """
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ()
 
-    def __init__(self, images):
+    def __new__(cls, images):
         images = tuple(int(i) for i in images)
         n = len(images)
         if sorted(images) != list(range(n)):
             raise InvalidGeneratorError(
                 f"invalid generator: {images!r} is not a bijection of 0..{n - 1}"
             )
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+        return tuple.__new__(cls, images)
 
     @classmethod
     def _raw(cls, images: tuple) -> "Permutation":
         """Skip validation for images known to be a bijection."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
-        return self
+        return tuple.__new__(cls, images)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        a = self.images
-        b = other.images
-        if len(a) != len(b):
+        if len(self) != len(other):
             raise InvalidGeneratorError("degree mismatch in composition")
-        return Permutation._raw(tuple(map(a.__getitem__, b)))
+        return Permutation._raw(tuple(map(self.__getitem__, other)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
         return Permutation._raw(tuple(inv))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation._raw(tuple(range(len(self.images))))
+        result = Permutation._raw(tuple(range(len(self))))
         base = self
         while n:
             if n & 1:
@@ -77,33 +70,21 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its least point."""
-        seen = [False] * self.degree
+        seen = [False] * len(self)
         out = []
-        for start in range(self.degree):
+        for start in range(len(self)):
             if seen[start]:
                 continue
             cyc = [start]
             seen[start] = True
-            j = self.images[start]
+            j = self[start]
             while j != start:
                 cyc.append(j)
                 seen[j] = True
-                j = self.images[j]
+                j = self[j]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         cycs = self.cycles()

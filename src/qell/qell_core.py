@@ -32,7 +32,7 @@ from .groups import (
     product_pair,
     product_split,
 )
-from .gsets import FiniteGSet, induced_gset, inertia_skeleton, point_set
+from .gsets import FiniteGSet, induced_gset, inertia_skeleton, point_set, product_gset
 from .qlaurent import QLaurent, ZERO, q_power
 from .rotrep import LambdaCtx, LambdaElt
 
@@ -282,6 +282,11 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
     sa, sb = a.structure, b.structure
     if P.factors is None:
         raise PreconditionError("P must be a direct product group")
+    if P.factors != (sa.group, sb.group):
+        raise PreconditionError(
+            f"P's factors are not the factors' groups {sa.group.name} and {sb.group.name}")
+    if XY != product_gset(sa.gset, sb.gset, P):
+        raise PreconditionError("XY is not the product of the factors' G-sets under P")
     sctx = sa.sctx
     if sctx is not sb.sctx:
         raise PreconditionError("factors built over different scalar contexts")
@@ -396,6 +401,8 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
     per-class sum of conjugated inductions; it applies only to X = pt.
     """
     H = elt.structure.group
+    if algorithm not in ("A", "B"):
+        raise PreconditionError(f"unknown transfer algorithm {algorithm!r}: expected 'A' or 'B'")
     if algorithm == "B":
         return _transfer_point_sum(G, elt)
     if X is None:

@@ -86,7 +86,7 @@ class LambdaCtx:
         self._conjugates: dict = {}    # w -> the context over w S w⁻¹ at w g w⁻¹
 
     def key(self):
-        return (self.group.key(), self.g.images)
+        return (self.group.key(), self.g)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LambdaCtx) and self.key() == other.key() \
@@ -189,7 +189,7 @@ def _term(j: int, m: int, shift: int, n: int):
 
 def ctx_for(sctx: ScalarContext, group: FiniteGroup, g: Permutation) -> LambdaCtx:
     """Cached context for (group, central element)."""
-    return memo(sctx._lambda_ctxs, (group.key(), g.images), LambdaCtx, sctx, group, g)
+    return memo(sctx._lambda_ctxs, (group.key(), g), LambdaCtx, sctx, group, g)
 
 
 def ctx_build(G: FiniteGroup, g: Permutation, sctx: ScalarContext) -> LambdaCtx:

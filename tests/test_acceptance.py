@@ -132,7 +132,7 @@ def test_criterion_09_character_suite_order_48():
                 assert inner_product(r, t.rows[j]) == (1 if i == j else 0)
         # Frobenius reciprocity against a canonical cyclic subgroup
         conj = G.conjugacy()
-        gen = max(conj.class_reps, key=lambda g: (g.order(), g.images))
+        gen = max(conj.class_reps, key=lambda g: (g.order(), g))
         H = G.subgroup([gen], name="cyc")
         tH = sctx.table(H)
         incl = GroupHom.inclusion(H, G)

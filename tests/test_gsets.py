@@ -239,7 +239,7 @@ def space_payload_by_regular_table(struct):
     H = G.subgroup_of([g for g in G.elements if X.act(g, 0) == 0])
     if X == induced_gset(G, H, point_set(H)):
         return {"kind": "cosets", "subgroup": dict(
-            jsonio.group_payload(H), generators=[list(g.images) for g in H.elements])}
+            jsonio.group_payload(H), generators=[list(g) for g in H.elements])}
     raise SchemaError(f"space {X.name} has no JSON descriptor")
 
 

@@ -2,8 +2,8 @@
 
 No module of ``qell`` except the package ``__init__`` (which re-exports)
 imports a name it never uses, no function defines a nested function it never
-refers to, and no module checks with a bare ``assert``, which ``python -O``
-strips.
+refers to, no module-level private name goes unreferenced in the package, and
+no module checks with a bare ``assert``, which ``python -O`` strips.
 """
 
 import ast
@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qell"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _tree(path):
@@ -65,6 +66,55 @@ def test_no_unused_nested_functions(path):
     assert unused_nested_functions(_tree(path)) == []
 
 
+def _references(trees):
+    """(name, node) for every read of a name: bare, as an attribute, or
+    imported by name."""
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                yield n.id, n
+            elif isinstance(n, ast.Attribute):
+                yield n.attr, n
+            elif isinstance(n, ast.ImportFrom):
+                for alias in n.names:
+                    yield alias.name, n
+
+
+def _private_definitions(tree):
+    """(name, node) for each private function, class or assigned name at
+    module level; dunders are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def unreferenced_private_names(modules: dict) -> list[str]:
+    """Private module-level names, over a {module name: tree} package, that
+    nothing outside their own definition reads."""
+    readers: dict[str, list] = {}
+    for name, n in _references(modules.values()):
+        readers.setdefault(name, []).append(n)
+    out = []
+    for module, tree in modules.items():
+        for name, node in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}     # a self-call is no use
+            if all(id(n) in own for n in readers.get(name, ())):
+                out.append(f"{module}.{name} (line {node.lineno})")
+    return out
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private_names({p.stem: _tree(p) for p in PACKAGE}) == []
+
+
 def bare_asserts(tree) -> list[str]:
     return [f"assert (line {n.lineno})" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
@@ -82,7 +132,17 @@ def test_the_checks_see_what_they_look_for():
         "    def act(g, pt):\n"
         "        return act(g, pt)\n"
         "    assert X\n"
-        "    return ScalarContext(X)\n")
+        "    return ScalarContext(X, _used)\n"
+        "_used = 1\n"
+        "_dead: int = 2\n"
+        "def _helper():\n"
+        "    return _helper()\n"
+        "class _Gone:\n"
+        "    __slots__ = ()\n")
     assert [s.split()[0] for s in unused_imports(tree)] == ["Fraction", "ClassFunction"]
     assert [s.split()[0] for s in unused_nested_functions(tree)] == ["product_gset.act"]
     assert bare_asserts(tree) == ["assert (line 6)"]
+    assert unreferenced_private_names({"m": tree}) == [
+        "m._dead (line 9)", "m._helper (line 10)", "m._Gone (line 12)"]
+    reader = ast.parse("from . import m\nfrom .m import _helper\nprint(m._Gone)\n")
+    assert unreferenced_private_names({"m": tree, "r": reader}) == ["m._dead (line 9)"]

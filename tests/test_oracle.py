@@ -64,7 +64,7 @@ RANDOM_SPECS = [random_perm_spec(seed) for seed in range(12)]
 
 def sympy_group(G) -> PermutationGroup:
     gens = G.generators or (G.identity,)
-    return PermutationGroup([SympyPermutation(list(g.images), size=G.degree)
+    return PermutationGroup([SympyPermutation(list(g), size=G.degree)
                              for g in gens])
 
 
@@ -77,14 +77,14 @@ def check_against_sympy(G):
     P = sympy_group(G)
     assert P.order() == G.order
     conj = G.conjugacy()
-    ours = {frozenset(g.images for g in cls) for cls in conj.class_elements}
+    ours = {frozenset(g for g in cls) for cls in conj.class_elements}
     theirs = {frozenset(tuple(p.array_form) for p in cls)
               for cls in P.conjugacy_classes()}
     assert ours == theirs
     for ci, rep in enumerate(conj.class_reps):
         C = conj.centralizer(ci)
         assert C.order == P.centralizer(
-            SympyPermutation(list(rep.images), size=G.degree)).order()
+            SympyPermutation(list(rep), size=G.degree)).order()
         assert_small_generating_set(C)
     assert_small_generating_set(G.subgroup_of(G.elements))
 

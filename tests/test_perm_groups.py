@@ -1,11 +1,15 @@
 """Group core: enumeration, conjugacy, transporters, homomorphisms."""
 
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 
-from qell import groups
+from qell import groups, jsonio
+from qell import qell_core as qc
+from qell.charmod import ScalarContext
 from qell.errors import (
     GroupTooLargeError,
     InvalidGeneratorError,
@@ -29,7 +33,7 @@ from qell.groups import (
     transporter,
 )
 from qell.groupspec import parse_group_spec
-from qell.gsets import inertia_skeleton, point_set
+from qell.gsets import inertia_skeleton, point_set, regular_gset
 from qell.perm import from_cycles, identity
 from strategies import small_perm_specs
 
@@ -65,7 +69,6 @@ def test_power_matches_repeated_products(p):
         for _ in range(abs(n)):
             expected = expected * (p if n > 0 else pi)
         assert p ** n == expected, n
-        assert (p ** n).images == expected.images
     assert p ** 0 == identity(p.degree)
     assert p ** order == identity(p.degree)
     assert p ** (order + 1) == p
@@ -238,7 +241,7 @@ def _all_subgroups_every_element(G):
                     seen[fz] = K
                     nxt.append(K)
         frontier = nxt
-    return sorted(seen.values(), key=lambda H: (H.order, [g.images for g in H.elements]))
+    return sorted(seen.values(), key=lambda H: (H.order, [g for g in H.elements]))
 
 
 @pytest.mark.parametrize("spec", ["S3", "S4", "D6", "C2xC4", "A5"])
@@ -344,7 +347,7 @@ def test_full_member_set_copy_has_the_roots_classes(spec):
     assert b.group is H
     assert b.class_reps == a.class_reps and b.class_sizes == a.class_sizes
     assert b.class_elements == a.class_elements
-    assert b.class_of_images == a.class_of_images
+    assert b.class_of == a.class_of
     assert {g: b.class_index(g) for g in H} == {g: a.class_index(g) for g in G}
 
 
@@ -417,3 +420,71 @@ def test_groups_of_degree_below_two_are_trivial(degree):
     assert G.conjugacy().class_reps == (e,)
     assert G.centralizer(e).elements == (e,)
     assert G.conjugacy().centralizer(0).elements == (e,)
+
+
+# -- a permutation is its image tuple ---------------------------------------------
+
+def test_a_permutation_is_its_image_tuple():
+    p = from_cycles(5, [(0, 1, 2), (3, 4)])
+    images = (1, 2, 0, 4, 3)
+    assert isinstance(p, tuple) and p == images and images == p
+    assert hash(p) == hash(images)
+    assert len(p) == p.degree == 5 and p[3] == p(3) == 4
+    assert type(p[1:]) is tuple and type(p + p) is tuple
+    assert not identity(0) and identity(0) == ()
+
+
+def test_permutations_sort_as_their_tuples():
+    perms = list(symmetric(4).elements) + [identity(2), Permutation([1, 0]), identity(0)]
+    random.Random(0).shuffle(perms)
+    assert [tuple(p) for p in sorted(perms)] == sorted(tuple(p) for p in perms)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "C2xC4"])
+def test_a_plain_image_tuple_finds_its_element(spec):
+    G = parse_group_spec(spec)
+    conj = G.conjugacy()
+    for i, g in enumerate(G.elements):
+        images = tuple(g)
+        assert type(images) is tuple
+        assert G._index[images] == i
+        assert conj.class_of[images] == conj.class_of[g] == conj.class_index(images)
+    assert tuple(G.identity) not in G       # membership still asks for a Permutation
+
+
+def test_permutations_hold_no_per_element_state():
+    p = from_cycles(3, [(0, 1)])
+    with pytest.raises(AttributeError):
+        p.images = (1, 0, 2)
+    assert not hasattr(p, "__dict__")
+    assert "__mul__" in Permutation.__dict__ and "inverse" in Permutation.__dict__
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_trivial_groups_build_their_rings_and_unit_payloads(degree):
+    G = FiniteGroup(degree, [])
+    sctx = ScalarContext.for_groups([G])
+    for X in (point_set(G), regular_gset(G)):
+        st = qc.structure(G, X, sctx)
+        assert st.total_rank() == 1
+        payload = json.loads(jsonio.dumps(jsonio.element_payload(st.unit())))
+        assert [c["rep"] for c in payload["classes"]] == [list(range(degree))]
+
+
+# -- one element scan ---------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "D6", "C2xC4", "C1"])
+def test_transporter_is_the_one_element_scan(spec):
+    G = parse_group_spec(spec)
+    conj = G.conjugacy()
+    for ci, g in enumerate(conj.class_reps):
+        assert transporter(G, g, g) == list(conj.centralizer(ci).elements)
+        assert transporter(G, g, g) == list(G.centralizer(g).elements)
+        for rep in conj.class_reps:
+            assert transporter(G, g, rep) == [x for x in G if g * x == x * rep]
+
+
+def test_transporter_rejects_a_degree_mismatch(S3):
+    for g, g2 in ((identity(4), identity(4)), (identity(3), identity(4))):
+        with pytest.raises(InvalidGeneratorError, match="degree mismatch in composition"):
+            transporter(S3, g, g2)

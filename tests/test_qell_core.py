@@ -315,6 +315,33 @@ def test_kunneth_basis_bijection_z2_z3(assert_pass):
     assert_pass(verify.kunneth_on_points(((cyclic(2), cyclic(3)),)))
 
 
+@pytest.fixture(scope="module")
+def s3_c2_points():
+    """Units of QEll_{S3}(pt) and QEll_{C2}(pt) over S3xC2's scalars."""
+    S3, C2 = symmetric(3), cyclic(2)
+    sctx = ScalarContext.for_groups([direct_product(S3, C2)])
+    return (qc.structure(S3, point_set(S3), sctx).unit(),
+            qc.structure(C2, point_set(C2), sctx).unit())
+
+
+def test_kunneth_rejects_a_set_that_is_not_the_product(s3_c2_points):
+    a, b = s3_c2_points
+    S3, C2 = a.structure.group, b.structure.group
+    P = direct_product(S3, C2)
+    XY = product_gset(regular_gset(S3), point_set(C2), P)
+    with pytest.raises(PreconditionError, match="^XY is not the product of the factors' G-sets"):
+        qc.kunneth(a, b, P, XY)
+
+
+def test_kunneth_rejects_swapped_factors(s3_c2_points):
+    a, b = s3_c2_points
+    S3, C2 = a.structure.group, b.structure.group
+    Q = direct_product(C2, S3)
+    XY = product_gset(point_set(C2), point_set(S3), Q)
+    with pytest.raises(PreconditionError, match="^P's factors are not the factors' groups S3 and C2$"):
+        qc.kunneth(a, b, Q, XY)
+
+
 # -- change of group -----------------------------------------------------------
 
 def test_cog_identity_subgroup(S3, s3_point):
@@ -402,6 +429,12 @@ def test_transfer_identity_subgroup(S3, s3_point):
 
 def test_transfer_algorithms_agree(assert_pass):
     assert_pass(verify.transfer_cross_checks(5, 7))
+
+
+@pytest.mark.parametrize("algorithm", ["b", "a", "C", ""])
+def test_transfer_rejects_an_unknown_algorithm(S3, s3_point, algorithm):
+    with pytest.raises(PreconditionError, match="^unknown transfer algorithm"):
+        qc.transfer(S3, s3_point.unit(), point_set(S3), algorithm=algorithm)
 
 
 def test_transfer_b_rejects_bigger_sets(S3, c2_in_s3):

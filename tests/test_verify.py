@@ -45,6 +45,7 @@ FAULTS = {
     "pullback_contravariance": (qc, "pullback_hom", _plus_unit,
                                 lambda: verify.pullback_contravariance(2, 0)),
     "frobenius_reciprocity": (verify, "induce_cf", _doubled, verify.frobenius_reciprocity),
+    "mu_composition_report": (qc, "mu", _plus_unit, lambda: verify.mu_composition_report(2, 0)),
 }
 
 
@@ -59,7 +60,7 @@ def test_injected_fault_fails_the_check(monkeypatch, check):
 def test_injected_fault_flips_the_mu_composition_report(monkeypatch):
     assert verify.mu_composition_report(2, 0)[0][1:] == (True, "observed agreement")
     monkeypatch.setattr(qc, "mu", _plus_unit(qc.mu))
-    assert verify.mu_composition_report(2, 0)[0][1:] == (True, "observed DISAGREEMENT")
+    assert verify.mu_composition_report(2, 0)[0][1:] == (False, "observed DISAGREEMENT")
 
 
 @pytest.mark.parametrize("run", [lambda: verify.cyclic_presentations((1, 3)),
