@@ -6,7 +6,10 @@ embeds all needed roots of unity injectively, inner products of genuine
 characters are honest integers below p, and virtual multiplicities sit safely
 inside the symmetric range (-p/2, p/2).  Irreducible tables come from the
 class-algebra eigenvector method, with a dual-group shortcut for abelian
-groups (tested to agree with the general path).
+groups (tested to agree with the general path).  The method starts from the
+centre's split, written in closed form from the linear characters of the
+centre: a central character over θ has ω(z·K) = θ(z)·ω(K), so the class
+matrices of the non-central classes only split the pieces.
 """
 
 from __future__ import annotations
@@ -302,21 +305,64 @@ def _eigenspaces(A, B, pivots, p: int, rng: random.Random):
             yield sub, [pivots[q] for q in y_pivots]
 
 
+def _central_pieces(G: FiniteGroup, ctx: ScalarContext) -> tuple[list, range | list[int]]:
+    """The common eigenspaces of G's central classes, each an RREF basis with
+    its pivot columns, and the classes whose matrices are left to split them.
+
+    The centre Z acts on the classes by K ↦ z·K, and a central character ω
+    over the linear character θ of Z has ω(z·K) = θ(z)·ω(K).  So the
+    θ-eigenspace has one basis row per Z-orbit of classes whose stabilizer
+    lies in ker θ: v(z·K₀) = θ(z), which is 1 at the orbit's least class K₀.
+    The rows have disjoint supports, so the basis is in RREF with its pivots
+    at the orbit minima, and each central class is a scalar on it.  θ comes
+    from Z's checked table.  A trivial centre gives the whole class space, and
+    so does an abelian G, whose table would be this path's own answer.
+    """
+    conj = G.conjugacy()
+    sizes, k = conj.class_sizes, conj.n_classes
+    central = [i for i in range(k) if sizes[i] == 1]
+    if len(central) in (1, k):
+        whole = [[int(i == j) for j in range(k)] for i in range(k)]
+        return [(whole, list(range(k)))], range(1, k)
+    Z = G.subgroup_of([conj.class_reps[i] for i in central])
+    zs = Z.conjugacy().class_reps       # Z is abelian: its classes are its elements
+    orbits = []                         # (K₀, [z·K₀ for z in zs]), K₀ ascending
+    seen: set[int] = set()
+    for j, g in enumerate(conj.class_reps):
+        if j not in seen:
+            targets = [conj.class_of[tuple(map(z.__getitem__, g))] for z in zs]
+            seen.update(targets)
+            orbits.append((j, targets))
+    spaces = []
+    for theta in ctx.table(Z).rows:
+        B, pivots = [], []
+        for j, targets in orbits:
+            if all(t == 1 for t, c in zip(theta.values, targets) if c == j):
+                v = [0] * k
+                for c, t in zip(targets, theta.values):
+                    v[c] = t
+                B.append(v)
+                pivots.append(j)
+        spaces.append((B, pivots))
+    return spaces, [i for i in range(k) if sizes[i] > 1]
+
+
 def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
     """Character rows from simultaneous eigenvectors of class-sum matrices.
 
     Each common eigenspace is kept as a basis B in RREF with its pivot
-    columns.  A class matrix M acts on B's coordinates by A = B·M, read at
-    the pivot columns only; a scalar A leaves the space whole, any other A
-    splits it along its eigenvalues.
+    columns, starting from the central classes' eigenspaces in closed form
+    (``_central_pieces``).  A class matrix M acts on B's coordinates by
+    A = B·M, read at the pivot columns only; a scalar A leaves the space
+    whole, any other A splits it along its eigenvalues.
     """
     p = ctx.p
     conj = G.conjugacy()
     k = conj.n_classes
-    spaces = [([[1 if i == j else 0 for j in range(k)] for i in range(k)], list(range(k)))]
+    spaces, classes = _central_pieces(G, ctx)
     rng = random.Random(0xD17)
     # split the common eigenspaces until all are one-dimensional
-    for i in range(1, k):
+    for i in classes:
         if all(len(B) == 1 for B, _ in spaces):
             break
         class_i = [x.__getitem__ for x in conj.class_elements[i]]
@@ -342,7 +388,7 @@ def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction
 
     e_idx = conj.class_index(G.identity)
     inv_class = conj.inverse_classes()
-    sizes = conj.class_sizes
+    inv_sizes = [pow(size, -1, p) for size in conj.class_sizes]
     rows = []
     for B, _ in spaces:
         v = B[0]
@@ -350,19 +396,16 @@ def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction
             raise InternalCheckError("central character vanishes at the identity")
         scale = pow(v[e_idx], -1, p)
         omega = [x * scale % p for x in v]
-        denom = 0
-        for j in range(k):
-            denom = (denom + omega[j] * omega[inv_class[j]]
-                     * pow(sizes[j], -1, p)) % p
+        denom = sum(map(mul, map(mul, omega, map(omega.__getitem__, inv_class)),
+                        inv_sizes)) % p
+        # d² <= |G| < p/2, so the residue d_sq of a true degree is the integer d²
         d_sq = G.order * pow(denom, -1, p) % p
-        d = modp.sqrt_mod(d_sq, p)
-        if d is None:
-            raise InternalCheckError("degree squared is not a square mod p")
-        if d > p - d:
-            d = p - d
-        if d * d > G.order:
+        d = math.isqrt(d_sq)
+        if d * d != d_sq or d_sq > G.order:
+            if modp.sqrt_mod(d_sq, p) is None:
+                raise InternalCheckError("degree squared is not a square mod p")
             raise InternalCheckError("recovered degree is out of range")
-        values = [d * omega[j] * pow(sizes[j], -1, p) % p for j in range(k)]
+        values = [d * w * s % p for w, s in zip(omega, inv_sizes)]
         rows.append(ClassFunction(G, ctx, values))
     return rows
 

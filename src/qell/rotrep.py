@@ -81,6 +81,7 @@ class LambdaCtx:
             ClassFunction(group, sctx, [1] * self.rank))
         self._hash = hash(self.key())
         self._product_rows: dict = {}  # i -> the columns of i*j for j >= i
+        self._ks: tuple[int, ...] = ()  # angle numerators over ord(g), read at the first product
         self._decomp_cache: dict = {}
         self._maps: dict = {}          # checked map entries, by (kind, n or w, target)
         self._conjugates: dict = {}    # w -> the context over w S w⁻¹ at w g w⁻¹
@@ -125,15 +126,20 @@ class LambdaCtx:
         """The product columns of i*j for j = i, i+1, ..., rank - 1."""
         return memo(self._product_rows, i, self._product_row, i)
 
-    def _product_row(self, i: int) -> tuple:
-        # The angles are read now, as k/n with n = ord(g), so a context
-        # corrupted after construction fails here; a denominator that does
-        # not divide n fails too.
-        n, table = self.g_order, self.table
+    def _angle_numerators(self) -> tuple[int, ...]:
+        # The angles are read at the first product, as k/n with n = ord(g), so
+        # a context corrupted after construction fails there; a denominator
+        # that does not divide n fails too.
+        n = self.g_order
         ratios = [a.as_integer_ratio() for a in self.angles]
         if any(n % den for _, den in ratios):
             raise InternalCheckError(_PRODUCT_ANGLE)
-        ks = [num * (n // den) for num, den in ratios]
+        self._ks = tuple(num * (n // den) for num, den in ratios)
+        return self._ks
+
+    def _product_row(self, i: int) -> tuple:
+        table = self.table
+        n, ks = self.g_order, self._ks or self._angle_numerators()
         ki, row, columns = ks[i], [], table._columns
         for j, pairs in enumerate(table.product_row(i), i):
             shift, k = divmod(ki + ks[j], n)

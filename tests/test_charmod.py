@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qell.charmod import (
+    CharacterTable,
     ClassFunction,
     ScalarContext,
     _abelian_rows,
+    _central_pieces,
     _class_matrix_rows,
     adams_cf,
     central_angle,
@@ -82,6 +84,60 @@ def test_abelian_fast_path_agrees_with_class_matrices():
         fast = {r.values for r in _abelian_rows(G, ctx)}
         slow = {r.values for r in _class_matrix_rows(G, ctx)}
         assert fast == slow
+
+
+# -- the centre-first start of the class-matrix split ------------------------------
+
+def _whole_space(G, ctx):
+    """The start without the centre: the whole class space, split by every
+    class matrix but the identity's."""
+    k = G.conjugacy().n_classes
+    return [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))], range(1, k)
+
+
+def _assert_centre_first_agrees(G):
+    ctx = ScalarContext.for_groups([G])
+    sizes = G.conjugacy().class_sizes
+    pieces, _ = _central_pieces(G, ctx)
+    assert len(pieces) == sizes.count(1) > 1      # one piece per linear character of Z
+    fast = sorted(r.values for r in _class_matrix_rows(G, ctx))
+    with pytest.MonkeyPatch.context() as mp:
+        from qell import charmod
+        mp.setattr(charmod, "_central_pieces", _whole_space)
+        slow = sorted(r.values for r in _class_matrix_rows(G, ctx))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("spec", ["C2xS4", "D4xD4", "D12", "S3xC3"])
+def test_centre_first_start_agrees_with_the_whole_space(spec):
+    _assert_centre_first_agrees(parse_group_spec(spec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_perm_specs(max_degree=7))
+def test_centre_first_start_agrees_on_random_centralizers(spec):
+    """C_G(g) has g in its centre: the groups qell builds tables of.  Every
+    centralizer with a nontrivial centre that is not abelian is checked."""
+    conj = parse_group_spec(spec).conjugacy()
+    for i in range(conj.n_classes):
+        C = conj.centralizer(i)
+        sizes = C.conjugacy().class_sizes
+        if 1 < sizes.count(1) < len(sizes):
+            _assert_centre_first_agrees(C)
+
+
+def test_abelian_class_matrix_path_reads_no_table(monkeypatch):
+    """On an abelian group the class-matrix path is the abelian path's
+    cross-check, so it must not read that path or any table."""
+    from qell import charmod
+
+    def refuse(*args):
+        raise AssertionError("the class-matrix path read a table")
+    monkeypatch.setattr(charmod, "_abelian_rows", refuse)
+    monkeypatch.setattr(ScalarContext, "table", refuse)
+    for G in (cyclic(6), direct_product(cyclic(2), cyclic(4))):
+        rows = _class_matrix_rows(G, ScalarContext.for_groups([G]))
+        assert len(rows) == G.order
 
 
 def test_regular_character_decomposition(S3, s3_ctx):
@@ -309,6 +365,22 @@ def _dropped_root(roots):
     return roots[:-1]
 
 
+def _wrong_central_root(table):
+    """On the centre's table, the one abelian table a nonabelian group's
+    build reads, the last θ has its value at its first z with θ(z) ≠ 1 moved
+    to the wrong root of unity θ(z)·ζ_n, n = ord(z).  For a centre of order
+    2 this θ becomes the trivial one: over C2xS4 every Z-orbit of classes is
+    free, so the pieces double up and the rows repeat; over D4 the doubled
+    piece is larger than the lost one, so the split yields too many rows."""
+    Z, ctx = table.group, table.ctx
+    if not Z.is_abelian():
+        return table
+    theta = list(table.rows[-1].values)
+    c = next(c for c, t in enumerate(theta) if t != 1)
+    theta[c] = theta[c] * ctx.root_of_unity(Z.conjugacy().rep_orders[c]) % ctx.p
+    return CharacterTable(Z, ctx, table.rows[:-1] + (ClassFunction(Z, ctx, theta),))
+
+
 def _doubled_sign(table):
     """The sign row of S3 doubled after the table's checks: the rows' lookup
     still holds the true sign, so no product with the doubled row is a row."""
@@ -332,8 +404,12 @@ def _doubled_sign(table):
      "class matrices failed to split the algebra"),
     ("charmod.character_table", symmetric(3), _doubled_sign,
      "product with a linear row is not a row of the table"),
+    ("charmod.character_table", direct_product(cyclic(2), symmetric(4)),
+     _wrong_central_root, "table rows are not orthonormal"),
+    ("charmod.character_table", dihedral(4), _wrong_central_root,
+     "class matrices failed to split the algebra"),
 ], ids=["degree-squares", "count", "orthonormality", "orthonormality-abelian", "split",
-        "linear-product"])
+        "linear-product", "central-root-orthonormality", "central-root-split"])
 def test_character_table_checks_fire(monkeypatch, target, group, corrupt, message):
     from qell import charmod, modp
     module, name = target.split(".")
