@@ -11,9 +11,11 @@ of degree >= 2, ``itemgetter(*a)(b)`` is the images of b·a, so a product is
 one C call; on degree 0 or 1 there is only the identity, and no product is
 taken.
 
-Each member set has one class walk: the least-first copy of a root's full
-member set shares the root's.  A central class has the whole group as its
-centralizer; any other class's centralizer is one transporter scan.
+Every subgroup, by members, by generators or from ``all_subgroups``, is its
+root's registry entry, with one class walk per member set (a root's full-set
+copy shares the root's).  A central class's centralizer is the whole group,
+any other's one transporter scan.  Homomorphisms are checked on generator
+edges; C_n, D_n and products past the order cap are refused unbuilt.
 """
 
 from __future__ import annotations
@@ -93,9 +95,7 @@ class FiniteGroup:
         self.identity = identity(self.degree)
         if self.identity not in self._index:
             raise InvalidGeneratorError("invalid generator: identity missing from closure")
-        # metadata set by direct_product()
-        self.factor_degrees: tuple[int, int] | None = None
-        self.factors: tuple["FiniteGroup", "FiniteGroup"] | None = None
+        self.factors: tuple["FiniteGroup", "FiniteGroup"] | None = None  # set by direct_product()
 
     @property
     def order(self) -> int:
@@ -143,12 +143,13 @@ class FiniteGroup:
         """True if ``other`` is a subgroup of self (same degree, subset)."""
         return other.degree == self.degree and all(g in self for g in other.elements)
 
-    def subgroup(self, elements, name: str = "") -> "FiniteGroup":
-        """The subgroup generated by ``elements`` (must lie in self)."""
+    def subgroup(self, elements) -> "FiniteGroup":
+        """The registry entry of the closure of ``elements``, which lie in self."""
         for g in elements:
             if g not in self:
                 raise NotSubgroupError(f"{g!r} is not in {self.name}")
-        return FiniteGroup(self.degree, tuple(elements), name=name or f"sub<{self.name}>")
+        span = _span(self.degree, elements, self.order)[1]
+        return self.subgroup_of(self.elements[self._index[t]] for t in span)
 
     def conjugacy(self) -> "ConjugacyData":
         """The classes, from one class walk per member set.
@@ -315,17 +316,13 @@ def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
         if g in class_of:
             continue
         # orbit of g under conjugation by the generators: s·x·s⁻¹ = s·(x·s⁻¹)
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s, times_si in conjugators:
-                    y = itemgetter(*times_si(x))(s)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        orbit, todo = {g}, [g]
+        for x in todo:
+            for s, times_si in conjugators:
+                y = itemgetter(*times_si(x))(s)
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
         idx = len(reps)
         reps.append(g)
         cls = [elements[i] for i in sorted(map(index.__getitem__, orbit))]
@@ -351,26 +348,31 @@ def transporter(G: FiniteGroup, g: Permutation, g2: Permutation) -> list[Permuta
 class GroupHom:
     """A verified homomorphism between two finite groups."""
 
-    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup,
-                 image_of: dict, check: bool = True):
+    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, image_of: dict):
         self.domain = domain
         self.codomain = codomain
         self.image_of = dict(image_of)
         self._fusion = None
         self._restrictions: dict = {}   # (source ctx, target ctx) -> checked fusion, columns
-        if check:
-            self._verify()
+        self._verify()
 
     def _verify(self):
-        if set(self.image_of) != set(self.domain.elements):
+        """A total map into the codomain with f(a·s) = f(a)·f(s) for every a
+        and generator s (s = e if there are none) is a homomorphism, checked in
+        O(|G|·r).  Every constructor (the closure, ``_least_first``,
+        ``direct_product``) makes the generators generate, so each b is a word
+        t_1…t_m in them.  f(e·s) = f(e)·f(s) gives f(e) = e, and induction on m
+        gives f(a·b) = f(a·t_1…t_{m-1})·f(t_m) = f(a)·f(b)."""
+        image_of, domain = self.image_of, self.domain
+        if set(image_of) != set(domain.elements):
             raise NotHomomorphismError("image undefined: map is not total on the domain")
-        for g, img in self.image_of.items():
+        for img in image_of.values():
             if img not in self.codomain:
                 raise NotHomomorphismError(f"image {img!r} is not in the codomain")
-        for a in self.domain.elements:
-            fa = self.image_of[a]
-            for b in self.domain.elements:
-                if self.image_of[a * b] != fa * self.image_of[b]:
+        for a in domain.elements:
+            fa = image_of[a]
+            for b in domain.generators or (domain.identity,):
+                if image_of[a * b] != fa * image_of[b]:
                     raise NotHomomorphismError(
                         f"not a homomorphism: fails at ({a!r}, {b!r})"
                     )
@@ -389,7 +391,7 @@ class GroupHom:
         if inner.codomain != self.domain:
             raise PreconditionError("homomorphisms not composable")
         return GroupHom(inner.domain, self.codomain,
-                        {g: self(inner(g)) for g in inner.domain.elements}, check=False)
+                        {g: self(inner(g)) for g in inner.domain.elements})
 
     def kernel(self) -> FiniteGroup:
         e = self.codomain.identity
@@ -397,13 +399,13 @@ class GroupHom:
 
     @staticmethod
     def identity_on(G: FiniteGroup) -> "GroupHom":
-        return GroupHom(G, G, {g: g for g in G.elements}, check=False)
+        return GroupHom(G, G, {g: g for g in G.elements})
 
     @staticmethod
     def inclusion(H: FiniteGroup, G: FiniteGroup) -> "GroupHom":
         if not G.is_subgroup(H):
             raise NotSubgroupError(f"{H.name} is not a subgroup of {G.name}")
-        return GroupHom(H, G, {h: h for h in H.elements}, check=False)
+        return GroupHom(H, G, {h: h for h in H.elements})
 
 
 def make_hom(G: FiniteGroup, H: FiniteGroup, generator_images) -> GroupHom:
@@ -420,30 +422,34 @@ def make_hom(G: FiniteGroup, H: FiniteGroup, generator_images) -> GroupHom:
             f"expected {len(G.generators)} generator images, got {len(imgs)}"
         )
     image_of = {G.identity: H.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            fg = image_of[g]
-            for s, fs in zip(G.generators, imgs):
-                h = g * s
-                fh = fg * fs
-                if h in image_of:
-                    if image_of[h] != fh:
-                        raise NotHomomorphismError("image undefined: extension inconsistent")
-                else:
-                    image_of[h] = fh
-                    nxt.append(h)
-        frontier = nxt
+    todo = [G.identity]                 # breadth first: appended while walked
+    for g in todo:
+        fg = image_of[g]
+        for s, fs in zip(G.generators, imgs):
+            h = g * s
+            fh = fg * fs
+            if h in image_of:
+                if image_of[h] != fh:
+                    raise NotHomomorphismError("image undefined: extension inconsistent")
+            else:
+                image_of[h] = fh
+                todo.append(h)
     return GroupHom(G, H, image_of)
 
 
 # ---------------------------------------------------------------------------
 # builtin families
 
+def _within_cap(order: int) -> None:
+    cap = order_cap()
+    if order > cap:
+        raise GroupTooLargeError(f"group too large: order exceeds cap {cap}")
+
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise PreconditionError(f"C{n}: parameter out of range")
+    _within_cap(n)
     gens = [] if n == 1 else [from_cycles(n, [tuple(range(n))])]
     return FiniteGroup(n, gens, name=f"C{n}", spec=f"C{n}")
 
@@ -469,6 +475,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n."""
     if n < 1:
         raise PreconditionError(f"D{n}: parameter out of range")
+    _within_cap(2 * n)
     if n == 1:
         return FiniteGroup(2, [from_cycles(2, [(0, 1)])], name="D1", spec="D1")
     if n == 2:
@@ -479,34 +486,31 @@ def dihedral(n: int) -> FiniteGroup:
     return FiniteGroup(n, [r, s], name=f"D{n}", spec=f"D{n}")
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = "",
-                   spec: str | None = None) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup, spec: str | None = None) -> FiniteGroup:
     """G x H acting on the disjoint union of the factors' point sets."""
-    dG, dH = G.degree, H.degree
+    _within_cap(G.order * H.order)
+    dG = G.degree
     elements = [_pair(dG, a, b) for a in G.elements for b in H.elements]
     gens = [_pair(dG, a, H.identity) for a in G.generators] + \
            [_pair(dG, G.identity, b) for b in H.generators]
-    if len(elements) > order_cap():
-        raise GroupTooLargeError(f"group too large: order exceeds cap {order_cap()}")
-    P = FiniteGroup(dG + dH, gens, name=name or f"{G.name}x{H.name}",
-                    spec=spec, _elements=elements)
-    P.factor_degrees = (dG, dH)
+    P = FiniteGroup(dG + H.degree, gens, name=f"{G.name}x{H.name}", spec=spec,
+                    _elements=elements)
     P.factors = (G, H)
     return P
 
 
 def product_split(P: FiniteGroup, g: Permutation) -> tuple[Permutation, Permutation]:
     """Split an element of a direct product into its two factor parts."""
-    if P.factor_degrees is None:
+    if P.factors is None:
         raise PreconditionError(f"{P.name} is not a direct product")
-    dG, _ = P.factor_degrees
+    dG = P.factors[0].degree
     return Permutation(g[:dG]), Permutation(tuple(i - dG for i in g[dG:]))
 
 
 def product_pair(P: FiniteGroup, a: Permutation, b: Permutation) -> Permutation:
-    if P.factor_degrees is None:
+    if P.factors is None:
         raise PreconditionError(f"{P.name} is not a direct product")
-    return _pair(P.factor_degrees[0], a, b)
+    return _pair(P.factors[0].degree, a, b)
 
 
 def _pair(dG: int, a: Permutation, b: Permutation) -> Permutation:
@@ -527,23 +531,17 @@ def all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
 
     Exponential in principle; meant for the small groups exercised in tests.
     """
-    trivial = FiniteGroup(G.degree, [], name="1")
-    seen: dict[frozenset, FiniteGroup] = {frozenset(trivial.elements): trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            # <H, g0·h> = <H, g0>: one closure per coset g0·H, from its least element
-            tried = set(H.elements)
-            for g in G.elements:
-                if g in tried:
-                    continue
-                tried.update(g * h for h in H.elements)
-                K = FiniteGroup(G.degree, H.generators + (g,))
-                fz = frozenset(K.elements)
-                if fz not in seen:
-                    seen[fz] = K
-                    nxt.append(K)
-        frontier = nxt
-    subs = sorted(seen.values(), key=lambda H: (H.order, H.elements))
-    return subs
+    subs = [G.subgroup_of([G.identity])]
+    seen = {id(subs[0])}                # registry entries: one object per member set
+    for H in subs:                      # appended while walked
+        # <H, g0·h> = <H, g0>: one closure per coset g0·H, from its least element
+        tried = set(H.elements)
+        for g in G.elements:
+            if g in tried:
+                continue
+            tried.update(g * h for h in H.elements)
+            K = G.subgroup(H.generators + (g,))
+            if id(K) not in seen:
+                seen.add(id(K))
+                subs.append(K)
+    return sorted(subs, key=lambda H: (H.order, H.elements))

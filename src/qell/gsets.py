@@ -1,6 +1,7 @@
 """Finite G-sets and the combinatorial skeleton of the constant-loop groupoid.
 
-A G-set stores a verified action table.  The inertia skeleton lists, per
+A G-set stores an action table, checked on generator edges unless its
+builder already knows it is an action.  The inertia skeleton lists, per
 torsion conjugacy class representative g, the fixed set X^g together with its
 decomposition into centralizer orbits; every downstream structure map works
 through the canonical orbit representatives and cached transport elements
@@ -10,7 +11,7 @@ recorded here.
 from __future__ import annotations
 
 from .errors import InternalCheckError, NotSubgroupError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, memo
+from .groups import FiniteGroup, GroupHom, Permutation, memo, product_split
 
 
 class FiniteGSet:
@@ -34,18 +35,20 @@ class FiniteGSet:
             self._verify()
 
     def _verify(self):
-        e = self.group.identity
-        if self._table[e] != tuple(range(self.n_points)):
+        """Bijective rows, the identity's trivial, and row(g·h) = row(g)∘row(h)
+        for every g and generator h: an action, as in ``GroupHom._verify``."""
+        table, points = self._table, range(self.n_points)
+        if table[self.group.identity] != tuple(points):
             raise PreconditionError(f"{self.name}: identity does not act trivially")
         for g in self.group.elements:
-            row = self._table[g]
-            if sorted(row) != list(range(self.n_points)):
+            if sorted(table[g]) != list(points):
                 raise PreconditionError(f"{self.name}: {g!r} does not act bijectively")
         for g in self.group.elements:
-            for h in self.group.elements:
-                gh = g * h
-                for x in range(self.n_points):
-                    if self._table[gh][x] != self._table[g][self._table[h][x]]:
+            row = table[g]
+            for h in self.group.generators:
+                row_gh, row_h = table[g * h], table[h]
+                for x in points:
+                    if row_gh[x] != row[row_h[x]]:
                         raise PreconditionError(
                             f"{self.name}: action not compatible at ({g!r}, {h!r}, {x})"
                         )
@@ -107,7 +110,6 @@ def product_gset(X: FiniteGSet, Y: FiniteGSet, P: FiniteGroup) -> FiniteGSet:
 
     Point (x, y) is stored at index x * |Y| + y.
     """
-    from .groups import product_split
     nY = Y.n_points
     table = {}
     for g in P.elements:

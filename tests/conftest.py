@@ -26,12 +26,12 @@ def s3_ctx(S3):
 
 @pytest.fixture(scope="session")
 def c2_in_s3(S3):
-    return S3.subgroup([Permutation([1, 0, 2])], name="C2<S3")
+    return S3.subgroup([Permutation([1, 0, 2])])
 
 
 @pytest.fixture(scope="session")
 def c3_in_s3(S3):
-    return S3.subgroup([Permutation([1, 2, 0])], name="C3<S3")
+    return S3.subgroup([Permutation([1, 2, 0])])
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,7 @@ def test_criterion_09_character_suite_order_48():
         # Frobenius reciprocity against a canonical cyclic subgroup
         conj = G.conjugacy()
         gen = max(conj.class_reps, key=lambda g: (g.order(), g))
-        H = G.subgroup([gen], name="cyc")
+        H = G.subgroup([gen])
         tH = sctx.table(H)
         incl = GroupHom.inclusion(H, G)
         for chi in tH.rows:

@@ -99,6 +99,21 @@ def test_cap_env_override(monkeypatch):
     assert main(["point", "--group", "S3"]) == 3
 
 
+@pytest.mark.parametrize("spec", ["C5000", "D5000", "A5xA5"])
+def test_known_order_past_the_cap_builds_no_element(monkeypatch, capsys, spec):
+    """C_n, D_n and a product know their order before enumerating: past the
+    cap they are refused with no closure of the refused group and no pair."""
+    from qell import groups
+    closed, paired = [], []
+    span, pair = groups._span, groups._pair
+    monkeypatch.setattr(groups, "_span", lambda d, *a: closed.append(d) or span(d, *a))
+    monkeypatch.setattr(groups, "_pair", lambda *a: paired.append(a) or pair(*a))
+    monkeypatch.setenv("QELL_ORDER_CAP", "100")
+    assert main(["point", "--group", spec]) == 3
+    assert capsys.readouterr().err == "error: group too large: order exceeds cap 100\n"
+    assert paired == [] and all(d <= 5 for d in closed)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
 def test_cap_env_must_be_positive_integer(monkeypatch, capsys, tmp_path, value):
     u = tmp_path / "u.json"
@@ -275,7 +290,7 @@ def test_element_round_trip_regular_and_cosets():
     _round_trip(qc.random_element(
         qc.structure(G, regular_gset(G), sctx), rng), sctx)
     from qell.groups import Permutation
-    H = G.subgroup([Permutation([1, 2, 0])], name="C3<S3")
+    H = G.subgroup([Permutation([1, 2, 0])])
     Z = coset_gset(G, H)
     _round_trip(qc.random_element(qc.structure(G, Z, sctx), rng), sctx)
 
@@ -308,7 +323,7 @@ def test_cosets_element_golden_bytes():
     from qell.groups import Permutation
     G = symmetric(3)
     sctx = ScalarContext.for_groups([G])
-    H = G.subgroup([Permutation([1, 2, 0])], name="C3<S3")
+    H = G.subgroup([Permutation([1, 2, 0])])
     unit = qc.structure(G, coset_gset(G, H), sctx).unit()
     assert jsonio.dumps(jsonio.element_payload(unit)) == COSETS_UNIT_S3_C3
 

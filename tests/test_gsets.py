@@ -7,6 +7,7 @@ from qell import qell_core as qc
 from qell.charmod import ScalarContext
 from qell.errors import InternalCheckError, NotSubgroupError, PreconditionError, SchemaError
 from qell.groups import (
+    FiniteGroup,
     GroupHom,
     Permutation,
     all_subgroups,
@@ -101,7 +102,7 @@ def test_induced_gset_is_cached_per_equal_hset(S3, c3_in_s3):
     X2 = X.restrict_group(c3_in_s3)
     assert X2 is not X and X2 == X
     assert induced_gset(S3, c3_in_s3, X2) is Z
-    H2 = S3.subgroup([Permutation([1, 2, 0])])
+    H2 = FiniteGroup(3, [Permutation([1, 2, 0])])
     assert H2 is not c3_in_s3
     assert induced_gset(S3, H2, X2) is Z
 

@@ -51,8 +51,7 @@ def s4_natural():
 def test_transfer_projection_formula(s4_natural):
     """I(a · res(b)) = I(a) · b for the covering-composite transfer."""
     S4, X, sctx = s4_natural
-    H = S4.subgroup([Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])],
-                    name="2x2")
+    H = S4.subgroup([Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])])
     stH = qc.structure(H, X.restrict_group(H), sctx)
     stG = qc.structure(S4, X, sctx)
     incl = GroupHom.inclusion(H, S4)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qell import groups, jsonio
 from qell import qell_core as qc
@@ -15,6 +16,7 @@ from qell.errors import (
     InvalidGeneratorError,
     NotHomomorphismError,
     NotSubgroupError,
+    PreconditionError,
 )
 from qell.groups import (
     FiniteGroup,
@@ -33,7 +35,7 @@ from qell.groups import (
     transporter,
 )
 from qell.groupspec import parse_group_spec
-from qell.gsets import inertia_skeleton, point_set, regular_gset
+from qell.gsets import FiniteGSet, inertia_skeleton, point_set, regular_gset
 from qell.perm import from_cycles, identity
 from strategies import small_perm_specs
 
@@ -218,6 +220,103 @@ def test_hom_compose_round_trip(S3, c2_in_s3):
     GroupHom(comp.domain, comp.codomain, comp.image_of)  # re-verify
 
 
+def test_hom_check_failures_name_their_branch(S3, c2_in_s3):
+    ident = {g: g for g in S3.elements}
+    partial = dict(ident)
+    del partial[S3.elements[-1]]
+    with pytest.raises(NotHomomorphismError, match="map is not total on the domain"):
+        GroupHom(S3, S3, partial)
+    with pytest.raises(NotHomomorphismError, match="is not in the codomain"):
+        GroupHom(S3, c2_in_s3, ident)
+    t, e, s = c2_in_s3.generators[0], S3.identity, S3.generators[0]
+    with pytest.raises(NotHomomorphismError) as info:
+        GroupHom(S3, S3, {g: t for g in S3.elements})      # f(e·s) = t, f(e)·f(s) = e
+    assert str(info.value) == f"not a homomorphism: fails at ({e!r}, {s!r})"
+
+
+# -- generator checks against all pairs -------------------------------------------
+
+def _odd(g):
+    return sum(len(c) - 1 for c in g.cycles()) % 2
+
+
+def _not_a_hom(G, H, image_of):
+    """The all-pairs reference for GroupHom's check."""
+    return (set(image_of) != set(G.elements) or any(x not in H for x in image_of.values())
+            or any(image_of[a * b] != image_of[a] * image_of[b] for a in G for b in G))
+
+
+def _not_an_action(G, n, table):
+    """The all-pairs reference for FiniteGSet's check."""
+    points = tuple(range(n))
+    return (table[G.identity] != points or any(sorted(r) != list(points) for r in table.values())
+            or any(table[a * b][x] != table[a][table[b][x]]
+                   for a in G for b in G for x in points))
+
+
+def _raises(error, build):
+    try:
+        build()
+    except error:
+        return True
+    return False
+
+
+def _coset_to_twist(data, G):
+    """One left coset x<s> of a generator's cyclic group, or one element.
+    A map twisted on x<s> still passes every s-edge, so only the other
+    generators' edges can catch it."""
+    x = data.draw(st.sampled_from(G.elements))
+    if not G.generators or data.draw(st.booleans()):
+        return [x]
+    s, coset = data.draw(st.sampled_from(G.generators)), [x]
+    while coset[-1] * s != x:
+        coset.append(coset[-1] * s)
+    return coset
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(["S4", "D6", "C2xC4"]), small_perm_specs(max_degree=4)),
+       st.data())
+def test_generator_checks_match_the_all_pairs_reference(spec, data):
+    """A hom or an action checked on generator edges fails exactly when some
+    pair fails.  Valid maps are corrupted on one element or on one coset of
+    a generator: an image replaced or multiplied by t, a row's entries
+    swapped or its points relabelled."""
+    G = parse_group_spec(spec)
+    conj = G.conjugacy()
+    C = conj.centralizer(data.draw(st.integers(0, conj.n_classes - 1)))
+    homs = [(G, G, {g: g for g in G.elements}), (C, G, {c: c for c in C.elements})]
+    if any(map(_odd, G.generators)):
+        C2 = cyclic(2)
+        homs.append((G, C2, {g: C2.generators[0] if _odd(g) else C2.identity for g in G}))
+    for domain, codomain, image_of in homs:
+        assert not _raises(NotHomomorphismError, lambda: GroupHom(domain, codomain, image_of))
+        bad, t = dict(image_of), data.draw(st.sampled_from(codomain.elements))
+        twisted = _coset_to_twist(data, domain)
+        for g in twisted:
+            bad[g] = t if len(twisted) == 1 else t * bad[g]
+        assert _raises(NotHomomorphismError, lambda: GroupHom(domain, codomain, bad)) == \
+            _not_a_hom(domain, codomain, bad)
+    for n, table in ((G.degree, {g: tuple(g) for g in G.elements}),
+                     (G.order, regular_gset(G)._table)):
+        assert not _raises(PreconditionError, lambda: FiniteGSet(G, n, table))
+        bad = dict(table)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        twisted = _coset_to_twist(data, G)
+        for g in twisted:
+            row = list(bad[g])
+            if len(twisted) > 1:                    # relabel: swap the values i and j
+                row = [j if y == i else i if y == j else y for y in row]
+            elif data.draw(st.booleans()):
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[i] = j
+            bad[g] = tuple(row)
+        assert _raises(PreconditionError, lambda: FiniteGSet(G, n, bad)) == \
+            _not_an_action(G, n, bad)
+
+
 def test_all_subgroups_counts(S3, D4):
     assert len(all_subgroups(S3)) == 6
     assert len(all_subgroups(D4)) == 10
@@ -247,12 +346,11 @@ def _all_subgroups_every_element(G):
 @pytest.mark.parametrize("spec", ["S3", "S4", "D6", "C2xC4", "A5"])
 def test_all_subgroups_one_closure_per_coset(spec):
     """Skipping the rest of a tried coset finds the same subgroups, in the
-    same order, with the same generators."""
+    same order, each the registry entry of its member set."""
     G = parse_group_spec(spec)
-
-    def data(subs):
-        return [(H.elements, H.generators) for H in subs]
-    assert data(all_subgroups(G)) == data(_all_subgroups_every_element(G))
+    subs = all_subgroups(G)
+    assert [H.elements for H in subs] == [H.elements for H in _all_subgroups_every_element(G)]
+    assert all(G.subgroup_of(H.elements) is H for H in subs)
 
 
 def test_direct_product_classes_are_pairs():
@@ -362,6 +460,23 @@ def test_one_class_walk_per_member_set(spec, walks):
         conj.centralizer(ci).conjugacy()
     assert len(walks) == 1 + len({conj.centralizer(ci) for ci in range(conj.n_classes)
                                   if conj.class_sizes[ci] > 1})
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_one_object_and_one_walk_per_member_set(spec, walks):
+    """Subgroups by generators and every entry of all_subgroups come from the
+    root's registry, so walking them and their centralizers walks each member
+    set once."""
+    G = parse_group_spec(spec)
+    subs = all_subgroups(G)
+    for H in subs:
+        assert G.subgroup_of(H.elements) is H
+        assert G.subgroup(H.generators) is H
+    walked = []
+    for H in subs:
+        conj = H.conjugacy()
+        walked += [H, *map(conj.centralizer, range(conj.n_classes))]
+    assert len(walks) == len({H.elements for H in walked})
 
 
 @pytest.mark.parametrize("spec", WALK_SPECS)

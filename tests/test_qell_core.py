@@ -184,7 +184,7 @@ def _old_pullback_hom(phi, elt):
         for orb, tctx in zip(cb.orbits, cb.ctxs):
             v = _old_value_at_element(elt, phi(cb.g), orb.rep)
             psi = GroupHom(orb.stabilizer, v.ctx.group,
-                           {s: phi(s) for s in orb.stabilizer.elements}, check=False)
+                           {s: phi(s) for s in orb.stabilizer.elements})
             row.append(rr.restrict_along(psi, v, tctx))
         out.append(row)
     return qc.QEllElt(target, out)
