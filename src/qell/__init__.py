@@ -56,7 +56,6 @@ from .gsets import (
     orbits_with_stabilizers,
     point_set,
     product_gset,
-    quotient_set,
     regular_gset,
 )
 from .qlaurent import ONE, QLaurent, ZERO, monomial, q_power

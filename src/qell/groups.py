@@ -14,8 +14,9 @@ taken.
 Every subgroup, by members, by generators or from ``all_subgroups``, is its
 root's registry entry, with one class walk per member set (a root's full-set
 copy shares the root's).  A central class's centralizer is the whole group,
-any other's one transporter scan.  Homomorphisms are checked on generator
-edges; C_n, D_n and products past the order cap are refused unbuilt.
+any other's one transporter scan.  Homomorphisms and G-set tables are
+checked on generator edges (``broken_edges``); a builtin family or product
+past the order cap is refused unbuilt.
 """
 
 from __future__ import annotations
@@ -345,6 +346,19 @@ def transporter(G: FiniteGroup, g: Permutation, g2: Permutation) -> list[Permuta
     return [x for x in G.elements if times_g2(x) == itemgetter(*x)(g)]
 
 
+def broken_edges(G: FiniteGroup, image_of):
+    """Each (a, s) with f(a·s) != f(a)∘f(s), for a in G and s a generator (e if
+    none), f(g) = ``image_of[g]`` a hom's image or a G-set's row.  Every
+    constructor makes the generators generate, so with f(e) = e (for a hom, by
+    f(e·s) = f(e)∘f(s)) and each f(s) a bijection, no broken edge gives f(a·b) =
+    f(a·t_1…t_{m-1})∘f(t_m) = f(a)∘f(b) for b = t_1…t_m, by induction on m."""
+    for a in G.elements:
+        fa = image_of[a]
+        for s in G.generators or (G.identity,):
+            if image_of[a * s] != tuple(map(fa.__getitem__, image_of[s])):
+                yield a, s
+
+
 class GroupHom:
     """A verified homomorphism between two finite groups."""
 
@@ -357,25 +371,15 @@ class GroupHom:
         self._verify()
 
     def _verify(self):
-        """A total map into the codomain with f(a·s) = f(a)·f(s) for every a
-        and generator s (s = e if there are none) is a homomorphism, checked in
-        O(|G|·r).  Every constructor (the closure, ``_least_first``,
-        ``direct_product``) makes the generators generate, so each b is a word
-        t_1…t_m in them.  f(e·s) = f(e)·f(s) gives f(e) = e, and induction on m
-        gives f(a·b) = f(a·t_1…t_{m-1})·f(t_m) = f(a)·f(b)."""
+        """A total map into the codomain with no broken edge (``broken_edges``)."""
         image_of, domain = self.image_of, self.domain
         if set(image_of) != set(domain.elements):
             raise NotHomomorphismError("image undefined: map is not total on the domain")
         for img in image_of.values():
             if img not in self.codomain:
                 raise NotHomomorphismError(f"image {img!r} is not in the codomain")
-        for a in domain.elements:
-            fa = image_of[a]
-            for b in domain.generators or (domain.identity,):
-                if image_of[a * b] != fa * image_of[b]:
-                    raise NotHomomorphismError(
-                        f"not a homomorphism: fails at ({a!r}, {b!r})"
-                    )
+        for a, b in broken_edges(domain, image_of):
+            raise NotHomomorphismError(f"not a homomorphism: fails at ({a!r}, {b!r})")
 
     def __call__(self, g: Permutation) -> Permutation:
         return self.image_of[g]
@@ -440,22 +444,27 @@ def make_hom(G: FiniteGroup, H: FiniteGroup, generator_images) -> GroupHom:
 # ---------------------------------------------------------------------------
 # builtin families
 
-def _within_cap(order: int) -> None:
-    cap = order_cap()
-    if order > cap:
-        raise GroupTooLargeError(f"group too large: order exceeds cap {cap}")
+def _within_cap(factors) -> None:
+    """Refuse a group whose order is the product of ``factors`` as soon as
+    the running product passes the cap, before any element is built."""
+    cap, order = order_cap(), 1
+    for k in factors:
+        order *= k
+        if order > cap:
+            raise GroupTooLargeError(f"group too large: order exceeds cap {cap}")
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise PreconditionError(f"C{n}: parameter out of range")
-    _within_cap(n)
+    _within_cap([n])
     gens = [] if n == 1 else [from_cycles(n, [tuple(range(n))])]
     return FiniteGroup(n, gens, name=f"C{n}", spec=f"C{n}")
 
 def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise PreconditionError(f"S{n}: parameter out of range")
+    _within_cap(range(2, n + 1))
     if n == 1:
         return FiniteGroup(1, [], name="S1", spec="S1")
     gens = [from_cycles(n, [(0, 1)])]
@@ -466,6 +475,7 @@ def symmetric(n: int) -> FiniteGroup:
 def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise PreconditionError(f"A{n}: parameter out of range")
+    _within_cap(range(3, n + 1))     # n!/2
     if n <= 2:
         return FiniteGroup(max(n, 1), [], name=f"A{n}", spec=f"A{n}")
     gens = [from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)]
@@ -475,7 +485,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n."""
     if n < 1:
         raise PreconditionError(f"D{n}: parameter out of range")
-    _within_cap(2 * n)
+    _within_cap([2, n])
     if n == 1:
         return FiniteGroup(2, [from_cycles(2, [(0, 1)])], name="D1", spec="D1")
     if n == 2:
@@ -488,7 +498,7 @@ def dihedral(n: int) -> FiniteGroup:
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, spec: str | None = None) -> FiniteGroup:
     """G x H acting on the disjoint union of the factors' point sets."""
-    _within_cap(G.order * H.order)
+    _within_cap([G.order, H.order])
     dG = G.degree
     elements = [_pair(dG, a, b) for a in G.elements for b in H.elements]
     gens = [_pair(dG, a, H.identity) for a in G.generators] + \

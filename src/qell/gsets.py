@@ -1,57 +1,50 @@
 """Finite G-sets and the combinatorial skeleton of the constant-loop groupoid.
 
-A G-set stores an action table, checked on generator edges unless its
-builder already knows it is an action.  The inertia skeleton lists, per
-torsion conjugacy class representative g, the fixed set X^g together with its
-decomposition into centralizer orbits; every downstream structure map works
-through the canonical orbit representatives and cached transport elements
-recorded here.
+A caller's action table is checked on generator edges, with the check
+homomorphisms use (``groups.broken_edges``); a set that qell derives from
+sets and groups already checked is an action by construction and is not
+checked again.  The inertia skeleton lists, per torsion conjugacy class
+representative g, the fixed set X^g together with its decomposition into
+centralizer orbits; every downstream structure map works through the
+canonical orbit representatives and cached transport elements recorded here.
 """
 
 from __future__ import annotations
 
 from .errors import InternalCheckError, NotSubgroupError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, memo, product_split
+from .groups import FiniteGroup, GroupHom, Permutation, broken_edges, memo, product_split
 
 
 class FiniteGSet:
-    """A finite set {0..n-1} with a verified action of a finite group."""
+    """A finite set {0..n-1} with a verified action table ``{g: row}``, row[x] = g·x."""
 
-    def __init__(self, group: FiniteGroup, n_points: int, act, name: str = "",
-                 check: bool = True, labels=None):
+    def __init__(self, group: FiniteGroup, n_points: int, table: dict, name: str = "",
+                 labels=None):
         self.group = group
         self.n_points = int(n_points)
-        if callable(act):
-            table = {g: tuple(act(g, x) for x in range(self.n_points))
-                     for g in group.elements}
-        else:
-            table = {g: tuple(row) for g, row in act.items()}
-        self._table = table
+        self._table = {g: tuple(row) for g, row in table.items()}
         self._key = None
         self._covers: dict = {}   # X.key() -> covering map onto X (on an induced set)
         self.name = name or f"gset<{group.name}:{self.n_points}>"
         self.labels = list(labels) if labels is not None else None
-        if check:
-            self._verify()
+        self._verify()
 
     def _verify(self):
-        """Bijective rows, the identity's trivial, and row(g·h) = row(g)∘row(h)
-        for every g and generator h: an action, as in ``GroupHom._verify``."""
-        table, points = self._table, range(self.n_points)
-        if table[self.group.identity] != tuple(points):
+        """A row of n points for exactly G's elements, the identity's
+        trivial, the generators' bijective and no broken edge: an action."""
+        G, table, points = self.group, self._table, tuple(range(self.n_points))
+        if self.n_points < 0:
+            raise PreconditionError(f"{self.name}: negative number of points")
+        if table.keys() != G._index.keys():
+            raise PreconditionError(f"{self.name}: table rows are not the elements of {G.name}")
+        if table[G.identity] != points:
             raise PreconditionError(f"{self.name}: identity does not act trivially")
-        for g in self.group.elements:
-            if sorted(table[g]) != list(points):
+        for g, row in table.items():     # a short row would break the edge check
+            if len(row) != len(points) or g in G.generators and sorted(row) != list(points):
                 raise PreconditionError(f"{self.name}: {g!r} does not act bijectively")
-        for g in self.group.elements:
-            row = table[g]
-            for h in self.group.generators:
-                row_gh, row_h = table[g * h], table[h]
-                for x in points:
-                    if row_gh[x] != row[row_h[x]]:
-                        raise PreconditionError(
-                            f"{self.name}: action not compatible at ({g!r}, {h!r}, {x})"
-                        )
+        for g, h in broken_edges(G, table):
+            x = next(x for x in points if table[g * h][x] != table[g][table[h][x]])
+            raise PreconditionError(f"{self.name}: action not compatible at ({g!r}, {h!r}, {x})")
 
     def act(self, g: Permutation, x: int) -> int:
         return self._table[g][x]
@@ -63,17 +56,16 @@ class FiniteGSet:
         """Same points, action restricted to a subgroup H <= G."""
         if not self.group.is_subgroup(H):
             raise NotSubgroupError(f"{H.name} is not a subgroup of {self.group.name}")
-        return FiniteGSet(H, self.n_points, {h: self._table[h] for h in H.elements},
-                          name=f"{self.name}|{H.name}", check=False, labels=self.labels)
+        return _Derived(H, self.n_points, {h: self._table[h] for h in H.elements},
+                        name=f"{self.name}|{H.name}", labels=self.labels)
 
     def via_hom(self, phi: GroupHom) -> "FiniteGSet":
         """Same points, G acting through phi: G -> group of self."""
         if phi.codomain != self.group:
             raise PreconditionError("hom codomain does not act on this set")
-        return FiniteGSet(phi.domain, self.n_points,
-                          {g: self._table[phi(g)] for g in phi.domain.elements},
-                          name=f"{self.name}*{phi.domain.name}", check=False,
-                          labels=self.labels)
+        return _Derived(phi.domain, self.n_points,
+                        {g: self._table[phi(g)] for g in phi.domain.elements},
+                        name=f"{self.name}*{phi.domain.name}", labels=self.labels)
 
     def key(self):
         """Structural identity: group key, size and every action row."""
@@ -94,8 +86,19 @@ class FiniteGSet:
         return f"{self.name} ({self.n_points} points)"
 
 
+class _Derived(FiniteGSet):
+    """A set built from checked parts, an action by construction: the point
+    set is trivial; restriction to H <= G and pullback along a hom into G
+    compose a checked action with a checked inclusion or hom; X x Y over
+    X.group x Y.group acts factor by factor; G x_H X, for H <= G and X an
+    H-set, permutes H-orbits.  Each builder checks what its case needs."""
+
+    def _verify(self):
+        pass
+
+
 def point_set(G: FiniteGroup) -> FiniteGSet:
-    return FiniteGSet(G, 1, lambda g, x: 0, name="pt", check=False)
+    return _Derived(G, 1, dict.fromkeys(G.elements, (0,)), name="pt")
 
 def regular_gset(G: FiniteGroup) -> FiniteGSet:
     """G acting on itself by left translation: G/1, points in element order."""
@@ -110,6 +113,9 @@ def product_gset(X: FiniteGSet, Y: FiniteGSet, P: FiniteGroup) -> FiniteGSet:
 
     Point (x, y) is stored at index x * |Y| + y.
     """
+    if P.factors != (X.group, Y.group):
+        raise PreconditionError(
+            f"{P.name} is not the direct product {X.group.name}x{Y.group.name}")
     nY = Y.n_points
     table = {}
     for g in P.elements:
@@ -118,8 +124,7 @@ def product_gset(X: FiniteGSet, Y: FiniteGSet, P: FiniteGroup) -> FiniteGSet:
         rowY = [Y.act(b, y) for y in range(nY)]
         table[g] = tuple(rowX[x] * nY + rowY[y]
                          for x in range(X.n_points) for y in range(nY))
-    return FiniteGSet(P, X.n_points * nY, table,
-                      name=f"{X.name}x{Y.name}", check=False)
+    return _Derived(P, X.n_points * nY, table, name=f"{X.name}x{Y.name}")
 
 
 def fixed_points(X: FiniteGSet, g: Permutation) -> list[int]:
@@ -203,15 +208,7 @@ def _build_induced_gset(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet) -> Finite
         raise InternalCheckError("induced set has the wrong number of points")
     cols = [(G.elements[gi], point_of[x]) for gi, x in reps]
     table = {a: tuple(p[a * g] for g, p in cols) for a in G.elements}
-    return FiniteGSet(G, len(reps), table, name=f"{G.name}x_{H.name}{X.name}",
-                      check=False, labels=reps)
-
-
-def quotient_set(X: FiniteGSet, G: FiniteGroup | None = None) -> list[tuple[int, ...]]:
-    """The orbit partition X/G as a sorted list of point tuples."""
-    G = G or X.group
-    orbs = orbits_with_stabilizers(G, X)
-    return [o.points for o in orbs]
+    return _Derived(G, len(reps), table, name=f"{G.name}x_{H.name}{X.name}", labels=reps)
 
 
 class SkeletonEntry:

@@ -28,6 +28,7 @@ from .groups import (
     Permutation,
     class_fusion,
     conjugate_subgroup,
+    make_hom,
     memo,
     product_pair,
     product_split,
@@ -221,9 +222,9 @@ def pullback_hom(phi: GroupHom, elt: QEllElt) -> QEllElt:
 def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
     """Pullback along an equivariant map of G-sets f: X -> Y, elt over (G, Y).
 
-    ``point_map[x]`` is f(x).  Equivariance is checked.  φ is G's identity,
-    the one hom ``change_of_group`` keeps on G, so restriction entries stay
-    warm across calls.
+    ``point_map[x]`` is f(x), checked equivariant on G's generators, which X
+    and Y, as actions, extend to all of G.  φ is G's identity, the one hom
+    ``change_of_group`` keeps on G, so restriction entries stay warm.
     """
     src = elt.structure
     G = src.group
@@ -235,7 +236,7 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
         raise PreconditionError("point map does not cover X")
     if any(not 0 <= y < Y.n_points for y in point_map):
         raise PreconditionError("point map leaves the target set")
-    for g in G.elements:
+    for g in G.generators:
         for x in X.points():
             if point_map[X.act(g, x)] != Y.act(g, point_map[x]):
                 raise PreconditionError("point map is not equivariant")
@@ -438,9 +439,9 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
 
 
 def _cover(G: FiniteGroup, Z: FiniteGSet, X: FiniteGSet) -> list[int]:
-    """The covering map G x_H X -> X, [g, x] ↦ g·x, checked equivariant."""
+    """The covering map G x_H X -> X, [g, x] ↦ g·x, equivariant on generators."""
     cover = [X.act(G.elements[gi], x) for (gi, x) in Z.labels]
-    for g in G.elements:
+    for g in G.generators:
         for z in Z.points():
             if cover[Z.act(g, z)] != X.act(g, cover[z]):
                 raise InternalCheckError("covering map is not equivariant")
@@ -531,17 +532,13 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
         raise PreconditionError("element's group is not a direct product")
     G, H = P.factors
     X = struct.gset
-    for h in H.elements:
+    for h in H.generators:
         ph = product_pair(P, G.identity, h)
         for x in X.points():
             if X.act(ph, x) != x:
                 raise PreconditionError("H-action not trivial")
     sctx = struct.sctx
-    XG = FiniteGSet(G, X.n_points,
-                    {a: tuple(X.act(product_pair(P, a, H.identity), x)
-                              for x in X.points())
-                     for a in G.elements},
-                    name=f"{X.name}|left", check=False)
+    XG = X.via_hom(make_hom(G, P, [product_pair(P, a, H.identity) for a in G.generators]))
     sG = structure(G, XG, sctx)
     sH = structure(H, point_set(H), sctx)
     pieces: dict[tuple[int, int], list] = {}     # (hi, j) -> a_i's component lists

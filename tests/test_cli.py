@@ -99,10 +99,11 @@ def test_cap_env_override(monkeypatch):
     assert main(["point", "--group", "S3"]) == 3
 
 
-@pytest.mark.parametrize("spec", ["C5000", "D5000", "A5xA5"])
+@pytest.mark.parametrize("spec", ["C5000", "D5000", "S5000", "A5000", "A5xA5"])
 def test_known_order_past_the_cap_builds_no_element(monkeypatch, capsys, spec):
-    """C_n, D_n and a product know their order before enumerating: past the
-    cap they are refused with no closure of the refused group and no pair."""
+    """C_n, D_n, S_n, A_n and a product know their order before enumerating:
+    past the cap they are refused with no closure of the refused group and no
+    pair."""
     from qell import groups
     closed, paired = [], []
     span, pair = groups._span, groups._pair

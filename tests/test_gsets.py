@@ -26,7 +26,6 @@ from qell.gsets import (
     inertia_skeleton,
     orbits_with_stabilizers,
     point_set,
-    quotient_set,
     regular_gset,
 )
 
@@ -36,16 +35,22 @@ SMALL_GROUPS = pytest.mark.parametrize(
 
 
 def natural_gset(G):
-    return FiniteGSet(G, G.degree, lambda g, x: g(x), name="natural")
+    return FiniteGSet(G, G.degree, {g: g for g in G.elements}, name="natural")
 
 
 def test_action_verification_rejects_bad_table(S3):
     bad = {g: (1, 2, 0) for g in S3.elements}   # identity fails to fix points
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="identity does not act trivially"):
         FiniteGSet(S3, 3, bad)
     bad2 = {g: tuple((g * g)(x) for x in range(3)) for g in S3.elements}
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="action not compatible at"):
         FiniteGSet(S3, 3, bad2)   # squaring is not compatible with composition
+    short = {g: tuple(g) for g in S3.elements}
+    short[next(g for g in S3.elements[1:] if g not in S3.generators)] = (0, 1)
+    with pytest.raises(PreconditionError, match="does not act bijectively"):
+        FiniteGSet(S3, 3, short)  # a non-generator row too short to compose with
+    with pytest.raises(PreconditionError, match="negative number of points"):
+        FiniteGSet(S3, -1, {g: () for g in S3.elements})
 
 
 def test_fixed_points_natural(S3):
@@ -83,7 +88,7 @@ def induced_by_definition(G, H, X):
     index = {c: i for i, c in enumerate(reps)}
     table = {a: tuple(index[canon(a * G.elements[gi], x)] for gi, x in reps)
              for a in G.elements}
-    return FiniteGSet(G, len(reps), table, check=False, labels=reps)
+    return FiniteGSet(G, len(reps), table, labels=reps)
 
 
 @SMALL_GROUPS
@@ -134,7 +139,7 @@ def test_transport_to_rep_is_least_transporter(G):
 def test_quotient_free_transitive():
     C2 = cyclic(2)
     X = regular_gset(C2)
-    assert len(quotient_set(X, C2)) == 1
+    assert len(orbits_with_stabilizers(C2, X)) == 1
 
 
 def test_orbit_stabilizer_invariant(S3):
@@ -146,22 +151,24 @@ def test_orbit_stabilizer_invariant(S3):
 
 
 
-# An unchecked table that is no action: r² acts as r does.  The stabilizer of
-# 0 is the subgroup {e}, yet the orbit of 0 has 2 points, not |C3| = 3.
+# A table made no action after its check: r² acts as r does.  The stabilizer
+# of 0 is the subgroup {e}, yet the orbit of 0 has 2 points, not |C3| = 3.
 def test_orbit_stabilizer_check_fires_on_an_unchecked_table():
     C3 = cyclic(3)
     e, r, r2 = C3.elements[0], C3.generators[0], C3.generators[0] ** 2
-    X = FiniteGSet(C3, 3, {e: (0, 1, 2), r: (1, 2, 0), r2: (1, 2, 0)}, check=False)
+    X = FiniteGSet(C3, 3, {e: (0, 1, 2), r: (1, 2, 0), r2: (2, 0, 1)})
+    X._table[r2] = (1, 2, 0)
     with pytest.raises(InternalCheckError, match="orbit-stabilizer"):
         orbits_with_stabilizers(C3, X)
 
 
-# An unchecked C2-table whose generator sends both points to 0: the pairs
-# (g, x) then fall into 3 classes, not |C2 x X| / |C2| = 2.
+# A C2-table made no action after its check, its generator sending both
+# points to 0: the pairs (g, x) then fall into 3 classes, not |C2 x X| / |C2| = 2.
 def test_induced_point_count_check_fires_on_an_unchecked_table():
     C2 = cyclic(2)
     e, s = C2.elements
-    X = FiniteGSet(C2, 2, {e: (0, 1), s: (0, 0)}, check=False)
+    X = FiniteGSet(C2, 2, {e: (0, 1), s: (1, 0)})
+    X._table[s] = (0, 0)
     with pytest.raises(InternalCheckError, match="induced set"):
         induced_gset(C2, C2, X)
 
@@ -219,7 +226,7 @@ def coset_gset_by_min(G, H):
     return FiniteGSet(G, len(reps),
                       {g: tuple(rep_of[min(g * r * h for h in H.elements)] for r in reps)
                        for g in G.elements},
-                      name=f"{G.name}/{H.name}", check=False, labels=reps)
+                      name=f"{G.name}/{H.name}", labels=reps)
 
 
 def regular_gset_by_table(G):
@@ -227,7 +234,7 @@ def regular_gset_by_table(G):
     idx = {g: i for i, g in enumerate(G.elements)}
     return FiniteGSet(G, G.order,
                       {g: tuple(idx[g * h] for h in G.elements) for g in G.elements},
-                      name=f"reg<{G.name}>", check=False)
+                      name=f"reg<{G.name}>")
 
 
 def space_payload_by_regular_table(struct):
@@ -280,7 +287,7 @@ def test_space_payload_on_a_set_without_descriptor():
 
 def test_structure_payload_on_an_empty_set():
     S3 = symmetric(3)
-    X = FiniteGSet(S3, 0, lambda g, x: x, name="empty")
+    X = FiniteGSet(S3, 0, dict.fromkeys(S3.elements, ()), name="empty")
     struct = qc.structure(S3, X, ScalarContext.for_groups([S3]))
     with pytest.raises(SchemaError, match="space empty has no JSON descriptor"):
         jsonio.structure_payload(struct)

@@ -2,8 +2,9 @@
 
 No module of ``qell`` except the package ``__init__`` (which re-exports)
 imports a name it never uses, no function defines a nested function it never
-refers to, no module-level private name goes unreferenced in the package, and
-no module checks with a bare ``assert``, which ``python -O`` strips.
+refers to, no module-level private name goes unreferenced in the package, no
+module checks with a bare ``assert``, which ``python -O`` strips, and no module
+but ``gsets`` builds a G-set, so every table from outside is checked there.
 """
 
 import ast
@@ -124,6 +125,26 @@ def test_no_bare_asserts(path):
     assert bare_asserts(_tree(path)) == []
 
 
+GSET_CONSTRUCTORS = {"FiniteGSet", "_Derived"}
+
+
+def gset_constructions(tree) -> list[str]:
+    """Calls of a G-set constructor, by bare name or as an attribute."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            if name in GSET_CONSTRUCTORS:
+                out.append(f"{name} (line {n.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "gsets.py"],
+                         ids=lambda p: p.stem)
+def test_only_gsets_builds_a_gset(path):
+    assert gset_constructions(_tree(path)) == []
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "from fractions import Fraction\n"
@@ -146,3 +167,5 @@ def test_the_checks_see_what_they_look_for():
         "m._dead (line 9)", "m._helper (line 10)", "m._Gone (line 12)"]
     reader = ast.parse("from . import m\nfrom .m import _helper\nprint(m._Gone)\n")
     assert unreferenced_private_names({"m": tree, "r": reader}) == ["m._dead (line 9)"]
+    builds = ast.parse("FiniteGSet(G, 1, t)\ngsets._Derived(G, 1, t)\nFiniteGSet.key(X)\n")
+    assert gset_constructions(builds) == ["FiniteGSet (line 1)", "_Derived (line 2)"]

@@ -44,7 +44,7 @@ def test_quaternion_table_from_raw_generators():
 def s4_natural():
     S4 = symmetric(4)
     sctx = ScalarContext.for_groups([S4])
-    X = FiniteGSet(S4, 4, lambda g, x: g(x), name="nat4")
+    X = FiniteGSet(S4, 4, {g: g for g in S4.elements}, name="nat4")
     return S4, X, sctx
 
 

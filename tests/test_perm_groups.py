@@ -35,7 +35,7 @@ from qell.groups import (
     transporter,
 )
 from qell.groupspec import parse_group_spec
-from qell.gsets import FiniteGSet, inertia_skeleton, point_set, regular_gset
+from qell.gsets import FiniteGSet, inertia_skeleton, point_set, product_gset, regular_gset
 from qell.perm import from_cycles, identity
 from strategies import small_perm_specs
 
@@ -254,6 +254,11 @@ def _not_an_action(G, n, table):
                    for a in G for b in G for x in points))
 
 
+def _not_equivariant(G, X, Y, f):
+    """The all-(g, x) reference for pullback_map's equivariance check."""
+    return any(f[X.act(g, x)] != Y.act(g, f[x]) for g in G for x in X.points())
+
+
 def _raises(error, build):
     try:
         build()
@@ -279,10 +284,12 @@ def _coset_to_twist(data, G):
 @given(st.one_of(st.sampled_from(["S4", "D6", "C2xC4"]), small_perm_specs(max_degree=4)),
        st.data())
 def test_generator_checks_match_the_all_pairs_reference(spec, data):
-    """A hom or an action checked on generator edges fails exactly when some
-    pair fails.  Valid maps are corrupted on one element or on one coset of
-    a generator: an image replaced or multiplied by t, a row's entries
-    swapped or its points relabelled."""
+    """A hom, an action or an equivariant map checked on generator edges
+    fails exactly when some pair fails.  Valid maps are corrupted on one
+    element or on one coset of a generator: an image replaced or multiplied
+    by t, a row's entries swapped or its points relabelled, a point's image
+    moved along its <s>-orbit.  A table with a row missing or a row for a
+    non-element is refused outright."""
     G = parse_group_spec(spec)
     conj = G.conjugacy()
     C = conj.centralizer(data.draw(st.integers(0, conj.n_classes - 1)))
@@ -315,6 +322,36 @@ def test_generator_checks_match_the_all_pairs_reference(spec, data):
             bad[g] = tuple(row)
         assert _raises(PreconditionError, lambda: FiniteGSet(G, n, bad)) == \
             _not_an_action(G, n, bad)
+        gone = data.draw(st.sampled_from(G.elements))
+        partial = {g: row for g, row in table.items() if g != gone}
+        outside = {**table, identity(G.degree + 1): tuple(range(n))}
+        for wrong in (partial, outside):
+            assert _raises(PreconditionError, lambda: FiniteGSet(G, n, wrong))
+    # g ↦ g·0 from the regular set to the natural one, moved on one point, or
+    # on its <s>-orbit as s^k·y ↦ s^k·j so that every s-edge still holds
+    X, Y = regular_gset(G), FiniteGSet(G, G.degree, {g: g for g in G.elements})
+    elt = qc.structure(G, Y, ScalarContext.for_groups([G])).unit()
+    bad = [g[0] for g in G.elements]
+    y, j = data.draw(st.sampled_from(G.elements)), data.draw(st.integers(0, G.degree - 1))
+    s = data.draw(st.sampled_from((G.identity,) + G.generators))
+    for k in range(s.order()):
+        bad[G.index(s ** k * y)] = (s ** k)[j]
+    try:
+        qc.pullback_map(bad, elt, X)
+        raised = False
+    except PreconditionError as err:
+        assert str(err) == "point map is not equivariant"
+        raised = True
+    assert raised == _not_equivariant(G, X, Y, bad)
+
+
+def test_product_gset_needs_the_product_of_its_factor_groups(S3):
+    C3 = cyclic(3)
+    for X, Y, P in ((regular_gset(C3), point_set(C3), direct_product(S3, C3)),
+                    (regular_gset(S3), point_set(C3), direct_product(C3, C3)),
+                    (regular_gset(C3), point_set(C3), S3)):
+        with pytest.raises(PreconditionError, match="is not the direct product"):
+            product_gset(X, Y, P)
 
 
 def test_all_subgroups_counts(S3, D4):

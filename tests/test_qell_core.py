@@ -377,7 +377,7 @@ def test_cog_checks_that_e_x_is_point_x(S3, c3_in_s3, monkeypatch):
     Z = induced_gset(S3, c3_in_s3, X)
     assert Z.labels[:X.n_points] == [(0, x) for x in X.points()]
     unsorted = FiniteGSet(S3, Z.n_points, {g: Z._table[g] for g in S3.elements},
-                          check=False, labels=Z.labels[::-1])
+                          labels=Z.labels[::-1])
     monkeypatch.setattr(qc, "induced_gset", lambda G, H, X: unsorted)
     with pytest.raises(InternalCheckError, match="must sort the"):
         qc.change_of_group(S3, c3_in_s3, X, z)
