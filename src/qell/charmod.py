@@ -484,7 +484,7 @@ def adams_cf(chi: ClassFunction, m: int) -> ClassFunction:
         raise PreconditionError("Adams operation index must be >= 1")
     G = chi.group
     return ClassFunction(G, chi.ctx, map(chi.values.__getitem__,
-                                         class_fusion(G, G, lambda g: g ** m)))
+                                         G.conjugacy().power_classes(m)))
 
 
 def central_angle(chi: ClassFunction, g: Permutation, ctx: ScalarContext) -> Fraction:

@@ -259,7 +259,7 @@ class ConjugacyData:
         self.rep_orders = tuple(g.order() for g in self.class_reps)
         self._centralizers: dict[int, FiniteGroup] = {}
         self._transports: dict[Permutation, tuple[int, Permutation]] = {}
-        self._inverse_classes: tuple[int, ...] | None = None
+        self._power_classes: dict[int, tuple[int, ...]] = {}
 
     @property
     def n_classes(self) -> int:
@@ -294,9 +294,14 @@ class ConjugacyData:
         return i, transporter(self.group, g, self.class_reps[i])[0]
 
     def inverse_classes(self) -> tuple[int, ...]:
-        if self._inverse_classes is None:
-            self._inverse_classes = class_fusion(self.group, self.group, Permutation.inverse)
-        return self._inverse_classes
+        return memo(self._power_classes, -1, class_fusion, self.group, self.group,
+                    Permutation.inverse)
+
+    def power_classes(self, m: int) -> tuple[int, ...]:
+        """For each class, the class of its rep to the m-th power: the power
+        map g ↦ g^m on classes, formed once per (group, m)."""
+        return memo(self._power_classes, m, class_fusion, self.group, self.group,
+                    lambda g: g ** m)
 
 
 def class_fusion(H: FiniteGroup, G: FiniteGroup, f=None) -> tuple[int, ...]:

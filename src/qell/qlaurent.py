@@ -47,8 +47,9 @@ def _reduced(den: int, num) -> "QLaurent":
     return _raw(den, tuple(num))
 
 
-def _collected(den: int, acc: dict) -> "QLaurent":
-    """A QLaurent from an exponent -> coefficient dict over den."""
+def collect(den: int, acc: dict) -> "QLaurent":
+    """A QLaurent from an int exponent -> int coefficient dict over den: the
+    one reduction that arithmetic here and in ``rotrep`` ends with."""
     return _reduced(den, [t for t in sorted(acc.items()) if t[1]])
 
 
@@ -69,7 +70,7 @@ def _combine(f: "QLaurent", g: "QLaurent", sign: int) -> "QLaurent":
     for e, c in g.num:
         e *= b
         acc[e] = acc.get(e, 0) + sign * c
-    return _collected(den, acc)
+    return collect(den, acc)
 
 
 class QLaurent:
@@ -91,7 +92,7 @@ class QLaurent:
         for p, s, c in pairs:
             e = p * (den // s)
             acc[e] = acc.get(e, 0) + c
-        f = _collected(den, acc)
+        f = collect(den, acc)
         object.__setattr__(self, "den", f.den)
         object.__setattr__(self, "num", f.num)
 
@@ -145,7 +146,7 @@ class QLaurent:
             for e2, c2 in n2:
                 e = e1 + e2 * b
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return _collected(den, acc)
+        return collect(den, acc)
 
     __rmul__ = __mul__
 

@@ -18,7 +18,14 @@ an integer (asserted at runtime).  n is 1 except for μ^n.
   shift), and every context over the table shares them; a context does only
   integer work, a row of products at a time: with its angles read as k/n,
   n = ord(g), the shift and remainder are divmod(k_i + k_j, n), and every
-  constituent μ must have k_μ equal to the remainder.
+  constituent μ must have k_μ equal to the remainder.  A product, and each
+  step of the Newton recurrence for λ^k, adds every contribution to an output
+  coefficient as ints into one {exponent: coefficient} dict over the lcm of
+  its operands' denominators, and reduces each output coefficient once
+  (``qlaurent.collect``): a coefficient with T contributions costs O(T), not
+  T canonical sums.  The basis maps below add through ``QLaurent`` instead:
+  there a target coefficient mostly takes one contribution, so the extra
+  pass costs more than it saves.
 * Adams ψ^m: group elements [h,t] power to [h^m, mt], so ψ^m sends q to q^m,
   coefficients f(q) to f(q^m), and (λ,c), of weight mc, to the constituents
   of ψ^m λ.
@@ -39,7 +46,9 @@ All multiplicities are computed exactly in the scalar context's prime field.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 from operator import add, sub
 
 from .charmod import (
@@ -53,7 +62,7 @@ from .charmod import (
 )
 from .errors import InternalCheckError, PreconditionError
 from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, memo
-from .qlaurent import ONE, QLaurent, ZERO, monomial, q_power
+from .qlaurent import ONE, QLaurent, ZERO, collect, monomial, q_power
 
 
 class LambdaCtx:
@@ -213,8 +222,9 @@ class LambdaElt:
     so fractional-exponent extensions need no separate type.  Arithmetic
     touches only the nonzero coefficients: a sum copies the left vector and
     combines at the right operand's support, and a product pairs the two
-    supports.  Results are built by ``_elt``, so only the public constructor
-    checks the vector's length.
+    supports in ``_add_product``, accumulating on ints and reducing each
+    output coefficient once.  Results are built by ``_elt``, so only the
+    public constructor checks the vector's length.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -252,17 +262,10 @@ class LambdaElt:
         if isinstance(other, (QLaurent, int)):
             return _elt(self.ctx, tuple(f * other if f.num else f for f in self.coeffs))
         _same_ctx(self, other)
-        ctx = self.ctx
-        out = [ZERO] * ctx.rank
-        right = [(j, g) for j, g in enumerate(other.coeffs) if g.num]
-        for i, f in enumerate(self.coeffs):
-            if not f.num:
-                continue
-            for j, g in right:
-                fg = f * g
-                for mu, mult in ctx.product_columns(i, j):
-                    out[mu] = out[mu] + fg * mult
-        return _elt(ctx, tuple(out))
+        ctx, den = self.ctx, _den(self, other)
+        acc = defaultdict(dict)
+        _add_product(acc, den, ctx, _over(self, den), _over(other, den))
+        return _collected(ctx, den, acc)
 
     __rmul__ = __mul__
 
@@ -318,13 +321,61 @@ def _same_ctx(a: LambdaElt, b: LambdaElt):
         raise PreconditionError("elements live in different contexts")
 
 
+def _den(*elts: LambdaElt) -> int:
+    """The lcm of the elements' coefficient denominators (zero's is 1)."""
+    return lcm(*{f.den for e in elts for f in e.coeffs})
+
+
+def _over(elt: LambdaElt, den: int) -> list:
+    """elt's nonzero coefficients as (i, ((e, c), ...)), exponents over den."""
+    out = []
+    for i, f in enumerate(elt.coeffs):
+        if f.num:
+            a = den // f.den
+            out.append((i, f.num if a == 1 else tuple((e * a, c) for e, c in f.num)))
+    return out
+
+
+def _add_product(acc: defaultdict, den: int, ctx: LambdaCtx, left: list, right: list,
+                 sign: int = 1):
+    """acc += sign·left·right, the one product kernel of the ring.
+
+    ``left`` and ``right`` are ``_over`` lists over den, and ``acc`` maps an
+    output index to its {exponent: coefficient} dict over den.  Product
+    columns have integral shifts (``_product_column`` builds them with
+    n = 1), so a column term (μ, m·q^s) adds c₁·c₂·m at e₁ + e₂ + s·den.
+    """
+    columns = ctx.product_columns
+    for i, f in left:
+        for j, g in right:
+            fg = [(e1 + e2, sign * c1 * c2) for e1, c1 in f for e2, c2 in g]
+            for mu, mult in columns(i, j):
+                (s, m), = mult.num
+                s *= den
+                d = acc[mu]
+                for e, c in fg:
+                    e += s
+                    d[e] = d.get(e, 0) + c * m
+
+
+def _collected(ctx: LambdaCtx, den: int, acc: dict) -> LambdaElt:
+    """The element whose coefficient μ is acc[μ] over den, each reduced once."""
+    out = [ZERO] * ctx.rank
+    for mu, d in acc.items():
+        out[mu] = collect(den, d)
+    return _elt(ctx, tuple(out))
+
+
 def pairing(a: LambdaElt, b: LambdaElt) -> QLaurent:
     """The Z[q^Q]-valued pairing making the canonical basis orthonormal."""
     _same_ctx(a, b)
-    out = ZERO
-    for f, g in zip(a.coeffs, b.coeffs):
-        out = out + f * g
-    return out
+    den = _den(a, b)
+    right, acc = dict(_over(b, den)), {}
+    for i, f in _over(a, den):
+        for e2, c2 in right.get(i, ()):
+            for e1, c1 in f:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return collect(den, acc)
 
 
 def _basis_map(elt: LambdaElt, target: LambdaCtx, columns: dict, build,
@@ -480,25 +531,34 @@ def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:
 
     λ⁰ = 1 and λ¹ = ψ¹ = x need no work, and the term ψ^i·λ⁰ is ψ^i itself,
     so step i forms only the products ψ^j·λ^{i-j} with 1 ≤ j < i: λ³ takes
-    three products and ψ², ψ³.  Each division by i must be exact; failure
-    signals a bug upstream.
+    three products and ψ², ψ³.  A step adds its products and ±ψ^i into one
+    accumulator over its operands' common denominator and reduces each
+    coefficient once.  Each division by i must be exact; failure signals a
+    bug upstream.
     """
     if k < 0:
         raise PreconditionError("exterior power index must be >= 0")
     if k == 0:
         return elt.ctx.unit()
+    ctx = elt.ctx
     lam = [None, elt]
     psi = [None, elt]
     for i in range(2, k + 1):
         psi.append(adams(elt, i))
-        acc = elt * lam[i - 1]
+        den = _den(elt, *lam[2:], *psi[2:])
+        over = [None] + [_over(v, den) for v in lam[1:]]
+        acc = defaultdict(dict)
+        _add_product(acc, den, ctx, over[1], over[i - 1])
         for j in range(2, i):
-            term = psi[j] * lam[i - j]
-            acc = acc + term if j % 2 else acc - term
-        acc = acc + psi[i] if i % 2 else acc - psi[i]
+            _add_product(acc, den, ctx, _over(psi[j], den), over[i - j], 1 if j % 2 else -1)
+        sign = 1 if i % 2 else -1
+        for mu, f in _over(psi[i], den):
+            d = acc[mu]
+            for e, c in f:
+                d[e] = d.get(e, 0) + sign * c
         try:
-            lam.append(_elt(elt.ctx, tuple(f.divide_int_exact(i) if f.num else f
-                                           for f in acc.coeffs)))
+            lam.append(_elt(ctx, tuple(f.divide_int_exact(i) if f.num else f
+                                       for f in _collected(ctx, den, acc).coeffs)))
         except PreconditionError as exc:
             raise InternalCheckError(f"Newton recurrence not integral: {exc}") from exc
     return lam[k]

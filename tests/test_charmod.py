@@ -250,6 +250,25 @@ def test_adams_composition(D4):
         assert adams_cf(chi, 1) == chi
 
 
+def test_adams_over_a_table_squares_each_class_rep_once(monkeypatch):
+    """ψ² of every row of one table reads one power map of the group: each
+    class rep is squared once, not once per row."""
+    G = symmetric(4)
+    rows = ScalarContext.for_groups([G]).table(G).rows
+    squared = []
+    power = Permutation.__pow__
+
+    def counted(g, m):
+        if m == 2:
+            squared.append(g)
+        return power(g, m)
+
+    monkeypatch.setattr(Permutation, "__pow__", counted)
+    for chi in rows:
+        adams_cf(chi, 2)
+    assert sorted(squared) == sorted(G.conjugacy().class_reps)
+
+
 def test_central_angle_examples():
     C2 = cyclic(2)
     ctx = ScalarContext.for_groups([C2])

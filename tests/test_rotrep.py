@@ -428,7 +428,7 @@ def test_exterior_top_of_permutation_character(S3, s3_ctx):
 
 def _old_exterior_power(elt, k):
     """The full Newton recurrence: every ψ^i through ``adams`` and every
-    ψ^i·λ^{k-i} a product, λ⁰ = 1 included."""
+    ψ^i·λ^{k-i} a product by ``_ref_mul``, λ⁰ = 1 included."""
     if k < 0:
         raise PreconditionError("exterior power index must be >= 0")
     ctx = elt.ctx
@@ -439,7 +439,7 @@ def _old_exterior_power(elt, k):
         acc = ctx.zero()
         sign = 1
         for j in range(1, i + 1):
-            term = psi[j] * lam[i - j]
+            term = rr.LambdaElt(ctx, _ref_mul(psi[j], lam[i - j]))
             acc = acc + (term if sign > 0 else -term)
             sign = -sign
         lam.append(rr.LambdaElt(ctx, tuple(f.divide_int_exact(i) for f in acc.coeffs)))
@@ -457,14 +457,28 @@ def _ref_mul(a, b):
     return out
 
 
-ORACLE_CASES = ("S3@e", "S3@c3", "C2xC4@g", "D6@e", "D6@z", "mu2")
+ORACLE_CASES = ("S3@e", "S3@c3", "C2xC4@g", "D6@e", "D6@z", "mu2", "D6@z mixed")
+
+# exponents with denominators 1, 2 and 3, so sums and products mix them
+MIXED_EXPONENTS = sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)})
+
+
+def mixed_elt(ctx, rng):
+    """A dense element whose coefficients each have 2 or 3 terms at exponents
+    in MIXED_EXPONENTS."""
+    return ctx.from_coeffs(
+        QLaurent([(r, rng.choice((-3, -2, -1, 1, 2, 3)))
+                  for r in rng.sample(MIXED_EXPONENTS, rng.randint(2, 3))])
+        for _ in range(ctx.rank))
 
 
 @pytest.fixture(scope="module")
 def oracle_elements():
     """Seeded elements per case: S3 at e and at a 3-cycle, C2xC4 at a
     non-identity central element, D6 at e and at its central involution, and
-    μ² outputs, whose coefficients carry q^{1/2} exponents."""
+    μ² outputs, whose coefficients carry q^{1/2} exponents.  "D6@z mixed"
+    holds dense ``mixed_elt``s: every basis pair contributes, so each output
+    coefficient of a product collects many terms over denominators 2, 3, 6."""
     S3, C2C4, D6 = symmetric(3), direct_product(cyclic(2), cyclic(4)), dihedral(6)
     rng = random.Random(21)
 
@@ -488,7 +502,10 @@ def oracle_elements():
     z = next(z for z in D6.elements if z != D6.identity
              and all(s * z == z * s for s in D6.generators))
     out["D6@e"], out["D6@z"] = elements(sctx, D6, D6.identity), elements(sctx, D6, z)
+    ctx = rr.ctx_build(D6, z, sctx)
+    out["D6@z mixed"] = [mixed_elt(ctx, rng) for _ in range(3)]
     assert any(f.den == 2 for a in out["mu2"] for f in a.coeffs)
+    assert any(f.den == 6 for a in out["D6@z mixed"] for f in a.coeffs)
     return out
 
 
@@ -512,6 +529,7 @@ def test_arithmetic_matches_coefficient_wise_references(oracle_elements, case):
             assert list((a + b).coeffs) == [f + g for f, g in zip(a.coeffs, b.coeffs)]
             assert list((a - b).coeffs) == [f - g for f, g in zip(a.coeffs, b.coeffs)]
             assert list((a * b).coeffs) == _ref_mul(a, b)
+            assert rr.pairing(a, b) == sum((f * g for f, g in zip(a.coeffs, b.coeffs)), ZERO)
 
 
 def test_newton_check_fires_when_adams_is_the_identity(S3, monkeypatch):
@@ -533,13 +551,13 @@ def test_exterior_powers_make_no_unit_products(S3, monkeypatch):
     x = random_elt(ctx, random.Random(3), 1.0)
     assert x != ctx.unit()
     calls = []
-    mul = rr.LambdaElt.__mul__
+    kernel = rr._add_product
 
-    def counted(a, b):
-        calls.append(b)
-        return mul(a, b)
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
 
-    monkeypatch.setattr(rr.LambdaElt, "__mul__", counted)
+    monkeypatch.setattr(rr, "_add_product", counted)
     for k, products in ((2, 1), (3, 3)):
         calls.clear()
         rr.exterior_power(x, k)
