@@ -8,14 +8,26 @@ Grammar (whitespace-insensitive; positions reported against the stripped text):
     gens   := cycles (";" cycles)*
     cycles := ("(" int ("," int)* ")")+
 
-Points are 0-indexed.  "x" builds direct products, left-associatively.
+Points are 0-indexed.  "x" builds direct products, left-associatively.  A
+``perm:`` degree past ``MAX_PERM_DEGREE``, the default order cap (no builtin
+group under it has a larger degree), is refused before any permutation is
+built, as an order past the cap is.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError, PreconditionError
-from .groups import FiniteGroup, builtin, direct_product, make_group, order_cap
+from .errors import GroupTooLargeError, InvalidGeneratorError, ParseError, PreconditionError
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    FiniteGroup,
+    builtin,
+    direct_product,
+    make_group,
+    order_cap,
+)
 from .perm import from_cycles
+
+MAX_PERM_DEGREE = DEFAULT_ORDER_CAP
 
 
 class _Cursor:
@@ -42,7 +54,11 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:      # past the interpreter's limit on integer digits
+            raise ParseError(f"integer of {self.pos - start} digits is too long",
+                             start) from None
 
 
 def parse_group_spec(text: str) -> FiniteGroup:
@@ -67,6 +83,9 @@ def _atom(cur: _Cursor) -> FiniteGroup:
     if cur.text.startswith("perm:", cur.pos):
         cur.pos += len("perm:")
         degree = cur.integer()
+        if degree > MAX_PERM_DEGREE:
+            raise GroupTooLargeError(
+                f"group too large: perm: degree exceeds {MAX_PERM_DEGREE}")
         cur.expect(":")
         gens = [_cycles(cur, degree)]
         while cur.peek() == ";":
@@ -103,5 +122,5 @@ def _cycles(cur: _Cursor, degree: int):
         cycles.append(tuple(pts))
     try:
         return from_cycles(degree, cycles)
-    except Exception as exc:
+    except InvalidGeneratorError as exc:
         raise ParseError(str(exc), cur.pos) from exc

@@ -6,8 +6,9 @@ representation ring of the rotation-extended stabilizer at g.  Elements carry
 one coefficient vector per orbit.  Every map that lands on a non-representative
 element or point reads the component at its class and orbit representatives
 and conjugates it there in one step along cached transport elements
-(``value_at_element``, ``_moved``), so all operations are deterministic
-functions; each route and each conjugated ring is found once.
+(``value_at_element``, ``_moved``; μ^n folds that conjugation into the
+columns of its plan), so all operations are deterministic functions; each
+route and each conjugated ring is found once.
 
 Every pullback is one map of pairs (φ: K -> G, f: X -> Y) with
 f(k·x) = φ(k)·f(x), i.e. of global quotients X//K -> Y//G (``_pullback``):
@@ -18,6 +19,7 @@ f(k·x) = φ(k)·f(x), i.e. of global quotients X//K -> Y//G (``_pullback``):
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from . import rotrep as rr
 from .charmod import ScalarContext
@@ -53,7 +55,7 @@ class QEllStructure:
         for cb in self.classes:       # one representation ring per orbit
             cb.ctxs = tuple(rr.ctx_for(sctx, orb.stabilizer, cb.g) for orb in cb.orbits)
         self._routes: dict = {}       # (h, point) -> (class, orbit, transport or None)
-        self._powers: dict = {}       # n -> the class reps' n-th powers
+        self._mu_plans: dict = {}     # n -> the μ^n plan (``_mu_plan``)
 
     @property
     def n_classes(self) -> int:
@@ -468,19 +470,60 @@ def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
 # the root-transport family
 
 def mu(elt: QEllElt, n: int) -> QEllElt:
-    """The n-th root transport; a ring map with values in (1/n)-exponents."""
+    """The n-th root transport; a ring map with values in (1/n)-exponents.
+
+    The component at (g, x) is the value at (g^n, x), transported by μ^n;
+    the structure's plan for n names its source component and columns, so
+    a warm call is one pass over each source's nonzero coefficients."""
     if n < 1:
         raise PreconditionError("mu degree must be >= 1")
     struct = elt.structure
-    powers = memo(struct._powers, n, lambda: tuple(cb.g ** n for cb in struct.classes))
-    out = []
-    for cb, gn in zip(struct.classes, powers):
+    scale, comps = (1, n), elt.components
+    return QEllElt(struct, tuple(
+        tuple(rr.apply_columns(comps[ci][oi].coeffs, tctx, column, scale)
+              for ci, oi, tctx, column in row)
+        for row in memo(struct._mu_plans, n, _mu_plan, struct, n)))
+
+
+def _mu_plan(struct: QEllStructure, n: int) -> tuple:
+    """Per (class, orbit): (source class, source orbit, target context, column
+    getter).  The value at (g^n, x) is the source component conjugated along
+    the route's w; the getter folds that conjugation's row permutation into
+    the μ^n columns, from the same checked entries as ``rr.conjugate`` and
+    ``rr.mu_transport``."""
+    plan = []
+    for cb in struct.classes:
+        gn = cb.g ** n
         row = []
         for orb, tctx in zip(cb.orbits, cb.ctxs):
-            v = value_at_element(elt, gn, orb.rep)
-            row.append(rr.mu_transport(v, n, tctx))
-        out.append(row)
-    return QEllElt(struct, out)
+            ci, oi, w = memo(struct._routes, (gn, orb.rep), _route, struct, gn, orb.rep)
+            src = struct.classes[ci].ctxs[oi]
+            if w is None:
+                column = rr.mu_columns(src, n, tctx)
+            else:
+                conj = memo(src._conjugates, w, _conjugated_ctx, src, w, struct.group)
+                column = _folded(rr.conjugate_columns(src, w, conj),
+                                 rr.mu_columns(conj, n, tctx), n)
+            row.append((ci, oi, tctx, column))
+        plan.append(tuple(row))
+    return tuple(plan)
+
+
+def _folded(conj_column, mu_column, n: int):
+    """The getter of row i ↦ the μ column of its conjugate row, each built once."""
+    columns = {}
+    return lambda i: columns.get(i) or memo(columns, i, _fold, conj_column, mu_column, n, i)
+
+
+def _fold(conj_column, mu_column, n: int, i: int):
+    """The μ column of the one row j that conjugation sends row i to.  Its
+    term is 1·q⁰ unless an angle check let an integral shift through, which
+    the fold then carries as q^{shift/n}."""
+    (j, t), = conj_column(i)
+    if t.num == ((0, 1),):
+        return mu_column(j)
+    t = t.rescale(Fraction(1, n))
+    return tuple((k, t * m) for k, m in mu_column(j))
 
 
 def adams(elt: QEllElt, m: int) -> QEllElt:

@@ -23,9 +23,11 @@ an integer (asserted at runtime).  n is 1 except for μ^n.
   coefficient as ints into one {exponent: coefficient} dict over the lcm of
   its operands' denominators, and reduces each output coefficient once
   (``qlaurent.collect``): a coefficient with T contributions costs O(T), not
-  T canonical sums.  The basis maps below add through ``QLaurent`` instead:
-  there a target coefficient mostly takes one contribution, so the extra
-  pass costs more than it saves.
+  T canonical sums.  The basis maps below apply their columns through one
+  kernel, ``apply_columns``, which builds each output coefficient once on
+  int exponents too; there a target coefficient mostly takes one
+  contribution, which it moves and reduces with no dict and no sort, and a
+  contribution 1·q⁰ with no rescale is the source coefficient itself.
 * Adams ψ^m: group elements [h,t] power to [h^m, mt], so ψ^m sends q to q^m,
   coefficients f(q) to f(q^m), and (λ,c), of weight mc, to the constituents
   of ψ^m λ.
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
 
 from .charmod import (
@@ -62,7 +64,7 @@ from .charmod import (
 )
 from .errors import InternalCheckError, PreconditionError
 from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, memo
-from .qlaurent import ONE, QLaurent, ZERO, collect, monomial, q_power
+from .qlaurent import ONE, QLaurent, ZERO, _reduced, collect, monomial, q_power
 
 
 class LambdaCtx:
@@ -378,35 +380,74 @@ def pairing(a: LambdaElt, b: LambdaElt) -> QLaurent:
     return collect(den, acc)
 
 
-def _basis_map(elt: LambdaElt, target: LambdaCtx, columns: dict, build,
-               scale=None) -> LambdaElt:
-    """Linear extension of a basis map i ↦ build(i) = [(j, coeff multiplier), ...].
+def apply_columns(coeffs, target: LambdaCtx, column, scale=(1, 1)) -> LambdaElt:
+    """Σ_i f_i(q^{p/s})·column(i), over target, of the coefficients ``coeffs``
+    = (f_i), for ``scale`` = (p, s) in lowest terms and column(i) =
+    ((j, m·q^{a/b}), ...): the one kernel of every basis map.
 
-    ``columns`` is the map's cache, one entry per source row.  ``scale``
-    first substitutes q ↦ q^scale in every coefficient.
+    The contributions to each output coefficient are gathered first, and the
+    coefficient is built once on int exponents over the lcm of their
+    denominators: one contribution is f's terms moved and reduced with no
+    dict and no sort, and only several are collected.  A contribution
+    1·q⁰ with no rescale is the source coefficient itself.
     """
+    first, more = {}, {}    # j -> its first (f, mult); j -> all of them, if several
+    for i, f in enumerate(coeffs):
+        if f.num:
+            for j, mult in column(i):
+                if j not in first:
+                    first[j] = f, mult
+                elif j in more:
+                    more[j].append((f, mult))
+                else:
+                    more[j] = [first[j], (f, mult)]
+    p, s = scale
+    unit_scale = p == s == 1
     out = [ZERO] * target.rank
-    for i, f in enumerate(elt.coeffs):
-        if f.is_zero():
+    for j, (f, mult) in first.items():
+        if j in more:
+            out[j] = _sum_of_terms(more[j], p, s)
             continue
-        if scale is not None:
-            f = f.rescale(scale)
-        for j, mult in memo(columns, i, build, i):
-            out[j] = out[j] + f * mult
+        (a, m), = mult.num
+        if unit_scale and a == 0 and m == 1:
+            out[j] = f
+            continue
+        b, fs = mult.den, f.den * s
+        den = fs // gcd(fs, b) * b
+        x, a = p * (den // fs), a * (den // b)
+        out[j] = _reduced(den, [(e * x + a, c * m) for e, c in f.num])
     return _elt(target, tuple(out))
 
 
-def _restriction(elt: LambdaElt, target: LambdaCtx, cache: dict, key, prepare,
-                 message: str, n: int = 1, row: bool = False) -> LambdaElt:
-    """Restriction along a group map into elt's group, then q ↦ q^{1/n}.
+def _sum_of_terms(terms, p: int, s: int) -> QLaurent:
+    """Σ f(q^{p/s})·m·q^{a/b} over the (f, m·q^{a/b}) in ``terms``, reduced once."""
+    den = lcm(*(f.den * s for f, _ in terms), *(mult.den for _, mult in terms))
+    acc = {}
+    for f, mult in terms:
+        (a, m), = mult.num
+        x, a = p * (den // (f.den * s)), a * (den // mult.den)
+        for e, c in f.num:
+            e = e * x + a
+            acc[e] = acc.get(e, 0) + c * m
+    return collect(den, acc)
+
+
+def _cached(columns: dict, build):
+    """The column getter i ↦ columns[i], filled with build(i) on a miss."""
+    return lambda i: columns.get(i) or memo(columns, i, build, i)
+
+
+def _restriction_columns(src: LambdaCtx, target: LambdaCtx, cache: dict, key, prepare,
+                         message: str, n: int = 1, row: bool = False):
+    """The column getter of a restriction along a group map into src's group,
+    then q ↦ q^{1/n}.
 
     The map's entry ``cache[key]`` is (its class fusion of target.group into
-    elt's group, its columns).  ``prepare()`` runs the map's checks and
+    src's group, its columns).  ``prepare()`` runs the map's checks and
     returns that pair; it runs only when the entry is built, so a failed
     check stores nothing.  A restricted row found in target's ``row_of`` is
     its own decomposition; ``row`` requires that.
     """
-    src = elt.ctx
     fusion, columns = memo(cache, key, prepare)
 
     def column(i):
@@ -421,7 +462,7 @@ def _restriction(elt: LambdaElt, target: LambdaCtx, cache: dict, key, prepare,
                                         target.table))
         return _constituents(pairs, target, src.angles[i].as_integer_ratio(), message, n)
 
-    return _basis_map(elt, target, columns, column, Fraction(1, n) if n > 1 else None)
+    return _cached(columns, column)
 
 
 def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
@@ -445,8 +486,9 @@ def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaEl
         fusion = class_fusion(S, src.group, phi.image_of.__getitem__)
         return memo(src._decomp_cache, ("res", target, fusion), lambda: (fusion, {}))
 
-    return _restriction(elt, target, phi._restrictions, (src, target), prepare,
-                        "restricted constituent carries the wrong central angle")
+    return apply_columns(elt.coeffs, target, _restriction_columns(
+        src, target, phi._restrictions, (src, target), prepare,
+        "restricted constituent carries the wrong central angle"))
 
 
 def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
@@ -471,22 +513,27 @@ def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
             raise InternalCheckError("induction degree mismatch")
         return cols
 
-    return _basis_map(elt, target, memo(src._maps, ("ind", target), prepare), column)
+    return apply_columns(elt.coeffs, target,
+                         _cached(memo(src._maps, ("ind", target), prepare), column))
 
 
 def conjugate(elt: LambdaElt, w: Permutation, target: LambdaCtx) -> LambdaElt:
     """Transport along s ↦ w s w^{-1}: restriction along t ↦ w^{-1} t w, a
     ring isomorphism, so every restricted row is a row of target's table."""
-    src = elt.ctx
+    return apply_columns(elt.coeffs, target, conjugate_columns(elt.ctx, w, target))
 
+
+def conjugate_columns(src: LambdaCtx, w: Permutation, target: LambdaCtx):
+    """The column getter of ``conjugate`` from src: row i goes to one row j
+    of target, times q^{c_i − d_j}, which the angle check makes q⁰."""
     def prepare():
         wi = w.inverse()
         if target.g != w * src.g * wi:
             raise PreconditionError("conjugation does not carry g to target g")
         return class_fusion(target.group, src.group, lambda t: wi * t * w), {}
 
-    return _restriction(elt, target, src._maps, ("conj", w, target), prepare,
-                        "conjugation changed a central angle", row=True)
+    return _restriction_columns(src, target, src._maps, ("conj", w, target), prepare,
+                                "conjugation changed a central angle", row=True)
 
 
 def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
@@ -496,9 +543,13 @@ def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
     coefficients f(q) to f(q^{1/n}) and the basis element (ρ,c) to
     Σ_λ ⟨ρ|, λ⟩ · q^{(c − n·d_λ)/n} · (λ, d_λ); a ring homomorphism.
     """
+    return apply_columns(elt.coeffs, target, mu_columns(elt.ctx, n, target), (1, n))
+
+
+def mu_columns(src: LambdaCtx, n: int, target: LambdaCtx):
+    """The column getter of ``mu_transport`` from src, applied with scale (1, n)."""
     if n < 1:
         raise PreconditionError("transport degree must be >= 1")
-    src = elt.ctx
 
     def prepare():
         if src.g != target.g ** n:
@@ -507,8 +558,8 @@ def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
             raise PreconditionError("target group does not sit inside the source group")
         return class_fusion(target.group, src.group), {}
 
-    return _restriction(elt, target, src._maps, ("mu", n, target), prepare,
-                        "non-integral rotation shift in root transport", n)
+    return _restriction_columns(src, target, src._maps, ("mu", n, target), prepare,
+                                "non-integral rotation shift in root transport", n)
 
 
 def adams(elt: LambdaElt, m: int) -> LambdaElt:
@@ -523,7 +574,8 @@ def adams(elt: LambdaElt, m: int) -> LambdaElt:
         return _constituents(enumerate(mults), ctx, (m * a.numerator, a.denominator),
                              "Adams constituent carries the wrong central angle")
 
-    return _basis_map(elt, ctx, memo(ctx._decomp_cache, ("adams", m), dict), column, m)
+    return apply_columns(elt.coeffs, ctx,
+                         _cached(memo(ctx._decomp_cache, ("adams", m), dict), column), (m, 1))
 
 
 def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from qell.charmod import ScalarContext
 from qell.cli import main
 from qell.errors import ParseError, SchemaError
 from qell.groups import cyclic, symmetric
+from qell import groupspec
 from qell.groupspec import parse_group_spec
 from qell.gsets import coset_gset, point_set, regular_gset
 
@@ -113,6 +115,42 @@ def test_known_order_past_the_cap_builds_no_element(monkeypatch, capsys, spec):
     assert main(["point", "--group", spec]) == 3
     assert capsys.readouterr().err == "error: group too large: order exceeds cap 100\n"
     assert paired == [] and all(d <= 5 for d in closed)
+
+
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("spec, position", [
+    (f"S{HUGE}", 1), (f"perm:{HUGE}:(0,1)", 5), (f"perm:3:(0,{HUGE})", 10)],
+    ids=["family", "perm-degree", "cycle-point"])
+def test_an_integer_past_the_digit_limit_is_a_parse_error(capsys, spec, position):
+    assert main(["point", "--group", spec]) == 2
+    assert capsys.readouterr().err == \
+        f"error: position {position}: integer of 5000 digits is too long\n"
+
+
+def test_a_perm_degree_past_the_bound_builds_no_permutation(monkeypatch, capsys):
+    bound = groupspec.MAX_PERM_DEGREE
+    assert parse_group_spec(f"perm:{bound}:(0,{bound - 1})").order == 2
+    monkeypatch.setattr(groupspec, "from_cycles",
+                        lambda *args: pytest.fail("a permutation was built"))
+    for degree in (bound + 1, "9" * 4000):
+        assert main(["point", "--group", f"perm:{degree}:(0,1)"]) == 3
+        assert capsys.readouterr().err == \
+            f"error: group too large: perm: degree exceeds {bound}\n"
+
+
+def test_a_bad_cycle_is_a_parse_error_and_nothing_else_is(monkeypatch, capsys):
+    assert main(["point", "--group", "perm:3:(0,1)(2,2)"]) == 2
+    assert capsys.readouterr().err == \
+        "error: position 17: invalid generator: repeated point in cycle [2, 2]\n"
+
+    def broken(*args):
+        raise ValueError("not a generator problem")
+
+    monkeypatch.setattr(groupspec, "from_cycles", broken)
+    with pytest.raises(ValueError):
+        parse_group_spec("perm:3:(0,1)")
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
@@ -505,6 +543,31 @@ GOLDEN_SHA256 = {
     ("unit", "--group", "S4", "--space", "regular"):
         "b67c5931cde31e7d29ac2a3e3ff362cd0888df21782bbe4fd17b6ebb247a11a4",
 }
+
+
+# sha256 of `qell op mu --n N` stdout on seeded `random_element` documents,
+# pinned before μ read its components through one plan per (structure, n).
+# (Seed 7 gives D4's one free orbit a nonzero coefficient.)
+MU_GOLDEN_SHA256 = {
+    ("S4", "pt", 1, 2): "8c234771bd4d64c0d28290c2a7989801513c2747b14ceb26f0b3f70fbea11878",
+    ("S4", "pt", 1, 3): "fa3afcd018cf771f0f9fa5b3b6adf0c7a01869c5199d462b18bc07a715149a1f",
+    ("D4", "regular", 7, 2): "78252e41cbbba2c4ab20a40fd77a4827459a3870998ed348f771e4b343759939",
+    ("D4", "regular", 7, 3): "c114f10fccfb25736fe66178d16c9b7f87d2ce06e21b1b15e22a3f1a396442a5",
+}
+
+
+@pytest.mark.parametrize("case", list(MU_GOLDEN_SHA256), ids=lambda c: "-".join(map(str, c)))
+def test_op_mu_golden_bytes(tmp_path, capsys, case):
+    spec, space, seed, n = case
+    G = parse_group_spec(spec)
+    X = point_set(G) if space == "pt" else regular_gset(G)
+    struct = qc.structure(G, X, ScalarContext.for_groups([G]))
+    path = tmp_path / "elt.json"
+    path.write_text(jsonio.dumps(jsonio.element_payload(
+        qc.random_element(struct, random.Random(seed)))))
+    assert main(["op", "mu", "--n", str(n), "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MU_GOLDEN_SHA256[case]
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)

@@ -5,7 +5,7 @@ contexts, structures, product, decomposition and Künneth columns, the
 subgroup registry on each root group, induced G-sets on each group, class
 transports on each group's conjugacy data, checked map entries and
 conjugated contexts on each rotation context, restriction entries on each
-hom, routes and powers on each structure, and transfer covers on each
+hom, routes and μ plans on each structure, and transfer covers on each
 induced set) fill lazily and without locks, all through ``groups.memo``.
 Each entry is complete before it is stored and a stored entry is never
 replaced, so two threads can at worst build the same entry twice.  This

@@ -27,7 +27,7 @@ from qell.gsets import (
     product_gset,
     regular_gset,
 )
-from qell.qlaurent import q_power
+from qell.qlaurent import ONE, QLaurent, ZERO, q_power
 
 
 @pytest.fixture(scope="module")
@@ -485,6 +485,127 @@ def test_mu_exponent_denominators(s3_point):
             for v in comp:
                 for f in v.coeffs:
                     assert f.in_fractional_ring(bound)
+
+
+# -- μ from one plan per (structure, n) -------------------------------------------
+#
+# qc.mu reads each component through the structure's plan for n.  The oracle is
+# the per-component body it replaced: the value at (g^n, x), then μ^n on it.
+
+def _old_mu(elt, n):
+    return [[rr.mu_transport(qc.value_at_element(elt, cb.g ** n, orb.rep), n, tctx)
+             for orb, tctx in zip(cb.orbits, cb.ctxs)]
+            for cb in elt.structure.classes]
+
+
+def _mixed_element(struct, rng):
+    """Every coefficient a sum of terms in q, q^{1/2} and q^{1/3}."""
+    return qc.QEllElt(struct, [
+        [ctx.from_coeffs([QLaurent([(Fraction(rng.randint(-6, 6), d), rng.choice([-2, 1, 3]))
+                                    for d in (1, 2, 3)]) for _ in range(ctx.rank)])
+         for ctx in cb.ctxs]
+        for cb in struct.classes])
+
+
+@pytest.mark.parametrize("G, nonabelian", [(symmetric(4), True), (dihedral(4), True),
+                                      (direct_product(cyclic(2), cyclic(4)), False)],
+                         ids=["S4", "D4", "C2xC4"])
+def test_mu_matches_the_per_component_body(G, nonabelian, monkeypatch):
+    sctx = ScalarContext.for_groups([G])
+    H = G.subgroup([G.generators[-1]])
+    rng = random.Random(28)
+    several, moved = [], []
+    sum_of_terms = rr._sum_of_terms
+    monkeypatch.setattr(rr, "_sum_of_terms",
+                        lambda *args: several.append(1) or sum_of_terms(*args))
+    for X in (point_set(G), regular_gset(G), coset_gset(G, H)):
+        st = qc.structure(G, X, sctx)
+        elts = [qc.random_element(st, rng), _mixed_element(st, rng)]
+        for n in range(1, 5):
+            moved += [qc._route(st, cb.g ** n, orb.rep)[2] is not None
+                      for cb in st.classes for orb in cb.orbits]
+            for e in elts:
+                got = qc.mu(e, n)
+                for comp, old, src in zip(got.components, _old_mu(e, n), e.components):
+                    for v, w, x in zip(comp, old, src):
+                        assert v.ctx is w.ctx
+                        assert [(f.den, f.num) for f in v.coeffs] == \
+                            [(f.den, f.num) for f in w.coeffs]
+                        # μ¹'s columns are unit terms: each nonzero coefficient is
+                        # handed back
+                        assert n > 1 or all(f is g for f, g in zip(v.coeffs, x.coeffs) if g)
+    # off the abelian group, some g^n is no class rep, or x no orbit rep, so
+    # a conjugation is folded in, and some outputs take several contributions;
+    # on it every μ column is one row
+    assert any(moved) == bool(several) == nonabelian
+
+
+def test_mu_folds_an_integral_conjugation_shift():
+    """Rings whose angles are all off by +1 still pass the conjugation's
+    angle check, with the term q; the plan carries it through μ² as q^{1/2},
+    as the conjugation followed by μ² does.  (On S4(pt) the rings read through
+    a conjugation at n = 2 are read through nothing else.)"""
+    G = symmetric(4)
+    st = qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+    routes = [qc._route(st, cb.g ** 2, orb.rep) for cb in st.classes for orb in cb.orbits]
+    moved = {st.classes[ci].ctxs[oi] for ci, oi, w in routes if w is not None}
+    for ctx in moved:
+        ctx.angles = tuple(a + 1 for a in ctx.angles)
+    e = _mixed_element(st, random.Random(3))
+    assert moved and qc.mu(e, 2) == qc.QEllElt(st, _old_mu(e, 2))
+
+
+# A μ plan and its columns come from the checked entries of rr.conjugate and
+# rr.mu_transport, filled through groups.memo: a failed check stores nothing,
+# so a bad call raises as on a cold structure, warm or not.
+
+def _s4_with_a_bad_angle():
+    """S4(pt) on a fresh scalar context; row 0 of the ring at e claims angle
+    1/2, so μ² of that row has a shift off the integers."""
+    G = symmetric(4)
+    st = qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+    assert st.classes[0].g == G.identity
+    ctx = st.classes[0].ctxs[0]
+    ctx.angles = (Fraction(1, 2),) + ctx.angles[1:]
+    return st
+
+
+def _ones(st, row0: bool):
+    """Every coefficient 1, but row 0 of the ring at e only if ``row0``."""
+    comps = [[ctx.from_coeffs([ONE] * ctx.rank) for ctx in cb.ctxs] for cb in st.classes]
+    if not row0:
+        ctx = st.classes[0].ctxs[0]
+        comps[0][0] = ctx.from_coeffs([ZERO] + [ONE] * (ctx.rank - 1))
+    return qc.QEllElt(st, comps)
+
+
+def _stored_mu(st):
+    """The plans, and every ring's map entries with their column counts."""
+    rings = [ctx for cb in st.classes for ctx in cb.ctxs]
+    rings += [c for ctx in rings for c in ctx._conjugates.values()]
+    return (dict(st._mu_plans),
+            [{key: len(entry[1]) for key, entry in ctx._maps.items()} for ctx in rings])
+
+
+@pytest.mark.parametrize("n, row0, error, message", [
+    (2, True, InternalCheckError, "non-integral rotation shift in root transport"),
+    (0, True, PreconditionError, "mu degree must be >= 1"),
+], ids=["bad-angle", "degree-0"])
+def test_mu_stores_a_plan_only_after_its_checks_pass(n, row0, error, message):
+    st = _s4_with_a_bad_angle()
+    with pytest.raises(error) as cold:
+        qc.mu(_ones(st, row0), n)
+    assert str(cold.value) == message
+    st = _s4_with_a_bad_angle()
+    good = qc.mu(_ones(st, False), 2)
+    stored = _stored_mu(st)
+    assert stored[0]
+    for _ in range(2):      # raising again shows that the first bad call stored nothing
+        with pytest.raises(error) as warm:
+            qc.mu(_ones(st, row0), n)
+        assert str(warm.value) == message
+        assert _stored_mu(st) == stored
+    assert qc.mu(_ones(st, False), 2) == good
 
 
 # -- verification payloads --------------------------------------------------------

@@ -22,7 +22,7 @@ from qell.groups import (
     symmetric,
 )
 from qell.gsets import point_set, regular_gset
-from qell.qlaurent import ONE, QLaurent, ZERO, q_power
+from qell.qlaurent import ONE, QLaurent, ZERO, monomial, q_power
 
 
 def random_elt(ctx, rng, density=0.7):
@@ -840,6 +840,8 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
         if hasattr(module, "transporter"):
             counted(module, "transporter", calls)
     counted(rr, "decompose", calls)
+    counted(rr, "_constituents", calls)     # a warm map builds no column,
+    counted(qc, "_fold", calls)             # and a warm μ folds none
     for name in ("__mul__", "inverse", "__pow__"):
         counted(Permutation, name, group_work)
     counted(groups.FiniteGroup, "is_subgroup", group_work)
@@ -867,6 +869,59 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
         assert not builds, (name, len(builds))
         # checks, fusions, transports and powers come back from their entries
         assert name not in lookups_only or not group_work, (name, group_work)
+
+
+# -- the one basis-map kernel ------------------------------------------------------
+#
+# apply_columns gathers the contributions to each output coefficient and builds
+# it once on int exponents.  The oracle is QLaurent arithmetic: rescale each
+# source coefficient, multiply by the column term, add.
+
+def _kernel_oracle(coeffs, target, column, p, s):
+    out = [ZERO] * target.rank
+    for i, f in enumerate(coeffs):
+        if f:
+            for j, mult in column(i):
+                out[j] = out[j] + f.rescale(Fraction(p, s)) * mult
+    return out
+
+
+@pytest.mark.parametrize("scale", [(1, 1), (1, 2), (1, 3), (2, 1), (3, 2)])
+def test_apply_columns_matches_qlaurent_arithmetic(scale):
+    G = symmetric(3)
+    ctx = rr.ctx_for(ScalarContext.for_groups([G]), G, G.identity)
+    rng = random.Random(sum(scale))
+    mixed = [Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3)]
+    for _ in range(40):
+        coeffs = [QLaurent([(rng.choice(mixed), rng.randint(-3, 3)) for _ in range(3)])
+                  if rng.random() < 0.7 else ZERO for _ in range(ctx.rank)]
+        # several terms per column and repeated targets: outputs with one
+        # contribution and with several, unit terms among them
+        columns = [tuple((rng.randrange(ctx.rank),
+                          monomial(rng.choice([-2, 1, 1, 3]), rng.choice(mixed + [0] * 9)))
+                         for _ in range(rng.randint(0, 3))) for _ in range(ctx.rank)]
+        got = rr.apply_columns(coeffs, ctx, columns.__getitem__, scale)
+        want = _kernel_oracle(coeffs, ctx, columns.__getitem__, *scale)
+        assert [(f.den, f.num) for f in got.coeffs] == [(f.den, f.num) for f in want]
+
+
+def test_a_unit_column_term_hands_back_the_source_coefficient():
+    """1·q⁰ with no rescale returns f itself; the term is tested by value, so a
+    fresh monomial(1, 0) counts, and a rescale or another term does not."""
+    G = symmetric(3)
+    ctx = rr.ctx_for(ScalarContext.for_groups([G]), G, G.identity)
+    f = q_power(Fraction(1, 2)) - 3 * q_power(2)
+    coeffs = (f,) + (ZERO,) * (ctx.rank - 1)
+    unit = ((2, monomial(1, 0)),)
+    assert monomial(1, 0) is not ONE
+    assert rr.apply_columns(coeffs, ctx, lambda i: unit).coeffs[2] is f
+    assert rr.apply_columns(coeffs, ctx, lambda i: unit, (1, 2)).coeffs[2] == \
+        f.rescale(Fraction(1, 2))
+    assert rr.apply_columns(coeffs, ctx, lambda i: ((2, monomial(2, 0)),)).coeffs[2] == 2 * f
+    # restriction along the identity and conjugation by e are unit terms throughout
+    a = random_elt(ctx, random.Random(2), density=1)
+    for b in (rr.mu_transport(a, 1, ctx), rr.conjugate(a, G.identity, ctx)):
+        assert all(x is y for x, y in zip(b.coeffs, a.coeffs))
 
 
 # -- a warm cache never answers a bad input ---------------------------------------
