@@ -372,7 +372,7 @@ class GroupHom:
         self.codomain = codomain
         self.image_of = dict(image_of)
         self._fusion = None
-        self._restrictions: dict = {}   # (source ctx, target ctx) -> checked fusion, columns
+        self._restrictions: dict = {}   # (source ctx, target ctx) -> checked restriction entry
         self._verify()
 
     def _verify(self):

@@ -3,12 +3,13 @@
 A structure fixes, per torsion conjugacy class representative g, the fixed
 set X^g cut into centralizer orbits, and attaches to each orbit the
 representation ring of the rotation-extended stabilizer at g.  Elements carry
-one coefficient vector per orbit.  Every map that lands on a non-representative
-element or point reads the component at its class and orbit representatives
-and conjugates it there in one step along cached transport elements
-(``value_at_element``, ``_moved``; μ^n folds that conjugation into the
-columns of its plan), so all operations are deterministic functions; each
-route and each conjugated ring is found once.
+one coefficient vector per orbit.  Every map reads an element at (h, point)
+through one helper, ``_read``: the component at the class and orbit
+representatives, found once per (h, point) with the one element w
+conjugating them there, and the map's entry out of the ring at (h, point)
+with that conjugation folded into its columns.  So each output component is
+one pass of ``rotrep.apply_columns``, no map builds a conjugated element,
+and all operations are deterministic functions.
 
 Every pullback is one map of pairs (φ: K -> G, f: X -> Y) with
 f(k·x) = φ(k)·f(x), i.e. of global quotients X//K -> Y//G (``_pullback``):
@@ -162,18 +163,6 @@ class QEllElt:
 # ---------------------------------------------------------------------------
 # point evaluation with transport
 
-def _moved(v: LambdaElt, w: Permutation, G: FiniteGroup) -> LambdaElt:
-    """v transported along s ↦ w s w⁻¹, onto the ring over w S w⁻¹ at w g w⁻¹;
-    that ring is found once per w on v's ring."""
-    src = v.ctx
-    return rr.conjugate(v, w, memo(src._conjugates, w, _conjugated_ctx, src, w, G))
-
-
-def _conjugated_ctx(src: LambdaCtx, w: Permutation, G: FiniteGroup) -> LambdaCtx:
-    return rr.ctx_for(src.sctx, conjugate_subgroup(G, src.group, w),
-                      w * src.g * w.inverse())
-
-
 def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
     """Component at an arbitrary torsion element h and point of X^h.
 
@@ -184,19 +173,63 @@ def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
     struct = elt.structure
     ci, oi, w = memo(struct._routes, (h, point), _route, struct, h, point)
     v = elt.components[ci][oi]
-    return v if w is None else _moved(v, w, struct.group)
+    return v if w is None else rr.apply_columns(
+        v.coeffs, *memo(v.ctx._maps, ("at", w), _conjugation, v.ctx, w, struct.group))
 
 
 def _route(struct: QEllStructure, h: Permutation, point: int):
     """(class, orbit, w): with h = u·g·u⁻¹ for g the class rep, ``point`` is
     u·t·rep for the orbit rep and its transport t, and w = u·t (None if e)."""
     ci, u = struct.conjugacy.transport_to_rep(h)
-    cb = struct.classes[ci]
+    cb, X = struct.classes[ci], struct.gset
+    if not (0 <= point < X.n_points and X.act(h, point) == point):
+        raise PreconditionError(f"{point!r} is not a point of {X.name} fixed by {h!r}")
     if u != struct.group.identity:
-        point = struct.gset.act(u.inverse(), point)
+        point = X.act(u.inverse(), point)
     oi = cb.orbit_of_point[point]
     w = u * cb.orbits[oi].transport[point]
     return ci, oi, None if w == struct.group.identity else w
+
+
+def _read(struct: QEllStructure, h: Permutation, point: int, columns, *args, n: int = 1):
+    """(class, orbit, getter) of the map ``columns(ctx, *args)`` out of ctx,
+    the ring at (h, point), applied with scale (1, n): the route's component
+    and the entry with the route's conjugation folded into its columns."""
+    ci, oi, w = memo(struct._routes, (h, point), _route, struct, h, point)
+    return ci, oi, _along(struct.classes[ci].ctxs[oi], w, struct.group, n, columns, *args)
+
+
+def _along(src: LambdaCtx, w, G: FiniteGroup, n: int, columns, *args) -> rr.MapEntry:
+    """The entry ``columns(·, *args)`` out of src conjugated along w ∈ G, or
+    out of src if w is None; the fold is kept on src per (w, entry)."""
+    if w is None:
+        return columns(src, *args)
+    conj, conj_column = memo(src._maps, ("at", w), _conjugation, src, w, G)
+    entry = columns(conj, *args)
+    return memo(src._maps, ("fold", w, entry), rr.MapEntry, _fold, conj_column, entry, n)
+
+
+def _conjugation(src: LambdaCtx, w: Permutation, G: FiniteGroup):
+    """The ring over w S w⁻¹ at w g w⁻¹, and the entry of the conjugation onto it."""
+    conj = rr.ctx_for(src.sctx, conjugate_subgroup(G, src.group, w), w * src.g * w.inverse())
+    return conj, rr.conjugate_columns(src, w, conj)
+
+
+def _fold(conj_column, column, n: int, i: int):
+    """The column of the one row j that conjugation sends row i to.  Its term
+    is 1·q⁰ unless an angle check let an integral shift through, which the
+    fold carries through the scale (1, n) as q^{shift/n}."""
+    (j, t), = conj_column(i)
+    if t.num == ((0, 1),):
+        return column(j)
+    t = t.rescale(Fraction(1, n))
+    return tuple((k, t * m) for k, m in column(j))
+
+
+def _applied(elt: QEllElt, h: Permutation, point: int, target: LambdaCtx, columns, *args):
+    """The map ``columns(·, *args)``, onto target, of elt's value at (h, point)."""
+    ci, oi, column = _read(elt.structure, h, point, columns, *args)
+    return rr.apply_columns(elt.components[ci][oi].coeffs, target, column)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +241,7 @@ def _pullback(phi: GroupHom, points, elt: QEllElt, X: FiniteGSet) -> QEllElt:
     restricts elt's value at (φ(τ), f(x)) along φ."""
     target = structure(X.group, X, elt.structure.sctx)
     return QEllElt(target, [
-        [rr.restrict_along(phi, value_at_element(elt, phi(cb.g), points[orb.rep]), tctx)
+        [_applied(elt, phi(cb.g), points[orb.rep], tctx, rr.restriction_columns, phi, tctx)
          for orb, tctx in zip(cb.orbits, cb.ctxs)]
         for cb in target.classes])
 
@@ -251,7 +284,7 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
 def _kunneth_index(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
                    P: FiniteGroup) -> dict:
     """(i, j) -> basis row of ctxP carrying the external product character."""
-    return memo(ctxP._decomp_cache, ("kun", ctxA.key(), ctxB.key()),
+    return memo(ctxP._maps, ("kun", ctxA.key(), ctxB.key()),
                 _kunneth_table, ctxA, ctxB, ctxP, P)
 
 
@@ -368,28 +401,27 @@ def change_of_group_inverse(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
     src = elt.structure
     if src.group != H or src.gset != X:
         raise PreconditionError("element does not live on (H, X)")
-    sctx = src.sctx
     Z = induced_gset(G, H, X)
-    target = structure(G, Z, sctx)
+    target = structure(G, Z, src.sctx)
     out = []
     for cb in target.classes:
-        sigma = cb.g
         row = []
         for orb, tctx in zip(cb.orbits, cb.ctxs):
             gi_label, x = Z.labels[orb.rep]
             u = G.elements[gi_label]
-            h = u.inverse() * sigma * u
+            h = u.inverse() * cb.g * u
             if h not in H or X.act(h, x) != x:
                 raise InternalCheckError("induced fixed point fails the descent test")
-            v = value_at_element(elt, h, x)
-            if u == G.identity:
-                if v.ctx != tctx:
-                    raise InternalCheckError("stabilizer mismatch in reassembly")
-                row.append(v)
-            else:
-                row.append(rr.conjugate(v, u, tctx))
+            row.append(_applied(elt, h, x, tctx, _reassembly, u, tctx))
         out.append(row)
     return QEllElt(target, out)
+
+
+def _reassembly(ctx: LambdaCtx, u: Permutation, tctx: LambdaCtx) -> rr.MapEntry:
+    """The conjugation along u from ctx onto tctx; along e, ctx must be tctx."""
+    if u == ctx.group.identity and ctx != tctx:
+        raise InternalCheckError("stabilizer mismatch in reassembly")
+    return rr.conjugate_columns(ctx, u, tctx)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +439,8 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
     if algorithm not in ("A", "B"):
         raise PreconditionError(f"unknown transfer algorithm {algorithm!r}: expected 'A' or 'B'")
     if algorithm == "B":
+        if X is not None and (X.group != G or X.n_points != 1):
+            raise PreconditionError(f"algorithm B lands on the one-point set, not on {X.name}")
         return _transfer_point_sum(G, elt)
     if X is None:
         raise PreconditionError("algorithm A needs the ambient G-set")
@@ -425,16 +459,11 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
         zcb = zstruct.classes[ci]
         row = []
         for orb, tctx in zip(cb.orbits, cb.ctxs):
-            fiber = [z for z in zcb.fixed if cover[z] == orb.rep]
-            acc = tctx.zero()
-            done = set()
-            for z in fiber:
-                if z in done:
-                    continue
-                piece = {Z.act(s, z) for s in orb.stabilizer.elements}
-                done.update(piece)
-                v = value_at_element(zelt, zcb.g, z)
-                acc = acc + rr.induce_to(v, tctx)
+            acc, done = tctx.zero(), set()
+            for z in zcb.fixed:     # one point per stabilizer orbit of the fiber
+                if cover[z] == orb.rep and z not in done:
+                    done.update(Z.act(s, z) for s in orb.stabilizer.elements)
+                    acc = acc + _applied(zelt, zcb.g, z, tctx, rr.induction_columns, tctx)
             row.append(acc)
         out.append(row)
     return QEllElt(target, out)
@@ -460,9 +489,11 @@ def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
     acc = [cb.ctxs[0].zero() for cb in target.classes]
     for hi, h0 in enumerate(H.conjugacy().class_reps):
         ci, w = G.conjugacy().transport_to_rep(h0)
+        tctx = target.classes[ci].ctxs[0]
         # h0 == w g w^{-1} for g the class rep, so w^{-1} moves h0 to g
-        moved = _moved(elt.components[hi][0], w.inverse(), G)
-        acc[ci] = acc[ci] + rr.induce_to(moved, target.classes[ci].ctxs[0])
+        column = _along(elt.structure.classes[hi].ctxs[0], None if w == G.identity
+                        else w.inverse(), G, 1, rr.induction_columns, tctx)
+        acc[ci] = acc[ci] + rr.apply_columns(elt.components[hi][0].coeffs, tctx, column)
     return QEllElt(target, [[a] for a in acc])
 
 
@@ -473,57 +504,23 @@ def mu(elt: QEllElt, n: int) -> QEllElt:
     """The n-th root transport; a ring map with values in (1/n)-exponents.
 
     The component at (g, x) is the value at (g^n, x), transported by μ^n;
-    the structure's plan for n names its source component and columns, so
-    a warm call is one pass over each source's nonzero coefficients."""
+    the structure's plan for n names its source component and getter, so a
+    warm call is one pass over each source's nonzero coefficients."""
     if n < 1:
         raise PreconditionError("mu degree must be >= 1")
     struct = elt.structure
     scale, comps = (1, n), elt.components
     return QEllElt(struct, tuple(
         tuple(rr.apply_columns(comps[ci][oi].coeffs, tctx, column, scale)
-              for ci, oi, tctx, column in row)
-        for row in memo(struct._mu_plans, n, _mu_plan, struct, n)))
+              for (ci, oi, column), tctx in zip(row, cb.ctxs))
+        for row, cb in zip(memo(struct._mu_plans, n, _mu_plan, struct, n), struct.classes)))
 
 
 def _mu_plan(struct: QEllStructure, n: int) -> tuple:
-    """Per (class, orbit): (source class, source orbit, target context, column
-    getter).  The value at (g^n, x) is the source component conjugated along
-    the route's w; the getter folds that conjugation's row permutation into
-    the μ^n columns, from the same checked entries as ``rr.conjugate`` and
-    ``rr.mu_transport``."""
-    plan = []
-    for cb in struct.classes:
-        gn = cb.g ** n
-        row = []
-        for orb, tctx in zip(cb.orbits, cb.ctxs):
-            ci, oi, w = memo(struct._routes, (gn, orb.rep), _route, struct, gn, orb.rep)
-            src = struct.classes[ci].ctxs[oi]
-            if w is None:
-                column = rr.mu_columns(src, n, tctx)
-            else:
-                conj = memo(src._conjugates, w, _conjugated_ctx, src, w, struct.group)
-                column = _folded(rr.conjugate_columns(src, w, conj),
-                                 rr.mu_columns(conj, n, tctx), n)
-            row.append((ci, oi, tctx, column))
-        plan.append(tuple(row))
-    return tuple(plan)
-
-
-def _folded(conj_column, mu_column, n: int):
-    """The getter of row i ↦ the μ column of its conjugate row, each built once."""
-    columns = {}
-    return lambda i: columns.get(i) or memo(columns, i, _fold, conj_column, mu_column, n, i)
-
-
-def _fold(conj_column, mu_column, n: int, i: int):
-    """The μ column of the one row j that conjugation sends row i to.  Its
-    term is 1·q⁰ unless an angle check let an integral shift through, which
-    the fold then carries as q^{shift/n}."""
-    (j, t), = conj_column(i)
-    if t.num == ((0, 1),):
-        return mu_column(j)
-    t = t.rescale(Fraction(1, n))
-    return tuple((k, t * m) for k, m in mu_column(j))
+    """Per (class, orbit): ``_read`` of μ^n of the value at (g^n, x)."""
+    return tuple(tuple(_read(struct, cb.g ** n, orb.rep, rr.mu_columns, n, tctx, n=n)
+                       for orb, tctx in zip(cb.orbits, cb.ctxs))
+                 for cb in struct.classes)
 
 
 def adams(elt: QEllElt, m: int) -> QEllElt:

@@ -23,11 +23,7 @@ an integer (asserted at runtime).  n is 1 except for μ^n.
   coefficient as ints into one {exponent: coefficient} dict over the lcm of
   its operands' denominators, and reduces each output coefficient once
   (``qlaurent.collect``): a coefficient with T contributions costs O(T), not
-  T canonical sums.  The basis maps below apply their columns through one
-  kernel, ``apply_columns``, which builds each output coefficient once on
-  int exponents too; there a target coefficient mostly takes one
-  contribution, which it moves and reduces with no dict and no sort, and a
-  contribution 1·q⁰ with no rescale is the source coefficient itself.
+  T canonical sums.
 * Adams ψ^m: group elements [h,t] power to [h^m, mt], so ψ^m sends q to q^m,
   coefficients f(q) to f(q^m), and (λ,c), of weight mc, to the constituents
   of ψ^m λ.
@@ -38,10 +34,15 @@ an integer (asserted at runtime).  n is 1 except for μ^n.
   to Σ_λ ⟨ρ|_S, λ⟩ q^{(c − n·d_λ)/n} (λ, d_λ).
 * induction: Ind of a row, decomposed, at weight c; degrees are checked.
 
-A map's preconditions, and the group work behind it (class fusion, the
-conjugated context), run once per entry: each (source context, map, target
-context) has one checked entry, filled through ``groups.memo`` only after
-its checks pass, so a warm call is a lookup and a bad input is never stored.
+Each (source context, map, target context) has one checked entry, a
+``MapEntry``, which is the map's column getter: it is stored once, in the
+source context's one registry ``_maps`` (restriction checks on the hom),
+through ``groups.memo`` after the map's checks and class fusion pass.  Every
+basis map applies its entry's columns through one kernel, ``apply_columns``,
+which builds each output coefficient once on int exponents: one contribution
+is moved and reduced with no dict and no sort, and 1·q⁰ with no rescale is
+the source coefficient itself.  So a warm map is a lookup and one kernel
+pass, and a bad input is never stored.
 
 All multiplicities are computed exactly in the scalar context's prime field.
 """
@@ -93,9 +94,7 @@ class LambdaCtx:
         self._hash = hash(self.key())
         self._product_rows: dict = {}  # i -> the columns of i*j for j >= i
         self._ks: tuple[int, ...] = ()  # angle numerators over ord(g), read at the first product
-        self._decomp_cache: dict = {}
-        self._maps: dict = {}          # checked map entries, by (kind, n or w, target)
-        self._conjugates: dict = {}    # w -> the context over w S w⁻¹ at w g w⁻¹
+        self._maps: dict = {}          # map entries and conjugated rings, by (kind, ...)
 
     def key(self):
         return (self.group.key(), self.g)
@@ -432,89 +431,88 @@ def _sum_of_terms(terms, p: int, s: int) -> QLaurent:
     return collect(den, acc)
 
 
-def _cached(columns: dict, build):
-    """The column getter i ↦ columns[i], filled with build(i) on a miss."""
-    return lambda i: columns.get(i) or memo(columns, i, build, i)
+class MapEntry:
+    """A checked map entry, which is its own column getter: entry(i) is row
+    i's column ((j, m·q^{a/b}), ...), built by build(*args, i) on first use
+    and kept in ``columns``."""
+
+    __slots__ = ("columns", "build", "args")
+
+    def __init__(self, build, *args):
+        self.columns, self.build, self.args = {}, build, args
+
+    def __call__(self, i: int):
+        return self.columns.get(i) or memo(self.columns, i, self.build, *self.args, i)
 
 
-def _restriction_columns(src: LambdaCtx, target: LambdaCtx, cache: dict, key, prepare,
-                         message: str, n: int = 1, row: bool = False):
-    """The column getter of a restriction along a group map into src's group,
-    then q ↦ q^{1/n}.
-
-    The map's entry ``cache[key]`` is (its class fusion of target.group into
-    src's group, its columns).  ``prepare()`` runs the map's checks and
-    returns that pair; it runs only when the entry is built, so a failed
-    check stores nothing.  A restricted row found in target's ``row_of`` is
-    its own decomposition; ``row`` requires that.
-    """
-    fusion, columns = memo(cache, key, prepare)
-
-    def column(i):
-        values = tuple(map(src.table.rows[i].values.__getitem__, fusion))
-        j = target.table.row_of.get(values)
-        if j is not None:
-            pairs = ((j, 1),)
-        elif row:
-            raise InternalCheckError("class function is not a row of the table")
-        else:
-            pairs = enumerate(decompose(ClassFunction(target.group, src.sctx, values),
-                                        target.table))
-        return _constituents(pairs, target, src.angles[i].as_integer_ratio(), message, n)
-
-    return _cached(columns, column)
+def _restricted(src: LambdaCtx, target: LambdaCtx, fusion, message: str, n: int, row: bool, i):
+    """Column i of a restriction with class fusion ``fusion`` of target.group
+    into src's group, then q ↦ q^{1/n}; a restricted row found in target's
+    ``row_of`` is its own decomposition, and ``row`` requires that."""
+    values = tuple(map(src.table.rows[i].values.__getitem__, fusion))
+    j = target.table.row_of.get(values)
+    if j is not None:
+        pairs = ((j, 1),)
+    elif row:
+        raise InternalCheckError("class function is not a row of the table")
+    else:
+        pairs = enumerate(decompose(ClassFunction(target.group, src.sctx, values),
+                                    target.table))
+    return _constituents(pairs, target, src.angles[i].as_integer_ratio(), message, n)
 
 
 def restrict_along(phi: GroupHom, elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
     """Pull back along φ, on target.group ≤ φ's domain, into elt's group, with
-    φ(target.g) = elt.g.
+    φ(target.g) = elt.g: a ring homomorphism; every constituent of a
+    pulled-back basis character inherits its central angle unchanged."""
+    return apply_columns(elt.coeffs, target, restriction_columns(elt.ctx, phi, target))
 
-    A ring homomorphism; every constituent of a pulled-back basis character
-    inherits its central angle unchanged.  The checks and the class fusion of
-    target.group along φ are kept on φ per (elt's context, target); the
-    (fusion, columns) pair is elt's ring's per fusion, so maps with equal
-    fusions share it.
-    """
-    src, S = elt.ctx, target.group
 
-    def prepare():
-        # φ is a hom, so it carries S into src.group when it carries S's generators
-        if not (phi.domain.is_subgroup(S) and all(phi(s) in src.group for s in S.generators)):
-            raise PreconditionError("homomorphism does not match the contexts")
-        if phi(target.g) != src.g:
-            raise PreconditionError("homomorphism does not carry g to g")
-        fusion = class_fusion(S, src.group, phi.image_of.__getitem__)
-        return memo(src._decomp_cache, ("res", target, fusion), lambda: (fusion, {}))
+def restriction_columns(src: LambdaCtx, phi: GroupHom, target: LambdaCtx) -> MapEntry:
+    """The entry of ``restrict_along`` from src: its checks run once per (src,
+    target) on φ, and the entry is src's per class fusion of target.group
+    along φ, so homs with equal fusions share it."""
+    return memo(phi._restrictions, (src, target), _restriction_entry, src, phi, target)
 
-    return apply_columns(elt.coeffs, target, _restriction_columns(
-        src, target, phi._restrictions, (src, target), prepare,
-        "restricted constituent carries the wrong central angle"))
+
+def _restriction_entry(src: LambdaCtx, phi: GroupHom, target: LambdaCtx) -> MapEntry:
+    S = target.group
+    # φ is a hom, so it carries S into src.group when it carries S's generators
+    if not (phi.domain.is_subgroup(S) and all(phi(s) in src.group for s in S.generators)):
+        raise PreconditionError("homomorphism does not match the contexts")
+    if phi(target.g) != src.g:
+        raise PreconditionError("homomorphism does not carry g to g")
+    fusion = class_fusion(S, src.group, phi.image_of.__getitem__)
+    return memo(src._maps, ("res", target, fusion), MapEntry, _restricted, src, target, fusion,
+                "restricted constituent carries the wrong central angle", 1, False)
 
 
 def induce_to(elt: LambdaElt, target: LambdaCtx) -> LambdaElt:
     """Additive induction from Λ over S ≤ S' at the same central element."""
-    src = elt.ctx
-    index = target.group.order // src.group.order
+    return apply_columns(elt.coeffs, target, induction_columns(elt.ctx, target))
 
-    def prepare():
-        if src.g != target.g:
-            raise PreconditionError("induction must preserve the central element")
-        if not target.group.is_subgroup(src.group):
-            raise PreconditionError(f"{src.group.name} is not inside {target.group.name}")
-        return {}
 
-    def column(i):
-        ind = induce_cf(target.group, src.group, src.table.rows[i])
-        mults = decompose(ind, target.table)
-        cols = _constituents(enumerate(mults), target, src.angles[i].as_integer_ratio(),
-                             "induced constituent carries the wrong central angle")
-        total = sum(m * target.table.degree(j) for j, m in enumerate(mults))
-        if total != index * src.table.degree(i):
-            raise InternalCheckError("induction degree mismatch")
-        return cols
+def induction_columns(src: LambdaCtx, target: LambdaCtx) -> MapEntry:
+    """The entry of ``induce_to`` from src."""
+    return memo(src._maps, ("ind", target), _induction_entry, src, target)
 
-    return apply_columns(elt.coeffs, target,
-                         _cached(memo(src._maps, ("ind", target), prepare), column))
+
+def _induction_entry(src: LambdaCtx, target: LambdaCtx) -> MapEntry:
+    if src.g != target.g:
+        raise PreconditionError("induction must preserve the central element")
+    if not target.group.is_subgroup(src.group):
+        raise PreconditionError(f"{src.group.name} is not inside {target.group.name}")
+    return MapEntry(_induced, src, target)
+
+
+def _induced(src: LambdaCtx, target: LambdaCtx, i: int):
+    mults = decompose(induce_cf(target.group, src.group, src.table.rows[i]), target.table)
+    cols = _constituents(enumerate(mults), target, src.angles[i].as_integer_ratio(),
+                         "induced constituent carries the wrong central angle")
+    total = sum(m * target.table.degree(j) for j, m in enumerate(mults))
+    if total != target.group.order // src.group.order * src.table.degree(i):
+        raise InternalCheckError("induction degree mismatch")
+    return cols
 
 
 def conjugate(elt: LambdaElt, w: Permutation, target: LambdaCtx) -> LambdaElt:
@@ -523,17 +521,19 @@ def conjugate(elt: LambdaElt, w: Permutation, target: LambdaCtx) -> LambdaElt:
     return apply_columns(elt.coeffs, target, conjugate_columns(elt.ctx, w, target))
 
 
-def conjugate_columns(src: LambdaCtx, w: Permutation, target: LambdaCtx):
-    """The column getter of ``conjugate`` from src: row i goes to one row j
-    of target, times q^{c_i − d_j}, which the angle check makes q⁰."""
-    def prepare():
-        wi = w.inverse()
-        if target.g != w * src.g * wi:
-            raise PreconditionError("conjugation does not carry g to target g")
-        return class_fusion(target.group, src.group, lambda t: wi * t * w), {}
+def conjugate_columns(src: LambdaCtx, w: Permutation, target: LambdaCtx) -> MapEntry:
+    """The entry of ``conjugate`` from src: row i goes to one row j of
+    target, times q^{c_i − d_j}, which the angle check makes q⁰."""
+    return memo(src._maps, ("conj", w, target), _conjugation_entry, src, w, target)
 
-    return _restriction_columns(src, target, src._maps, ("conj", w, target), prepare,
-                                "conjugation changed a central angle", row=True)
+
+def _conjugation_entry(src: LambdaCtx, w: Permutation, target: LambdaCtx) -> MapEntry:
+    wi = w.inverse()
+    if target.g != w * src.g * wi:
+        raise PreconditionError("conjugation does not carry g to target g")
+    return MapEntry(_restricted, src, target,
+                    class_fusion(target.group, src.group, lambda t: wi * t * w),
+                    "conjugation changed a central angle", 1, True)
 
 
 def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
@@ -546,20 +546,20 @@ def mu_transport(elt: LambdaElt, n: int, target: LambdaCtx) -> LambdaElt:
     return apply_columns(elt.coeffs, target, mu_columns(elt.ctx, n, target), (1, n))
 
 
-def mu_columns(src: LambdaCtx, n: int, target: LambdaCtx):
-    """The column getter of ``mu_transport`` from src, applied with scale (1, n)."""
+def mu_columns(src: LambdaCtx, n: int, target: LambdaCtx) -> MapEntry:
+    """The entry of ``mu_transport`` from src, applied with scale (1, n)."""
     if n < 1:
         raise PreconditionError("transport degree must be >= 1")
+    return memo(src._maps, ("mu", n, target), _mu_entry, src, n, target)
 
-    def prepare():
-        if src.g != target.g ** n:
-            raise PreconditionError("source central element is not target g to the n")
-        if not src.group.is_subgroup(target.group):
-            raise PreconditionError("target group does not sit inside the source group")
-        return class_fusion(target.group, src.group), {}
 
-    return _restriction_columns(src, target, src._maps, ("mu", n, target), prepare,
-                                "non-integral rotation shift in root transport", n)
+def _mu_entry(src: LambdaCtx, n: int, target: LambdaCtx) -> MapEntry:
+    if src.g != target.g ** n:
+        raise PreconditionError("source central element is not target g to the n")
+    if not src.group.is_subgroup(target.group):
+        raise PreconditionError("target group does not sit inside the source group")
+    return MapEntry(_restricted, src, target, class_fusion(target.group, src.group),
+                    "non-integral rotation shift in root transport", n, False)
 
 
 def adams(elt: LambdaElt, m: int) -> LambdaElt:
@@ -567,15 +567,15 @@ def adams(elt: LambdaElt, m: int) -> LambdaElt:
     if m < 1:
         raise PreconditionError("Adams operation index must be >= 1")
     ctx = elt.ctx
-
-    def column(i):
-        a = ctx.angles[i]
-        mults = decompose(adams_cf(ctx.table.rows[i], m), ctx.table, virtual=True)
-        return _constituents(enumerate(mults), ctx, (m * a.numerator, a.denominator),
-                             "Adams constituent carries the wrong central angle")
-
     return apply_columns(elt.coeffs, ctx,
-                         _cached(memo(ctx._decomp_cache, ("adams", m), dict), column), (m, 1))
+                         memo(ctx._maps, ("adams", m), MapEntry, _adams_column, ctx, m), (m, 1))
+
+
+def _adams_column(ctx: LambdaCtx, m: int, i: int):
+    a = ctx.angles[i]
+    mults = decompose(adams_cf(ctx.table.rows[i], m), ctx.table, virtual=True)
+    return _constituents(enumerate(mults), ctx, (m * a.numerator, a.denominator),
+                         "Adams constituent carries the wrong central angle")
 
 
 def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:

@@ -1,10 +1,11 @@
 """One ScalarContext shared by several threads gives single-threaded results.
 
 The memo caches (character tables, central angles, centralizers, rotation
-contexts, structures, product, decomposition and Künneth columns, the
-subgroup registry on each root group, induced G-sets on each group, class
-transports on each group's conjugacy data, checked map entries and
-conjugated contexts on each rotation context, restriction entries on each
+contexts, structures, product and decomposition columns, the subgroup
+registry on each root group, induced G-sets on each group, class transports
+on each group's conjugacy data, the one registry ``_maps`` on each rotation
+context (checked map entries, the columns each entry builds, conjugated
+contexts, folded entries and Künneth tables), restriction entries on each
 hom, routes and μ plans on each structure, and transfer covers on each
 induced set) fill lazily and without locks, all through ``groups.memo``.
 Each entry is complete before it is stored and a stored entry is never

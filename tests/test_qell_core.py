@@ -269,6 +269,125 @@ def test_pullback_along_the_sign_map_matches_the_per_orbit_body():
             assert qc.pullback_hom(sign, a) == _old_pullback_hom(sign, a)
 
 
+@pytest.mark.parametrize("h, point", [((1, 0, 2), 0), ((1, 0, 2), 99), ((1, 0, 2), -1),
+                                      ((0, 1, 2), 99), ((0, 1, 2), -1), ((0, 1, 2), 6)])
+def test_value_at_element_rejects_a_point_off_the_fixed_set(S3, h, point):
+    """(0 1) fixes no point of S3's regular set, and 99, -1 and 6 are no
+    points of it: each is one line, raised before a route is stored."""
+    st = qc.structure(S3, regular_gset(S3), ScalarContext.for_groups([S3]))
+    e = qc.random_element(st, random.Random(4))
+    h = groups.Permutation(h)
+    good = qc.value_at_element(e, S3.identity, 5)
+    routes = dict(st._routes)
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as err:
+            qc.value_at_element(e, h, point)
+        assert str(err.value) == f"{point!r} is not a point of {st.gset.name} fixed by {h!r}"
+        assert st._routes == routes
+    assert qc.value_at_element(e, S3.identity, 5) == good
+
+
+# -- one read path: change of group inverse and transfer ---------------------------
+#
+# change_of_group_inverse and transfer A and B read each component through
+# qc._read, with a route's conjugation folded into the map's columns.  The
+# oracles are the two-step bodies they replaced: the conjugated value
+# (value_at_element), then the second map on it.
+
+def _old_change_of_group_inverse(G, H, X, elt):
+    Z = induced_gset(G, H, X)
+    target = qc.structure(G, Z, elt.structure.sctx)
+    out = []
+    for cb in target.classes:
+        row = []
+        for orb, tctx in zip(cb.orbits, cb.ctxs):
+            gi, x = Z.labels[orb.rep]
+            u = G.elements[gi]
+            v = qc.value_at_element(elt, u.inverse() * cb.g * u, x)
+            row.append(v if u == G.identity else rr.conjugate(v, u, tctx))
+        out.append(row)
+    return qc.QEllElt(target, out)
+
+
+def _old_transfer_A(G, elt, X):
+    H = elt.structure.group
+    XH = X.restrict_group(H)
+    zelt = _old_change_of_group_inverse(G, H, XH, elt)
+    Z = induced_gset(G, H, XH)
+    cover = [X.act(G.elements[gi], x) for gi, x in Z.labels]
+    target = qc.structure(G, X, elt.structure.sctx)
+    out = []
+    for cb, zcb in zip(target.classes, zelt.structure.classes):
+        row = []
+        for orb, tctx in zip(cb.orbits, cb.ctxs):
+            acc, done = tctx.zero(), set()
+            for z in [z for z in zcb.fixed if cover[z] == orb.rep]:
+                if z not in done:
+                    done.update({Z.act(s, z) for s in orb.stabilizer.elements})
+                    acc = acc + rr.induce_to(qc.value_at_element(zelt, zcb.g, z), tctx)
+            row.append(acc)
+        out.append(row)
+    return qc.QEllElt(target, out)
+
+
+def _old_transfer_B(G, elt):
+    H = elt.structure.group
+    target = qc.structure(G, point_set(G), elt.structure.sctx)
+    acc = [cb.ctxs[0].zero() for cb in target.classes]
+    for hi, h0 in enumerate(H.conjugacy().class_reps):
+        ci, w = G.conjugacy().transport_to_rep(h0)
+        v, wi = elt.components[hi][0], w.inverse()
+        conj = rr.ctx_for(v.ctx.sctx, groups.conjugate_subgroup(G, v.ctx.group, wi),
+                          wi * v.ctx.g * w)
+        acc[ci] = acc[ci] + rr.induce_to(rr.conjugate(v, wi, conj), target.classes[ci].ctxs[0])
+    return qc.QEllElt(target, [[a] for a in acc])
+
+
+def _same_bytes(a, b):
+    assert a == b
+    for ca, cb in zip(a.components, b.components):
+        for v, w in zip(ca, cb):
+            assert v.ctx is w.ctx
+            assert [(f.den, f.num) for f in v.coeffs] == [(f.den, f.num) for f in w.coeffs]
+
+
+@pytest.mark.parametrize("G, nonabelian", [(symmetric(4), True), (dihedral(6), True),
+                                           (direct_product(cyclic(2), cyclic(4)), False)],
+                         ids=["S4", "D6", "C2xC4"])
+def test_reads_match_the_two_step_bodies(G, nonabelian, monkeypatch):
+    sctx = ScalarContext.for_groups([G])
+    rng = random.Random(29)
+    moved = {"transfer_A": [], "transfer_B": [], "cog_inverse": []}
+    along, reassembly, kind = qc._along, qc._reassembly, []
+    monkeypatch.setattr(qc, "_along", lambda src, w, *args: moved[kind[-1]].append(
+        w is not None) or along(src, w, *args))
+    monkeypatch.setattr(qc, "_reassembly", lambda ctx, u, tctx: moved["cog_inverse"].append(
+        u != G.identity) or reassembly(ctx, u, tctx))
+    for H in [G.subgroup_of(H.elements) for H in groups.all_subgroups(G)]:
+        K = H.subgroup_of(H.subgroup(H.generators[:1]).elements)
+        for Y in (point_set(G), regular_gset(G), coset_gset(G, K)):
+            st = qc.structure(H, Y.restrict_group(H), sctx)
+            for a in (qc.random_element(st, rng), _mixed_element(st, rng)):
+                kind.append("transfer_A")
+                _same_bytes(qc.transfer(G, a, Y, algorithm="A"), _old_transfer_A(G, a, Y))
+                if Y.n_points == 1:
+                    kind.append("transfer_B")
+                    _same_bytes(qc.transfer(G, a, algorithm="B"), _old_transfer_B(G, a))
+        for X in (point_set(H), regular_gset(H), coset_gset(H, K)):
+            st = qc.structure(H, X, sctx)
+            for a in (qc.random_element(st, rng), _mixed_element(st, rng)):
+                kind.append("cog_inverse")
+                _same_bytes(qc.change_of_group_inverse(G, H, X, a),
+                            _old_change_of_group_inverse(G, H, X, a))
+    # some route conjugates (w ≠ e), so a conjugation is folded into the
+    # induction columns.  Transfer B conjugates only where a class of H is not
+    # made of G's class reps, and change of group inverse, which reads its
+    # values at class and orbit reps, along u ≠ e only where the least label
+    # of an orbit is not [e, x]: an abelian G has neither.
+    assert any(moved["transfer_A"])
+    assert any(moved["transfer_B"]) == any(moved["cog_inverse"]) == nonabelian
+
+
 # -- Künneth -------------------------------------------------------------------
 
 def test_kunneth_units_and_q():
@@ -402,6 +521,17 @@ def test_cog_checks_its_inclusion_once_and_stores_no_failure(S3, c3_in_s3):
     assert G._induced == stored
 
 
+def test_reassembly_along_e_needs_the_same_ring(S3, c3_in_s3):
+    """Change of group inverse reads a value at [e, x] as it is: its ring must
+    be the target ring, and along u ≠ e it is conjugated there."""
+    sctx = ScalarContext.for_groups([S3])
+    e = S3.identity
+    on_s3, on_c3 = rr.ctx_for(sctx, S3, e), rr.ctx_for(sctx, c3_in_s3, e)
+    with pytest.raises(InternalCheckError, match="^stabilizer mismatch in reassembly$"):
+        qc._reassembly(on_s3, e, on_c3)
+    assert qc._reassembly(on_s3, e, on_s3) is rr.conjugate_columns(on_s3, e, on_s3)
+
+
 def test_cog_round_trips(assert_pass):
     assert_pass(verify.change_of_group_round_trips(10, 5))
 
@@ -442,6 +572,22 @@ def test_transfer_b_rejects_bigger_sets(S3, c2_in_s3):
     stH = qc.structure(c2_in_s3, regular_gset(c2_in_s3), sctx)
     with pytest.raises(PreconditionError):
         qc.transfer(S3, stH.unit(), algorithm="B")
+
+
+def test_transfer_b_refuses_a_set_other_than_the_point(S3, c3_in_s3):
+    """B lands on G's one-point set: a given X must be that set, as A refuses
+    an element that does not live on X restricted to H."""
+    sctx = ScalarContext.for_groups([S3])
+    a = qc.random_element(qc.structure(c3_in_s3, point_set(c3_in_s3), sctx), random.Random(2))
+    for X in (regular_gset(S3), point_set(c3_in_s3)):
+        with pytest.raises(PreconditionError) as err:
+            qc.transfer(S3, a, X, algorithm="B")
+        assert str(err.value) == f"algorithm B lands on the one-point set, not on {X.name}"
+    with pytest.raises(PreconditionError, match="does not live on X restricted to H"):
+        qc.transfer(S3, a, regular_gset(S3), algorithm="A")
+    b = qc.transfer(S3, a, algorithm="B")
+    assert qc.transfer(S3, a, point_set(S3), algorithm="B") == b
+    assert qc.transfer(S3, a, point_set(S3), algorithm="A") == b
 
 
 # -- root transports -------------------------------------------------------------
@@ -580,11 +726,14 @@ def _ones(st, row0: bool):
 
 
 def _stored_mu(st):
-    """The plans, and every ring's map entries with their column counts."""
+    """The plans, and every ring's map entries with their column counts; the
+    rings include the conjugated ones, kept under ("at", w) with their
+    conjugation's entry."""
     rings = [ctx for cb in st.classes for ctx in cb.ctxs]
-    rings += [c for ctx in rings for c in ctx._conjugates.values()]
+    rings += [entry[0] for ctx in rings for key, entry in ctx._maps.items() if key[0] == "at"]
     return (dict(st._mu_plans),
-            [{key: len(entry[1]) for key, entry in ctx._maps.items()} for ctx in rings])
+            [{key: len(entry.columns) if isinstance(entry, rr.MapEntry) else entry
+              for key, entry in ctx._maps.items()} for ctx in rings])
 
 
 @pytest.mark.parametrize("n, row0, error, message", [

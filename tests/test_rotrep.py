@@ -1,5 +1,6 @@
 """The free Z[q^±]-rings over centralizer irreducibles with central angles."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -841,7 +842,13 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
             counted(module, "transporter", calls)
     counted(rr, "decompose", calls)
     counted(rr, "_constituents", calls)     # a warm map builds no column,
-    counted(qc, "_fold", calls)             # and a warm μ folds none
+    entry_call = rr.MapEntry.__call__
+
+    def column(entry, i):                   # and folds none: every column, a
+        if i not in entry.columns:          # fold's too, is built by an entry
+            calls.append(entry.build.__name__)
+        return entry_call(entry, i)
+    monkeypatch.setattr(rr.MapEntry, "__call__", column)
     for name in ("__mul__", "inverse", "__pow__"):
         counted(Permutation, name, group_work)
     counted(groups.FiniteGroup, "is_subgroup", group_work)
@@ -856,12 +863,25 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
     group_init = groups.FiniteGroup.__init__
     monkeypatch.setattr(groups.FiniteGroup, "__init__", lambda self, *args, **kwargs:
                         builds.append(args) or group_init(self, *args, **kwargs))
+    getters = []
+    apply_columns = rr.apply_columns
+    monkeypatch.setattr(rr, "apply_columns", lambda coeffs, target, column, *scale:
+                        getters.append(column) or apply_columns(coeffs, target, column, *scale))
+    registries = [incl._restrictions] + [hom._restrictions for hom in G._induced.values()
+                                         if isinstance(hom, GroupHom)]
     for name, fn in maps.items():
         homs.clear()
         builds.clear()
         group_work.clear()
+        getters.clear()
+        entries = _entries(sctx, registries)
         assert fn() == cold[name], name
         assert not calls, (name, calls)
+        # a second warm call adds no entry and reads the same getters
+        first, getters[:] = list(getters), []
+        assert fn() == cold[name], name
+        assert _entries(sctx, registries) == entries, name
+        assert len(getters) == len(first) and all(map(operator.is_, getters, first)), name
         # μ builds its inclusion only for a column miss, a pullback no hom
         # per orbit, and change of group reuses its checked H <= G
         assert not homs, (name, homs)
@@ -869,6 +889,15 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
         assert not builds, (name, len(builds))
         # checks, fusions, transports and powers come back from their entries
         assert name not in lookups_only or not group_work, (name, group_work)
+
+
+def _entries(sctx, registries) -> dict:
+    """Every stored entry, by identity: each ring's ``_maps`` and the given
+    hom registries, with each map entry's column count."""
+    regs = [c._maps for c in sctx._lambda_ctxs.values()] + registries
+    return {(id(reg), key): (id(entry), len(entry.columns)
+                             if isinstance(entry, rr.MapEntry) else None)
+            for reg in regs for key, entry in reg.items()}
 
 
 # -- the one basis-map kernel ------------------------------------------------------
@@ -957,7 +986,7 @@ def _full(ctx):
 
 
 def _stored(rings, homs):
-    return ([(len(c._maps), len(c._decomp_cache), len(c._conjugates)) for c in rings.values()],
+    return ([len(c._maps) for c in rings.values()],
             [len(phi._restrictions) for phi in homs.values()])
 
 
