@@ -25,7 +25,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, GroupHom, direct_product
 from .groupspec import parse_group_spec
-from .gsets import coset_gset, point_set, product_gset, regular_gset
+from .gsets import coset_gset, induced_gset, point_set, product_gset, regular_gset
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -239,7 +239,10 @@ def cmd_op(args) -> int:
         elt, _ = _load_element(args.input, [G])
         if elt.structure.group != G:
             raise PreconditionError("input element does not live on --group")
-        out = qc.pullback_hom(GroupHom.inclusion(H, G), elt)
+        incl = GroupHom.inclusion(H, G)
+        # an output set with no JSON descriptor fails here, not after the map
+        jsonio.space_payload(H, elt.structure.gset.via_hom(incl))
+        out = qc.pullback_hom(incl, elt)
         _emit(jsonio.element_payload(out), args.json)
         return EXIT_OK
 
@@ -250,6 +253,7 @@ def cmd_op(args) -> int:
         if args.inverse:
             if elt.structure.group != H:
                 raise PreconditionError("input element must live on the subgroup")
+            jsonio.space_payload(G, induced_gset(G, H, elt.structure.gset))    # as above
             out = qc.change_of_group_inverse(G, H, elt.structure.gset, elt)
         else:
             if elt.structure.group != G:

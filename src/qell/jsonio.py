@@ -31,9 +31,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import qlaurent
-from .errors import InvalidGeneratorError, SchemaError
+from .errors import GroupTooLargeError, InvalidGeneratorError, SchemaError
 from .gsets import FiniteGSet, coset_gset, point_set, regular_gset
 from .groups import FiniteGroup, Permutation, make_group, memo
+from .groupspec import MAX_PERM_DEGREE
 from .qell_core import QEllElt, QEllStructure, structure
 
 SCHEMA_VERSION = "1"
@@ -49,8 +50,15 @@ def group_payload(G: FiniteGroup) -> dict:
 
 
 def group_from_payload(data: dict) -> FiniteGroup:
+    """The group of a payload; a degree past ``MAX_PERM_DEGREE`` is refused,
+    as for a ``perm:`` spec, before any permutation is built."""
     try:
         degree = int(data["degree"])
+        if degree < 0:
+            raise SchemaError(f"bad group payload: negative degree {degree}")
+        if degree > MAX_PERM_DEGREE:
+            raise GroupTooLargeError(
+                f"group too large: payload degree exceeds {MAX_PERM_DEGREE}")
         gens = [Permutation(images) for images in data["generators"]]
         spec = data.get("spec")
         order = int(data["order"])
@@ -66,9 +74,8 @@ def group_from_payload(data: dict) -> FiniteGroup:
     return G
 
 
-def space_payload(struct: QEllStructure) -> dict:
-    X = struct.gset
-    G = struct.group
+def space_payload(G: FiniteGroup, X: FiniteGSet) -> dict:
+    """The "space" object of the G-set X: pt, regular or G/H, else a SchemaError."""
     if X.n_points == 1:         # a one-point set has only the trivial action
         return {"kind": "pt"}
     # G/H is recovered canonically: the identity coset is point 0, so its
@@ -167,7 +174,7 @@ def _document(struct: QEllStructure, orbits) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "group": group_payload(struct.group),
-        "space": space_payload(struct),
+        "space": space_payload(struct.group, struct.gset),
         "classes": [{"rep": list(cb.g),
                      "rep_order": cb.order,
                      "centralizer_order": cb.centralizer.order,

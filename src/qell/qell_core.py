@@ -29,12 +29,10 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Permutation,
-    class_fusion,
     conjugate_subgroup,
     make_hom,
     memo,
     product_pair,
-    product_split,
 )
 from .gsets import FiniteGSet, induced_gset, inertia_skeleton, point_set, product_gset
 from .qlaurent import QLaurent, ZERO, q_power
@@ -281,40 +279,9 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
 # ---------------------------------------------------------------------------
 # Künneth
 
-def _kunneth_index(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
-                   P: FiniteGroup) -> dict:
-    """(i, j) -> basis row of ctxP carrying the external product character."""
-    return memo(ctxP._maps, ("kun", ctxA.key(), ctxB.key()),
-                _kunneth_table, ctxA, ctxB, ctxP, P)
-
-
-def _factor_fusions(S: FiniteGroup, P: FiniteGroup, A: FiniteGroup, B: FiniteGroup):
-    """The class fusions of S <= P into A and B along P's two projections."""
-    return (class_fusion(S, A, lambda x: product_split(P, x)[0]),
-            class_fusion(S, B, lambda x: product_split(P, x)[1]))
-
-
-def _kunneth_table(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx,
-                   P: FiniteGroup) -> dict:
-    parts = list(zip(*_factor_fusions(ctxP.group, P, ctxA.group, ctxB.group)))
-    table = {}
-    p = ctxP.sctx.p
-    for i in range(ctxA.rank):
-        va = ctxA.table.rows[i].values
-        for j in range(ctxB.rank):
-            vb = ctxB.table.rows[j].values
-            k = ctxP.table.row_of.get(tuple(va[a] * vb[b] % p for a, b in parts))
-            if k is None:
-                raise InternalCheckError("class function is not a row of the table")
-            c = ctxA.angles[i] + ctxB.angles[j]
-            if ctxP.angles[k] != c - int(c):
-                raise InternalCheckError("product basis element has wrong angle")
-            table[(i, j)] = (k, int(c))
-    return table
-
-
 def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
-    """The multiplicative external product landing in QEll_{GxH}(X x Y)."""
+    """The multiplicative external product landing in QEll_{GxH}(X x Y): at
+    each pair of reps, the factors' components through their Künneth entry."""
     sa, sb = a.structure, b.structure
     if P.factors is None:
         raise PreconditionError("P must be a direct product group")
@@ -328,34 +295,20 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
         raise PreconditionError("factors built over different scalar contexts")
     target = structure(P, XY, sctx)
     nY = sb.gset.n_points
-    conjA, conjB = sa.conjugacy, sb.conjugacy
     out = []
-    for cb, gi, hi in zip(target.classes, *_factor_fusions(P, P, sa.group, sb.group)):
-        if product_pair(P, conjA.class_reps[gi], conjB.class_reps[hi]) != cb.g:
+    for cb, gi, hi in zip(target.classes, *rr.factor_fusions(P, P, sa.group, sb.group)):
+        if product_pair(P, sa.conjugacy.class_reps[gi], sb.conjugacy.class_reps[hi]) != cb.g:
             raise InternalCheckError("product class rep is not a pair of reps")
+        cbA, cbB = sa.classes[gi], sb.classes[hi]
         row = []
         for orb, tctx in zip(cb.orbits, cb.ctxs):
             x, y = divmod(orb.rep, nY)
-            cbA = sa.classes[gi]
-            cbB = sb.classes[hi]
-            oa = cbA.orbit_of_point[x]
-            ob = cbB.orbit_of_point[y]
+            oa, ob = cbA.orbit_of_point[x], cbB.orbit_of_point[y]
             if cbA.orbits[oa].rep != x or cbB.orbits[ob].rep != y:
                 raise InternalCheckError("product orbit rep is not a pair of reps")
-            va = a.components[gi][oa]
-            vb = b.components[hi][ob]
-            ctxA, ctxB = cbA.ctxs[oa], cbB.ctxs[ob]
-            index = _kunneth_index(ctxA, ctxB, tctx, P)
-            coeffs = [ZERO] * tctx.rank
-            for i, f in enumerate(va.coeffs):
-                if f.is_zero():
-                    continue
-                for j, g2 in enumerate(vb.coeffs):
-                    if g2.is_zero():
-                        continue
-                    k, shift = index[(i, j)]
-                    coeffs[k] = coeffs[k] + (f * g2).shift(shift)
-            row.append(LambdaElt(tctx, coeffs))
+            columns, _ = rr.kunneth_columns(cbA.ctxs[oa], cbB.ctxs[ob], tctx, P)
+            va, vb = a.components[gi][oa], b.components[hi][ob]
+            row.append(rr.apply_product(va, vb, tctx, columns))
         out.append(row)
     return QEllElt(target, out)
 
@@ -564,7 +517,11 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
     """Factor an element over (G x H, X) with trivial H-action into tensors.
 
     Returns pairs (a_i, b_i) with Σ kunneth(a_i, b_i) equal to the input;
-    b_i runs over the canonical basis of QEll_H(pt).
+    b_i runs over the canonical basis of QEll_H(pt).  As H acts trivially,
+    a (class, orbit) is a G-slot (gi, oa) and an H-class hi, its stabilizer
+    the product of theirs: the Künneth index (i, j) -> k is a bijection, read
+    backwards by the entry's inverse, and the slots of one piece (hi, j) are
+    disjoint, so each input coefficient is written once.
     """
     struct = elt.structure
     P = struct.group
@@ -581,30 +538,27 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
     XG = X.via_hom(make_hom(G, P, [product_pair(P, a, H.identity) for a in G.generators]))
     sG = structure(G, XG, sctx)
     sH = structure(H, point_set(H), sctx)
-    pieces: dict[tuple[int, int], list] = {}     # (hi, j) -> a_i's component lists
-    fusions = _factor_fusions(P, P, G, H)
-    for ci, (cb, gi, hi) in enumerate(zip(struct.classes, *fusions)):
+    pieces: dict = {}     # (hi, j) -> {(gi, oa): a_i's coefficients at that slot}
+    for ci, (cb, gi, hi) in enumerate(zip(struct.classes, *rr.factor_fusions(P, P, G, H))):
         cbG = sG.classes[gi]
         ctxB = sH.classes[hi].ctxs[0]
-        for oi, (orb, v) in enumerate(zip(cb.orbits, elt.components[ci])):
-            x = orb.rep
-            oa = cbG.orbit_of_point[x]
+        for orb, v, tctx in zip(cb.orbits, elt.components[ci], cb.ctxs):
+            oa = cbG.orbit_of_point[orb.rep]
             ctxA = cbG.ctxs[oa]
-            index = _kunneth_index(ctxA, ctxB, cb.ctxs[oi], P)
-            back = {k: (i, j, shift) for (i, j), (k, shift) in index.items()}
+            _, inverse = rr.kunneth_columns(ctxA, ctxB, tctx, P)
             for k, f in enumerate(v.coeffs):
-                if f.is_zero():
-                    continue
-                i, j, shift = back[k]
-                if (hi, j) not in pieces:
-                    pieces[(hi, j)] = [list(row) for row in sG.zero().components]
-                comp = pieces[(hi, j)]
-                comp[gi][oa] = comp[gi][oa] + ctxA.basis_elt(i, f.shift(-shift))
+                if f.num:
+                    i, j, shift = inverse[k]
+                    piece = pieces.setdefault((hi, j), {})
+                    slot = piece.get((gi, oa)) or piece.setdefault((gi, oa), [ZERO] * ctxA.rank)
+                    slot[i] = f.shift(-shift)
     out = []
-    for (hi, j) in sorted(pieces):
+    for (hi, j), piece in sorted(pieces.items()):
+        a = [[ctx.from_coeffs(piece[(gi, oa)]) if (gi, oa) in piece else ctx.zero()
+              for oa, ctx in enumerate(cb.ctxs)] for gi, cb in enumerate(sG.classes)]
         b = [list(row) for row in sH.zero().components]
         b[hi][0] = sH.classes[hi].ctxs[0].basis_elt(j)
-        out.append((QEllElt(sG, pieces[(hi, j)]), QEllElt(sH, b)))
+        out.append((QEllElt(sG, a), QEllElt(sH, b)))
     return out
 
 

@@ -24,6 +24,10 @@ an integer (asserted at runtime).  n is 1 except for μ^n.
   its operands' denominators, and reduces each output coefficient once
   (``qlaurent.collect``): a coefficient with T contributions costs O(T), not
   T canonical sums.
+* Künneth: (λ,c)⊠(λ',c') over a product context is the row λ⊠λ' of its
+  table, angle frac(c+c'), times q^⌊c+c'⌋: the product's rule with one
+  constituent found by its values.  Its entry (``kunneth_columns``) is
+  applied by the product's kernel, and its inverse splits an element back.
 * Adams ψ^m: group elements [h,t] power to [h^m, mt], so ψ^m sends q to q^m,
   coefficients f(q) to f(q^m), and (λ,c), of weight mc, to the constituents
   of ψ^m λ.
@@ -64,7 +68,7 @@ from .charmod import (
     induce_cf,
 )
 from .errors import InternalCheckError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, memo
+from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, memo, product_split
 from .qlaurent import ONE, QLaurent, ZERO, _reduced, collect, monomial, q_power
 
 
@@ -263,10 +267,7 @@ class LambdaElt:
         if isinstance(other, (QLaurent, int)):
             return _elt(self.ctx, tuple(f * other if f.num else f for f in self.coeffs))
         _same_ctx(self, other)
-        ctx, den = self.ctx, _den(self, other)
-        acc = defaultdict(dict)
-        _add_product(acc, den, ctx, _over(self, den), _over(other, den))
-        return _collected(ctx, den, acc)
+        return apply_product(self, other, self.ctx, self.ctx.product_columns)
 
     __rmul__ = __mul__
 
@@ -337,16 +338,25 @@ def _over(elt: LambdaElt, den: int) -> list:
     return out
 
 
-def _add_product(acc: defaultdict, den: int, ctx: LambdaCtx, left: list, right: list,
+def apply_product(a: LambdaElt, b: LambdaElt, target: LambdaCtx, columns) -> LambdaElt:
+    """Σ_{i,j} a_i·b_j·columns(i, j) over target: the ring product, with
+    ``columns`` = ctx.product_columns, and the Künneth product, with a
+    ``kunneth_columns`` entry.  Each output coefficient is reduced once."""
+    den = _den(a, b)
+    acc = defaultdict(dict)
+    _add_product(acc, den, columns, _over(a, den), _over(b, den))
+    return _collected(target, den, acc)
+
+
+def _add_product(acc: defaultdict, den: int, columns, left: list, right: list,
                  sign: int = 1):
     """acc += sign·left·right, the one product kernel of the ring.
 
     ``left`` and ``right`` are ``_over`` lists over den, and ``acc`` maps an
-    output index to its {exponent: coefficient} dict over den.  Product
-    columns have integral shifts (``_product_column`` builds them with
-    n = 1), so a column term (μ, m·q^s) adds c₁·c₂·m at e₁ + e₂ + s·den.
+    output index to its {exponent: coefficient} dict over den.  Product and
+    Künneth columns have integral shifts (n = 1), so a term (μ, m·q^s) of
+    columns(i, j) adds c₁·c₂·m at e₁ + e₂ + s·den.
     """
-    columns = ctx.product_columns
     for i, f in left:
         for j, g in right:
             fg = [(e1 + e2, sign * c1 * c2) for e1, c1 in f for e2, c2 in g]
@@ -578,6 +588,44 @@ def _adams_column(ctx: LambdaCtx, m: int, i: int):
                          "Adams constituent carries the wrong central angle")
 
 
+def factor_fusions(S: FiniteGroup, P: FiniteGroup, A: FiniteGroup, B: FiniteGroup):
+    """The class fusions of S <= P into A and B along P's two projections."""
+    return (class_fusion(S, A, lambda x: product_split(P, x)[0]),
+            class_fusion(S, B, lambda x: product_split(P, x)[1]))
+
+
+def kunneth_columns(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx, P: FiniteGroup):
+    """The checked Künneth entry (columns, inverse) from ctxA ⊗ ctxB into ctxP,
+    for ctxP.group <= P the product of their groups, kept in ctxP's ``_maps``:
+    columns(i, j) is the column ((k, q^shift),) of rows i ⊠ j, for
+    ``apply_product``, and inverse[k] is (i, j, shift)."""
+    return memo(ctxP._maps, ("kun", ctxA, ctxB), _kunneth_entry, ctxA, ctxB, ctxP, P)
+
+
+def _kunneth_entry(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx, P: FiniteGroup):
+    # (λ, c)⊠(λ', c') is the row λ⊠λ' of ctxP, of angle frac(c + c'), times
+    # q^⌊c + c'⌋: the product's rule, with the row found in the table.
+    parts = list(zip(*factor_fusions(ctxP.group, P, ctxA.group, ctxB.group)))
+    p, row_of = ctxP.sctx.p, ctxP.table.row_of
+    rows, inverse = [], {}
+    for i, a in enumerate(ctxA.angles):
+        va = ctxA.table.rows[i].values
+        row = []
+        for j, b in enumerate(ctxB.angles):
+            vb = ctxB.table.rows[j].values
+            k = row_of.get(tuple(va[x] * vb[y] % p for x, y in parts))
+            if k is None:
+                raise InternalCheckError("class function is not a row of the table")
+            c = a + b
+            if ctxP.angles[k] != c - int(c):
+                raise InternalCheckError("product basis element has wrong angle")
+            row.append(_constituents(((k, 1),), ctxP, c.as_integer_ratio(),
+                                     "product basis element has wrong angle"))
+            inverse[k] = (i, j, int(c))
+        rows.append(row)
+    return (lambda i, j: rows[i][j]), inverse
+
+
 def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:
     """λ^k via the Newton recurrence k·λ^k = Σ (-1)^{i-1} ψ^i(x) λ^{k-i}(x).
 
@@ -593,6 +641,7 @@ def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:
     if k == 0:
         return elt.ctx.unit()
     ctx = elt.ctx
+    columns = ctx.product_columns
     lam = [None, elt]
     psi = [None, elt]
     for i in range(2, k + 1):
@@ -600,9 +649,9 @@ def exterior_power(elt: LambdaElt, k: int) -> LambdaElt:
         den = _den(elt, *lam[2:], *psi[2:])
         over = [None] + [_over(v, den) for v in lam[1:]]
         acc = defaultdict(dict)
-        _add_product(acc, den, ctx, over[1], over[i - 1])
+        _add_product(acc, den, columns, over[1], over[i - 1])
         for j in range(2, i):
-            _add_product(acc, den, ctx, _over(psi[j], den), over[i - j], 1 if j % 2 else -1)
+            _add_product(acc, den, columns, _over(psi[j], den), over[i - j], 1 if j % 2 else -1)
         sign = 1 if i % 2 else -1
         for mu, f in _over(psi[i], den):
             d = acc[mu]

@@ -570,6 +570,151 @@ def test_op_mu_golden_bytes(tmp_path, capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == MU_GOLDEN_SHA256[case]
 
 
+def _seeded_point_document(path, spec: str, seed: int):
+    G = parse_group_spec(spec)
+    struct = qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+    path.write_text(jsonio.dumps(jsonio.element_payload(
+        qc.random_element(struct, random.Random(seed)))))
+
+
+# sha256 of `qell op kunneth` stdout on seeded `random_element` documents over
+# the point, pinned before the Künneth entry moved into rotrep.
+KUNNETH_GOLDEN_SHA256 = {
+    ("S3", "S4", 1, 2): "f3defa5e12cc59fc29b8336478676d501e1107013f749aed0f42683662232387",
+    ("D4", "C3", 3, 4): "3110774cb77fce726f5a3a9bf92dee0a96f4ffe7e02cc8a40446c3c9bdc09efa",
+    ("C2xC2", "D4", 5, 6): "36f9d717ade73cc2df23893f9985cc0cad9d63c4c205d78c318f7a43772e2407",
+}
+
+
+@pytest.mark.parametrize("case", list(KUNNETH_GOLDEN_SHA256),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_op_kunneth_golden_bytes(tmp_path, capsys, case):
+    left, right, left_seed, right_seed = case
+    _seeded_point_document(tmp_path / "left.json", left, left_seed)
+    _seeded_point_document(tmp_path / "right.json", right, right_seed)
+    assert main(["op", "kunneth", "--left", str(tmp_path / "left.json"),
+                 "--right", str(tmp_path / "right.json")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == KUNNETH_GOLDEN_SHA256[case]
+
+
+# Every precondition of `qell op`: one stderr line and exit 5.  The documents
+# are units: u<G> over G's point, r<G> over G's regular set.
+OP_PRECONDITIONS = [
+    (["mu"], "mu needs --input"),
+    (["mu", "--n", "0", "--input", "uC2"], "mu needs --n >= 1"),
+    (["kunneth", "--left", "uC2"], "kunneth needs --left and --right"),
+    (["kunneth", "--right", "uC2"], "kunneth needs --left and --right"),
+    (["kunneth", "--left", "rC2", "--right", "uC3"], "kunneth is exposed for one-point spaces"),
+    (["kunneth", "--left", "uC2", "--right", "rC3"], "kunneth is exposed for one-point spaces"),
+    (["transfer", "--input", "uC3"], "transfer needs --group"),
+    (["cog", "--input", "uC3"], "cog needs --group"),
+    (["pullback", "--input", "uS3"], "pullback needs --group"),
+    (["transfer", "--group", "S3"], "transfer needs --input"),
+    (["transfer", "--group", "S3", "--subgroup", "C2", "--input", "uC3"],
+     "--subgroup does not match the input element's group"),
+    (["transfer", "--group", "C2", "--input", "uC3"], "C3 is not a subgroup of C2"),
+    (["transfer", "--group", "S3", "--input", "rC3"], "transfer is exposed for one-point spaces"),
+    (["cog", "--group", "S3", "--input", "uC3"], "cog needs --subgroup"),
+    (["pullback", "--group", "S3", "--input", "uS3"], "pullback needs --subgroup"),
+    (["cog", "--group", "C3", "--subgroup", "C2", "--input", "uC3"],
+     "subgroup spec does not land inside C3"),
+    (["pullback", "--group", "S3", "--subgroup", "C3"], "pullback needs --input"),
+    (["pullback", "--group", "S3", "--subgroup", "C3", "--input", "uC3"],
+     "input element does not live on --group"),
+    (["cog", "--group", "S3", "--subgroup", "C3"], "cog needs --input"),
+    (["cog", "--group", "S3", "--subgroup", "C3", "--inverse", "--input", "uS3"],
+     "input element must live on the subgroup"),
+    (["cog", "--group", "S3", "--subgroup", "C3", "--input", "uC3"],
+     "input element must live on --group"),
+    (["cog", "--group", "S3", "--subgroup", "C3", "--input", "uS3"],
+     "input element must live on the coset space of --subgroup"),
+]
+
+
+@pytest.fixture(scope="module")
+def unit_documents(tmp_path_factory):
+    root, docs = tmp_path_factory.mktemp("units"), {}
+    for spec in ("C2", "C3", "S3"):
+        for prefix, space in (("u", "pt"), ("r", "regular")):
+            docs[prefix + spec] = str(root / f"{prefix}{spec}.json")
+            assert main(["unit", "--group", spec, "--space", space,
+                         "--json", docs[prefix + spec]]) == 0
+    return docs
+
+
+@pytest.mark.parametrize("argv, message", OP_PRECONDITIONS, ids=lambda v: (
+    " ".join(v) if isinstance(v, list) else None))
+def test_op_preconditions_are_one_line_and_exit_5(capsys, unit_documents, argv, message):
+    capsys.readouterr()
+    assert main(["op", *(unit_documents.get(a, a) for a in argv)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def _payload_with_degree(path, degree):
+    path.write_text(json.dumps({
+        "schema_version": "1",
+        "group": {"spec": None, "degree": degree, "order": 2, "generators": [[1, 0]]},
+        "space": {"kind": "pt"}, "classes": []}))
+
+
+def test_a_payload_degree_past_the_bound_builds_no_permutation(monkeypatch, capsys, tmp_path):
+    from qell import groups
+    bound = groupspec.MAX_PERM_DEGREE
+    G = jsonio.group_from_payload({"degree": bound, "generators": [], "order": 1})
+    assert G.degree == bound
+    monkeypatch.setattr(groups, "_span", lambda *args: pytest.fail("a group was closed"))
+    monkeypatch.setattr(jsonio, "Permutation",
+                        lambda *args: pytest.fail("a permutation was built"))
+    doc = tmp_path / "big.json"
+    for degree in (bound + 1, 10 ** 8):
+        _payload_with_degree(doc, degree)
+        assert main(["op", "mu", "--input", str(doc)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: group too large: payload degree exceeds {bound}\n"
+
+
+def test_a_negative_payload_degree_is_a_schema_error(capsys, tmp_path):
+    doc = tmp_path / "negative.json"
+    _payload_with_degree(doc, -1)
+    assert main(["op", "mu", "--input", str(doc)]) == 4
+    assert capsys.readouterr().err == "error: bad group payload: negative degree -1\n"
+
+
+@pytest.mark.parametrize("argv, element_group, name", [
+    (["pullback", "--group", "S4", "--subgroup", "perm:4:(0,1);(0,1,2)"], "S4", "pullback_hom"),
+    (["cog", "--inverse", "--group", "S3", "--subgroup", "C3"], "C3", "change_of_group_inverse"),
+], ids=["pullback", "cog-inverse"])
+def test_op_refuses_an_output_space_without_descriptor_before_the_map(
+        monkeypatch, capsys, tmp_path, argv, element_group, name):
+    """An output set that is none of pt, regular and G/H fails as the map's
+    output would, in ``jsonio.space_payload``, before the map runs."""
+    from qell.cli import _load_element
+    from qell.groups import GroupHom
+    doc = str(tmp_path / "regular.json")
+    assert main(["unit", "--group", element_group, "--space", "regular", "--json", doc]) == 0
+    G, H = parse_group_spec(argv[-3]), parse_group_spec(argv[-1])
+    elt, _ = _load_element(doc, [G])
+    with pytest.raises(SchemaError, match="has no JSON descriptor$") as late:
+        jsonio.element_payload(
+            qc.pullback_hom(GroupHom.inclusion(H, G), elt) if name == "pullback_hom"
+            else qc.change_of_group_inverse(G, H, elt.structure.gset, elt))
+    monkeypatch.setattr(qc, name, lambda *args: pytest.fail("the map ran"))
+    capsys.readouterr()
+    assert main(["op", *argv, "--input", doc]) == 4
+    assert capsys.readouterr().err == f"error: {late.value}\n"
+
+
+def test_op_refuses_an_unknown_operation():
+    import argparse
+    from qell.cli import cmd_op
+    from qell.errors import PreconditionError
+    args = argparse.Namespace(operation="push", group="S3", subgroup="C3", input=None)
+    with pytest.raises(PreconditionError, match="^unknown operation 'push'$"):
+        cmd_op(args)
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
 def test_structure_json_golden_bytes(tmp_path, capsys, argv):
     path = tmp_path / "out.json"

@@ -237,9 +237,8 @@ def regular_gset_by_table(G):
                       name=f"reg<{G.name}>")
 
 
-def space_payload_by_regular_table(struct):
+def space_payload_by_regular_table(G, X):
     """The space classifier that compared with a rebuilt regular table."""
-    X, G = struct.gset, struct.group
     if X == point_set(G):
         return {"kind": "pt"}
     if X.n_points == G.order and X == regular_gset_by_table(G):
@@ -253,7 +252,7 @@ def space_payload_by_regular_table(struct):
 
 def classified(classify, struct):
     try:
-        return classify(struct)
+        return classify(struct.group, struct.gset)
     except SchemaError as exc:
         return "SchemaError", str(exc)
 
@@ -296,12 +295,12 @@ def test_structure_payload_on_an_empty_set():
 def test_classifying_a_regular_structure_builds_no_induced_set(monkeypatch):
     G = symmetric(4)
     struct = qc.structure(G, regular_gset(G), ScalarContext.for_groups([G]))
-    assert jsonio.space_payload(struct) == {"kind": "regular"}
+    assert jsonio.space_payload(G, struct.gset) == {"kind": "regular"}
     calls = []
     build = gsets._build_induced_gset
     monkeypatch.setattr(gsets, "_build_induced_gset",
                         lambda *args: calls.append(1) or build(*args))
-    assert jsonio.space_payload(struct) == {"kind": "regular"}
+    assert jsonio.space_payload(G, struct.gset) == {"kind": "regular"}
     assert calls == []
 
 
@@ -310,7 +309,7 @@ def test_a_one_point_space_is_classified_without_a_point_set(monkeypatch):
     struct = qc.structure(G, coset_gset(G, G.subgroup_of(G.elements)),
                           ScalarContext.for_groups([G]))
     monkeypatch.setattr(jsonio, "point_set", None)
-    assert jsonio.space_payload(struct) == {"kind": "pt"}
+    assert jsonio.space_payload(G, struct.gset) == {"kind": "pt"}
 
 
 def test_restrict_and_via_hom(S3, c3_in_s3):

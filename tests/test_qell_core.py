@@ -461,6 +461,174 @@ def test_kunneth_rejects_swapped_factors(s3_c2_points):
         qc.kunneth(a, b, Q, XY)
 
 
+# Künneth and the trivial split against the bodies they had when the index
+# table was built in qell_core: the external product character's row looked
+# up in the product's table, and the coefficients multiplied and shifted as
+# QLaurents, pair by pair.
+
+def _old_kunneth_table(ctxA, ctxB, ctxP, P):
+    parts = list(zip(
+        groups.class_fusion(ctxP.group, ctxA.group, lambda x: groups.product_split(P, x)[0]),
+        groups.class_fusion(ctxP.group, ctxB.group, lambda x: groups.product_split(P, x)[1])))
+    table, p = {}, ctxP.sctx.p
+    for i in range(ctxA.rank):
+        va = ctxA.table.rows[i].values
+        for j in range(ctxB.rank):
+            vb = ctxB.table.rows[j].values
+            k = ctxP.table.row_of[tuple(va[a] * vb[b] % p for a, b in parts)]
+            c = ctxA.angles[i] + ctxB.angles[j]
+            assert ctxP.angles[k] == c - int(c)
+            table[(i, j)] = (k, int(c))
+    return table
+
+
+def _factor_classes(P, sa, sb):
+    """Per class of P: the classes of its two factors."""
+    return zip(groups.class_fusion(P, sa.group, lambda x: groups.product_split(P, x)[0]),
+               groups.class_fusion(P, sb.group, lambda x: groups.product_split(P, x)[1]))
+
+
+def _old_kunneth(a, b, P, XY):
+    sa, sb = a.structure, b.structure
+    target = qc.structure(P, XY, sa.sctx)
+    out = []
+    for cb, (gi, hi) in zip(target.classes, _factor_classes(P, sa, sb)):
+        row = []
+        for orb, tctx in zip(cb.orbits, cb.ctxs):
+            x, y = divmod(orb.rep, sb.gset.n_points)
+            oa, ob = sa.classes[gi].orbit_of_point[x], sb.classes[hi].orbit_of_point[y]
+            va, vb = a.components[gi][oa], b.components[hi][ob]
+            index = _old_kunneth_table(va.ctx, vb.ctx, tctx, P)
+            coeffs = [ZERO] * tctx.rank
+            for i, f in enumerate(va.coeffs):
+                for j, g in enumerate(vb.coeffs):
+                    if f and g:
+                        k, shift = index[(i, j)]
+                        coeffs[k] = coeffs[k] + (f * g).shift(shift)
+            row.append(tctx.from_coeffs(coeffs))
+        out.append(row)
+    return qc.QEllElt(target, out)
+
+
+def _old_trivial_split(elt):
+    struct = elt.structure
+    P = struct.group
+    G, H = P.factors
+    X = struct.gset
+    XG = X.via_hom(make_hom(G, P, [groups.product_pair(P, a, H.identity)
+                                   for a in G.generators]))
+    sG = qc.structure(G, XG, struct.sctx)
+    sH = qc.structure(H, point_set(H), struct.sctx)
+    pieces = {}
+    for ci, (cb, (gi, hi)) in enumerate(zip(struct.classes, _factor_classes(P, sG, sH))):
+        for oi, (orb, v) in enumerate(zip(cb.orbits, elt.components[ci])):
+            oa = sG.classes[gi].orbit_of_point[orb.rep]
+            ctxA = sG.classes[gi].ctxs[oa]
+            index = _old_kunneth_table(ctxA, sH.classes[hi].ctxs[0], cb.ctxs[oi], P)
+            back = {k: (i, j, shift) for (i, j), (k, shift) in index.items()}
+            for k, f in enumerate(v.coeffs):
+                if f:
+                    i, j, shift = back[k]
+                    comp = pieces.setdefault(
+                        (hi, j), [list(row) for row in sG.zero().components])
+                    comp[gi][oa] = comp[gi][oa] + ctxA.basis_elt(i, f.shift(-shift))
+    out = []
+    for hi, j in sorted(pieces):
+        b = [list(row) for row in sH.zero().components]
+        b[hi][0] = sH.classes[hi].ctxs[0].basis_elt(j)
+        out.append((qc.QEllElt(sG, pieces[(hi, j)]), qc.QEllElt(sH, b)))
+    return out
+
+
+@pytest.mark.parametrize("G, H", [(dihedral(4), symmetric(3)),
+                                  (cyclic(3), direct_product(cyclic(2), cyclic(4)))],
+                         ids=["D4xS3", "C3xC2xC4"])
+def test_kunneth_and_trivial_split_match_the_old_bodies(G, H):
+    P = direct_product(G, H)
+    sctx = ScalarContext.for_groups([P])
+    rng = random.Random(30)
+    K = H.subgroup_of(H.subgroup(H.generators[:1]).elements)
+    assert K.order < H.order
+    for X, Y in ((point_set(G), point_set(H)), (regular_gset(G), point_set(H)),
+                 (point_set(G), coset_gset(H, K))):
+        sa, sb = qc.structure(G, X, sctx), qc.structure(H, Y, sctx)
+        XY = product_gset(X, Y, P)
+        for a, b in ((qc.random_element(sa, rng), qc.random_element(sb, rng)),
+                     (_mixed_element(sa, rng), _mixed_element(sb, rng)),
+                     (qc.random_element(sa, rng), _mixed_element(sb, rng))):
+            _same_bytes(qc.kunneth(a, b, P, XY), _old_kunneth(a, b, P, XY))
+        if Y.n_points == 1:
+            stP = qc.structure(P, XY, sctx)
+            for elt in (qc.random_element(stP, rng), _mixed_element(stP, rng)):
+                new, old = qc.trivial_split(elt), _old_trivial_split(elt)
+                assert len(new) == len(old)
+                for (a, b), (a0, b0) in zip(new, old):
+                    _same_bytes(a, a0)
+                    _same_bytes(b, b0)
+
+
+def _kunneth_case(X, Y):
+    """Seeded factors over S3 and C2, on the point unless X or Y says
+    otherwise, over a fresh scalar context, with the target structure built."""
+    S3, C2 = symmetric(3), cyclic(2)
+    P = direct_product(S3, C2)
+    sctx = ScalarContext.for_groups([P])
+    X, Y = (X or point_set)(S3), (Y or point_set)(C2)
+    rng = random.Random(4)
+    a = qc.random_element(qc.structure(S3, X, sctx), rng)
+    b = qc.random_element(qc.structure(C2, Y, sctx), rng)
+    XY = product_gset(X, Y, P)
+    return a, b, P, XY, qc.structure(P, XY, sctx)
+
+
+def test_a_warm_kunneth_stores_no_new_entry():
+    a, b, P, XY, target = _kunneth_case(regular_gset, None)
+    first = qc.kunneth(a, b, P, XY)
+    rings = [ctx for st in (a.structure, b.structure, target)
+             for cb in st.classes for ctx in cb.ctxs]
+    stored = [dict(ctx._maps) for ctx in rings]
+    assert any(stored)
+    assert qc.kunneth(a, b, P, XY) == first
+    for ctx, before in zip(rings, stored):
+        assert ctx._maps.keys() == before.keys()
+        assert all(ctx._maps[key] is entry for key, entry in before.items())
+
+
+# Each of Künneth's internal checks, on a corrupted copy of the data it reads.
+
+def _corrupt_row_lookup(monkeypatch, a, b, target):
+    for cb in target.classes:
+        for ctx in cb.ctxs:
+            monkeypatch.setattr(ctx.table, "row_of", {})
+
+
+def _corrupt_product_angle(monkeypatch, a, b, target):
+    ctx = target.classes[0].ctxs[0]
+    monkeypatch.setattr(ctx, "angles", (Fraction(1, 2),) + ctx.angles[1:])
+
+
+def _corrupt_class_rep(monkeypatch, a, b, target):
+    monkeypatch.setattr(qc, "product_pair", lambda P, g, h: P.identity)
+
+
+def _corrupt_orbit_rep(monkeypatch, a, b, target):
+    monkeypatch.setattr(a.structure.classes[0].orbits[0], "rep", 1)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_corrupt_row_lookup, "class function is not a row of the table"),
+    (_corrupt_product_angle, "product basis element has wrong angle"),
+    (_corrupt_class_rep, "product class rep is not a pair of reps"),
+    (_corrupt_orbit_rep, "product orbit rep is not a pair of reps"),
+], ids=["row", "angle", "class-rep", "orbit-rep"])
+def test_kunneth_internal_checks(monkeypatch, corrupt, message):
+    a, b, P, XY, target = _kunneth_case(None, None)
+    corrupt(monkeypatch, a, b, target)
+    with pytest.raises(InternalCheckError) as err:
+        qc.kunneth(a, b, P, XY)
+    assert str(err.value) == message
+
+
 # -- change of group -----------------------------------------------------------
 
 def test_cog_identity_subgroup(S3, s3_point):

@@ -782,8 +782,8 @@ def test_warm_maps_make_no_decompositions(S3, c2_in_s3, c3_in_s3, monkeypatch):
         assert fn() == cold[name], name
         assert not calls, name
     ctxP = rr.ctx_for(sctx, P, P.identity)
-    kun = qc._kunneth_index(ctx2, ctx3, ctxP, P)
-    assert qc._kunneth_index(ctx2, ctx3, ctxP, P) is kun
+    kun = rr.kunneth_columns(ctx2, ctx3, ctxP, P)
+    assert rr.kunneth_columns(ctx2, ctx3, ctxP, P) is kun
 
 
 def test_warm_group_maps_redo_no_group_work(monkeypatch):
