@@ -93,6 +93,7 @@ class FiniteGroup:
         self._root = _root or self        # the group whose registry holds self
         self._subgroups: dict = {}        # member bitmask -> subgroup (on a root)
         self._exponent = None
+        self._hash = None
         self.identity = identity(self.degree)
         if self.identity not in self._index:
             raise InvalidGeneratorError("invalid generator: identity missing from closure")
@@ -127,7 +128,9 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        if self._hash is None:      # the elements are fixed once enumerated
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{self.name} (order {self.order}, degree {self.degree})"
@@ -372,7 +375,9 @@ class GroupHom:
         self.codomain = codomain
         self.image_of = dict(image_of)
         self._fusion = None
-        self._restrictions: dict = {}   # (source ctx, target ctx) -> checked restriction entry
+        # (source ctx, target ctx) -> checked restriction entry; source
+        # structure -> the plan of the pullback along self
+        self._restrictions: dict = {}
         self._verify()
 
     def _verify(self):

@@ -24,7 +24,7 @@ class FiniteGSet:
         self.n_points = int(n_points)
         self._table = {g: tuple(row) for g, row in table.items()}
         self._key = None
-        self._covers: dict = {}   # X.key() -> covering map onto X (on an induced set)
+        self._hash = None
         self.name = name or f"gset<{group.name}:{self.n_points}>"
         self.labels = list(labels) if labels is not None else None
         self._verify()
@@ -80,7 +80,9 @@ class FiniteGSet:
         return isinstance(other, FiniteGSet) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        if self._hash is None:      # the action is fixed once checked
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{self.name} ({self.n_points} points)"

@@ -14,7 +14,10 @@ Payload layout (schema_version "1"):
 
 Structures carry no "coeffs"; element payloads omit orbits whose component is
 zero.  All rationals are reduced "a/b" strings; key order is fixed so that
-serialize(parse(serialize(v))) is byte-identical.
+serialize(parse(serialize(v))) is byte-identical.  ``element_from_payload``
+holds every order, rank and basis ``irr`` and ``degree`` to the structure's,
+and reads coefficients only in the form ``qlaurent.serialize`` writes; the
+``c`` labels depend on the scalar context and are not read.
 
 A structure payload with tables ("table": [[entry]], entry[μ] the coefficient
 of μ in basis product i*j) is written, not edited: every context of one
@@ -219,6 +222,10 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
         rep = entry.get("rep")
         if not isinstance(rep, list) or tuple(rep) != cb.g:
             raise SchemaError(f"class {ci} representative mismatch")
+        for key, value in (("rep_order", cb.order),
+                           ("centralizer_order", cb.centralizer.order)):
+            if not _is_int(entry.get(key), value):
+                raise SchemaError(f"class {ci} {key} is not {value}")
         rep_index = {orb.rep: oi for oi, orb in enumerate(cb.orbits)}
         orbits = entry.get("orbits", ())
         if not isinstance(orbits, list):
@@ -233,6 +240,7 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
                     f"orbit rep {odata.get('orbit_rep')!r} not in class {ci}"
                 ) from None
             ctx = cb.ctxs[oi]
+            _check_orbit(odata, cb.orbits[oi], ctx, ci)
             coeffs = odata.get("coeffs")
             if not isinstance(coeffs, list) or len(coeffs) != ctx.rank:
                 raise SchemaError(f"coeffs missing or wrong length at class {ci}")
@@ -242,6 +250,28 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise SchemaError(f"bad coefficient payload: {exc}") from exc
     return QEllElt(struct, components)
+
+
+def _is_int(value, expected: int) -> bool:
+    return type(value) is int and value == expected
+
+
+def _check_orbit(odata: dict, orb, ctx, ci: int):
+    """An orbit entry's stabilizer order, rank and basis ``irr`` and
+    ``degree`` must be the structure's; ``c`` depends on the scalar context
+    and is not read."""
+    where = f"orbit {orb.rep} at class {ci}"
+    for key, value in (("stabilizer_order", orb.stabilizer.order), ("rank", ctx.rank)):
+        if not _is_int(odata.get(key), value):
+            raise SchemaError(f"{where}: {key} is not {value}")
+    basis = odata.get("basis")
+    if not isinstance(basis, list) or len(basis) != ctx.rank:
+        raise SchemaError(f"{where}: basis is not a list of {ctx.rank} entries")
+    for i, b in enumerate(basis):
+        if not (isinstance(b, dict) and _is_int(b.get("irr"), i)
+                and _is_int(b.get("degree"), ctx.table.degree(i))):
+            raise SchemaError(f"{where}: basis entry {i} is not irreducible {i} "
+                              f"of degree {ctx.table.degree(i)}")
 
 
 def dumps(payload: dict) -> str:

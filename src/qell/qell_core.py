@@ -7,9 +7,19 @@ one coefficient vector per orbit.  Every map reads an element at (h, point)
 through one helper, ``_read``: the component at the class and orbit
 representatives, found once per (h, point) with the one element w
 conjugating them there, and the map's entry out of the ring at (h, point)
-with that conjugation folded into its columns.  So each output component is
-one pass of ``rotrep.apply_columns``, no map builds a conjugated element,
-and all operations are deterministic functions.
+with that conjugation folded into its columns.
+
+Each structural map is a plan, built once per (source structure, map kind,
+arguments) in the source's one registry ``_plans`` (``groups.memo``; a
+pullback along a hom, known by identity, keeps its plan on the hom), after
+every check of the map has passed.  A plan names its target structure and,
+for each target (class, orbit), the (source class, source orbit, column
+getter) terms that it sums; every piece of group work (images of class
+reps, routes, descent tests, covers and fiber orbits, transports, product
+sets and fusions) runs while the plan is built.  A warm call looks its plan
+up and applies it (``_apply``): one pass of ``rotrep.apply_sum`` per output
+component, no conjugated element and no group work.  All operations are
+deterministic functions.
 
 Every pullback is one map of pairs (φ: K -> G, f: X -> Y) with
 f(k·x) = φ(k)·f(x), i.e. of global quotients X//K -> Y//G (``_pullback``):
@@ -53,8 +63,11 @@ class QEllStructure:
         self.classes = tuple(inertia_skeleton(G, X))
         for cb in self.classes:       # one representation ring per orbit
             cb.ctxs = tuple(rr.ctx_for(sctx, orb.stabilizer, cb.g) for orb in cb.orbits)
-        self._routes: dict = {}       # (h, point) -> (class, orbit, transport or None)
-        self._mu_plans: dict = {}     # n -> the μ^n plan (``_mu_plan``)
+        self._hash = hash(self.key())
+        # ("route", h, point) -> (class, orbit, transport or None); (map kind,
+        # *arguments) -> the map's plan, from this structure (``_apply``);
+        # pullback_hom keeps its plans on the hom
+        self._plans: dict = {}
 
     @property
     def n_classes(self) -> int:
@@ -81,7 +94,7 @@ class QEllStructure:
         return isinstance(other, QEllStructure) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         ranks = "/".join(str(sum(cb.ranks)) for cb in self.classes)
@@ -169,7 +182,7 @@ def value_at_element(elt: QEllElt, h: Permutation, point: int) -> LambdaElt:
     ``point`` in C_G(h).
     """
     struct = elt.structure
-    ci, oi, w = memo(struct._routes, (h, point), _route, struct, h, point)
+    ci, oi, w = memo(struct._plans, ("route", h, point), _route, struct, h, point)
     v = elt.components[ci][oi]
     return v if w is None else rr.apply_columns(
         v.coeffs, *memo(v.ctx._maps, ("at", w), _conjugation, v.ctx, w, struct.group))
@@ -193,7 +206,7 @@ def _read(struct: QEllStructure, h: Permutation, point: int, columns, *args, n: 
     """(class, orbit, getter) of the map ``columns(ctx, *args)`` out of ctx,
     the ring at (h, point), applied with scale (1, n): the route's component
     and the entry with the route's conjugation folded into its columns."""
-    ci, oi, w = memo(struct._routes, (h, point), _route, struct, h, point)
+    ci, oi, w = memo(struct._plans, ("route", h, point), _route, struct, h, point)
     return ci, oi, _along(struct.classes[ci].ctxs[oi], w, struct.group, n, columns, *args)
 
 
@@ -224,32 +237,58 @@ def _fold(conj_column, column, n: int, i: int):
     return tuple((k, t * m) for k, m in column(j))
 
 
-def _applied(elt: QEllElt, h: Permutation, point: int, target: LambdaCtx, columns, *args):
-    """The map ``columns(·, *args)``, onto target, of elt's value at (h, point)."""
-    ci, oi, column = _read(elt.structure, h, point, columns, *args)
-    return rr.apply_columns(elt.components[ci][oi].coeffs, target, column)
+def _apply(plan, components) -> tuple:
+    """The target components of ``plan`` = (target, rows, scale) applied to
+    ``components``: rows[ci][oi] lists the (class, orbit, getter) terms read
+    from the source, summed by one kernel pass."""
+    target, rows, scale = plan
+    apply_sum = rr.apply_sum
+    return tuple(tuple(apply_sum(tctx, [(components[ci][oi].coeffs, column)
+                                        for ci, oi, column in terms], scale)
+                       for terms, tctx in zip(row, cb.ctxs))
+                 for row, cb in zip(rows, target.classes))
+
+
+def _mapped(plan, elt: QEllElt) -> QEllElt:
+    return _element(plan[0], _apply(plan, elt.components))
+
+
+def _element(struct: QEllStructure, components: tuple) -> QEllElt:
+    """A QEllElt from components built over struct's own rings by a plan."""
+    e = object.__new__(QEllElt)
+    object.__setattr__(e, "structure", struct)
+    object.__setattr__(e, "components", components)
+    return e
 
 
 # ---------------------------------------------------------------------------
 # pullbacks along maps of pairs
 
-def _pullback(phi: GroupHom, points, elt: QEllElt, X: FiniteGSet) -> QEllElt:
-    """Pullback along (φ: K -> G, f: X -> Y) with f(k·x) = φ(k)·f(x), from
-    QEll_G(Y) to QEll_K(X); ``points[x]`` is f(x).  The component at (τ, x)
-    restricts elt's value at (φ(τ), f(x)) along φ."""
-    target = structure(X.group, X, elt.structure.sctx)
-    return QEllElt(target, [
-        [_applied(elt, phi(cb.g), points[orb.rep], tctx, rr.restriction_columns, phi, tctx)
-         for orb, tctx in zip(cb.orbits, cb.ctxs)]
-        for cb in target.classes])
+def _pullback(src: QEllStructure, phi: GroupHom, points, X: FiniteGSet) -> tuple:
+    """The plan of the pullback along (φ: K -> G, f: X -> Y) with f(k·x) =
+    φ(k)·f(x), from QEll_G(Y) to QEll_K(X); ``points[x]`` is f(x).  The
+    component at (τ, x) restricts the value at (φ(τ), f(x)) along φ."""
+    target = structure(X.group, X, src.sctx)
+    return target, tuple(
+        tuple((_read(src, phi(cb.g), points[orb.rep], rr.restriction_columns, phi, tctx),)
+              for orb, tctx in zip(cb.orbits, cb.ctxs))
+        for cb in target.classes), (1, 1)
 
 
 def pullback_hom(phi: GroupHom, elt: QEllElt) -> QEllElt:
-    """Restriction along φ: K -> G, from QEll_G(X) to QEll_K(X via φ)."""
+    """Restriction along φ: K -> G, from QEll_G(X) to QEll_K(X via φ).
+
+    A hom is known by identity, so its plans are kept on the hom, per source
+    structure, and go with it: a caller who builds a hom per call adds
+    nothing that outlives the hom."""
     src = elt.structure
+    return _mapped(memo(phi._restrictions, src, _pullback_hom_plan, src, phi), elt)
+
+
+def _pullback_hom_plan(src: QEllStructure, phi: GroupHom) -> tuple:
     if phi.codomain != src.group:
         raise PreconditionError("hom codomain does not match the element's group")
-    return _pullback(phi, src.gset.points(), elt, src.gset.via_hom(phi))
+    return _pullback(src, phi, src.gset.points(), src.gset.via_hom(phi))
 
 
 def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
@@ -260,9 +299,14 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
     ``change_of_group`` keeps on G, so restriction entries stay warm.
     """
     src = elt.structure
+    point_map = tuple(point_map)
+    return _mapped(memo(src._plans, ("pullback_map", point_map, X), _pullback_map_plan,
+                        src, point_map, X), elt)
+
+
+def _pullback_map_plan(src: QEllStructure, point_map: tuple, X: FiniteGSet) -> tuple:
     G = src.group
     Y = src.gset
-    point_map = list(point_map)
     if X.group != G:
         raise PreconditionError("X is not a set for the element's group")
     if len(point_map) != X.n_points:
@@ -273,7 +317,7 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
         for x in X.points():
             if point_map[X.act(g, x)] != Y.act(g, point_map[x]):
                 raise PreconditionError("point map is not equivariant")
-    return _pullback(_inclusion(G, G), point_map, elt, X)
+    return _pullback(src, _inclusion(G, G), point_map, X)
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +325,34 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
 
 def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
     """The multiplicative external product landing in QEll_{GxH}(X x Y): at
-    each pair of reps, the factors' components through their Künneth entry."""
+    each pair of reps, the factors' components through their Künneth entry.
+    The plan lists, per target (class, orbit), the factors' (class, orbit)
+    pair and the entry."""
     sa, sb = a.structure, b.structure
+    # P's factors and sb's context are no part of the plan's key: checked per call
     if P.factors is None:
         raise PreconditionError("P must be a direct product group")
     if P.factors != (sa.group, sb.group):
         raise PreconditionError(
             f"P's factors are not the factors' groups {sa.group.name} and {sb.group.name}")
+    target, rows = memo(sa._plans, ("kunneth", sb, P, XY), _kunneth_plan, sa, sb, P, XY)
+    if sa.sctx is not sb.sctx:
+        raise PreconditionError("factors built over different scalar contexts")
+    ca, cb = a.components, b.components
+    return _element(target, tuple(
+        tuple(rr.apply_product(ca[gi][oa], cb[hi][ob], tctx, columns)
+              for (gi, oa, hi, ob, columns), tctx in zip(row, tcb.ctxs))
+        for row, tcb in zip(rows, target.classes)))
+
+
+def _kunneth_plan(sa: QEllStructure, sb: QEllStructure, P: FiniteGroup, XY: FiniteGSet):
     if XY != product_gset(sa.gset, sb.gset, P):
         raise PreconditionError("XY is not the product of the factors' G-sets under P")
-    sctx = sa.sctx
-    if sctx is not sb.sctx:
+    if sa.sctx is not sb.sctx:      # so that no entry joins two contexts
         raise PreconditionError("factors built over different scalar contexts")
-    target = structure(P, XY, sctx)
+    target = structure(P, XY, sa.sctx)
     nY = sb.gset.n_points
-    out = []
+    rows = []
     for cb, gi, hi in zip(target.classes, *rr.factor_fusions(P, P, sa.group, sb.group)):
         if product_pair(P, sa.conjugacy.class_reps[gi], sb.conjugacy.class_reps[hi]) != cb.g:
             raise InternalCheckError("product class rep is not a pair of reps")
@@ -307,10 +364,9 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
             if cbA.orbits[oa].rep != x or cbB.orbits[ob].rep != y:
                 raise InternalCheckError("product orbit rep is not a pair of reps")
             columns, _ = rr.kunneth_columns(cbA.ctxs[oa], cbB.ctxs[ob], tctx, P)
-            va, vb = a.components[gi][oa], b.components[hi][ob]
-            row.append(rr.apply_product(va, vb, tctx, columns))
-        out.append(row)
-    return QEllElt(target, out)
+            row.append((gi, oa, hi, ob, columns))
+        rows.append(tuple(row))
+    return target, tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +378,14 @@ def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
 
     The inclusion H -> G is checked once per (H, G) and kept on G, so its
     restriction entries stay warm across calls."""
-    incl = memo(G._induced, (H.key(),), _inclusion, H, G)
     src = elt.structure
+    return _mapped(memo(src._plans, ("change_of_group", G, H, X), _change_of_group_plan,
+                        src, G, H, X), elt)
+
+
+def _change_of_group_plan(src: QEllStructure, G: FiniteGroup, H: FiniteGroup,
+                          X: FiniteGSet) -> tuple:
+    incl = memo(G._induced, (H.key(),), _inclusion, H, G)
     Z = induced_gset(G, H, X)
     if src.gset != Z:
         raise PreconditionError("element does not live on the induced G-set")
@@ -335,7 +397,7 @@ def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
         if Z.labels[x] != (0, x):
             raise InternalCheckError(
                 "[e, x] is not point x: induced G-set labels must sort the (0, x) first")
-    return _pullback(incl, X.points(), elt, X)
+    return _pullback(src, incl, X.points(), X)
 
 
 def _inclusion(H: FiniteGroup, G: FiniteGroup) -> GroupHom:
@@ -349,14 +411,26 @@ def _inclusion(H: FiniteGroup, G: FiniteGroup) -> GroupHom:
 def change_of_group_inverse(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
                             elt: QEllElt) -> QEllElt:
     """Assemble QEll_G(G x_H X) from QEll_H(X) by conjugation transport."""
+    src = elt.structure
+    return _mapped(_inverse_plan(src, G, H, X), elt)
+
+
+def _inverse_plan(src: QEllStructure, G: FiniteGroup, H: FiniteGroup, X: FiniteGSet):
+    return memo(src._plans, ("change_of_group_inverse", G, H, X),
+                _change_of_group_inverse_plan, src, G, H, X)
+
+
+def _change_of_group_inverse_plan(src: QEllStructure, G: FiniteGroup, H: FiniteGroup,
+                                  X: FiniteGSet) -> tuple:
+    """Per target (class, orbit) with least label [u, x]: the value at
+    (u⁻¹·g·u, x), conjugated along u."""
     if not G.is_subgroup(H):
         raise PreconditionError(f"{H.name} is not a subgroup of {G.name}")
-    src = elt.structure
     if src.group != H or src.gset != X:
         raise PreconditionError("element does not live on (H, X)")
     Z = induced_gset(G, H, X)
     target = structure(G, Z, src.sctx)
-    out = []
+    rows = []
     for cb in target.classes:
         row = []
         for orb, tctx in zip(cb.orbits, cb.ctxs):
@@ -365,9 +439,9 @@ def change_of_group_inverse(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
             h = u.inverse() * cb.g * u
             if h not in H or X.act(h, x) != x:
                 raise InternalCheckError("induced fixed point fails the descent test")
-            row.append(_applied(elt, h, x, tctx, _reassembly, u, tctx))
-        out.append(row)
-    return QEllElt(target, out)
+            row.append((_read(src, h, x, _reassembly, u, tctx),))
+        rows.append(tuple(row))
+    return target, tuple(rows), (1, 1)
 
 
 def _reassembly(ctx: LambdaCtx, u: Permutation, tctx: LambdaCtx) -> rr.MapEntry:
@@ -385,10 +459,10 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
     """Wrong-way map QEll_H(X|_H) -> QEll_G(X) for H the element's group.
 
     Algorithm A composes the change-of-group isomorphism with the pushforward
-    along the finite covering G x_H X -> X.  Algorithm B is the explicit
-    per-class sum of conjugated inductions; it applies only to X = pt.
+    along the finite covering G x_H X -> X: two plans, the second applied to
+    the components the first makes.  Algorithm B is the explicit per-class
+    sum of conjugated inductions; it applies only to X = pt.
     """
-    H = elt.structure.group
     if algorithm not in ("A", "B"):
         raise PreconditionError(f"unknown transfer algorithm {algorithm!r}: expected 'A' or 'B'")
     if algorithm == "B":
@@ -397,29 +471,38 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
         return _transfer_point_sum(G, elt)
     if X is None:
         raise PreconditionError("algorithm A needs the ambient G-set")
+    src = elt.structure
+    inverse, push = memo(src._plans, ("transfer_A", G, X), _transfer_plan, src, G, X)
+    return _element(push[0], _apply(push, _apply(inverse, elt.components)))
+
+
+def _transfer_plan(src: QEllStructure, G: FiniteGroup, X: FiniteGSet) -> tuple:
+    """(change of group inverse onto Z = G x_H X, pushforward along Z -> X):
+    per target (class, orbit), one induction per stabilizer orbit of its
+    fiber, read at a point of it."""
+    H = src.group
     XH = X.restrict_group(H)
-    if elt.structure.gset != XH:
+    if src.gset != XH:
         raise PreconditionError("element does not live on X restricted to H")
-    zelt = change_of_group_inverse(G, H, XH, elt)
+    inverse = _inverse_plan(src, G, H, src.gset)
     Z = induced_gset(G, H, XH)
-    if zelt.structure.gset != Z:
+    zstruct = inverse[0]
+    if zstruct.gset != Z:
         raise InternalCheckError("induced set drifted between constructions")
-    cover = memo(Z._covers, X.key(), _cover, G, Z, X)
-    target = structure(G, X, elt.structure.sctx)
-    zstruct = zelt.structure
-    out = []
-    for ci, cb in enumerate(target.classes):
-        zcb = zstruct.classes[ci]
+    cover = _cover(G, Z, X)
+    target = structure(G, X, src.sctx)
+    rows = []
+    for cb, zcb in zip(target.classes, zstruct.classes):
         row = []
         for orb, tctx in zip(cb.orbits, cb.ctxs):
-            acc, done = tctx.zero(), set()
+            terms, done = [], set()
             for z in zcb.fixed:     # one point per stabilizer orbit of the fiber
                 if cover[z] == orb.rep and z not in done:
                     done.update(Z.act(s, z) for s in orb.stabilizer.elements)
-                    acc = acc + _applied(zelt, zcb.g, z, tctx, rr.induction_columns, tctx)
-            row.append(acc)
-        out.append(row)
-    return QEllElt(target, out)
+                    terms.append(_read(zstruct, zcb.g, z, rr.induction_columns, tctx))
+            row.append(tuple(terms))
+        rows.append(tuple(row))
+    return inverse, (target, tuple(rows), (1, 1))
 
 
 def _cover(G: FiniteGroup, Z: FiniteGSet, X: FiniteGSet) -> list[int]:
@@ -433,21 +516,27 @@ def _cover(G: FiniteGroup, Z: FiniteGSet, X: FiniteGSet) -> list[int]:
 
 
 def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
-    H = elt.structure.group
-    if elt.structure.gset.n_points != 1:
+    src = elt.structure
+    return _mapped(memo(src._plans, ("transfer_B", G), _transfer_point_plan, src, G), elt)
+
+
+def _transfer_point_plan(src: QEllStructure, G: FiniteGroup) -> tuple:
+    """Per class of G: the inductions of the H-classes fusing into it, each
+    read along the inverse of its transport to G's class rep."""
+    H = src.group
+    if src.gset.n_points != 1:
         raise PreconditionError("algorithm B applies only to the one-point set")
     if not G.is_subgroup(H):
         raise PreconditionError(f"{H.name} is not a subgroup of {G.name}")
-    target = structure(G, point_set(G), elt.structure.sctx)
-    acc = [cb.ctxs[0].zero() for cb in target.classes]
+    target = structure(G, point_set(G), src.sctx)
+    terms = [[] for _ in target.classes]
     for hi, h0 in enumerate(H.conjugacy().class_reps):
         ci, w = G.conjugacy().transport_to_rep(h0)
-        tctx = target.classes[ci].ctxs[0]
         # h0 == w g w^{-1} for g the class rep, so w^{-1} moves h0 to g
-        column = _along(elt.structure.classes[hi].ctxs[0], None if w == G.identity
-                        else w.inverse(), G, 1, rr.induction_columns, tctx)
-        acc[ci] = acc[ci] + rr.apply_columns(elt.components[hi][0].coeffs, tctx, column)
-    return QEllElt(target, [[a] for a in acc])
+        terms[ci].append((hi, 0, _along(src.classes[hi].ctxs[0], None if w == G.identity
+                                        else w.inverse(), G, 1, rr.induction_columns,
+                                        target.classes[ci].ctxs[0])))
+    return target, tuple((tuple(t),) for t in terms), (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +551,14 @@ def mu(elt: QEllElt, n: int) -> QEllElt:
     if n < 1:
         raise PreconditionError("mu degree must be >= 1")
     struct = elt.structure
-    scale, comps = (1, n), elt.components
-    return QEllElt(struct, tuple(
-        tuple(rr.apply_columns(comps[ci][oi].coeffs, tctx, column, scale)
-              for (ci, oi, column), tctx in zip(row, cb.ctxs))
-        for row, cb in zip(memo(struct._mu_plans, n, _mu_plan, struct, n), struct.classes)))
+    return _mapped(memo(struct._plans, ("mu", n), _mu_plan, struct, n), elt)
 
 
 def _mu_plan(struct: QEllStructure, n: int) -> tuple:
     """Per (class, orbit): ``_read`` of μ^n of the value at (g^n, x)."""
-    return tuple(tuple(_read(struct, cb.g ** n, orb.rep, rr.mu_columns, n, tctx, n=n)
-                       for orb, tctx in zip(cb.orbits, cb.ctxs))
-                 for cb in struct.classes)
+    return struct, tuple(tuple((_read(struct, cb.g ** n, orb.rep, rr.mu_columns, n, tctx, n=n),)
+                               for orb, tctx in zip(cb.orbits, cb.ctxs))
+                         for cb in struct.classes), (1, n)
 
 
 def adams(elt: QEllElt, m: int) -> QEllElt:

@@ -247,7 +247,10 @@ def serialize(f: QLaurent) -> list[dict]:
 
 
 def deserialize(data) -> QLaurent:
-    """Read serialize's output: "a/b" exponent strings and int coefficients."""
+    """Read serialize's output and nothing else: reduced "a/b" exponent
+    strings with b > 0, written as serialize writes them (no space, no sign
+    on 0, no leading zero), strictly ascending, with nonzero int
+    coefficients."""
     terms = []
     for item in data:
         exp, coef = item["exp"], item["coef"]
@@ -255,5 +258,17 @@ def deserialize(data) -> QLaurent:
             raise TypeError(f"exponent must be a string, got {exp!r}")
         if not isinstance(coef, int) or isinstance(coef, bool):
             raise TypeError(f"coefficient must be an integer, got {coef!r}")
-        terms.append((Fraction(exp), coef))
+        if not coef:
+            raise ValueError("coefficient must be nonzero")
+        num, _, den = exp.partition("/")
+        try:
+            a, b = int(num), int(den)
+        except ValueError:
+            a = b = 0
+        if b <= 0 or gcd(a, b) != 1 or f"{a}/{b}" != exp:
+            raise ValueError(f"exponent must be a reduced 'a/b' string, got {exp!r}")
+        r = Fraction(a, b)
+        if terms and r <= terms[-1][0]:
+            raise ValueError(f"exponents must ascend strictly, got {exp!r}")
+        terms.append((r, coef))
     return QLaurent(terms)

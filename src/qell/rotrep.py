@@ -42,11 +42,11 @@ Each (source context, map, target context) has one checked entry, a
 ``MapEntry``, which is the map's column getter: it is stored once, in the
 source context's one registry ``_maps`` (restriction checks on the hom),
 through ``groups.memo`` after the map's checks and class fusion pass.  Every
-basis map applies its entry's columns through one kernel, ``apply_columns``,
-which builds each output coefficient once on int exponents: one contribution
-is moved and reduced with no dict and no sort, and 1·q⁰ with no rescale is
-the source coefficient itself.  So a warm map is a lookup and one kernel
-pass, and a bad input is never stored.
+basis map, and every sum of them, applies its entries' columns through one
+kernel, ``apply_sum``, which builds each output coefficient once on int
+exponents: one contribution is moved and reduced with no dict and no sort,
+and 1·q⁰ with no rescale is the source coefficient itself.  So a warm map is
+a lookup and one kernel pass, and a bad input is never stored.
 
 All multiplicities are computed exactly in the scalar context's prime field.
 """
@@ -392,24 +392,31 @@ def pairing(a: LambdaElt, b: LambdaElt) -> QLaurent:
 def apply_columns(coeffs, target: LambdaCtx, column, scale=(1, 1)) -> LambdaElt:
     """Σ_i f_i(q^{p/s})·column(i), over target, of the coefficients ``coeffs``
     = (f_i), for ``scale`` = (p, s) in lowest terms and column(i) =
-    ((j, m·q^{a/b}), ...): the one kernel of every basis map.
+    ((j, m·q^{a/b}), ...): one map's term of ``apply_sum``."""
+    return apply_sum(target, ((coeffs, column),), scale)
 
-    The contributions to each output coefficient are gathered first, and the
-    coefficient is built once on int exponents over the lcm of their
-    denominators: one contribution is f's terms moved and reduced with no
-    dict and no sort, and only several are collected.  A contribution
-    1·q⁰ with no rescale is the source coefficient itself.
+
+def apply_sum(target: LambdaCtx, terms, scale=(1, 1)) -> LambdaElt:
+    """Σ over ``terms`` (coeffs, column) of Σ_i f_i(q^{p/s})·column(i), over
+    target: the one kernel of every basis map and of every sum of them.
+
+    The contributions to each output coefficient, from every term, are
+    gathered first, and the coefficient is built once on int exponents over
+    the lcm of their denominators: one contribution is f's terms moved and
+    reduced with no dict and no sort, and only several are collected.  A
+    contribution 1·q⁰ with no rescale is the source coefficient itself.
     """
     first, more = {}, {}    # j -> its first (f, mult); j -> all of them, if several
-    for i, f in enumerate(coeffs):
-        if f.num:
-            for j, mult in column(i):
-                if j not in first:
-                    first[j] = f, mult
-                elif j in more:
-                    more[j].append((f, mult))
-                else:
-                    more[j] = [first[j], (f, mult)]
+    for coeffs, column in terms:
+        for i, f in enumerate(coeffs):
+            if f.num:
+                for j, mult in column(i):
+                    if j not in first:
+                        first[j] = f, mult
+                    elif j in more:
+                        more[j].append((f, mult))
+                    else:
+                        more[j] = [first[j], (f, mult)]
     p, s = scale
     unit_scale = p == s == 1
     out = [ZERO] * target.rank

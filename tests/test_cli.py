@@ -216,9 +216,29 @@ TERM = ("classes", 0, "orbits", 0, "coeffs", 0, 0)     # the unit's one term
     (TERM + ("exp",), 0.5),
     (TERM + ("exp",), "1/0"),
     (TERM + ("exp",), "x"),
+    # the reader takes only what the writer writes (the "c" labels aside)
+    (TERM + ("exp",), " 1/2 "),
+    (TERM + ("exp",), "0/2"),
+    (TERM + ("exp",), "1e400"),
+    (TERM + ("exp",), "-0/1"),
+    (TERM + ("exp",), "0"),
+    (TERM + ("coef",), 0),
+    (TERM[:-1], [{"exp": "1/1", "coef": 1}, {"exp": "0/1", "coef": 1}]),
+    (TERM[:-1], [{"exp": "0/1", "coef": 1}, {"exp": "0/1", "coef": 1}]),
+    (("classes", 0, "orbits", 0, "rank"), 99),
+    (("classes", 0, "orbits", 0, "basis", 0, "degree"), 7),
+    (("classes", 0, "orbits", 0, "basis", 0, "irr"), 5),
+    (("classes", 0, "orbits", 0, "basis"), []),
+    (("classes", 0, "rep_order"), 9),
+    (("classes", 0, "centralizer_order"), 9),
+    (("classes", 0, "orbits", 0, "stabilizer_order"), 9),
+    (("classes", 0, "rep_order"), True),
 ], ids=["class-not-object", "rep-not-list", "cosets-without-subgroup",
         "not-a-permutation", "degree-mismatch", "coef-float", "coef-bool", "exp-float",
-        "exp-zero-denominator", "exp-garbage"])
+        "exp-zero-denominator", "exp-garbage", "exp-whitespace", "exp-unreduced",
+        "exp-scientific", "exp-signed-zero", "exp-no-denominator", "coef-zero",
+        "exp-descending", "exp-repeated", "rank", "degree", "irr", "basis-empty",
+        "rep-order", "centralizer-order", "stabilizer-order", "rep-order-bool"])
 def test_malformed_element_is_a_schema_error(capsys, tmp_path, path, value):
     u = tmp_path / "u.json"
     assert main(["unit", "--group", "S3", "--json", str(u)]) == 0

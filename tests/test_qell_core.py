@@ -278,12 +278,12 @@ def test_value_at_element_rejects_a_point_off_the_fixed_set(S3, h, point):
     e = qc.random_element(st, random.Random(4))
     h = groups.Permutation(h)
     good = qc.value_at_element(e, S3.identity, 5)
-    routes = dict(st._routes)
+    plans = dict(st._plans)
     for _ in range(2):
         with pytest.raises(PreconditionError) as err:
             qc.value_at_element(e, h, point)
         assert str(err.value) == f"{point!r} is not a point of {st.gset.name} fixed by {h!r}"
-        assert st._routes == routes
+        assert st._plans == plans
     assert qc.value_at_element(e, S3.identity, 5) == good
 
 
@@ -459,6 +459,37 @@ def test_kunneth_rejects_swapped_factors(s3_c2_points):
     XY = product_gset(point_set(C2), point_set(S3), Q)
     with pytest.raises(PreconditionError, match="^P's factors are not the factors' groups S3 and C2$"):
         qc.kunneth(a, b, Q, XY)
+
+
+def test_warm_kunneth_builds_no_gset_and_still_checks_its_arguments(monkeypatch):
+    """A warm Künneth reads its plan, built with the product set checked
+    once: no G-set and no fusion.  What the plan's key does not hold (P's
+    factors, the second factor's scalar context) is checked on every call."""
+    S3, C2 = symmetric(3), cyclic(2)
+    P = direct_product(S3, C2)
+    sctx = ScalarContext.for_groups([P])
+    rng = random.Random(8)
+    a = qc.random_element(qc.structure(S3, regular_gset(S3), sctx), rng)
+    b = qc.random_element(qc.structure(C2, point_set(C2), sctx), rng)
+    XY = product_gset(regular_gset(S3), point_set(C2), P)
+    cold = qc.kunneth(a, b, P, XY)
+    built = []
+    init = FiniteGSet.__init__
+    monkeypatch.setattr(FiniteGSet, "__init__", lambda self, *args, **kwargs:
+                        built.append(args) or init(self, *args, **kwargs))
+    monkeypatch.setattr(rr, "factor_fusions", lambda *args: pytest.fail("a fusion was formed"))
+    _same_bytes(qc.kunneth(a, b, P, XY), cold)
+    assert not built
+    flat = groups.make_group(P.degree, P.generators)     # P's elements, no factors
+    assert flat == P and flat.factors is None
+    with pytest.raises(PreconditionError, match="^P must be a direct product group$"):
+        qc.kunneth(a, b, flat, XY)
+    other = ScalarContext.for_groups([P])
+    b2 = qc.random_element(qc.structure(C2, point_set(C2), other), rng)
+    assert b2.structure == b.structure and b2.structure is not b.structure
+    with pytest.raises(PreconditionError, match="^factors built over different scalar contexts$"):
+        qc.kunneth(a, b2, P, XY)
+    _same_bytes(qc.kunneth(a, b, P, XY), cold)
 
 
 # Künneth and the trivial split against the bodies they had when the index
@@ -899,7 +930,7 @@ def _stored_mu(st):
     conjugation's entry."""
     rings = [ctx for cb in st.classes for ctx in cb.ctxs]
     rings += [entry[0] for ctx in rings for key, entry in ctx._maps.items() if key[0] == "at"]
-    return (dict(st._mu_plans),
+    return (dict(st._plans),
             [{key: len(entry.columns) if isinstance(entry, rr.MapEntry) else entry
               for key, entry in ctx._maps.items()} for ctx in rings])
 

@@ -87,6 +87,20 @@ def test_serialization_round_trip(f):
         assert Fraction(int(num), int(den)) == Fraction(item["exp"])
 
 
+@pytest.mark.parametrize("data", [
+    [{"exp": " 1/2 ", "coef": 1}], [{"exp": "1/2 ", "coef": 1}], [{"exp": "0/2", "coef": 1}],
+    [{"exp": "2/4", "coef": 1}], [{"exp": "1e400", "coef": 1}], [{"exp": "1", "coef": 1}],
+    [{"exp": "-0/1", "coef": 1}], [{"exp": "+1/2", "coef": 1}], [{"exp": "1/-2", "coef": 1}],
+    [{"exp": "01/2", "coef": 1}], [{"exp": "1_0/3", "coef": 1}], [{"exp": "0.5", "coef": 1}],
+    [{"exp": "1/2", "coef": 0}],
+    [{"exp": "1/2", "coef": 1}, {"exp": "0/1", "coef": 1}],
+    [{"exp": "1/2", "coef": 1}, {"exp": "1/2", "coef": 2}],
+])
+def test_deserialize_reads_only_what_serialize_writes(data):
+    with pytest.raises(ValueError):
+        qlaurent.deserialize(data)
+
+
 def test_divide_int_exact():
     f = monomial(6, 1) + monomial(-9, 0)
     assert f.divide_int_exact(3) == monomial(2, 1) + monomial(-3, 0)

@@ -22,7 +22,7 @@ from qell.groups import (
     make_hom,
     symmetric,
 )
-from qell.gsets import point_set, regular_gset
+from qell.gsets import point_set, product_gset, regular_gset
 from qell.qlaurent import ONE, QLaurent, ZERO, monomial, q_power
 
 
@@ -798,23 +798,30 @@ def test_warm_group_maps_redo_no_group_work_on_s4_point(monkeypatch):
 
 def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
     """Warm maps over (G, space(G)) with H = <(0 1)>; value_at_element is
-    taken at (h, point)."""
+    taken at (h, point).  Warm, every map is a plan lookup and Z[q^Q]
+    arithmetic only: no group work, no G-set and no new entry."""
     H = G.subgroup([Permutation([1, 0, *range(2, G.degree)])])   # not the least transposition
     X = space(G)
     XH = X.restrict_group(H)
-    sctx = ScalarContext.for_groups([G])
+    P = direct_product(G, H)
+    sctx = ScalarContext.for_groups([G, P])
     a = qc.random_element(qc.structure(H, XH, sctx), random.Random(3))
     z = qc.change_of_group_inverse(G, H, XH, a)
     b = qc.random_element(qc.structure(H, point_set(H), sctx), random.Random(4))
     c = qc.random_element(qc.structure(G, point_set(G), sctx), random.Random(5))
     d = qc.random_element(qc.structure(G, X, sctx), random.Random(6))
     incl = GroupHom.inclusion(H, G)
+    XY = product_gset(X, point_set(H), P)
+    R = regular_gset(G)     # onto X along g ↦ g·0
+    f = [X.act(G.elements[gi], 0) for gi, _ in R.labels]
     # (h, point) is no (class rep, orbit rep): the value is conjugated there
     ci = d.structure.conjugacy.class_index(h)
     orb = d.structure.classes[ci].orbits[d.structure.classes[ci].orbit_of_point[point]]
     assert d.structure.conjugacy.class_reps[ci] != h or orb.rep != point
     maps = {
         "pullback_hom": lambda: qc.pullback_hom(incl, d),
+        "pullback_map": lambda: qc.pullback_map(f, d, R),
+        "kunneth": lambda: qc.kunneth(d, b, P, XY),
         "change_of_group_inverse": lambda: qc.change_of_group_inverse(G, H, XH, a),
         "change_of_group": lambda: qc.change_of_group(G, H, XH, z),
         "transfer_A": lambda: qc.transfer(G, a, X, algorithm="A"),
@@ -824,8 +831,6 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
         "mu_on_X": lambda: qc.mu(d, 2),
         "value_at_element": lambda: qc.value_at_element(d, h, point),
     }
-    # warm, these are lookups and Z[q^Q] arithmetic only
-    lookups_only = ("pullback_hom", "mu", "mu3", "mu_on_X", "value_at_element")
     cold = {name: fn() for name, fn in maps.items()}
     assert cold["change_of_group"] == a
     calls = []
@@ -837,6 +842,7 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
                             lambda *args, **kwargs: log.append(name) or fn(*args, **kwargs))
 
     counted(gsets, "_build_induced_gset", calls)
+    counted(gsets.FiniteGSet, "__init__", calls)     # a warm map builds no G-set
     for module in (groups, qc):     # any module that binds its own transporter
         if hasattr(module, "transporter"):
             counted(module, "transporter", calls)
@@ -864,11 +870,12 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
     monkeypatch.setattr(groups.FiniteGroup, "__init__", lambda self, *args, **kwargs:
                         builds.append(args) or group_init(self, *args, **kwargs))
     getters = []
-    apply_columns = rr.apply_columns
-    monkeypatch.setattr(rr, "apply_columns", lambda coeffs, target, column, *scale:
-                        getters.append(column) or apply_columns(coeffs, target, column, *scale))
+    apply_sum = rr.apply_sum
+    monkeypatch.setattr(rr, "apply_sum", lambda target, terms, *scale: getters.extend(
+        column for _, column in terms) or apply_sum(target, terms, *scale))
     registries = [incl._restrictions] + [hom._restrictions for hom in G._induced.values()
-                                         if isinstance(hom, GroupHom)]
+                                         if isinstance(hom, GroupHom)] + \
+        [st._plans for st in sctx._structures.values()]
     for name, fn in maps.items():
         homs.clear()
         builds.clear()
@@ -887,13 +894,13 @@ def _warm_maps_do_no_group_work(monkeypatch, G, space, h, point):
         assert not homs, (name, homs)
         # conjugated stabilizers come back from the registry
         assert not builds, (name, len(builds))
-        # checks, fusions, transports and powers come back from their entries
-        assert name not in lookups_only or not group_work, (name, group_work)
+        # checks, fusions, transports and powers come back from their plans
+        assert not group_work, (name, group_work)
 
 
 def _entries(sctx, registries) -> dict:
     """Every stored entry, by identity: each ring's ``_maps`` and the given
-    hom registries, with each map entry's column count."""
+    hom and plan registries, with each map entry's column count."""
     regs = [c._maps for c in sctx._lambda_ctxs.values()] + registries
     return {(id(reg), key): (id(entry), len(entry.columns)
                              if isinstance(entry, rr.MapEntry) else None)
@@ -902,9 +909,10 @@ def _entries(sctx, registries) -> dict:
 
 # -- the one basis-map kernel ------------------------------------------------------
 #
-# apply_columns gathers the contributions to each output coefficient and builds
-# it once on int exponents.  The oracle is QLaurent arithmetic: rescale each
-# source coefficient, multiply by the column term, add.
+# apply_sum gathers the contributions to each output coefficient, from every
+# term, and builds it once on int exponents; apply_columns is its one-term
+# case.  The oracle is QLaurent arithmetic: rescale each source coefficient,
+# multiply by the column term, add.
 
 def _kernel_oracle(coeffs, target, column, p, s):
     out = [ZERO] * target.rank
@@ -921,7 +929,7 @@ def test_apply_columns_matches_qlaurent_arithmetic(scale):
     ctx = rr.ctx_for(ScalarContext.for_groups([G]), G, G.identity)
     rng = random.Random(sum(scale))
     mixed = [Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3)]
-    for _ in range(40):
+    def draw():
         coeffs = [QLaurent([(rng.choice(mixed), rng.randint(-3, 3)) for _ in range(3)])
                   if rng.random() < 0.7 else ZERO for _ in range(ctx.rank)]
         # several terms per column and repeated targets: outputs with one
@@ -929,8 +937,16 @@ def test_apply_columns_matches_qlaurent_arithmetic(scale):
         columns = [tuple((rng.randrange(ctx.rank),
                           monomial(rng.choice([-2, 1, 1, 3]), rng.choice(mixed + [0] * 9)))
                          for _ in range(rng.randint(0, 3))) for _ in range(ctx.rank)]
-        got = rr.apply_columns(coeffs, ctx, columns.__getitem__, scale)
-        want = _kernel_oracle(coeffs, ctx, columns.__getitem__, *scale)
+        return coeffs, columns.__getitem__
+
+    for _ in range(40):
+        (coeffs, column), (coeffs2, column2) = draw(), draw()
+        got = rr.apply_columns(coeffs, ctx, column, scale)
+        want = _kernel_oracle(coeffs, ctx, column, *scale)
+        assert [(f.den, f.num) for f in got.coeffs] == [(f.den, f.num) for f in want]
+        # a sum of two maps' terms, reduced once, is the sum of the two
+        got = rr.apply_sum(ctx, [(coeffs, column), (coeffs2, column2)], scale)
+        want = map(operator.add, want, _kernel_oracle(coeffs2, ctx, column2, *scale))
         assert [(f.den, f.num) for f in got.coeffs] == [(f.den, f.num) for f in want]
 
 
