@@ -375,8 +375,9 @@ class GroupHom:
         self.codomain = codomain
         self.image_of = dict(image_of)
         self._fusion = None
-        # (source ctx, target ctx) -> checked restriction entry; source
-        # structure -> the plan of the pullback along self
+        # (source ctx, target ctx) -> checked restriction entry;
+        # ("pullback", scalar context, source structure) -> the plan of the
+        # pullback along self
         self._restrictions: dict = {}
         self._verify()
 

@@ -11,7 +11,8 @@ with that conjugation folded into its columns.
 
 Each structural map is a plan, built once per (source structure, map kind,
 arguments) in the source's one registry ``_plans`` (``groups.memo``; a
-pullback along a hom, known by identity, keeps its plan on the hom), after
+pullback along a hom, known by identity, keeps its plan on the hom, keyed
+by the source's scalar context and structure), after
 every check of the map has passed.  A plan names its target structure and,
 for each target (class, orbit), the (source class, source orbit, column
 getter) terms that it sums; every piece of group work (images of class
@@ -250,15 +251,7 @@ def _apply(plan, components) -> tuple:
 
 
 def _mapped(plan, elt: QEllElt) -> QEllElt:
-    return _element(plan[0], _apply(plan, elt.components))
-
-
-def _element(struct: QEllStructure, components: tuple) -> QEllElt:
-    """A QEllElt from components built over struct's own rings by a plan."""
-    e = object.__new__(QEllElt)
-    object.__setattr__(e, "structure", struct)
-    object.__setattr__(e, "components", components)
-    return e
+    return QEllElt(plan[0], _apply(plan, elt.components))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +271,13 @@ def _pullback(src: QEllStructure, phi: GroupHom, points, X: FiniteGSet) -> tuple
 def pullback_hom(phi: GroupHom, elt: QEllElt) -> QEllElt:
     """Restriction along φ: K -> G, from QEll_G(X) to QEll_K(X via φ).
 
-    A hom is known by identity, so its plans are kept on the hom, per source
-    structure, and go with it: a caller who builds a hom per call adds
-    nothing that outlives the hom."""
+    A hom is known by identity, so its plans are kept on the hom and go with
+    it: a caller who builds a hom per call adds nothing that outlives the
+    hom.  Structures over two scalar contexts can be equal, so the key holds
+    the source's context as well."""
     src = elt.structure
-    return _mapped(memo(phi._restrictions, src, _pullback_hom_plan, src, phi), elt)
+    return _mapped(memo(phi._restrictions, ("pullback", src.sctx, src), _pullback_hom_plan,
+                        src, phi), elt)
 
 
 def _pullback_hom_plan(src: QEllStructure, phi: GroupHom) -> tuple:
@@ -339,7 +334,7 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
     if sa.sctx is not sb.sctx:
         raise PreconditionError("factors built over different scalar contexts")
     ca, cb = a.components, b.components
-    return _element(target, tuple(
+    return QEllElt(target, tuple(
         tuple(rr.apply_product(ca[gi][oa], cb[hi][ob], tctx, columns)
               for (gi, oa, hi, ob, columns), tctx in zip(row, tcb.ctxs))
         for row, tcb in zip(rows, target.classes)))
@@ -473,7 +468,7 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
         raise PreconditionError("algorithm A needs the ambient G-set")
     src = elt.structure
     inverse, push = memo(src._plans, ("transfer_A", G, X), _transfer_plan, src, G, X)
-    return _element(push[0], _apply(push, _apply(inverse, elt.components)))
+    return QEllElt(push[0], _apply(push, _apply(inverse, elt.components)))
 
 
 def _transfer_plan(src: QEllStructure, G: FiniteGroup, X: FiniteGSet) -> tuple:

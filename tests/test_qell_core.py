@@ -143,6 +143,12 @@ def test_element_rejects_a_component_from_another_ring(S3, s3_point):
     assert twin is not ctx
     assert qc.QEllElt(s3_point, with_component(twin.unit())) == \
         qc.QEllElt(s3_point, with_component(ctx.unit()))
+    with pytest.raises(PreconditionError, match="^component count does not match the structure$"):
+        qc.QEllElt(s3_point, s3_point.zero().components[:-1])
+    extra = with_component(ctx.unit())
+    extra[1].append(ctx.unit())
+    with pytest.raises(PreconditionError, match="^orbit count does not match the structure$"):
+        qc.QEllElt(s3_point, extra)
 
 
 # -- one pullback along maps of pairs ------------------------------------------
@@ -232,6 +238,26 @@ def test_pullbacks_match_the_per_orbit_bodies(G):
                 GK = coset_gset(G, K)
                 f = [GH.act(G.elements[gi], 0) for gi, _ in GK.labels]
                 assert qc.pullback_map(f, y, GK) == _old_pullback_map(f, y, GK)
+
+
+def test_one_hom_pulls_back_equal_structures_over_two_contexts():
+    """Structures over two scalar contexts are equal but are different rings:
+    one hom applied to both answers each over its own context."""
+    S4 = symmetric(4)
+    A4 = next(K for K in groups.all_subgroups(S4) if K.order == 12)
+    H = S4.subgroup_of(A4.elements)
+    incl = GroupHom.inclusion(H, S4)
+    rng = random.Random(5)
+    elts = [qc.random_element(qc.structure(S4, regular_gset(S4), ScalarContext.for_groups([S4])),
+                              rng) for _ in range(2)]
+    assert elts[0].structure == elts[1].structure
+    for elt in elts:
+        out = qc.pullback_hom(incl, elt)
+        assert out.structure.sctx is elt.structure.sctx
+        _same_bytes(out, qc.pullback_hom(GroupHom.inclusion(H, S4), elt))
+        _same_bytes(out, _old_pullback_hom(GroupHom.inclusion(H, S4), elt))
+    (a_ctx,), (b_ctx,) = (elt.structure.classes[0].ctxs for elt in elts)
+    assert a_ctx.sctx is not b_ctx.sctx
 
 
 def test_pullback_map_reuses_the_identity_hom(monkeypatch):
