@@ -277,17 +277,18 @@ def _class_matrix_column(conj, class_i, j: int) -> tuple[tuple, tuple]:
     return tuple(counts), tuple(sizes[j] * n // sizes[t] for t, n in counts.items())
 
 
-def _eigenspaces(A, B, pivots, p: int, rng: random.Random):
+def _eigenspaces(A, B, pivots, p: int, rng: random.Random, bound: int | None):
     """Split span(B) along the eigenvalues of A, the action on B's coordinates.
 
-    B is in RREF with the given pivot columns.  Each eigenspace is yielded as
-    (Y·B, its pivots) with Y an RREF basis of {y : y·A = λ·y}; Y·B is then in
-    RREF too, with B's pivots at Y's, and is summed over the nonzero entries
-    of Y and B.
+    B is in RREF with the given pivot columns; ``bound``, if not None, bounds
+    the eigenvalues as integers (``modp.distinct_roots``).  Each eigenspace
+    is yielded as (Y·B, its pivots) with Y an RREF basis of
+    {y : y·A = λ·y}; Y·B is then in RREF too, with B's pivots at Y's, and is
+    summed over the nonzero entries of Y and B.
     """
     d, k = len(B), len(B[0])
     nonzero = [[(t, b) for t, b in enumerate(row) if b] for row in B]
-    for lam in modp.distinct_roots(modp.charpoly(A, p), p, rng):
+    for lam in modp.distinct_roots(modp.charpoly(A, p), p, rng, bound):
         # row vectors y with y*(A - lam) = 0: nullspace of transpose
         AT = [[(A[r][c] - (lam if r == c else 0)) % p for r in range(d)]
               for c in range(d)]
@@ -347,6 +348,14 @@ def _central_pieces(G: FiniteGroup, ctx: ScalarContext) -> tuple[list, range | l
     return spaces, [i for i in range(k) if sizes[i] > 1]
 
 
+def _is_rational(conj, i: int) -> bool:
+    """Whether g^m lies in g's class i for every m prime to n = ord(g): then
+    the Galois conjugates χ(g^m) of every χ(g) equal it, so χ(g) is an
+    integer, and |χ(g)| <= χ(1)."""
+    g, n = conj.class_reps[i], conj.rep_orders[i]
+    return all(conj.class_of[g ** m] == i for m in range(2, n) if math.gcd(m, n) == 1)
+
+
 def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
     """Character rows from simultaneous eigenvectors of class-sum matrices.
 
@@ -354,7 +363,10 @@ def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction
     columns, starting from the central classes' eigenspaces in closed form
     (``_central_pieces``).  A class matrix M acts on B's coordinates by
     A = B·M, read at the pivot columns only; a scalar A leaves the space
-    whole, any other A splits it along its eigenvalues.
+    whole, any other A splits it along its eigenvalues.  Those are the
+    ω_χ(K_i) = |K_i|·χ(g)/χ(1), g in class i, and when the class is rational
+    (``_is_rational``) they are integers of absolute value at most |K_i|
+    (Dixon, Numer. Math. 10, 1967).
     """
     p = ctx.p
     conj = G.conjugacy()
@@ -367,6 +379,7 @@ def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction
             break
         class_i = [x.__getitem__ for x in conj.class_elements[i]]
         columns: dict[int, tuple] = {}      # M's columns, built as needed
+        bound = conj.class_sizes[i] if _is_rational(conj, i) else None
         new_spaces = []
         for B, pivots in spaces:
             d = len(B)
@@ -379,7 +392,7 @@ def _class_matrix_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction
                 lam = A[0][0]
                 if any(A[r][c] != (lam if r == c else 0)
                        for r in range(d) for c in range(d)):
-                    new_spaces.extend(_eigenspaces(A, B, pivots, p, rng))
+                    new_spaces.extend(_eigenspaces(A, B, pivots, p, rng, bound))
                     continue
             new_spaces.append((B, pivots))
         spaces = new_spaces

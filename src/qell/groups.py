@@ -2,8 +2,8 @@
 
 Groups are fully enumerated with a deterministic element order (lexicographic
 on image tuples), so conjugacy classes, centralizers and transporters are
-exact brute-force computations.  The enumeration order fixes every canonical
-representative downstream.
+exact computations over the element list.  The enumeration order fixes every
+canonical representative downstream.
 
 A ``Permutation`` is its image tuple, so closures, scans, sorts and class
 lookups take elements and plain image tuples alike.  For image tuples a, b
@@ -14,9 +14,11 @@ taken.
 Every subgroup, by members, by generators or from ``all_subgroups``, is its
 root's registry entry, with one class walk per member set (a root's full-set
 copy shares the root's).  A central class's centralizer is the whole group,
-any other's one transporter scan.  Homomorphisms and G-set tables are
-checked on generator edges (``broken_edges``); a builtin family or product
-past the order cap is refused unbuilt.
+any other's one ``transporter``: the elements of G among the maps that send
+each cycle of g onto a cycle of the same length in its G-orbit, or a scan of
+G when those maps are not clearly fewer than |G|.  Homomorphisms and G-set
+tables are checked on generator edges (``broken_edges``); a builtin family or
+product past the order cap is refused unbuilt.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+from itertools import permutations, product
 from operator import itemgetter
 
 from .errors import (
@@ -93,6 +96,7 @@ class FiniteGroup:
         self._root = _root or self        # the group whose registry holds self
         self._subgroups: dict = {}        # member bitmask -> subgroup (on a root)
         self._exponent = None
+        self._orbits = None
         self._hash = None
         self.identity = identity(self.degree)
         if self.identity not in self._index:
@@ -276,7 +280,8 @@ class ConjugacyData:
 
     def centralizer(self, class_idx: int) -> FiniteGroup:
         """C_G(rep): the whole group for a central class (class 0, the
-        identity's, builds it), else one scan of G."""
+        identity's, builds it), else ``transporter(G, rep, rep)``, found
+        from rep's cycles."""
         return memo(self._centralizers, class_idx, self._centralizer, class_idx)
 
     def _centralizer(self, ci: int) -> FiniteGroup:
@@ -288,7 +293,7 @@ class ConjugacyData:
     def transport_to_rep(self, g: Permutation) -> tuple[int, Permutation]:
         """Return (class index i, w) with ``g == w * rep_i * w^{-1}``.
 
-        w is the least such element, found once per g by a transporter scan.
+        w is the least such element, found once per g by ``transporter``.
         """
         return memo(self._transports, g, self._least_transport, g)
 
@@ -345,13 +350,85 @@ def _conjugacy_data(G: FiniteGroup) -> ConjugacyData:
 
 
 def transporter(G: FiniteGroup, g: Permutation, g2: Permutation) -> list[Permutation]:
-    """The set {x in G : g*x == x*g2}, sorted; empty iff g, g2 not conjugate."""
+    """The set {x in G : g*x == x*g2}, sorted; empty iff g, g2 not conjugate.
+
+    g·x = x·g2 says x maps each cycle (a, g2(a), …) of g2 onto the cycle
+    (x(a), g(x(a)), …) of g, and an x in G keeps every G-orbit.  So x is one
+    of the maps that send the m cycles of length l of g2 in one orbit onto
+    those of g in that orbit, each at one of its l turns: m!·l^m of them for
+    each (orbit, length), their product ``count`` in all.  Different cycle
+    types give the empty set at once.  Reading the two cycle decompositions
+    costs about as much as trying 2·degree elements, and building and
+    looking up a candidate about as much as trying two, so the candidates
+    are built when 2·(degree + count) < |G|, and otherwise every element of
+    G is tried; a group of order at most 2·(degree + 1) is scanned unread.
+    """
     if len(g) != G.degree or len(g2) != G.degree:
         raise InvalidGeneratorError("degree mismatch in composition")
     if G.degree < 2:
         return list(G.elements)
-    times_g2 = itemgetter(*g2)          # x ↦ x·g2, and itemgetter(*x)(g) is g·x
-    return [x for x in G.elements if times_g2(x) == itemgetter(*x)(g)]
+    count = G.order                     # a scan, unless the cycles are read
+    if G.order > 2 * (G.degree + 1):
+        orbit = _point_orbits(G)
+        blocks = _cycle_blocks(g, orbit)
+        if g2 == g:                     # a centralizer
+            blocks2 = blocks
+        else:
+            blocks2 = _cycle_blocks(g2, orbit)
+            if {k: len(cs) for k, cs in blocks.items()} != \
+                    {k: len(cs) for k, cs in blocks2.items()}:
+                return []
+        count = math.prod(math.factorial(len(cs)) * l ** len(cs)
+                          for (_, l), cs in blocks.items())
+    if 2 * (G.degree + count) >= G.order:
+        times_g2 = itemgetter(*g2)      # x ↦ x·g2, and itemgetter(*x)(g) is g·x
+        return [x for x in G.elements if times_g2(x) == itemgetter(*x)(g)]
+    # each candidate's images of the points of g2's cycles, block by block
+    points, images = [], [()]
+    for key, cs2 in blocks2.items():
+        l, cs = key[1], blocks[key]
+        turns = [[c[r:] + c[:r] for r in range(l)] for c in cs]
+        choices = [sum(choice, ()) for order in permutations(turns)
+                   for choice in product(*order)]
+        images = [a + b for a in images for b in choices]
+        for c in cs2:
+            points.extend(c)
+    place = itemgetter(*sorted(range(G.degree), key=points.__getitem__))
+    found = [i for i in map(G._index.get, map(place, images)) if i is not None]
+    return [G.elements[i] for i in sorted(found)]
+
+
+def _point_orbits(G: FiniteGroup) -> tuple[int, ...]:
+    """For each point, the least point of its G-orbit, found once per group."""
+    if G._orbits is None:
+        orbit = [-1] * G.degree
+        for a in range(G.degree):
+            if orbit[a] < 0:
+                orbit[a], todo = a, [a]
+                for b in todo:
+                    for s in G.generators:
+                        if orbit[s[b]] < 0:
+                            orbit[s[b]] = a
+                            todo.append(s[b])
+        G._orbits = tuple(orbit)
+    return G._orbits
+
+
+def _cycle_blocks(g: Permutation, orbit) -> dict:
+    """The cycles of g, fixed points included, by (least orbit label met,
+    length): a key every x in G keeps, as x keeps each point's orbit."""
+    seen, blocks = [False] * len(g), {}
+    for start in range(len(g)):
+        if not seen[start]:
+            cyc, j = [start], g[start]
+            seen[start] = True
+            while j != start:
+                cyc.append(j)
+                seen[j] = True
+                j = g[j]
+            key = (min(map(orbit.__getitem__, cyc)), len(cyc))
+            blocks.setdefault(key, []).append(tuple(cyc))
+    return blocks
 
 
 def broken_edges(G: FiniteGroup, image_of):

@@ -17,7 +17,9 @@ zero.  All rationals are reduced "a/b" strings; key order is fixed so that
 serialize(parse(serialize(v))) is byte-identical.  ``element_from_payload``
 holds every order, rank and basis ``irr`` and ``degree`` to the structure's,
 and reads coefficients only in the form ``qlaurent.serialize`` writes; the
-``c`` labels depend on the scalar context and are not read.
+``c`` labels depend on the scalar context and are not read.  It takes only
+what the writer writes: a key the writer does not write, an orbit listed
+twice in one class and an orbit whose coefficients are all zero are refused.
 
 A structure payload with tables ("table": [[entry]], entry[μ] the coefficient
 of μ in basis product i*j) is written, not edited: every context of one
@@ -56,6 +58,7 @@ def group_from_payload(data: dict) -> FiniteGroup:
     """The group of a payload; a degree past ``MAX_PERM_DEGREE`` is refused,
     as for a ``perm:`` spec, before any permutation is built."""
     try:
+        _known_keys(data, _GROUP_KEYS, "bad group payload")
         degree = int(data["degree"])
         if degree < 0:
             raise SchemaError(f"bad group payload: negative degree {degree}")
@@ -96,6 +99,7 @@ def space_payload(G: FiniteGroup, X: FiniteGSet) -> dict:
 
 def space_from_payload(G: FiniteGroup, data: dict) -> FiniteGSet:
     kind = data.get("kind")
+    _known_keys(data, _SPACE_KEYS if kind == "cosets" else ("kind",), "space")
     if kind == "pt":
         return point_set(G)
     if kind == "regular":
@@ -201,6 +205,7 @@ def element_payload(elt: QEllElt) -> dict:
 def element_from_payload(data: dict, sctx) -> QEllElt:
     if not isinstance(data, dict):
         raise SchemaError("payload is not a JSON object")
+    _known_keys(data, _DOCUMENT_KEYS, "payload")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {data.get('schema_version')!r}")
     group_data = data.get("group", {})
@@ -219,6 +224,7 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
         cb = struct.classes[ci]
         if not isinstance(entry, dict):
             raise SchemaError(f"class entry {ci} is not an object")
+        _known_keys(entry, _CLASS_KEYS, f"class {ci}")
         rep = entry.get("rep")
         if not isinstance(rep, list) or tuple(rep) != cb.g:
             raise SchemaError(f"class {ci} representative mismatch")
@@ -230,6 +236,7 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
         orbits = entry.get("orbits", ())
         if not isinstance(orbits, list):
             raise SchemaError(f"orbits at class {ci} is not an array")
+        seen = set()
         for odata in orbits:
             if not isinstance(odata, dict):
                 raise SchemaError(f"orbit entry at class {ci} is not an object")
@@ -239,6 +246,9 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
                 raise SchemaError(
                     f"orbit rep {odata.get('orbit_rep')!r} not in class {ci}"
                 ) from None
+            if oi in seen:
+                raise SchemaError(f"orbit {odata['orbit_rep']} listed twice at class {ci}")
+            seen.add(oi)
             ctx = cb.ctxs[oi]
             _check_orbit(odata, cb.orbits[oi], ctx, ci)
             coeffs = odata.get("coeffs")
@@ -249,7 +259,26 @@ def element_from_payload(data: dict, sctx) -> QEllElt:
                     [qlaurent.deserialize(c) for c in coeffs])
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise SchemaError(f"bad coefficient payload: {exc}") from exc
+            if components[ci][oi].is_zero():
+                raise SchemaError(f"orbit {odata['orbit_rep']} at class {ci}: "
+                                  "every coefficient is zero")
     return QEllElt(struct, components)
+
+
+# the keys the writer writes, object by object
+_DOCUMENT_KEYS = ("schema_version", "group", "space", "classes")
+_GROUP_KEYS = ("spec", "degree", "order", "generators")
+_SPACE_KEYS = ("kind", "subgroup")
+_CLASS_KEYS = ("rep", "rep_order", "centralizer_order", "orbits")
+_ORBIT_KEYS = ("orbit_rep", "stabilizer_order", "rank", "basis", "coeffs")
+_BASIS_KEYS = ("irr", "degree", "c")
+
+
+def _known_keys(data: dict, keys, where: str):
+    """A key the writer does not write is a SchemaError."""
+    for key in data:
+        if key not in keys:
+            raise SchemaError(f"{where}: unknown key {key!r}")
 
 
 def _is_int(value, expected: int) -> bool:
@@ -261,6 +290,7 @@ def _check_orbit(odata: dict, orb, ctx, ci: int):
     ``degree`` must be the structure's; ``c`` depends on the scalar context
     and is not read."""
     where = f"orbit {orb.rep} at class {ci}"
+    _known_keys(odata, _ORBIT_KEYS, where)
     for key, value in (("stabilizer_order", orb.stabilizer.order), ("rank", ctx.rank)):
         if not _is_int(odata.get(key), value):
             raise SchemaError(f"{where}: {key} is not {value}")
@@ -272,6 +302,7 @@ def _check_orbit(odata: dict, orb, ctx, ci: int):
                 and _is_int(b.get("degree"), ctx.table.degree(i))):
             raise SchemaError(f"{where}: basis entry {i} is not irreducible {i} "
                               f"of degree {ctx.table.degree(i)}")
+        _known_keys(b, _BASIS_KEYS, f"{where}: basis entry {i}")
 
 
 def dumps(payload: dict) -> str:

@@ -10,8 +10,10 @@ polynomial routines over F_p:
   Computational Algebraic Number Theory*, Alg. 2.2.9), O(n³) and valid for
   every prime p;
 - the roots in F_p of a polynomial: its squarefree part f / gcd(f, f') first,
-  then closed forms up to degree 2 and gcd with x^p - x and random
-  quadratic-residue splitting above.
+  then closed forms up to degree 2.  Above that, roots known to be integers
+  of absolute value at most a bound are found by evaluating f at those
+  integers when that costs fewer multiplications than the search: the gcd
+  with x^p - x and random quadratic-residue splitting.
 """
 
 from __future__ import annotations
@@ -306,14 +308,35 @@ def _small_roots(h, p) -> list[int] | None:
     return sorted({(-b + s) * half % p, (-b - s) * half % p})
 
 
-def distinct_roots(f, p, rng: random.Random) -> list[int]:
+def _integer_roots(f, p, bound: int) -> list[int]:
+    """The integers in [-bound, bound] that are roots of f mod p, as residues
+    in ascending order: f at all of them at once, one coefficient a step."""
+    xs = [*range(bound + 1), *range(p - bound, p)]
+    values = [f[-1]] * len(xs)
+    for c in reversed(f[:-1]):
+        values = [(v * x + c) % p for v, x in zip(values, xs)]
+    return [x for x, v in zip(xs, values) if not v]
+
+
+def distinct_roots(f, p, rng: random.Random, bound: int | None = None) -> list[int]:
     """All roots in F_p of a nonzero polynomial f, sorted, without repeats.
 
     f is made monic and, when deg f < p, replaced by its squarefree part
     f / gcd(f, f'), which has the same roots.  Degrees 1 and 2 are solved in
-    closed form (sqrt_mod).  Above that the gcd with x^p - x keeps the
-    product of the linear factors, and random quadratic-residue probes split
-    it, again with closed forms at degree <= 2.
+    closed form (sqrt_mod).  Above that, with n = deg f, there are two ways:
+
+    - ``bound`` says every root is an integer of absolute value at most
+      bound.  With 2·bound < p those 2·bound + 1 integers are distinct mod p,
+      and evaluating f at each by Horner's rule takes (2·bound + 1)·n
+      multiplications.
+    - The search: the gcd with x^p - x keeps the product of the linear
+      factors, and random quadratic-residue probes split it, again with
+      closed forms at degree <= 2.  x^p mod f alone takes a squaring and a
+      reduction mod f, about n² multiplications each, per bit of p, and the
+      splitting about as many again: 4·n²·log2(p) in all.
+
+    The integers are tried when they cost fewer: 2·bound + 1 <= 4·n·log2(p).
+    A root outside the bound is not found.
     """
     f = poly_trim(list(f))
     if len(f) <= 1:
@@ -326,6 +349,9 @@ def distinct_roots(f, p, rng: random.Random) -> list[int]:
     small = _small_roots(f, p)
     if small is not None:
         return small
+    if bound is not None and 2 * bound < p and \
+            2 * bound + 1 <= 4 * (len(f) - 1) * p.bit_length():
+        return _integer_roots(f, p, bound)
     xp = poly_powmod([0, 1], p, f, p)
     xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p

@@ -379,6 +379,11 @@ def _duplicated_trivial(rows):
     return rows[:k] + [trivial] + rows[k + 1:]
 
 
+# C7:C3, the Frobenius group of order 21: its classes but the identity's are
+# not rational (x is not conjugate to x^-1), so no split takes the integer path
+FROBENIUS_21 = "perm:7:(0,1,2,3,4,5,6);(1,2,4)(3,6,5)"
+
+
 def _dropped_root(roots):
     """The eigenvalue search loses its last root, so an eigenspace is lost."""
     return roots[:-1]
@@ -421,6 +426,10 @@ def _doubled_sign(table):
      "table rows are not orthonormal"),
     ("modp.distinct_roots", symmetric(3), _dropped_root,
      "class matrices failed to split the algebra"),
+    ("modp.distinct_roots", symmetric(4), _dropped_root,
+     "class matrices failed to split the algebra"),
+    ("modp.distinct_roots", parse_group_spec(FROBENIUS_21), _dropped_root,
+     "class matrices failed to split the algebra"),
     ("charmod.character_table", symmetric(3), _doubled_sign,
      "product with a linear row is not a row of the table"),
     ("charmod.character_table", direct_product(cyclic(2), symmetric(4)),
@@ -428,7 +437,7 @@ def _doubled_sign(table):
     ("charmod.character_table", dihedral(4), _wrong_central_root,
      "class matrices failed to split the algebra"),
 ], ids=["degree-squares", "count", "orthonormality", "orthonormality-abelian", "split",
-        "linear-product", "central-root-orthonormality", "central-root-split"])
+        "split-S4", "split-search", "linear-product", "central-root-orthonormality", "central-root-split"])
 def test_character_table_checks_fire(monkeypatch, target, group, corrupt, message):
     from qell import charmod, modp
     module, name = target.split(".")
@@ -440,6 +449,33 @@ def test_character_table_checks_fire(monkeypatch, target, group, corrupt, messag
         for i in range(table.n_irr):
             for j in range(table.n_irr):
                 table.product_multiplicities(i, j)
+
+
+@pytest.mark.parametrize("group, integer", [
+    (symmetric(3), True), (symmetric(4), True), (parse_group_spec(FROBENIUS_21), False),
+], ids=["S3", "S4", "C7:C3"])
+def test_the_first_split_takes_the_expected_root_path(monkeypatch, group, integer):
+    """The first eigenvalue search, whose last root the ``split`` cases above
+    drop: S3 and S4 have only rational classes, so it evaluates at the
+    integers |ω| <= |K|; C7:C3 has no rational class but the identity's, so
+    it searches (x^p - x and random splitting)."""
+    from qell import modp
+    paths, first = [], []
+    for name in ("_integer_roots", "poly_powmod"):
+        original = getattr(modp, name)
+        monkeypatch.setattr(modp, name, lambda *args, _n=name, _f=original:
+                            paths.append(_n) or _f(*args))
+    original_roots = modp.distinct_roots
+
+    def roots(*args):
+        out = original_roots(*args)
+        if not first:
+            first.append(list(paths))
+        return out
+    monkeypatch.setattr(modp, "distinct_roots", roots)
+    ScalarContext.for_groups([group]).table(group)
+    assert ("_integer_roots" in first[0]) is integer
+    assert ("poly_powmod" in first[0]) is not integer
 
 
 def test_irreducible_index_finds_rows_and_rejects_the_rest(S3, s3_ctx):

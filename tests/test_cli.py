@@ -233,12 +233,24 @@ TERM = ("classes", 0, "orbits", 0, "coeffs", 0, 0)     # the unit's one term
     (("classes", 0, "centralizer_order"), 9),
     (("classes", 0, "orbits", 0, "stabilizer_order"), 9),
     (("classes", 0, "rep_order"), True),
+    # the reader takes only the keys the writer writes, each orbit once and
+    # never an orbit that is zero: a callable value maps the node's old value
+    (("classes", 0, "orbits"), lambda orbits: orbits * 2),
+    (TERM[:-2], lambda coeffs: [[] for _ in coeffs]),
+    (("extra",), 1),
+    (("group", "extra"), 1),
+    (("space", "extra"), 1),
+    (("classes", 0, "extra"), 1),
+    (("classes", 0, "orbits", 0, "extra"), 1),
+    (("classes", 0, "orbits", 0, "basis", 0, "extra"), 1),
 ], ids=["class-not-object", "rep-not-list", "cosets-without-subgroup",
         "not-a-permutation", "degree-mismatch", "coef-float", "coef-bool", "exp-float",
         "exp-zero-denominator", "exp-garbage", "exp-whitespace", "exp-unreduced",
         "exp-scientific", "exp-signed-zero", "exp-no-denominator", "coef-zero",
         "exp-descending", "exp-repeated", "rank", "degree", "irr", "basis-empty",
-        "rep-order", "centralizer-order", "stabilizer-order", "rep-order-bool"])
+        "rep-order", "centralizer-order", "stabilizer-order", "rep-order-bool",
+        "orbit-twice", "orbit-all-zero", "key-top", "key-group", "key-space", "key-class",
+        "key-orbit", "key-basis"])
 def test_malformed_element_is_a_schema_error(capsys, tmp_path, path, value):
     u = tmp_path / "u.json"
     assert main(["unit", "--group", "S3", "--json", str(u)]) == 0
@@ -247,7 +259,7 @@ def test_malformed_element_is_a_schema_error(capsys, tmp_path, path, value):
     node = payload
     for key in parents:
         node = node[key]
-    node[last] = value
+    node[last] = value(node[last]) if callable(value) else value
     u.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["op", "mu", "--input", str(u)]) == 4

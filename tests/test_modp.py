@@ -37,6 +37,24 @@ def test_distinct_roots_of_a_split_polynomial(roots, seed):
     assert modp.distinct_roots(f, P, random.Random(seed)) == sorted(set(roots))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 119), st.data(), st.integers(0, 2 ** 32))
+def test_integer_roots_match_the_search(bound, data, seed):
+    """A product of distinct linear factors whose roots are integers in
+    [-bound, bound]: evaluating it at those integers (the ``bound`` path,
+    taken at every degree >= 3 while 2·bound + 1 <= 4·3·log2 P) finds the
+    roots the search finds."""
+    roots = data.draw(st.lists(st.integers(-bound, bound), min_size=3, max_size=10,
+                               unique=True))
+    f = [1]
+    for r in roots:
+        f = _times_linear(f, r % P)
+    expected = sorted(r % P for r in roots)
+    assert modp._integer_roots(f, P, bound) == expected
+    assert modp.distinct_roots(f, P, random.Random(seed), bound) == expected
+    assert modp.distinct_roots(f, P, random.Random(seed)) == expected
+
+
 # -- distinct_roots against a brute-force root set over small primes -----------
 
 SMALL_PRIMES = (2, 3, 5, 7, 13)

@@ -8,7 +8,9 @@ twelve seeded random ``perm:`` groups of degree <= 7, the test checks:
 
 - the group order;
 - the conjugacy classes, as sets of elements;
-- the order of the centralizer of each class representative;
+- the centralizer of each class representative, as a set of elements;
+- ``transporter(G, g, g2)`` for every pair of class representatives,
+  against the scan of every element of G that it replaces for most pairs;
 - the contract of ``subgroup_of`` on every centralizer and on the group
   itself: its generators close to exactly the members, and there are at
   most floor(log2 |H|) of them.
@@ -35,7 +37,7 @@ from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
 from qell.charmod import ScalarContext, decompose
-from qell.groups import _closure, builtin
+from qell.groups import _closure, builtin, transporter
 from qell.groupspec import parse_group_spec
 from qell.gsets import coset_gset, point_set, regular_gset
 from qell.qell_core import structure
@@ -83,10 +85,23 @@ def check_against_sympy(G):
     assert ours == theirs
     for ci, rep in enumerate(conj.class_reps):
         C = conj.centralizer(ci)
-        assert C.order == P.centralizer(
-            SympyPermutation(list(rep), size=G.degree)).order()
+        theirs = P.centralizer(SympyPermutation(list(rep), size=G.degree))
+        assert set(C.elements) == {tuple(p.array_form) for p in theirs.generate()}
         assert_small_generating_set(C)
     assert_small_generating_set(G.subgroup_of(G.elements))
+
+
+def scan_transporter(G, g, g2):
+    """The transporter as every element of G tried in turn, the way it was
+    found before cycles were read: the oracle for ``transporter``."""
+    return [x for x in G.elements if g * x == x * g2]
+
+
+def check_transporters(G):
+    reps = G.conjugacy().class_reps
+    for g in reps:
+        for g2 in reps:
+            assert transporter(G, g, g2) == scan_transporter(G, g, g2)
 
 
 @pytest.mark.parametrize("spec", BUILTINS)
@@ -97,6 +112,40 @@ def test_builtin_group_matches_sympy(spec):
 @pytest.mark.parametrize("spec", RANDOM_SPECS)
 def test_random_perm_group_matches_sympy(spec):
     check_against_sympy(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("spec", BUILTINS + RANDOM_SPECS)
+def test_transporter_matches_the_scan(spec):
+    check_transporters(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("spec, g, g2, empty", [
+    ("S6", (), (), False),                   # 6! candidates: the scan
+    ("S6", ((0, 1),), ((4, 5),), False),     # four fixed points, 2·4! candidates
+    ("S6", ((0, 1),), ((0, 1, 2),), True),   # different cycle types
+    ("A6", ((0, 1, 2, 3, 4),), ((0, 4, 3, 2, 1),), False),   # x and x⁻¹
+    ("A6", ((0, 1, 2, 3, 4),), ((0, 2, 4, 1, 3),), True),    # x and x², classes apart
+    ("C2xS4", ((2, 3),), ((4, 5),), False),  # cycles matched inside each orbit
+    ("C2xS4", ((0, 1),), ((2, 3),), True),   # same cycle type, different orbits
+    ("D6xC2", ((0, 1, 2, 3, 4, 5),), ((0, 5, 4, 3, 2, 1),), False),
+    ("perm:7:(0,1,2,3,4,5,6);(1,2,4)(3,6,5)", ((0, 1, 2, 3, 4, 5, 6),),
+     ((0, 3, 6, 2, 5, 1, 4),), True),
+], ids=["identity", "fixed-points", "cycle-types", "5-cycles", "5-cycles-apart",
+        "orbits", "orbits-apart", "rotation-inverse", "7-cycles-apart"])
+def test_transporter_matches_the_scan_on_chosen_pairs(spec, g, g2, empty):
+    G = parse_group_spec(spec)
+    g, g2 = (Permutation(_from(G.degree, c)) for c in (g, g2))
+    assert g in G and g2 in G
+    assert transporter(G, g, g2) == scan_transporter(G, g, g2)
+    assert (transporter(G, g, g2) == []) is empty
+
+
+def _from(degree, cycles):
+    images = list(range(degree))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            images[a] = b
+    return images
 
 
 # -- the rank of QEll_G(X) from commuting triples ------------------------------
