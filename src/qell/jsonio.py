@@ -14,12 +14,15 @@ Payload layout (schema_version "1"):
 
 Structures carry no "coeffs"; element payloads omit orbits whose component is
 zero.  All rationals are reduced "a/b" strings; key order is fixed so that
-serialize(parse(serialize(v))) is byte-identical.  ``element_from_payload``
-holds every order, rank and basis ``irr`` and ``degree`` to the structure's,
-and reads coefficients only in the form ``qlaurent.serialize`` writes; the
-``c`` labels depend on the scalar context and are not read.  It takes only
-what the writer writes: a key the writer does not write, an orbit listed
-twice in one class and an orbit whose coefficients are all zero are refused.
+serialize(parse(serialize(v))) is byte-identical.
+
+A document is read by writing it back.  Each reader builds its object from
+the document and then compares the document with the writer's payload of
+that object (``_same``): the same type at every node (``true`` is not ``1``
+and ``1.5`` is not ``1``), the same keys, the same list lengths and the same
+values, the value of a basis ``c`` label aside, since it depends on the
+scalar context.  The first difference is one SchemaError naming its path,
+so a reader takes exactly what the writer writes.
 
 A structure payload with tables ("table": [[entry]], entry[μ] the coefficient
 of μ in basis product i*j) is written, not edited: every context of one
@@ -33,10 +36,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import qlaurent
-from .errors import GroupTooLargeError, InvalidGeneratorError, SchemaError
+from .errors import (GroupTooLargeError, InvalidGeneratorError, PreconditionError,
+                     SchemaError)
 from .gsets import FiniteGSet, coset_gset, point_set, regular_gset
 from .groups import FiniteGroup, Permutation, make_group, memo
 from .groupspec import MAX_PERM_DEGREE
@@ -55,28 +60,23 @@ def group_payload(G: FiniteGroup) -> dict:
 
 
 def group_from_payload(data: dict) -> FiniteGroup:
-    """The group of a payload; a degree past ``MAX_PERM_DEGREE`` is refused,
-    as for a ``perm:`` spec, before any permutation is built."""
+    """The group of a payload, read by writing it back; a degree past
+    ``MAX_PERM_DEGREE`` is refused, as for a ``perm:`` spec, before any
+    permutation is built."""
     try:
-        _known_keys(data, _GROUP_KEYS, "bad group payload")
-        degree = int(data["degree"])
+        degree = data["degree"]
         if degree < 0:
             raise SchemaError(f"bad group payload: negative degree {degree}")
         if degree > MAX_PERM_DEGREE:
             raise GroupTooLargeError(
                 f"group too large: payload degree exceeds {MAX_PERM_DEGREE}")
-        gens = [Permutation(images) for images in data["generators"]]
         spec = data.get("spec")
-        order = int(data["order"])
+        spec = spec if isinstance(spec, str) else None     # anything else writes back null
+        G = make_group(degree, [Permutation(images) for images in data["generators"]],
+                       name=spec or "", spec=spec)
     except (KeyError, TypeError, ValueError, InvalidGeneratorError) as exc:
         raise SchemaError(f"bad group payload: {exc}") from exc
-    name = spec if isinstance(spec, str) else ""
-    try:
-        G = make_group(degree, gens, name=name, spec=spec)
-    except InvalidGeneratorError as exc:
-        raise SchemaError(f"bad group payload: {exc}") from exc
-    if G.order != order:
-        raise SchemaError(f"group payload order {order} != computed {G.order}")
+    _same(data, group_payload(G), "group")
     return G
 
 
@@ -98,20 +98,25 @@ def space_payload(G: FiniteGroup, X: FiniteGSet) -> dict:
 
 
 def space_from_payload(G: FiniteGroup, data: dict) -> FiniteGSet:
+    """The G-set of a "space" object, read by writing it back."""
+    if not isinstance(data, dict):
+        raise SchemaError("space is not an object")
     kind = data.get("kind")
-    _known_keys(data, _SPACE_KEYS if kind == "cosets" else ("kind",), "space")
     if kind == "pt":
-        return point_set(G)
-    if kind == "regular":
-        return regular_gset(G)
-    if kind == "cosets":
+        X = point_set(G)
+    elif kind == "regular":
+        X = regular_gset(G)
+    elif kind == "cosets":
         if not isinstance(data.get("subgroup"), dict):
             raise SchemaError("cosets space has no subgroup object")
         H = group_from_payload(data["subgroup"])
         if not G.is_subgroup(H):
             raise SchemaError("space subgroup does not sit inside the group")
-        return coset_gset(G, H)
-    raise SchemaError(f"unknown space kind {kind!r}")
+        X = coset_gset(G, H)
+    else:
+        raise SchemaError(f"unknown space kind {kind!r}")
+    _same(data, space_payload(G, X), "space")
+    return X
 
 
 def _frac_str(r: Fraction) -> str:
@@ -182,12 +187,16 @@ def _document(struct: QEllStructure, orbits) -> dict:
         "schema_version": SCHEMA_VERSION,
         "group": group_payload(struct.group),
         "space": space_payload(struct.group, struct.gset),
-        "classes": [{"rep": list(cb.g),
-                     "rep_order": cb.order,
-                     "centralizer_order": cb.centralizer.order,
-                     "orbits": orbits(ci, cb)}
-                    for ci, cb in enumerate(struct.classes)],
+        "classes": _classes(struct, orbits),
     }
+
+
+def _classes(struct: QEllStructure, orbits) -> list:
+    return [{"rep": list(cb.g),
+             "rep_order": cb.order,
+             "centralizer_order": cb.centralizer.order,
+             "orbits": orbits(ci, cb)}
+            for ci, cb in enumerate(struct.classes)]
 
 
 def structure_payload(struct: QEllStructure, tables: bool = False) -> dict:
@@ -197,112 +206,73 @@ def structure_payload(struct: QEllStructure, tables: bool = False) -> dict:
 
 
 def element_payload(elt: QEllElt) -> dict:
-    return _document(elt.structure, lambda ci, cb: [
-        _orbit_payload(cb, oi, coeffs=v.coeffs)
-        for oi, v in enumerate(elt.components[ci]) if not v.is_zero()])
+    return _document(elt.structure, partial(_nonzero_orbits, elt))
+
+
+def _nonzero_orbits(elt: QEllElt, ci: int, cb) -> list:
+    return [_orbit_payload(cb, oi, coeffs=v.coeffs)
+            for oi, v in enumerate(elt.components[ci]) if not v.is_zero()]
 
 
 def element_from_payload(data: dict, sctx) -> QEllElt:
+    """The element of a document, read by writing it back.  Each listed orbit
+    is read by its ``orbit_rep``; the group and space are checked by their
+    readers, and ``classes`` is then compared with the element's, so an
+    orbit listed twice or out of order, or with every coefficient zero, is
+    refused."""
     if not isinstance(data, dict):
         raise SchemaError("payload is not a JSON object")
-    _known_keys(data, _DOCUMENT_KEYS, "payload")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {data.get('schema_version')!r}")
-    group_data = data.get("group", {})
-    space_data = data.get("space", {"kind": "pt"})
-    if not isinstance(group_data, dict) or not isinstance(space_data, dict):
-        raise SchemaError("group and space must be objects")
-    G = group_from_payload(group_data)
-    X = space_from_payload(G, space_data)
+    G = group_from_payload(data.get("group"))
+    X = space_from_payload(G, data.get("space"))
     sctx.check_group(G)
     struct = structure(G, X, sctx)
     components = [[ctx.zero() for ctx in cb.ctxs] for cb in struct.classes]
-    classes = data.get("classes")
-    if not isinstance(classes, list) or len(classes) != struct.n_classes:
-        raise SchemaError("classes array does not match the group")
-    for ci, entry in enumerate(classes):
-        cb = struct.classes[ci]
-        if not isinstance(entry, dict):
-            raise SchemaError(f"class entry {ci} is not an object")
-        _known_keys(entry, _CLASS_KEYS, f"class {ci}")
-        rep = entry.get("rep")
-        if not isinstance(rep, list) or tuple(rep) != cb.g:
-            raise SchemaError(f"class {ci} representative mismatch")
-        for key, value in (("rep_order", cb.order),
-                           ("centralizer_order", cb.centralizer.order)):
-            if not _is_int(entry.get(key), value):
-                raise SchemaError(f"class {ci} {key} is not {value}")
-        rep_index = {orb.rep: oi for oi, orb in enumerate(cb.orbits)}
-        orbits = entry.get("orbits", ())
-        if not isinstance(orbits, list):
-            raise SchemaError(f"orbits at class {ci} is not an array")
-        seen = set()
-        for odata in orbits:
-            if not isinstance(odata, dict):
-                raise SchemaError(f"orbit entry at class {ci} is not an object")
-            try:
-                oi = rep_index[odata["orbit_rep"]]
-            except (KeyError, TypeError):
-                raise SchemaError(
-                    f"orbit rep {odata.get('orbit_rep')!r} not in class {ci}"
-                ) from None
-            if oi in seen:
-                raise SchemaError(f"orbit {odata['orbit_rep']} listed twice at class {ci}")
-            seen.add(oi)
-            ctx = cb.ctxs[oi]
-            _check_orbit(odata, cb.orbits[oi], ctx, ci)
-            coeffs = odata.get("coeffs")
-            if not isinstance(coeffs, list) or len(coeffs) != ctx.rank:
-                raise SchemaError(f"coeffs missing or wrong length at class {ci}")
-            try:
-                components[ci][oi] = ctx.from_coeffs(
-                    [qlaurent.deserialize(c) for c in coeffs])
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"bad coefficient payload: {exc}") from exc
-            if components[ci][oi].is_zero():
-                raise SchemaError(f"orbit {odata['orbit_rep']} at class {ci}: "
-                                  "every coefficient is zero")
-    return QEllElt(struct, components)
+    try:
+        for cb, component, entry in zip(struct.classes, components, data["classes"]):
+            index = {orb.rep: oi for oi, orb in enumerate(cb.orbits)}
+            for odata in entry["orbits"]:
+                oi = index[odata["orbit_rep"]]
+                component[oi] = cb.ctxs[oi].from_coeffs(
+                    [qlaurent.deserialize(f) for f in odata["coeffs"]])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, PreconditionError) as exc:
+        raise SchemaError(f"bad element payload: {exc}") from exc
+    elt = QEllElt(struct, components)
+    _same(data, {"schema_version": SCHEMA_VERSION, "group": data["group"],
+                 "space": data["space"],
+                 "classes": _classes(struct, partial(_nonzero_orbits, elt))}, "element")
+    return elt
 
 
-# the keys the writer writes, object by object
-_DOCUMENT_KEYS = ("schema_version", "group", "space", "classes")
-_GROUP_KEYS = ("spec", "degree", "order", "generators")
-_SPACE_KEYS = ("kind", "subgroup")
-_CLASS_KEYS = ("rep", "rep_order", "centralizer_order", "orbits")
-_ORBIT_KEYS = ("orbit_rep", "stabilizer_order", "rank", "basis", "coeffs")
-_BASIS_KEYS = ("irr", "degree", "c")
+def _same(data, written, what: str, path: tuple = ()):
+    """Refuse ``data`` unless it is ``written``, the writer's payload of the
+    object read from it: the same type at every node, the same keys, list
+    lengths and values, but for the value of a basis ``c`` label."""
+    if data is written:
+        return
+    if type(data) is not type(written) or (
+            type(written) is list and len(data) != len(written)) or (
+            type(written) not in (dict, list) and data != written):
+        shown = ("an object" if type(written) is dict else f"a list of {len(written)}"
+                 if type(written) is list else json.dumps(written))
+        raise _differs(what, path, f"the writer writes {shown}")
+    if type(written) is dict:
+        if data.keys() != written.keys():
+            key = next(k for k in (*written, *data) if k not in data or k not in written)
+            raise _differs(what, path + (key,), "missing" if key in written
+                           else "the writer writes no such key")
+        for key, value in written.items():
+            if key != "c" or path[-2:-1] != ("basis",):
+                _same(data[key], value, what, path + (key,))
+    elif type(written) is list:
+        for i, (d, w) in enumerate(zip(data, written)):
+            _same(d, w, what, path + (i,))
 
 
-def _known_keys(data: dict, keys, where: str):
-    """A key the writer does not write is a SchemaError."""
-    for key in data:
-        if key not in keys:
-            raise SchemaError(f"{where}: unknown key {key!r}")
-
-
-def _is_int(value, expected: int) -> bool:
-    return type(value) is int and value == expected
-
-
-def _check_orbit(odata: dict, orb, ctx, ci: int):
-    """An orbit entry's stabilizer order, rank and basis ``irr`` and
-    ``degree`` must be the structure's; ``c`` depends on the scalar context
-    and is not read."""
-    where = f"orbit {orb.rep} at class {ci}"
-    _known_keys(odata, _ORBIT_KEYS, where)
-    for key, value in (("stabilizer_order", orb.stabilizer.order), ("rank", ctx.rank)):
-        if not _is_int(odata.get(key), value):
-            raise SchemaError(f"{where}: {key} is not {value}")
-    basis = odata.get("basis")
-    if not isinstance(basis, list) or len(basis) != ctx.rank:
-        raise SchemaError(f"{where}: basis is not a list of {ctx.rank} entries")
-    for i, b in enumerate(basis):
-        if not (isinstance(b, dict) and _is_int(b.get("irr"), i)
-                and _is_int(b.get("degree"), ctx.table.degree(i))):
-            raise SchemaError(f"{where}: basis entry {i} is not irreducible {i} "
-                              f"of degree {ctx.table.degree(i)}")
-        _known_keys(b, _BASIS_KEYS, f"{where}: basis entry {i}")
+def _differs(what: str, path: tuple, detail: str) -> SchemaError:
+    where = "".join(f"[{key!r}]" for key in path)
+    return SchemaError(f"bad {what} payload at {where}: {detail}")
 
 
 def dumps(payload: dict) -> str:

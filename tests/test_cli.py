@@ -12,7 +12,7 @@ from qell import jsonio
 from qell import qell_core as qc
 from qell.charmod import ScalarContext
 from qell.cli import main
-from qell.errors import ParseError, SchemaError
+from qell.errors import GroupTooLargeError, ParseError, SchemaError
 from qell.groups import cyclic, symmetric
 from qell import groupspec
 from qell.groupspec import parse_group_spec
@@ -203,6 +203,7 @@ def test_non_utf8_input_is_a_schema_error(capsys, tmp_path):
 
 
 TERM = ("classes", 0, "orbits", 0, "coeffs", 0, 0)     # the unit's one term
+DELETE = object()       # a case value that deletes the node
 
 
 @pytest.mark.parametrize("path, value", [
@@ -243,6 +244,15 @@ TERM = ("classes", 0, "orbits", 0, "coeffs", 0, 0)     # the unit's one term
     (("classes", 0, "extra"), 1),
     (("classes", 0, "orbits", 0, "extra"), 1),
     (("classes", 0, "orbits", 0, "basis", 0, "extra"), 1),
+    # a document is read by writing it back: these were read before
+    (("classes", 0, "orbits", 0, "basis", 0, "c"), DELETE),
+    (TERM[:-2] + (1,), {}),
+    (TERM + ("extra",), 1),
+    (("classes", 0, "rep", 1), True),
+    (("group", "generators", 0, 0), True),
+    (("group", "generators", 0, 0), 1.5),
+    (("group", "spec"), DELETE),
+    (("space",), DELETE),
 ], ids=["class-not-object", "rep-not-list", "cosets-without-subgroup",
         "not-a-permutation", "degree-mismatch", "coef-float", "coef-bool", "exp-float",
         "exp-zero-denominator", "exp-garbage", "exp-whitespace", "exp-unreduced",
@@ -250,21 +260,112 @@ TERM = ("classes", 0, "orbits", 0, "coeffs", 0, 0)     # the unit's one term
         "exp-descending", "exp-repeated", "rank", "degree", "irr", "basis-empty",
         "rep-order", "centralizer-order", "stabilizer-order", "rep-order-bool",
         "orbit-twice", "orbit-all-zero", "key-top", "key-group", "key-space", "key-class",
-        "key-orbit", "key-basis"])
+        "key-orbit", "key-basis", "c-deleted", "coeffs-object", "key-term",
+        "rep-entry-bool", "image-bool", "image-float", "spec-deleted", "space-deleted"])
 def test_malformed_element_is_a_schema_error(capsys, tmp_path, path, value):
     u = tmp_path / "u.json"
     assert main(["unit", "--group", "S3", "--json", str(u)]) == 0
-    payload = json.loads(u.read_text())
+    _assert_mutation_refused(capsys, u, path, value)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("classes", 2, "orbits", 1, "orbit_rep"), True),
+    (("space", "subgroup", "spec"), "C3"),
+    (("space", "subgroup", "spec"), DELETE),
+    (("space", "subgroup", "generators", 2), DELETE),
+    (("classes", 2, "orbits"), lambda orbits: orbits[::-1]),
+], ids=["orbit-rep-bool", "subgroup-spec", "subgroup-spec-deleted", "subgroup-generator",
+        "orbits-reordered"])
+def test_malformed_cosets_element_is_a_schema_error(capsys, tmp_path, path, value):
+    """The unit on S3/C3, as ``op cog --inverse`` writes it, mutated."""
+    c3, u = tmp_path / "c3.json", tmp_path / "u.json"
+    assert main(["unit", "--group", "C3", "--json", str(c3)]) == 0
+    assert main(["op", "cog", "--group", "S3", "--subgroup", "C3", "--inverse",
+                 "--input", str(c3), "--json", str(u)]) == 0
+    _assert_mutation_refused(capsys, u, path, value)
+
+
+def _assert_mutation_refused(capsys, doc, path, value):
+    doc.write_text(json.dumps(_mutated(json.loads(doc.read_text()), path, value)))
+    capsys.readouterr()
+    assert main(["op", "mu", "--input", str(doc)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _mutated(payload, path, value):
+    """payload with its node at ``path`` deleted (DELETE), mapped (a callable
+    value) or set to ``value``."""
     *parents, last = path
     node = payload
     for key in parents:
         node = node[key]
-    node[last] = value(node[last]) if callable(value) else value
-    u.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["op", "mu", "--input", str(u)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value(node[last]) if callable(value) else value
+    return payload
+
+
+def _mutations(node, path=()):
+    """(path, value) for each single-node mutation below the root: the node
+    set to each of SWEEP_VALUES or deleted, a list's first entry listed twice,
+    a key added to an object."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        at = path + (key,)
+        yield from ((at, value) for value in (*SWEEP_VALUES, DELETE))
+        if isinstance(child, list) and child:
+            yield at, lambda v: [v[0], *v]
+        if isinstance(child, dict):
+            yield at, lambda v: dict(v, extra=1)
+        yield from _mutations(child, at)
+
+
+SWEEP_VALUES = (None, True, 1.5, "x", [], {}, 0, -1, 7)
+
+
+def _blank_c(node, key=None):
+    """node with the value of every basis entry's "c" label blanked."""
+    if isinstance(node, list):
+        return [_blank_c(v, key) for v in node]
+    if isinstance(node, dict):
+        return {k: None if k == "c" and key == "basis" else _blank_c(v, k)
+                for k, v in node.items()}
+    return node
+
+
+def test_every_single_node_mutation_is_refused_or_written_back(tmp_path):
+    """A mutated document is refused with one line, or read as an element
+    whose payload is that document (the scalar context's "c" labels aside):
+    the same JSON text, so ``true`` is not ``1``.  Each read has a fresh
+    context, since a context's cached structure keeps the spec and generator
+    list of the first document read over its group."""
+    S3 = parse_group_spec("S3")
+    docs = [tmp_path / name for name in ("pt.json", "regular.json", "cosets.json")]
+    c3 = tmp_path / "c3.json"
+    for argv in (["unit", "--group", "S3", "--json", docs[0]],
+                 ["unit", "--group", "S3", "--space", "regular", "--json", docs[1]],
+                 ["unit", "--group", "C3", "--json", c3],
+                 ["op", "cog", "--group", "S3", "--subgroup", "C3", "--inverse",
+                  "--input", c3, "--json", docs[2]]):
+        assert main([str(arg) for arg in argv]) == 0
+    outcomes = {"refused": 0, "read": 0}
+    for doc in docs:
+        text = doc.read_text()
+        for path, value in _mutations(json.loads(text)):
+            payload = _mutated(json.loads(text), path, value)
+            try:
+                elt = jsonio.element_from_payload(payload, ScalarContext.for_groups([S3]))
+            except (SchemaError, GroupTooLargeError) as exc:
+                assert "\n" not in str(exc), (doc.name, path)
+                outcomes["refused"] += 1
+                continue
+            assert json.dumps(_blank_c(jsonio.element_payload(elt)), sort_keys=True) == \
+                json.dumps(_blank_c(payload), sort_keys=True), (doc.name, path)
+            outcomes["read"] += 1
+    assert sum(outcomes.values()) == 3030 and min(outcomes.values()) > 0, outcomes
 
 
 def test_verify_exit_zero(capsys):
@@ -694,7 +795,8 @@ def _payload_with_degree(path, degree):
 def test_a_payload_degree_past_the_bound_builds_no_permutation(monkeypatch, capsys, tmp_path):
     from qell import groups
     bound = groupspec.MAX_PERM_DEGREE
-    G = jsonio.group_from_payload({"degree": bound, "generators": [], "order": 1})
+    G = jsonio.group_from_payload(
+        {"spec": None, "degree": bound, "generators": [], "order": 1})
     assert G.degree == bound
     monkeypatch.setattr(groups, "_span", lambda *args: pytest.fail("a group was closed"))
     monkeypatch.setattr(jsonio, "Permutation",
