@@ -11,7 +11,6 @@ import sys
 
 from . import jsonio
 from . import qell_core as qc
-from . import verify as verify_mod
 from .charmod import ScalarContext
 from .errors import (
     GroupTooLargeError,
@@ -122,7 +121,7 @@ def _load_element(path: str, sctx_groups: list[FiniteGroup]):
     data = _read_payload(path)
     G = jsonio.group_from_payload(data.get("group", {}))
     sctx = ScalarContext.for_groups(sctx_groups + [G])
-    return jsonio.element_from_payload(data, sctx), sctx
+    return jsonio.element_from_payload(data, G, sctx), sctx
 
 
 def _emit(payload: dict, path: str | None):
@@ -196,8 +195,8 @@ def cmd_op(args) -> int:
         P = direct_product(G, H, spec=f"({G.spec})x({H.spec})"
                            if G.spec and H.spec else None)
         sctx = ScalarContext.for_groups([P])
-        a = jsonio.element_from_payload(left_data, sctx)
-        b = jsonio.element_from_payload(right_data, sctx)
+        a = jsonio.element_from_payload(left_data, G, sctx)
+        b = jsonio.element_from_payload(right_data, H, sctx)
         if a.structure.gset.n_points != 1 or b.structure.gset.n_points != 1:
             raise PreconditionError("kunneth is exposed for one-point spaces")
         XY = product_gset(a.structure.gset, b.structure.gset, P)
@@ -269,7 +268,8 @@ def cmd_op(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify_mod.run_suite(args.suite, seed=args.seed)
+    from . import verify        # only this command runs the suites
+    checks = verify.run_suite(args.suite, seed=args.seed)
     failures = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"

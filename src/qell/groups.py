@@ -12,18 +12,17 @@ one C call; on degree 0 or 1 there is only the identity, and no product is
 taken.
 
 Every subgroup, by members, by generators or from ``all_subgroups``, is its
-root's registry entry, with one class walk per member set (a root's full-set
-copy shares the root's).  A central class's centralizer is the whole group,
-any other's one ``transporter``: the elements of G among the maps that send
-each cycle of g onto a cycle of the same length in its G-orbit, or a scan of
-G when those maps are not clearly fewer than |G|.  Homomorphisms and G-set
+root's registry entry, with one class walk per member set; a root is its own
+entry for its full member set.  A central class's centralizer is the group
+itself, any other's one ``transporter``: the elements of G among the maps
+that send each cycle of g onto a cycle of the same length in its G-orbit, or
+a scan of G when those maps are not clearly fewer than |G|.  Homomorphisms and G-set
 tables are checked on generator edges (``broken_edges``); a builtin family or
 product past the order cap is refused unbuilt.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from itertools import permutations, product
@@ -94,7 +93,8 @@ class FiniteGroup:
         # over subgroups H: (H.key(), X.key()) -> G x_H X, (H.key(),) -> H -> G
         self._induced: dict = {}
         self._root = _root or self        # the group whose registry holds self
-        self._subgroups: dict = {}        # member bitmask -> subgroup (on a root)
+        # on a root, member bitmask -> subgroup; the full mask is the root itself
+        self._subgroups: dict = {(1 << len(self.elements)) - 1: self} if _root is None else {}
         self._exponent = None
         self._orbits = None
         self._hash = None
@@ -160,32 +160,21 @@ class FiniteGroup:
         return self.subgroup_of(self.elements[self._index[t]] for t in span)
 
     def conjugacy(self) -> "ConjugacyData":
-        """The classes, from one class walk per member set.
-
-        The least-first copy of the root's own member set has the root's
-        elements in the root's order and the root's registry, so its classes,
-        centralizers and transports are the root's: it shares the root's
-        data, caches included, under its own ``group``.
-        """
+        """The classes, from one class walk: each member set is one object."""
         if self._conjugacy is None:
-            root = self._root
-            if root is not self and root.order == self.order:
-                data = copy.copy(root.conjugacy())
-                data.group = self
-                self._conjugacy = data
-            else:
-                self._conjugacy = _conjugacy_data(self)
+            self._conjugacy = _conjugacy_data(self)
         return self._conjugacy
 
     def subgroup_of(self, members) -> "FiniteGroup":
         """The subgroup of self with elements ``members``, one object per set.
 
         The root group (one not built here) keeps the registry, keyed by the
-        bitmask of the members' indices in its element list.  A new entry,
-        the root's own set included, takes as each generator the least member
-        outside the span so far: at most log2|H| generators.  Raises
-        NotSubgroupError for a member outside self, InvalidGeneratorError if
-        the members are not a group.
+        bitmask of the members' indices in its element list, and is its own
+        entry for its full set, with the generators it was given.  Any other
+        entry takes as each generator the least member outside the span so
+        far: at most log2|H| generators.  Raises NotSubgroupError for a
+        member outside self, InvalidGeneratorError if the members are not a
+        group.
         """
         root, members = self._root, list(members)
         mask = 0
@@ -279,16 +268,13 @@ class ConjugacyData:
             raise PreconditionError(f"{g!r} is not an element of {self.group.name}") from None
 
     def centralizer(self, class_idx: int) -> FiniteGroup:
-        """C_G(rep): the whole group for a central class (class 0, the
-        identity's, builds it), else ``transporter(G, rep, rep)``, found
-        from rep's cycles."""
+        """C_G(rep): the group itself for a central class, else
+        ``transporter(G, rep, rep)``, found from rep's cycles."""
         return memo(self._centralizers, class_idx, self._centralizer, class_idx)
 
     def _centralizer(self, ci: int) -> FiniteGroup:
         G = self.group
-        if self.class_sizes[ci] > 1:
-            return G.centralizer(self.class_reps[ci])
-        return self.centralizer(0) if ci else G.subgroup_of(G.elements)
+        return G.centralizer(self.class_reps[ci]) if self.class_sizes[ci] > 1 else G
 
     def transport_to_rep(self, g: Permutation) -> tuple[int, Permutation]:
         """Return (class index i, w) with ``g == w * rep_i * w^{-1}``.

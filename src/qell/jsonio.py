@@ -214,17 +214,19 @@ def _nonzero_orbits(elt: QEllElt, ci: int, cb) -> list:
             for oi, v in enumerate(elt.components[ci]) if not v.is_zero()]
 
 
-def element_from_payload(data: dict, sctx) -> QEllElt:
-    """The element of a document, read by writing it back.  Each listed orbit
-    is read by its ``orbit_rep``; the group and space are checked by their
-    readers, and ``classes`` is then compared with the element's, so an
-    orbit listed twice or out of order, or with every coefficient zero, is
-    refused."""
+def element_from_payload(data: dict, G: FiniteGroup, sctx) -> QEllElt:
+    """The element of a document over G, the group its caller read from the
+    document's "group" (``group_from_payload``), read by writing it back.
+    The group is compared with G's payload, so a G that is not the
+    document's is refused; the space is checked by its reader; each listed
+    orbit is read by its ``orbit_rep``, and ``classes`` is then compared
+    with the element's, so an orbit listed twice or out of order, or with
+    every coefficient zero, is refused."""
     if not isinstance(data, dict):
         raise SchemaError("payload is not a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {data.get('schema_version')!r}")
-    G = group_from_payload(data.get("group"))
+    _same(data.get("group"), group_payload(G), "group")
     X = space_from_payload(G, data.get("space"))
     sctx.check_group(G)
     struct = structure(G, X, sctx)

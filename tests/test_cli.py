@@ -356,8 +356,9 @@ def test_every_single_node_mutation_is_refused_or_written_back(tmp_path):
         text = doc.read_text()
         for path, value in _mutations(json.loads(text)):
             payload = _mutated(json.loads(text), path, value)
-            try:
-                elt = jsonio.element_from_payload(payload, ScalarContext.for_groups([S3]))
+            try:            # the group first, as the CLI reads it
+                G = jsonio.group_from_payload(payload.get("group", {}))
+                elt = jsonio.element_from_payload(payload, G, ScalarContext.for_groups([S3]))
             except (SchemaError, GroupTooLargeError) as exc:
                 assert "\n" not in str(exc), (doc.name, path)
                 outcomes["refused"] += 1
@@ -438,7 +439,8 @@ def test_verify_all_seed_3_stdout(capsys):
 def _round_trip(elt, sctx):
     payload = jsonio.element_payload(elt)
     text = jsonio.dumps(payload)
-    parsed = jsonio.element_from_payload(jsonio.loads(text), sctx)
+    data = jsonio.loads(text)
+    parsed = jsonio.element_from_payload(data, jsonio.group_from_payload(data["group"]), sctx)
     assert parsed == elt
     assert jsonio.dumps(jsonio.element_payload(parsed)) == text
     return payload
@@ -582,10 +584,10 @@ def test_schema_rejects_bad_payloads():
     G = cyclic(2)
     sctx = ScalarContext.for_groups([G])
     with pytest.raises(SchemaError):
-        jsonio.element_from_payload({"schema_version": "0"}, sctx)
+        jsonio.element_from_payload({"schema_version": "0"}, G, sctx)
     with pytest.raises(SchemaError):
         jsonio.element_from_payload(
-            {"schema_version": "1", "group": {"degree": 2}}, sctx)
+            {"schema_version": "1", "group": {"degree": 2}}, G, sctx)
 
 
 # -- end-to-end through the console entry point -------------------------------------
@@ -623,6 +625,24 @@ def test_mu_degree_one_is_byte_identical(tmp_path):
     assert main(["op", "mu", "--n", "1", "--input", str(u),
                  "--json", str(out)]) == 0
     assert out.read_text() == u.read_text()
+
+
+def test_an_op_closes_each_input_documents_group_once(monkeypatch, tmp_path):
+    """The CLI reads a document's group once and hands it to
+    ``element_from_payload``: one closure per input document."""
+    from qell import groups
+    u, v, out = (str(tmp_path / name) for name in ("u.json", "v.json", "out.json"))
+    assert main(["unit", "--group", "S3", "--json", u]) == 0
+    assert main(["unit", "--group", "C2", "--json", v]) == 0
+    closed = []
+    close = groups._closure
+    monkeypatch.setattr(groups, "_closure",
+                        lambda degree, gens: closed.append(degree) or close(degree, gens))
+    assert main(["op", "mu", "--n", "2", "--input", u, "--json", out]) == 0
+    assert closed == [3]
+    closed.clear()
+    assert main(["op", "kunneth", "--left", u, "--right", v, "--json", out]) == 0
+    assert sorted(closed) == [2, 3]
 
 
 def test_verify_failure_exit_code(monkeypatch):

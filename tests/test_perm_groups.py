@@ -22,7 +22,6 @@ from qell.groups import (
     FiniteGroup,
     GroupHom,
     Permutation,
-    _closure,
     all_subgroups,
     alternating,
     conjugate_subgroup,
@@ -425,15 +424,28 @@ def test_one_point_stabilizers_are_centralizers(registry_group):
         assert orbit.stabilizer is entry.centralizer
 
 
-def test_full_member_set_is_a_least_first_copy(registry_group):
+def test_a_root_is_its_own_full_set_entry(registry_group):
+    """The root answers for its full member set, keeping the generators it
+    was given, and is the centralizer of each central class."""
     G = registry_group
-    H = G.subgroup_of(G.elements)
-    assert H == G and H is not G
-    assert G.subgroup_of(G.elements) is H
-    for k, g in enumerate(H.generators):
-        span = set(_closure(G.degree, H.generators[:k]))
-        assert g == min(x for x in G.elements if x not in span)
-    assert set(_closure(G.degree, H.generators)) == set(G.elements)
+    generators = G.generators
+    assert G.subgroup_of(G.elements) is G
+    assert G.subgroup_of(reversed(G.elements)) is G
+    assert G.subgroup(G.generators) is G
+    assert G.generators == generators
+    conj = G.conjugacy()
+    central = [ci for ci, size in enumerate(conj.class_sizes) if size == 1]
+    assert central and all(conj.centralizer(ci) is G for ci in central)
+
+
+def test_a_cold_build_closes_no_root_member_set_again(registry_group, monkeypatch):
+    G = parse_group_spec(registry_group.spec)       # a fresh root: cold caches
+    closed = []
+    least_first = groups._least_first
+    monkeypatch.setattr(groups, "_least_first", lambda root, members: closed.append(
+        len(set(members))) or least_first(root, members))
+    qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+    assert closed and G.order not in closed
 
 
 def test_subgroup_of_rejects_non_groups(registry_group):
@@ -546,7 +558,7 @@ def test_central_classes_need_no_scan(spec, monkeypatch):
 
 def _assert_elements_sorted_by_lt(G):
     """Element order is the order of ``Permutation.__lt__``, for the group, its
-    full-set copy and every centralizer, so canonical reps cannot move."""
+    full-set entry and every centralizer, so canonical reps cannot move."""
     conj = G.conjugacy()
     for H in (G, G.subgroup_of(G.elements), *map(conj.centralizer, range(conj.n_classes))):
         assert list(H.elements) == sorted(H.elements)
