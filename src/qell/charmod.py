@@ -9,15 +9,23 @@ class-algebra eigenvector method, with a dual-group shortcut for abelian
 groups (tested to agree with the general path).  The method starts from the
 centre's split, written in closed form from the linear characters of the
 centre: a central character over θ has ω(z·K) = θ(z)·ω(K), so the class
-matrices of the non-central classes only split the pieces.
+matrices of the non-central classes only split the pieces, each split
+reading every eigenspace from one Hessenberg form (``modp.left_eigenspace``).
+Each table packs its dual rows and its rows once into integers of w-bit
+lanes (Kronecker substitution), so that the orthonormality check and
+``decompose`` are one big-integer multiply-add per class in place of k dot
+products of length k.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from fractions import Fraction
-from operator import itemgetter, mul
+from itertools import repeat
+from operator import itemgetter, mul, sub
 
 from . import modp
 from .errors import PreconditionError, ScalarContextError, InternalCheckError
@@ -90,7 +98,7 @@ class ClassFunction:
     def __init__(self, group: FiniteGroup, ctx: ScalarContext, values):
         self.group = group
         self.ctx = ctx
-        self.values = tuple(v % ctx.p for v in values)
+        self.values = tuple(map(ctx.p.__rmod__, values))
 
     def __call__(self, g: Permutation) -> int:
         return self.values[self.group.conjugacy().class_index(g)]
@@ -124,7 +132,22 @@ def _require_same_group(a, b):
 
 
 class CharacterTable:
-    """All irreducible characters of a group, in a deterministic row order."""
+    """All irreducible characters of a group, in a deterministic row order.
+
+    The dot products of the table layer are packed once per table (Kronecker
+    substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  With k classes,
+    lanes of w bits, w the bit length of k·(p-1)² rounded up to a multiple of
+    64, and every packed value in [0, p):
+
+    - ``packed_dual[c] = Σ_j dual_j(c)·2^(w·j)``, one per class, where
+      ``dual_j(c) = |c|·χ_j(c⁻¹)/|G| mod p``, so that ⟨f, χ_j⟩ = Σ_c f(c)·dual_j(c);
+    - ``packed_rows[i] = Σ_c χ_i(c)·2^(w·c)``, one per row.
+
+    A sum of at most k products of values below p stays below 2^w, so no
+    carry crosses a lane: lane j of Σ_c f(c)·packed_dual[c] is the integer
+    Σ_c f(c)·dual_j(c), one big-integer multiply-add per class in place of k
+    dot products (``_lanes`` reads the lanes back).
+    """
 
     def __init__(self, group: FiniteGroup, ctx: ScalarContext, rows):
         self.group = group
@@ -134,13 +157,13 @@ class CharacterTable:
         e_idx = conj.class_index(group.identity)
         self.degrees = tuple(r.values[e_idx] for r in self.rows)
         self.n_irr = len(self.rows)
-        # ⟨f, rows[i]⟩ = f · dual[i], dual[i][c] = |c|·χ_i(c⁻¹)/|G| mod p; and
-        # columns[c] is the rows' values at class c
         p, inv, n_inv = ctx.p, conj.inverse_classes(), pow(group.order, -1, ctx.p)
-        self.dual = tuple(tuple(size * r.values[inv[c]] * n_inv % p
-                                for c, size in enumerate(conj.class_sizes))
-                          for r in self.rows)
-        self.columns = tuple(zip(*(r.values for r in self.rows)))
+        self.lane_bits = w = -(-(self.n_irr * (p - 1) ** 2).bit_length() // 64) * 64
+        columns = list(zip(*(r.values for r in self.rows)))
+        self.packed_dual = tuple(
+            _pack([v * scale % p for v in columns[inv[c]]], w)
+            for c, scale in enumerate(size * n_inv % p for size in conj.class_sizes))
+        self.packed_rows = tuple(_pack(r.values, w) for r in self.rows)
         self.row_of = {r.values: i for i, r in enumerate(self.rows)}
         self._products: dict = {}         # i -> (row, mult) pairs of i*j, j >= i
         self._columns: dict = {}          # (pairs, shift) -> rotrep's product column
@@ -174,7 +197,7 @@ def _decompose_product(table: CharacterTable, i: int, j: int) -> tuple[tuple[int
     # λ linear and χ irreducible give ⟨λχ, λχ⟩ = ⟨χ, χ⟩ = 1: λχ is a row, and
     # finding it by its values is decompose's answer with its checks met
     p = table.ctx.p
-    values = tuple(a * b % p for a, b in zip(table.rows[i].values, table.rows[j].values))
+    values = tuple(map(p.__rmod__, map(mul, table.rows[i].values, table.rows[j].values)))
     if table.degrees[i] == 1 or table.degrees[j] == 1:
         k = table.row_of.get(values)
         if k is None:
@@ -194,16 +217,36 @@ def character_table(G: FiniteGroup, ctx: ScalarContext) -> CharacterTable:
     conj = G.conjugacy()
     e_idx = conj.class_index(G.identity)
     rows.sort(key=lambda r: (r.values[e_idx], r.values))
-    table = CharacterTable(G, ctx, rows)
-    if sum(d * d for d in table.degrees) != G.order:
+    if sum(r.values[e_idx] ** 2 for r in rows) != G.order:
         raise InternalCheckError("degree squares do not sum to the group order")
-    if table.n_irr != conj.n_classes:
+    if len(rows) != conj.n_classes:
         raise InternalCheckError("wrong number of irreducible characters")
+    table = CharacterTable(G, ctx, rows)
+    # ⟨χ_i, χ_j⟩ = δ_ij: lane j of Σ_c χ_i(c)·packed_dual[c], read mod p
+    p, n, w = ctx.p, table.n_irr, table.lane_bits
     for i, r in enumerate(table.rows):
-        for j, d in enumerate(table.dual):
-            if sum(map(mul, r.values, d)) % ctx.p != (1 if i == j else 0):
-                raise InternalCheckError("table rows are not orthonormal")
+        lanes = list(map(p.__rmod__, _lanes(sum(map(mul, r.values, table.packed_dual)), n, w)))
+        if lanes[i] != 1 or lanes.count(0) != n - 1:
+            raise InternalCheckError("table rows are not orthonormal")
     return table
+
+
+def _pack(values, w: int) -> int:
+    """Σ_t values[t]·2^(w·t), for values in [0, 2^w)."""
+    chunks = map(int.to_bytes, values, repeat(w // 8), repeat("little"))
+    return int.from_bytes(b"".join(chunks), "little")
+
+
+def _lanes(total: int, n: int, w: int):
+    """The n lanes of w bits of a nonnegative total below 2^(w·n), low first:
+    a 64-bit lane through ``array("Q")``, a wider one by shifts."""
+    if w == 64:
+        lanes = array("Q", total.to_bytes(8 * n, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
+    mask = (1 << w) - 1
+    return [total >> (w * t) & mask for t in range(n)]
 
 
 def _abelian_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
@@ -281,18 +324,18 @@ def _eigenspaces(A, B, pivots, p: int, rng: random.Random, bound: int | None):
     """Split span(B) along the eigenvalues of A, the action on B's coordinates.
 
     B is in RREF with the given pivot columns; ``bound``, if not None, bounds
-    the eigenvalues as integers (``modp.distinct_roots``).  Each eigenspace
-    is yielded as (Y·B, its pivots) with Y an RREF basis of
-    {y : y·A = λ·y}; Y·B is then in RREF too, with B's pivots at Y's, and is
-    summed over the nonzero entries of Y and B.
+    the eigenvalues as integers (``modp.distinct_roots``).  A is reduced to
+    Hessenberg form once; the characteristic polynomial and every
+    eigenspace are read from that form.  Each eigenspace is yielded as
+    (Y·B, its pivots) with Y the RREF basis of {y : y·A = λ·y}; Y·B is then
+    in RREF too, with B's pivots at Y's, and is summed over the nonzero
+    entries of Y and B.
     """
-    d, k = len(B), len(B[0])
+    k = len(B[0])
     nonzero = [[(t, b) for t, b in enumerate(row) if b] for row in B]
-    for lam in modp.distinct_roots(modp.charpoly(A, p), p, rng, bound):
-        # row vectors y with y*(A - lam) = 0: nullspace of transpose
-        AT = [[(A[r][c] - (lam if r == c else 0)) % p for r in range(d)]
-              for c in range(d)]
-        ys = modp.nullspace(AT, p)
+    H, steps = modp.hessenberg(A, p)
+    for lam in modp.distinct_roots(modp.hessenberg_charpoly(H, p), p, rng, bound):
+        ys = modp.left_eigenspace(H, steps, lam, p)
         if ys:
             Y, y_pivots = modp.rref(ys, p)
             sub = []
@@ -450,16 +493,30 @@ def decompose(f: ClassFunction, table: CharacterTable,
     p > 2·max_order², a function that is not an honest (virtual) character
     combination at desk scale fails the bound.  The integer recombination is
     verified to reproduce f exactly.
+
+    Both steps are packed sums over the table (``CharacterTable``): the
+    multiplicities are the lanes of Σ_c f(c)·packed_dual[c], and the
+    recombination Σ_i m_i·χ_i(c) is lane c of Σ_i m_i·packed_rows[i].  A
+    lane must not go negative, so negative (virtual, e.g. ψ^m) multiplicities
+    are summed apart, as Σ_i |m_i|·packed_rows[i] over m_i < 0, and
+    subtracted lane by lane.  Each part has lanes of at most k·bound·(p-1)
+    < k·(p-1)², since bound < p - 1, so both fit the table's lanes.
     """
     _require_same_group(f, table)
     p, lift, bound = f.ctx.p, f.ctx.lift_symmetric, f.ctx.max_order
-    mults = [lift(sum(map(mul, f.values, d))) for d in table.dual]
+    n, w, rows = table.n_irr, table.lane_bits, table.packed_rows
+    mults = list(map(lift, _lanes(sum(map(mul, f.values, table.packed_dual)), n, w)))
     for m in mults:
         if abs(m) > bound or (m < 0 and not virtual):
             raise PreconditionError(
                 f"not a character combination: multiplicity lift {m}"
             )
-    if tuple(sum(map(mul, mults, col)) % p for col in table.columns) != f.values:
+    plus = [m if m > 0 else 0 for m in mults]
+    lanes = _lanes(sum(map(mul, plus, rows)), n, w)
+    if plus != mults:
+        minus = sum(map(mul, map(sub, plus, mults), rows))
+        lanes = map(sub, lanes, _lanes(minus, n, w))
+    if tuple(map(p.__rmod__, lanes)) != f.values:
         raise PreconditionError("not a character combination")
     return mults
 

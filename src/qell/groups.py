@@ -279,13 +279,16 @@ class ConjugacyData:
     def transport_to_rep(self, g: Permutation) -> tuple[int, Permutation]:
         """Return (class index i, w) with ``g == w * rep_i * w^{-1}``.
 
-        w is the least such element, found once per g by ``transporter``.
+        w is the least such element, found once per g: the identity, the
+        least element of every group, when g is rep_i, and otherwise the
+        first element of ``transporter``.
         """
         return memo(self._transports, g, self._least_transport, g)
 
     def _least_transport(self, g: Permutation) -> tuple[int, Permutation]:
         i = self.class_index(g)
-        return i, transporter(self.group, g, self.class_reps[i])[0]
+        rep = self.class_reps[i]
+        return i, self.group.identity if g == rep else transporter(self.group, g, rep)[0]
 
     def inverse_classes(self) -> tuple[int, ...]:
         return memo(self._power_classes, -1, class_fusion, self.group, self.group,

@@ -6,9 +6,13 @@ primitive roots, Tonelli-Shanks square roots, and small dense matrix /
 polynomial routines over F_p:
 
 - row reduction and nullspaces;
-- the characteristic polynomial by Hessenberg reduction (Cohen, *A Course in
-  Computational Algebraic Number Theory*, Alg. 2.2.9), O(n³) and valid for
-  every prime p;
+- one Hessenberg reduction H = P·A·P⁻¹ (Cohen, *A Course in Computational
+  Algebraic Number Theory*, Alg. 2.2.9), O(n³) and valid for every prime p,
+  that records its elementary steps; the characteristic polynomial is the
+  recurrence on H's minors, and each left eigenspace {y : y·A = λ·y} is one
+  left-to-right pass over H's columns mapped back through the steps, O(n²)
+  per basis vector, so that splitting along r eigenvalues costs
+  O(n³ + r·n²) and not r nullspaces;
 - the roots in F_p of a polynomial: its squarefree part f / gcd(f, f') first,
   then closed forms up to degree 2.  Above that, roots known to be integers
   of absolute value at most a bound are found by evaluating f at those
@@ -19,6 +23,7 @@ polynomial routines over F_p:
 from __future__ import annotations
 
 import random
+from operator import mul
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -169,20 +174,19 @@ def nullspace(A, p):
     return basis
 
 
-def charpoly(A, p):
-    """Characteristic polynomial det(x - A) of A over F_p, for any prime p.
+def hessenberg(A, p):
+    """(H, steps): an upper Hessenberg H = P·A·P⁻¹ over F_p, for any prime p,
+    and the elementary steps whose product is P, for ``left_eigenspace``.
 
-    Returns coefficients c[0..n] (c[n] = 1) of sum c[i] x^i.  A is brought to
-    upper Hessenberg form H by similarity (row operations below the
-    subdiagonal, each undone on the columns), and the charpoly of H follows
-    from the recurrence on its leading principal minors (Cohen, Alg. 2.2.9):
-
-        p_m = (x - h_mm)·p_{m-1} - Σ_{i<m} h_im·(h_{i+1,i} ⋯ h_{m,m-1})·p_{i-1}
-
-    O(n³) operations in all.
+    For m = 1 .. n-2 the step (m, piv, us) swaps rows piv and m, then
+    subtracts us[t]·row m from row m+1+t, clearing column m-1 below the
+    subdiagonal; each operation is undone on the columns, so that H stays
+    similar to A.  The subtractions of one step commute, so they are done
+    together, and column m takes Σ us[t]·column m+1+t at once.  O(n³).
     """
     n = len(A)
     H = [[x % p for x in row] for row in A]
+    steps = []
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if H[i][m - 1]), None)
         if piv is None:
@@ -193,13 +197,27 @@ def charpoly(A, p):
                 row[piv], row[m] = row[m], row[piv]
         inv = pow(H[m][m - 1], -1, p)
         Hm = H[m]
-        for i in range(m + 1, n):
-            u = H[i][m - 1] * inv % p
+        us = [H[i][m - 1] * inv % p for i in range(m + 1, n)]
+        for i, u in enumerate(us, m + 1):
             if u:
-                # row_i -= u·row_m, then col_m += u·col_i keeps H similar to A
                 H[i] = [(x - u * y) % p for x, y in zip(H[i], Hm)]
-                for row in H:
-                    row[m] = (row[m] + u * row[i]) % p
+        if any(us):
+            for row in H:
+                row[m] = (row[m] + sum(map(mul, us, row[m + 1:]))) % p
+        steps.append((m, piv, us))
+    return H, steps
+
+
+def hessenberg_charpoly(H, p):
+    """det(x - H) of an upper Hessenberg H over F_p, low degree first, from
+    the recurrence on its leading principal minors (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.2.9):
+
+        p_m = (x - h_mm)·p_{m-1} - Σ_{i<m} h_im·(h_{i+1,i} ⋯ h_{m,m-1})·p_{i-1}
+
+    O(n³) operations.
+    """
+    n = len(H)
     # polys[m] = charpoly of the leading m×m block, low degree first
     polys = [[1]]
     for m in range(n):
@@ -218,6 +236,51 @@ def charpoly(A, p):
                     cur[d] = (cur[d] - f * c) % p
         polys.append(cur)
     return polys[n]
+
+
+def charpoly(A, p):
+    """Characteristic polynomial det(x - A) of A over F_p, for any prime p:
+    coefficients c[0..n] (c[n] = 1) of sum c[i] x^i, read from A's
+    Hessenberg form."""
+    return hessenberg_charpoly(hessenberg(A, p)[0], p)
+
+
+def left_eigenspace(H, steps, lam, p):
+    """A basis (rows) of {y : y·A = lam·y}, from ``hessenberg(A, p)``.
+
+    y·A = lam·y iff z = y·P⁻¹ has z·(H - lam) = 0.  Column j of that system
+    reads z_0..z_{j+1}, so one pass from left to right solves it, keeping a
+    basis of the solutions on z_0..z_j: a nonzero subdiagonal entry
+    h_{j+1,j} fixes z_{j+1} in every basis vector; a zero one (or the last
+    column) makes column j one elimination among the basis vectors and frees
+    z_{j+1}.  Each z is then mapped to y = z·P by replaying the steps
+    backwards.  O(d²) per basis vector kept.
+    """
+    d = len(H)
+    basis = [[1]] if d else []
+    for j, col in enumerate(zip(*H)):
+        # z has j + 1 coordinates, so the sum reads rows 0..j of column j
+        s = [(sum(map(mul, z, col)) - lam * z[j]) % p for z in basis]
+        h = col[j + 1] if j + 1 < d else 0
+        if h:
+            f = -pow(h, -1, p)
+            for z, sz in zip(basis, s):
+                z.append(sz * f % p)
+            continue
+        k = next((t for t, sz in enumerate(s) if sz), None)
+        if k is not None:
+            zk, f = basis.pop(k), pow(s.pop(k), -1, p)
+            basis = [[(a - sz * f * b) % p for a, b in zip(z, zk)] if sz else z
+                     for z, sz in zip(basis, s)]
+        if j + 1 < d:
+            for z in basis:
+                z.append(0)
+            basis.append([0] * (j + 1) + [1])
+    for z in basis:
+        for m, piv, us in reversed(steps):
+            z[m] = (z[m] - sum(map(mul, us, z[m + 1:]))) % p
+            z[piv], z[m] = z[m], z[piv]
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -599,3 +599,45 @@ def test_decompose_matches_reference_on_foreign_groups(oracle_tables, specs, dat
     f = rows[data.draw(st.integers(0, len(rows) - 1))]
     got = _agrees_with_reference(f, tables[spec], data.draw(st.booleans()))
     assert got == (PreconditionError, "class functions live on different groups")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ORACLE_SPECS), st.data(), st.integers(1, 13), st.booleans())
+def test_decompose_matches_reference_on_adams_operations(oracle_tables, spec, data, m,
+                                                         virtual):
+    """ψ^m of a character is a virtual character: its negative multiplicities
+    are summed apart from the positive ones in the recombination check."""
+    ctx, tables = oracle_tables
+    t = tables[spec]
+    mults = data.draw(st.lists(st.integers(0, 3), min_size=t.n_irr, max_size=t.n_irr))
+    got = _agrees_with_reference(adams_cf(_combination(t, mults), m), t, virtual)
+    if virtual:
+        assert got[0] == "ok"
+
+
+# -- the packed table kernel in lanes wider than 64 bits ------------------------------
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "C2xC4", "A5", "C7"])
+def test_wide_lanes_match_the_loops(spec):
+    """A context whose k·(p-1)² passes 2^64 packs into 128-bit lanes; the
+    table is orthonormal by the loops, and decompositions, virtual ones and
+    ones past the bound included, agree with the reference."""
+    G = parse_group_spec(spec)
+    ctx = ScalarContext(G.exponent(), 10 ** 5)
+    t = ctx.table(G)
+    assert t.n_irr * (ctx.p - 1) ** 2 > 2 ** 64 and t.lane_bits == 128
+    assert all(inner_product(r, s) == (1 if i == j else 0)
+               for i, r in enumerate(t.rows) for j, s in enumerate(t.rows))
+    assert sorted(t.degrees) == sorted(ScalarContext.for_groups([G]).table(G).degrees)
+    for i in range(t.n_irr):
+        for j in range(i, t.n_irr):
+            values = [a * b for a, b in zip(t.rows[i].values, t.rows[j].values)]
+            for virtual in (False, True):
+                _agrees_with_reference(ClassFunction(G, ctx, values), t, virtual)
+        for m in range(1, G.exponent() + 2):
+            assert _agrees_with_reference(adams_cf(t.rows[i], m), t, True)[0] == "ok"
+    big = [ctx.max_order * (-1) ** i for i in range(t.n_irr)]
+    assert _agrees_with_reference(_combination(t, big), t, True) == ("ok", big)
+    big[0] += 1
+    assert _agrees_with_reference(_combination(t, big), t, True)[0] is PreconditionError
+

@@ -136,6 +136,20 @@ def test_transport_to_rep_is_least_transporter(G):
         assert conj.transport_to_rep(g) is conj.transport_to_rep(g)
 
 
+@pytest.mark.parametrize("spec", ["S4", "D6", "C2xC4"])
+def test_transport_to_rep_of_a_rep_calls_no_transporter(spec, monkeypatch):
+    from qell import groups
+    calls = []
+    original = groups.transporter
+    monkeypatch.setattr(groups, "transporter",
+                        lambda *args: calls.append(args) or original(*args))
+    G = parse_group_spec(spec)
+    conj = G.conjugacy()
+    for i, rep in enumerate(conj.class_reps):
+        assert conj.transport_to_rep(rep) == (i, G.identity)
+    assert calls == []
+
+
 def test_quotient_free_transitive():
     C2 = cyclic(2)
     X = regular_gset(C2)

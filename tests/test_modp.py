@@ -160,3 +160,52 @@ def test_charpoly_matches_faddeev_leverrier(A, p):
     p <= n, where Faddeev-LeVerrier over F_p would divide by zero."""
     expected = [c % p for c in faddeev_leverrier(A)]
     assert modp.charpoly([[x % p for x in row] for row in A], p) == expected
+
+
+# -- eigenspaces from the Hessenberg form against nullspaces of (A - λ)ᵀ --------
+
+EIGEN_SHAPES = ("entries", "diagonal", "block-diagonal", "zero")
+
+
+@st.composite
+def eigen_matrices(draw):
+    """(A, p): an n×n matrix over a small prime, n <= 8: entries anywhere, or
+    diagonal with repeated entries, or a block repeated down the diagonal
+    (a Hessenberg form with zero subdiagonal entries), or zero."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(EIGEN_SHAPES))
+    entries = st.integers(0, p - 1)
+    A = [[0] * n for _ in range(n)]
+    if shape == "entries":
+        A = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    elif shape == "diagonal":
+        values = draw(st.lists(entries, min_size=1, max_size=3))
+        for i in range(n):
+            A[i][i] = values[draw(st.integers(0, len(values) - 1))]
+    elif shape == "block-diagonal":
+        b = draw(st.integers(1, 3))
+        block = [[draw(entries) for _ in range(b)] for _ in range(b)]
+        for i in range(n - n % b):
+            for j in range(i - i % b, i - i % b + b):
+                A[i][j] = block[i % b][j % b]
+    return A, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(eigen_matrices())
+def test_left_eigenspace_matches_the_nullspace_of_the_transpose(Ap):
+    """For every λ in F_p, roots of the characteristic polynomial and not,
+    the eigenspace read from the Hessenberg form has the RREF of
+    {y : y·(A - λ) = 0}, found as a nullspace of the transpose."""
+    A, p = Ap
+    n = len(A)
+    H, steps = modp.hessenberg(A, p)
+    assert all(H[i][j] == 0 for i in range(n) for j in range(i - 1))
+    assert modp.hessenberg_charpoly(H, p) == modp.charpoly(A, p)
+    roots = set(_brute_force_roots(modp.charpoly(A, p), p))
+    for lam in range(p):
+        ys = modp.left_eigenspace(H, steps, lam, p)
+        AT = [[(A[r][c] - (lam if r == c else 0)) % p for r in range(n)] for c in range(n)]
+        assert modp.rref(ys, p) == modp.rref(modp.nullspace(AT, p), p)
+        assert bool(ys) is (lam in roots)
