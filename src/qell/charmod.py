@@ -5,12 +5,14 @@ p > 2·|G|² stands in for the cyclotomic numbers: a fixed element ζ of order N
 embeds all needed roots of unity injectively, inner products of genuine
 characters are honest integers below p, and virtual multiplicities sit safely
 inside the symmetric range (-p/2, p/2).  Irreducible tables come from the
-class-algebra eigenvector method, with a dual-group shortcut for abelian
-groups (tested to agree with the general path).  The method starts from the
-centre's split, written in closed form from the linear characters of the
-centre: a central character over θ has ω(z·K) = θ(z)·ω(K), so the class
-matrices of the non-central classes only split the pieces, each split
-reading every eigenspace from one Hessenberg form (``modp.left_eigenspace``).
+class-algebra eigenvector method, with two shortcuts tested to agree with
+it: the dual group for an abelian group, and for a subgroup that splits
+along the factors of a direct product, the products of its factors' rows.
+The method starts from the centre's split, written in closed form from the
+linear characters of the centre: a central character over θ has
+ω(z·K) = θ(z)·ω(K), so the class matrices of the non-central classes only
+split the pieces, each split reading every eigenspace from one Hessenberg
+form (``modp.left_eigenspace``).
 Each table packs its dual rows and its rows once into integers of w-bit
 lanes (Kronecker substitution), so that the orthonormality check and
 ``decompose`` are one big-integer multiply-add per class in place of k dot
@@ -29,7 +31,7 @@ from operator import itemgetter, mul, sub
 
 from . import modp
 from .errors import PreconditionError, ScalarContextError, InternalCheckError
-from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, memo
+from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, factor_classes, memo
 
 
 class ScalarContext:
@@ -208,10 +210,23 @@ def _decompose_product(table: CharacterTable, i: int, j: int) -> tuple[tuple[int
 
 
 def character_table(G: FiniteGroup, ctx: ScalarContext) -> CharacterTable:
-    """Irreducible character table; abelian groups take the dual-group path."""
+    """Irreducible character table, from the first of three paths that applies:
+
+    - an abelian G takes the dual-group path (``_abelian_rows``);
+    - a G that splits along the factors of its direct-product root,
+      G = G_A x G_B (``groups.factor_classes``), takes the tensor rows of
+      its factors' tables (``_tensor_rows``);
+    - any other G takes the class-matrix path (``_class_matrix_rows``).
+
+    Every path's rows are sorted by (degree, values) and pass the same
+    checks: the degree squares sum to |G|, there are as many rows as
+    classes, and the rows are orthonormal.
+    """
     ctx.check_group(G)
     if G.is_abelian():
         rows = _abelian_rows(G, ctx)
+    elif (split := factor_classes(G)) is not None:
+        rows = _tensor_rows(G, ctx, split)
     else:
         rows = _class_matrix_rows(G, ctx)
     conj = G.conjugacy()
@@ -300,6 +315,21 @@ def _abelian_rows(G: FiniteGroup, ctx: ScalarContext) -> list[ClassFunction]:
         zeta_powers[k] = zeta_powers[k - 1] * ctx.zeta % p
     reps = [position[r] for r in G.conjugacy().class_reps]
     return [ClassFunction(G, ctx, [zeta_powers[chi[r]] for r in reps]) for chi in chars]
+
+
+def _tensor_rows(G: FiniteGroup, ctx: ScalarContext, split) -> list[ClassFunction]:
+    """The rows χ⊠ψ of G = G_A x G_B, χ a row of G_A's table and ψ of G_B's:
+    (χ⊠ψ)(a, b) = χ(a)·ψ(b) is irreducible, and these are all of G's
+    irreducibles (Isaacs, Character Theory of Finite Groups, Thm 4.21).
+    ``split`` is ``groups.factor_classes(G)``; each class of G is read at
+    its pair of factor classes.  The factor tables come from ``ctx.table``,
+    so a factor that is itself a split product recurses, and a table built
+    before is reused."""
+    A, B, pairs = split
+    left, right = zip(*pairs)
+    lefts = [list(map(chi.values.__getitem__, left)) for chi in ctx.table(A).rows]
+    rights = [list(map(psi.values.__getitem__, right)) for psi in ctx.table(B).rows]
+    return [ClassFunction(G, ctx, map(mul, a, b)) for a in lefts for b in rights]
 
 
 def _class_matrix_column(conj, class_i, j: int) -> tuple[tuple, tuple]:

@@ -18,7 +18,10 @@ itself, any other's one ``transporter``: the elements of G among the maps
 that send each cycle of g onto a cycle of the same length in its G-orbit, or
 a scan of G when those maps are not clearly fewer than |G|.  Homomorphisms and G-set
 tables are checked on generator edges (``broken_edges``); a builtin family or
-product past the order cap is refused unbuilt.
+product past the order cap is refused unbuilt.  A subgroup of a direct
+product that splits along its factors is split once per member set
+(``factor_classes``): its two factor subgroups and each class's pair of
+factor classes.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ class FiniteGroup:
         self._conjugacy = None
         # over subgroups H: (H.key(), X.key()) -> G x_H X, (H.key(),) -> H -> G
         self._induced: dict = {}
+        self._splits: dict = {}             # on a direct product: S -> factor_classes(S)
         self._root = _root or self        # the group whose registry holds self
         # on a root, member bitmask -> subgroup; the full mask is the root itself
         self._subgroups: dict = {(1 << len(self.elements)) - 1: self} if _root is None else {}
@@ -592,6 +596,39 @@ def product_split(P: FiniteGroup, g: Permutation) -> tuple[Permutation, Permutat
         raise PreconditionError(f"{P.name} is not a direct product")
     dG = P.factors[0].degree
     return Permutation(g[:dG]), Permutation(tuple(i - dG for i in g[dG:]))
+
+
+def factor_classes(S: FiniteGroup, P: FiniteGroup | None = None):
+    """The split of S <= P = A x B along P's factors, found once per member
+    set: (S_A, S_B, pairs), with S_A and S_B the registry entries of S's
+    images in A and in B, and pairs[i] the classes of S_A and S_B holding
+    the two parts of S's class rep i.  None when P is not a direct product
+    or S does not split, |S_A|·|S_B| != |S|.  P defaults to S's root.
+
+    A split S is S_A x S_B, so each class of S is the product of the two
+    factor classes that ``pairs`` names."""
+    P = S._root if P is None else P
+    if P.factors is None:
+        return None
+    return memo(P._splits, S, _factor_classes, S, P)
+
+
+def _factor_classes(S: FiniteGroup, P: FiniteGroup):
+    A, B = P.factors
+    dA = A.degree
+    left = {g[:dA] for g in S.elements}
+    right = {g[dA:] for g in S.elements}
+    if len(left) * len(right) != S.order:
+        return None
+
+    def b_part(tail):
+        return tuple(i - dA for i in tail)
+
+    SA = A.subgroup_of(A.elements[A._index[a]] for a in left)
+    SB = B.subgroup_of(B.elements[B._index[b_part(b)]] for b in right)
+    in_a, in_b = SA.conjugacy().class_of, SB.conjugacy().class_of
+    return SA, SB, tuple((in_a[g[:dA]], in_b[b_part(g[dA:])])
+                         for g in S.conjugacy().class_reps)
 
 
 def product_pair(P: FiniteGroup, a: Permutation, b: Permutation) -> Permutation:

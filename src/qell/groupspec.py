@@ -5,13 +5,18 @@ Grammar (whitespace-insensitive; positions reported against the stripped text):
     spec   := atom ("x" atom)*
     atom   := ("S" | "A" | "C" | "D") int
             | "perm:" int ":" gens
+            | "(" spec ")"
     gens   := cycles (";" cycles)*
     cycles := ("(" int ("," int)* ")")+
 
-Points are 0-indexed.  "x" builds direct products, left-associatively.  A
-``perm:`` degree past ``MAX_PERM_DEGREE``, the default order cap (no builtin
-group under it has a larger degree), is refused before any permutation is
-built, as an order past the cap is.
+Points are 0-indexed.  "x" builds direct products, left-associatively, and
+parentheses group them: ``(S3)x(C3)`` is what ``qell op kunneth`` writes,
+and ``S3x(C2xC3)`` is the product of S3 with C2xC3.  A product's spec is
+the stripped text it was parsed from, each builtin written as its own spec
+(``C03`` is ``C3``); parentheses around a whole spec are not part of it, so
+``(S3)`` is S3.  A ``perm:`` degree past ``MAX_PERM_DEGREE``, the default
+order cap (no builtin group under it has a larger degree), is refused before
+any permutation is built, as an order past the cap is.
 """
 
 from __future__ import annotations
@@ -67,15 +72,44 @@ def parse_group_spec(text: str) -> FiniteGroup:
     if not stripped:
         raise ParseError("empty group spec", 0)
     cur = _Cursor(stripped)
-    group = _atom(cur)
-    while cur.peek() == "x":
-        cur.take()
-        right = _atom(cur)
-        group = direct_product(group, right,
-                               spec=f"{group.spec}x{right.spec}")
+    group = _spec(cur)
     if cur.pos != len(stripped):
         raise ParseError(f"unexpected {cur.peek()!r}", cur.pos)
     return group
+
+
+def _spec(cur: _Cursor) -> FiniteGroup:
+    """The spec that starts at the cursor, read up to the first character
+    that does not continue it.  Parentheses nest without recursion: an
+    operand is (group, the number of parentheses around it), and each open
+    parenthesis keeps the product to its left, or None, on a stack."""
+    stack: list = []
+    left = None
+    while True:
+        if cur.peek() == "(":
+            cur.take()
+            stack.append(left)
+            left = None
+            continue
+        operand = (_atom(cur), 0)
+        while True:
+            if left is not None:
+                spec = f"{_written(left)}x{_written(operand)}"
+                operand = (direct_product(left[0], operand[0], spec=spec), 0)
+            if cur.peek() == "x":
+                cur.take()
+                left = operand
+                break
+            if not stack:
+                return operand[0]
+            cur.expect(")")
+            left = stack.pop()
+            operand = (operand[0], operand[1] + 1)
+
+
+def _written(operand) -> str:
+    group, depth = operand
+    return "(" * depth + group.spec + ")" * depth
 
 
 def _atom(cur: _Cursor) -> FiniteGroup:
@@ -94,14 +128,14 @@ def _atom(cur: _Cursor) -> FiniteGroup:
         spec_text = cur.text[start:cur.pos]
         return make_group(degree, gens, name=spec_text, spec=spec_text)
     family = cur.peek()
-    if family in "SACD":
+    if family and family in "SACD":
         cur.take()
         n = cur.integer()
         try:
             return builtin(family, n)
         except PreconditionError as exc:
             raise ParseError(str(exc), start) from exc
-    raise ParseError(f"expected a family letter or 'perm:', got {cur.peek()!r}",
+    raise ParseError(f"expected a family letter, 'perm:' or '(', got {cur.peek()!r}",
                      cur.pos)
 
 

@@ -12,7 +12,7 @@ canonical orbit representatives and cached transport elements recorded here.
 from __future__ import annotations
 
 from .errors import InternalCheckError, NotSubgroupError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, broken_edges, memo, product_split
+from .groups import FiniteGroup, GroupHom, Permutation, broken_edges, memo
 
 
 class FiniteGSet:
@@ -118,10 +118,10 @@ def product_gset(X: FiniteGSet, Y: FiniteGSet, P: FiniteGroup) -> FiniteGSet:
     if P.factors != (X.group, Y.group):
         raise PreconditionError(
             f"{P.name} is not the direct product {X.group.name}x{Y.group.name}")
-    nY = Y.n_points
+    dX, nY = X.group.degree, Y.n_points
     table = {}
     for g in P.elements:
-        a, b = product_split(P, g)
+        a, b = g[:dX], tuple(i - dX for i in g[dX:])    # the factors' parts, as image tuples
         rowX = [X.act(a, x) for x in range(X.n_points)]
         rowY = [Y.act(b, y) for y in range(nY)]
         table[g] = tuple(rowX[x] * nY + rowY[y]

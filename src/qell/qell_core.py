@@ -41,6 +41,7 @@ from .groups import (
     GroupHom,
     Permutation,
     conjugate_subgroup,
+    factor_classes,
     make_hom,
     memo,
     product_pair,
@@ -348,7 +349,7 @@ def _kunneth_plan(sa: QEllStructure, sb: QEllStructure, P: FiniteGroup, XY: Fini
     target = structure(P, XY, sa.sctx)
     nY = sb.gset.n_points
     rows = []
-    for cb, gi, hi in zip(target.classes, *rr.factor_fusions(P, P, sa.group, sb.group)):
+    for cb, (gi, hi) in zip(target.classes, factor_classes(P)[2]):
         if product_pair(P, sa.conjugacy.class_reps[gi], sb.conjugacy.class_reps[hi]) != cb.g:
             raise InternalCheckError("product class rep is not a pair of reps")
         cbA, cbB = sa.classes[gi], sb.classes[hi]
@@ -619,7 +620,7 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
     sG = structure(G, XG, sctx)
     sH = structure(H, point_set(H), sctx)
     pieces: dict = {}     # (hi, j) -> {(gi, oa): a_i's coefficients at that slot}
-    for ci, (cb, gi, hi) in enumerate(zip(struct.classes, *rr.factor_fusions(P, P, G, H))):
+    for ci, (cb, (gi, hi)) in enumerate(zip(struct.classes, factor_classes(P)[2])):
         cbG = sG.classes[gi]
         ctxB = sH.classes[hi].ctxs[0]
         for orb, v, tctx in zip(cb.orbits, elt.components[ci], cb.ctxs):

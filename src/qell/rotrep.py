@@ -68,7 +68,7 @@ from .charmod import (
     induce_cf,
 )
 from .errors import InternalCheckError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, memo, product_split
+from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, factor_classes, memo
 from .qlaurent import ONE, QLaurent, ZERO, _reduced, collect, monomial, q_power
 
 
@@ -595,12 +595,6 @@ def _adams_column(ctx: LambdaCtx, m: int, i: int):
                          "Adams constituent carries the wrong central angle")
 
 
-def factor_fusions(S: FiniteGroup, P: FiniteGroup, A: FiniteGroup, B: FiniteGroup):
-    """The class fusions of S <= P into A and B along P's two projections."""
-    return (class_fusion(S, A, lambda x: product_split(P, x)[0]),
-            class_fusion(S, B, lambda x: product_split(P, x)[1]))
-
-
 def kunneth_columns(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx, P: FiniteGroup):
     """The checked Künneth entry (columns, inverse) from ctxA ⊗ ctxB into ctxP,
     for ctxP.group <= P the product of their groups, kept in ctxP's ``_maps``:
@@ -611,8 +605,13 @@ def kunneth_columns(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx, P: Finite
 
 def _kunneth_entry(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx, P: FiniteGroup):
     # (λ, c)⊠(λ', c') is the row λ⊠λ' of ctxP, of angle frac(c + c'), times
-    # q^⌊c + c'⌋: the product's rule, with the row found in the table.
-    parts = list(zip(*factor_fusions(ctxP.group, P, ctxA.group, ctxB.group)))
+    # q^⌊c + c'⌋: the product's rule, with the row found in the table, read
+    # at each class's pair of factor classes.
+    split = factor_classes(ctxP.group, P)
+    if split is None or split[:2] != (ctxA.group, ctxB.group):
+        raise PreconditionError("the product context's group is not the product of "
+                                "the factors' groups")
+    parts = split[2]
     p, row_of = ctxP.sctx.p, ctxP.table.row_of
     rows, inverse = [], {}
     for i, a in enumerate(ctxA.angles):

@@ -13,6 +13,7 @@ from qell.charmod import (
     _abelian_rows,
     _central_pieces,
     _class_matrix_rows,
+    _tensor_rows,
     adams_cf,
     central_angle,
     decompose,
@@ -22,7 +23,17 @@ from qell.charmod import (
 )
 from qell.errors import InternalCheckError, PreconditionError, ScalarContextError
 from qell.groupspec import parse_group_spec
-from qell.groups import GroupHom, Permutation, cyclic, dihedral, direct_product, symmetric
+from qell.groups import (
+    GroupHom,
+    Permutation,
+    all_subgroups,
+    cyclic,
+    dihedral,
+    direct_product,
+    factor_classes,
+    product_pair,
+    symmetric,
+)
 from qell.gsets import point_set
 from qell.qell_core import structure
 from strategies import small_perm_specs
@@ -383,6 +394,10 @@ def _duplicated_trivial(rows):
 # not rational (x is not conjugate to x^-1), so no split takes the integer path
 FROBENIUS_21 = "perm:7:(0,1,2,3,4,5,6);(1,2,4)(3,6,5)"
 
+# C2xS4 with no direct-product root, so that its table takes the class-matrix
+# path, which starts from its centre's table
+FLAT_C2xS4 = "perm:6:(0,1);(2,3);(2,3,4,5)"
+
 
 def _dropped_root(roots):
     """The eigenvalue search loses its last root, so an eigenspace is lost."""
@@ -432,7 +447,7 @@ def _doubled_sign(table):
      "class matrices failed to split the algebra"),
     ("charmod.character_table", symmetric(3), _doubled_sign,
      "product with a linear row is not a row of the table"),
-    ("charmod.character_table", direct_product(cyclic(2), symmetric(4)),
+    ("charmod.character_table", parse_group_spec(FLAT_C2xS4),
      _wrong_central_root, "table rows are not orthonormal"),
     ("charmod.character_table", dihedral(4), _wrong_central_root,
      "class matrices failed to split the algebra"),
@@ -641,3 +656,178 @@ def test_wide_lanes_match_the_loops(spec):
     big[0] += 1
     assert _agrees_with_reference(_combination(t, big), t, True)[0] is PreconditionError
 
+
+# -- tensor rows of the subgroups that split along a direct product -----------------
+
+def _sorted_values(G, rows):
+    """The rows' values in ``character_table``'s order: by degree, then values."""
+    e = G.conjugacy().class_index(G.identity)
+    return sorted((r.values for r in rows), key=lambda v: (v[e], v))
+
+
+def _assert_tensor_rows_are_the_class_matrix_rows(G, ctx):
+    split = factor_classes(G)
+    assert split is not None
+    assert _sorted_values(G, _tensor_rows(G, ctx, split)) == \
+        _sorted_values(G, _class_matrix_rows(G, ctx))
+
+
+@pytest.mark.parametrize("spec, n_split", [
+    ("S3xS3", 36), ("S4xS3", 180), ("D4xC2", 20), ("(S3xC2)xC3", 32)])
+def test_tensor_rows_match_class_matrices_on_every_split_subgroup(spec, n_split):
+    """Every subgroup that splits, abelian ones included, against the
+    class-matrix path; (S3xC2)xC3's first factor is itself a product, so its
+    factor tables take the tensor path too."""
+    G = parse_group_spec(spec)
+    ctx = ScalarContext.for_groups([G])
+    split = [S for S in all_subgroups(G) if factor_classes(S) is not None]
+    assert len(split) == n_split
+    for S in split:
+        _assert_tensor_rows_are_the_class_matrix_rows(S, ctx)
+
+
+_SMALL_FACTORS = st.one_of(st.sampled_from(["C1", "C2", "C3", "C4", "D2", "S3", "D4", "A4",
+                                            "S4"]),
+                           small_perm_specs(max_degree=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SMALL_FACTORS, _SMALL_FACTORS)
+def test_tensor_rows_match_class_matrices_on_small_products(left, right):
+    """A x B and every centralizer in it: each splits, as C(a, b) = C(a) x C(b),
+    and its table is the one the class-matrix path finds."""
+    P = direct_product(parse_group_spec(left), parse_group_spec(right))
+    ctx = ScalarContext.for_groups([P])
+    conj = P.conjugacy()
+    for C in {conj.centralizer(i) for i in range(conj.n_classes)}:
+        _assert_tensor_rows_are_the_class_matrix_rows(C, ctx)
+        assert [r.values for r in ctx.table(C).rows] == \
+            _sorted_values(C, _class_matrix_rows(C, ctx))
+
+
+def test_each_table_path_is_taken_where_it_applies(monkeypatch):
+    """The diagonal of S3xS3 does not split and takes the class-matrix path;
+    S3xS3 takes the tensor path; an abelian product stays on the abelian
+    path, which comes first."""
+    from qell import charmod
+    taken = []
+    for name in ("_abelian_rows", "_tensor_rows", "_class_matrix_rows"):
+        original = getattr(charmod, name)
+        monkeypatch.setattr(charmod, name, lambda G, *args, _n=name, _f=original:
+                            taken.append((_n, G.order)) or _f(G, *args))
+    S3 = symmetric(3)
+    P = direct_product(S3, S3)
+    diagonal = P.subgroup_of(product_pair(P, g, g) for g in S3.elements)
+    assert factor_classes(diagonal) is None
+    ctx = ScalarContext.for_groups([P])
+    ctx.table(diagonal)
+    assert taken == [("_class_matrix_rows", 6)]
+    taken.clear()
+    ctx.table(P)
+    assert taken == [("_tensor_rows", 36), ("_class_matrix_rows", 6)]
+    taken.clear()
+    C6xC6 = direct_product(cyclic(6), cyclic(6))
+    ScalarContext.for_groups([C6xC6]).table(C6xC6)
+    assert taken == [("_abelian_rows", 36)]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_scaled_standard, "degree squares do not sum to the group order"),
+    (_split_standard, "wrong number of irreducible characters"),
+    (_duplicated_trivial, "table rows are not orthonormal"),
+], ids=["degree-squares", "count", "orthonormality"])
+def test_a_corrupted_factor_table_fails_the_product_tables_checks(monkeypatch, corrupt,
+                                                                  message):
+    """One row of S3's table corrupted after its checks: the tensor rows of
+    S3xC2 read it, and they meet the same checks as every table."""
+    S3 = symmetric(3)
+    P = direct_product(S3, cyclic(2))
+    ctx = ScalarContext.for_groups([P])
+    factor = ctx.table(S3)
+    monkeypatch.setattr(factor, "rows", tuple(corrupt(list(factor.rows))))
+    with pytest.raises(InternalCheckError, match=message):
+        ctx.table(P)
+
+
+# -- the checks of the row builders that no corrupted table reaches ------------------
+
+def test_a_root_of_unity_of_the_wrong_order_is_refused(monkeypatch):
+    from qell import modp
+    monkeypatch.setattr(modp, "primitive_root", lambda p: 1)
+    with pytest.raises(InternalCheckError, match="^root of unity has wrong order$"):
+        ScalarContext(6, 6)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("perm:4:(0,2,1,3)", "^character value is not an s-th power$"),
+    ("C4", "^extension index does not divide N$"),
+], ids=["s-th-power", "extension-index"])
+def test_the_abelian_path_refuses_a_context_whose_N_misses_the_exponent(monkeypatch, spec,
+                                                                        message):
+    """C4 over N = 2 with the context's own check switched off.  The builtin
+    C4 adjoins its generator first, of order 4, which does not divide N.
+    Relabelled so that its involution comes first, it adjoins that (index
+    2), and then the generator, whose square carries a value of odd
+    exponent."""
+    G = parse_group_spec(spec)
+    ctx = ScalarContext.for_groups([G])
+    monkeypatch.setattr(ctx, "N", 2)
+    monkeypatch.setattr(ctx, "check_group", lambda G: None)
+    with pytest.raises(InternalCheckError, match=message):
+        ctx.table(G)
+
+
+def _pieces_from(first):
+    """A stand-in for ``_central_pieces``: one-dimensional pieces, the first
+    spanned by ``first`` and the others by the unit vectors of the classes
+    after the identity's, so that no class matrix has anything to split and
+    the rows are read off at once."""
+    def pieces(G, ctx):
+        k = G.conjugacy().n_classes
+        units = [[int(i == j) for j in range(k)] for i in range(1, k)]
+        return [([first], [0])] + [([u], [j]) for j, u in enumerate(units, 1)], []
+    return pieces
+
+
+def _degree_square(G, ctx, v):
+    """The residue |G|/Σ_c v(c)·v(c⁻¹)/|K_c| that ``_class_matrix_rows``
+    reads as χ(1)² from a central character v with v(1) = 1, or None."""
+    conj, p = G.conjugacy(), ctx.p
+    inv = conj.inverse_classes()
+    denom = sum(v[c] * v[inv[c]] * pow(size, -1, p)
+                for c, size in enumerate(conj.class_sizes)) % p
+    return G.order * pow(denom, -1, p) % p if denom else None
+
+
+def test_a_central_character_that_vanishes_at_the_identity_is_refused(monkeypatch):
+    from qell import charmod
+    G = symmetric(3)
+    ctx = ScalarContext.for_groups([G])
+    assert G.conjugacy().class_index(G.identity) == 0
+    monkeypatch.setattr(charmod, "_central_pieces", _pieces_from([0, 1, 0]))
+    with pytest.raises(InternalCheckError,
+                       match="^central character vanishes at the identity$"):
+        ctx.table(G)
+
+
+@pytest.mark.parametrize("residue, message", [
+    (False, "^degree squared is not a square mod p$"),
+    (True, "^recovered degree is out of range$"),
+], ids=["non-residue", "out-of-range"])
+def test_a_central_character_of_no_degree_is_refused(monkeypatch, residue, message):
+    """The first piece is v = (1, x, 0) on S3's classes, x the least value
+    whose degree square is a non-residue mod p, or a residue that is not the
+    square of a degree d with d² <= |G|."""
+    import math
+    from qell import charmod, modp
+    G = symmetric(3)
+    ctx = ScalarContext.for_groups([G])
+    for x in range(ctx.p):
+        d_sq = _degree_square(G, ctx, [1, x, 0])
+        if d_sq is None or (math.isqrt(d_sq) ** 2 == d_sq and d_sq <= G.order):
+            continue
+        if (modp.sqrt_mod(d_sq, ctx.p) is not None) is residue:
+            break
+    monkeypatch.setattr(charmod, "_central_pieces", _pieces_from([1, x, 0]))
+    with pytest.raises(InternalCheckError, match=message):
+        ctx.table(G)

@@ -29,6 +29,8 @@ def test_parse_builtins():
     assert parse_group_spec("C2xC3").order == 6
     assert parse_group_spec(" C2 x C3 ").order == 6      # whitespace-insensitive
     assert parse_group_spec("C2xC2xC2").order == 8
+    assert parse_group_spec("(C2)x(C3)").order == 6
+    assert parse_group_spec(" ( C2 x C3 ) x C2 ").order == 12
 
 
 def test_parse_perm_specs():
@@ -54,7 +56,8 @@ valid_specs = st.recursive(
         st.just("perm:3:(0,1)"),
         st.just("perm:4:(0,1,2,3);(0,1)"),
     ),
-    lambda inner: st.tuples(inner, inner).map(lambda t: f"{t[0]}x{t[1]}"),
+    lambda inner: st.one_of(st.tuples(inner, inner).map(lambda t: f"{t[0]}x{t[1]}"),
+                            inner.map(lambda t: f"({t})")),
     max_leaves=3,
 )
 
@@ -749,6 +752,54 @@ def test_op_kunneth_golden_bytes(tmp_path, capsys, case):
                  "--right", str(tmp_path / "right.json")]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == KUNNETH_GOLDEN_SHA256[case]
+
+
+@pytest.mark.parametrize("case", list(KUNNETH_GOLDEN_SHA256),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_a_kunneth_documents_spec_parses_to_its_group(tmp_path, capsys, case):
+    """The spec `op kunneth` writes, "(A)x(B)", and one more level of it,
+    "((A)x(B))x(C2)", parse to a direct-product root with the document's
+    spec, degree and elements."""
+    left, right, left_seed, right_seed = case
+    _seeded_point_document(tmp_path / "left.json", left, left_seed)
+    _seeded_point_document(tmp_path / "right.json", right, right_seed)
+    assert main(["unit", "--group", "C2", "--json", str(tmp_path / "c2.json")]) == 0
+    assert main(["op", "kunneth", "--left", str(tmp_path / "left.json"),
+                 "--right", str(tmp_path / "right.json"),
+                 "--json", str(tmp_path / "ab.json")]) == 0
+    assert main(["op", "kunneth", "--left", str(tmp_path / "ab.json"),
+                 "--right", str(tmp_path / "c2.json"),
+                 "--json", str(tmp_path / "abc.json")]) == 0
+    capsys.readouterr()
+    for name, spec in (("ab", f"({left})x({right})"), ("abc", f"(({left})x({right}))x(C2)")):
+        group = json.loads((tmp_path / f"{name}.json").read_text())["group"]
+        assert group["spec"] == spec
+        P = parse_group_spec(spec)
+        assert P.factors is not None and P.spec == spec
+        assert P.degree == group["degree"]
+        assert P.elements == jsonio.group_from_payload(group).elements
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("(S3", "position 3: expected ')'"),
+    ("((S3)x(C3)", "position 10: expected ')'"),
+    ("(S3)x(C3))", "position 9: unexpected ')'"),
+    ("()", "position 1: expected a family letter, 'perm:' or '(', got ')'"),
+    ("(S3)(C3)", "position 4: unexpected '('"),
+    ("(S3)x", "position 5: expected a family letter, 'perm:' or '(', got ''"),
+    ("(perm:3:(0,1)", "position 13: expected ')'"),
+])
+def test_malformed_parentheses_exit_2_with_their_position(capsys, spec, message):
+    assert main(["point", "--group", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_deeply_nested_parentheses_parse_without_recursion():
+    depth = 5000
+    assert parse_group_spec("(" * depth + "S3" + ")" * depth).spec == "S3"
+    assert parse_group_spec("(" * depth + "S3)x(C2" + ")" * depth).spec == "(S3)x(C2)"
+    with pytest.raises(ParseError, match=f"^position {depth + 2}: expected '\\)'$"):
+        parse_group_spec("(" * depth + "S3")
 
 
 # Every precondition of `qell op`: one stderr line and exit 5.  The documents

@@ -5,9 +5,12 @@ imports a name it never uses, no function defines a nested function it never
 refers to, no module-level private name goes unreferenced in the package, no
 module checks with a bare ``assert``, which ``python -O`` strips, and no module
 but ``gsets`` builds a G-set, so every table from outside is checked there.
+Every ``InternalCheckError`` of the modules in ``NAMED_CHECK_MODULES`` is named
+by a test that makes it fire.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "qell"
 PACKAGE = sorted(SRC.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
+NAMED_CHECK_MODULES = ["charmod.py"]
 
 
 def _tree(path):
@@ -143,6 +148,87 @@ def gset_constructions(tree) -> list[str]:
                          ids=lambda p: p.stem)
 def test_only_gsets_builds_a_gset(path):
     assert gset_constructions(_tree(path)) == []
+
+
+def internal_check_messages(tree) -> list[str]:
+    """The message of every ``raise InternalCheckError(...)``: a string
+    constant, or else the message's source, which no pattern is meant to name."""
+    raises = sorted((n for n in ast.walk(tree)
+                     if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                     and getattr(n.exc.func, "id", None) == "InternalCheckError"),
+                    key=lambda n: n.lineno)
+    return [arg.value if isinstance(arg, ast.Constant) else ast.unparse(arg)
+            for arg in (n.exc.args[0] for n in raises)]
+
+
+def _parametrized(fn) -> dict[str, list[str]]:
+    """A test function's parametrized arguments: name -> its string values."""
+    out: dict[str, list[str]] = {}
+    for dec in fn.decorator_list:
+        if not (isinstance(dec, ast.Call) and getattr(dec.func, "attr", None) == "parametrize"
+                and isinstance(dec.args[0], ast.Constant)):
+            continue
+        names = [name.strip() for name in dec.args[0].value.split(",")]
+        for case in getattr(dec.args[1], "elts", ()):
+            values = case.elts if len(names) > 1 and isinstance(case, ast.Tuple) else [case]
+            for name, v in zip(names, values):
+                if isinstance(v, ast.Constant) and isinstance(v.value, str):
+                    out.setdefault(name, []).append(v.value)
+    return out
+
+
+def internal_check_patterns(tree) -> list[str]:
+    """The ``match`` of every ``pytest.raises(InternalCheckError, match=...)``
+    in a test function: a string, or the values of the parametrized argument
+    it names."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = _parametrized(fn)
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "raises"
+                    and call.args and getattr(call.args[0], "id", None) == "InternalCheckError"):
+                continue
+            for kw in call.keywords:
+                if kw.arg == "match" and isinstance(kw.value, ast.Constant):
+                    out.append(kw.value.value)
+                elif kw.arg == "match" and isinstance(kw.value, ast.Name):
+                    out.extend(params.get(kw.value.id, ()))
+    return out
+
+
+def unnamed_internal_checks(module, tests) -> list[str]:
+    """The messages of ``module`` that no pattern of ``tests`` matches."""
+    patterns = [m for tree in tests for m in internal_check_patterns(tree)]
+    return [m for m in internal_check_messages(module)
+            if not any(re.search(pattern, m) for pattern in patterns)]
+
+
+@pytest.mark.parametrize("name", NAMED_CHECK_MODULES)
+def test_every_internal_check_is_named_by_a_test(name):
+    assert unnamed_internal_checks(_tree(SRC / name), [_tree(p) for p in TESTS]) == []
+
+
+def test_the_named_check_scan_sees_what_it_looks_for():
+    module = ast.parse(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise InternalCheckError('rows are wrong')\n"
+        "    raise InternalCheckError('split failed')\n"
+        "    raise InternalCheckError(f'bad {x}')\n"
+        "    raise PreconditionError('not a check')\n")
+    assert internal_check_messages(module) == ["rows are wrong", "split failed", "f'bad {x}'"]
+    tests = ast.parse(
+        "@pytest.mark.parametrize('case, message', [(1, 'split'), (2, 3)])\n"
+        "def test_a(case, message):\n"
+        "    with pytest.raises(InternalCheckError, match=message):\n"
+        "        run(case)\n"
+        "def test_b():\n"
+        "    with pytest.raises(PreconditionError, match='rows'):\n"
+        "        run()\n")
+    assert internal_check_patterns(tests) == ["split"]
+    assert unnamed_internal_checks(module, [tests]) == ["rows are wrong", "f'bad {x}'"]
 
 
 def test_the_checks_see_what_they_look_for():

@@ -399,6 +399,34 @@ def test_direct_product_classes_are_pairs():
         assert a in symmetric(3)
 
 
+def test_factor_classes_name_the_factor_classes_of_every_split_subgroup():
+    """Each subgroup S of S3xC4 that splits is S_A x S_B, registry entries of
+    the factors, and each class rep of S has its parts in the classes named;
+    the split is found once per member set, and one that does not split, or
+    a group with no direct-product root, has none."""
+    from qell.groups import factor_classes, product_split
+    S3, C4 = symmetric(3), cyclic(4)
+    P = direct_product(S3, C4)
+    assert factor_classes(P)[:2] == (S3, C4) and factor_classes(P)[0] is S3
+    n_split = 0
+    for S in all_subgroups(P):
+        split = factor_classes(S)
+        assert factor_classes(S) is split and factor_classes(S, P) is split
+        left = {product_split(P, g)[0] for g in S.elements}
+        right = {product_split(P, g)[1] for g in S.elements}
+        if len(left) * len(right) != S.order:
+            assert split is None
+            continue
+        n_split += 1
+        A, B, pairs = split
+        assert A is S3.subgroup_of(left) and B is C4.subgroup_of(right)
+        for rep, (i, j) in zip(S.conjugacy().class_reps, pairs, strict=True):
+            a, b = product_split(P, rep)
+            assert A.conjugacy().class_of[a] == i and B.conjugacy().class_of[b] == j
+    assert n_split == 6 * 3        # a subgroup of S3 times one of C4
+    assert factor_classes(S3) is None
+
+
 # -- the subgroup registry ---------------------------------------------------------
 
 # the perm: spec lists a redundant generator: (0 1) and (1 2) with the 5-cycle

@@ -503,7 +503,9 @@ def test_warm_kunneth_builds_no_gset_and_still_checks_its_arguments(monkeypatch)
     init = FiniteGSet.__init__
     monkeypatch.setattr(FiniteGSet, "__init__", lambda self, *args, **kwargs:
                         built.append(args) or init(self, *args, **kwargs))
-    monkeypatch.setattr(rr, "factor_fusions", lambda *args: pytest.fail("a fusion was formed"))
+    for module in (rr, qc):
+        monkeypatch.setattr(module, "factor_classes",
+                            lambda *args: pytest.fail("a fusion was formed"))
     _same_bytes(qc.kunneth(a, b, P, XY), cold)
     assert not built
     flat = groups.make_group(P.degree, P.generators)     # P's elements, no factors

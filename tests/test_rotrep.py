@@ -786,6 +786,21 @@ def test_warm_maps_make_no_decompositions(S3, c2_in_s3, c3_in_s3, monkeypatch):
     assert rr.kunneth_columns(ctx2, ctx3, ctxP, P) is kun
 
 
+def test_a_kunneth_entry_needs_the_factors_of_the_product_context(S3, c2_in_s3, c3_in_s3):
+    P = direct_product(c2_in_s3, c3_in_s3)
+    sctx = ScalarContext.for_groups([S3, P])
+    ctx2, ctx3, ctxP = (rr.ctx_for(sctx, G, G.identity) for G in (c2_in_s3, c3_in_s3, P))
+    with pytest.raises(PreconditionError, match="^the product context's group is not "
+                                                "the product of the factors' groups$"):
+        rr.kunneth_columns(ctx3, ctx2, ctxP, P)
+    Q = direct_product(c2_in_s3, c2_in_s3)
+    t, = c2_in_s3.generators
+    diagonal = Q.subgroup_of([Q.identity, groups.product_pair(Q, t, t)])
+    assert groups.factor_classes(diagonal) is None
+    with pytest.raises(PreconditionError, match="^the product context's group is not "):
+        rr.kunneth_columns(ctx2, ctx2, rr.ctx_for(sctx, diagonal, Q.identity), Q)
+
+
 def test_warm_group_maps_redo_no_group_work(monkeypatch):
     _warm_maps_do_no_group_work(monkeypatch, symmetric(3), regular_gset,
                                 Permutation([0, 1, 2]), 3)
