@@ -7,7 +7,8 @@ characters are honest integers below p, and virtual multiplicities sit safely
 inside the symmetric range (-p/2, p/2).  Irreducible tables come from the
 class-algebra eigenvector method, with two shortcuts tested to agree with
 it: the dual group for an abelian group, and for a subgroup that splits
-along the factors of a direct product, the products of its factors' rows.
+along the factors of a direct product, the Kronecker products of its
+factors' rows: class i of S_A x S_B is (class i // k_B, class i % k_B).
 The method starts from the centre's split, written in closed form from the
 linear characters of the centre: a central character over θ has
 ω(z·K) = θ(z)·ω(K), so the class matrices of the non-central classes only
@@ -31,7 +32,7 @@ from operator import itemgetter, mul, sub
 
 from . import modp
 from .errors import PreconditionError, ScalarContextError, InternalCheckError
-from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, factor_classes, memo
+from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, factor_split, memo
 
 
 class ScalarContext:
@@ -214,7 +215,7 @@ def character_table(G: FiniteGroup, ctx: ScalarContext) -> CharacterTable:
 
     - an abelian G takes the dual-group path (``_abelian_rows``);
     - a G that splits along the factors of its direct-product root,
-      G = G_A x G_B (``groups.factor_classes``), takes the tensor rows of
+      G = G_A x G_B (``groups.factor_split``), takes the tensor rows of
       its factors' tables (``_tensor_rows``);
     - any other G takes the class-matrix path (``_class_matrix_rows``).
 
@@ -225,7 +226,7 @@ def character_table(G: FiniteGroup, ctx: ScalarContext) -> CharacterTable:
     ctx.check_group(G)
     if G.is_abelian():
         rows = _abelian_rows(G, ctx)
-    elif (split := factor_classes(G)) is not None:
+    elif (split := factor_split(G)) is not None:
         rows = _tensor_rows(G, ctx, split)
     else:
         rows = _class_matrix_rows(G, ctx)
@@ -321,15 +322,14 @@ def _tensor_rows(G: FiniteGroup, ctx: ScalarContext, split) -> list[ClassFunctio
     """The rows χ⊠ψ of G = G_A x G_B, χ a row of G_A's table and ψ of G_B's:
     (χ⊠ψ)(a, b) = χ(a)·ψ(b) is irreducible, and these are all of G's
     irreducibles (Isaacs, Character Theory of Finite Groups, Thm 4.21).
-    ``split`` is ``groups.factor_classes(G)``; each class of G is read at
-    its pair of factor classes.  The factor tables come from ``ctx.table``,
-    so a factor that is itself a split product recurses, and a table built
-    before is reused."""
-    A, B, pairs = split
-    left, right = zip(*pairs)
-    lefts = [list(map(chi.values.__getitem__, left)) for chi in ctx.table(A).rows]
-    rights = [list(map(psi.values.__getitem__, right)) for psi in ctx.table(B).rows]
-    return [ClassFunction(G, ctx, map(mul, a, b)) for a in lefts for b in rights]
+    ``split`` is ``groups.factor_split(G)``; by the index law χ⊠ψ is the
+    Kronecker product of the two value vectors.  The factor tables come
+    from ``ctx.table``, so a factor that is itself a split product recurses,
+    and a table built before is reused."""
+    A, B = split
+    rights = [psi.values for psi in ctx.table(B).rows]
+    return [ClassFunction(G, ctx, [x * y for x in chi.values for y in psi])
+            for chi in ctx.table(A).rows for psi in rights]
 
 
 def _class_matrix_column(conj, class_i, j: int) -> tuple[tuple, tuple]:

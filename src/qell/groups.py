@@ -18,10 +18,16 @@ itself, any other's one ``transporter``: the elements of G among the maps
 that send each cycle of g onto a cycle of the same length in its G-orbit, or
 a scan of G when those maps are not clearly fewer than |G|.  Homomorphisms and G-set
 tables are checked on generator edges (``broken_edges``); a builtin family or
-product past the order cap is refused unbuilt.  A subgroup of a direct
-product that splits along its factors is split once per member set
-(``factor_classes``): its two factor subgroups and each class's pair of
-factor classes.
+product past the order cap is refused unbuilt.
+
+A direct product P = A x B lists its elements as the pairs (a, b) in
+lexicographic order, as its sorted image tuples are a's images followed by
+b's.  So the index law holds for P and for every S = S_A x S_B <= P that
+splits along the factors (``factor_split``, found once per member set):
+element i of S is (element i // |S_B| of S_A, element i % |S_B| of S_B),
+and class i of S is (class i // k_B of S_A, class i % k_B of S_B), k_B the
+class count of S_B, as the least element of cl(a) x cl(b) is the pair of
+the two class reps.  Product data is read through this law alone.
 """
 
 from __future__ import annotations
@@ -93,9 +99,10 @@ class FiniteGroup:
         self.spec = spec
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._conjugacy = None
-        # over subgroups H: (H.key(), X.key()) -> G x_H X, (H.key(),) -> H -> G
+        # (H.key(), X.key()) -> G x_H X over a subgroup H; (G.key(),) -> G's
+        # identity hom, the inclusion of every H <= G
         self._induced: dict = {}
-        self._splits: dict = {}             # on a direct product: S -> factor_classes(S)
+        self._splits: dict = {}             # on a direct product: S -> factor_split(S)
         self._root = _root or self        # the group whose registry holds self
         # on a root, member bitmask -> subgroup; the full mask is the root itself
         self._subgroups: dict = {(1 << len(self.elements)) - 1: self} if _root is None else {}
@@ -590,45 +597,26 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, spec: str | None = None) -> F
     return P
 
 
-def product_split(P: FiniteGroup, g: Permutation) -> tuple[Permutation, Permutation]:
-    """Split an element of a direct product into its two factor parts."""
-    if P.factors is None:
-        raise PreconditionError(f"{P.name} is not a direct product")
-    dG = P.factors[0].degree
-    return Permutation(g[:dG]), Permutation(tuple(i - dG for i in g[dG:]))
-
-
-def factor_classes(S: FiniteGroup, P: FiniteGroup | None = None):
-    """The split of S <= P = A x B along P's factors, found once per member
-    set: (S_A, S_B, pairs), with S_A and S_B the registry entries of S's
-    images in A and in B, and pairs[i] the classes of S_A and S_B holding
-    the two parts of S's class rep i.  None when P is not a direct product
-    or S does not split, |S_A|·|S_B| != |S|.  P defaults to S's root.
-
-    A split S is S_A x S_B, so each class of S is the product of the two
-    factor classes that ``pairs`` names."""
-    P = S._root if P is None else P
+def factor_split(S: FiniteGroup):
+    """(S_A, S_B), the registry entries of S's images in the factors of its
+    root P = A x B, when S = S_A x S_B, found once per member set by divmod
+    of the members' indices in P; None when P is not a direct product or S
+    does not split, |S_A|·|S_B| != |S|.  S's elements and classes are then
+    pairs of theirs by the index law (module docstring)."""
+    P = S._root
     if P.factors is None:
         return None
-    return memo(P._splits, S, _factor_classes, S, P)
+    return memo(P._splits, S, _factor_split, S, P)
 
 
-def _factor_classes(S: FiniteGroup, P: FiniteGroup):
+def _factor_split(S: FiniteGroup, P: FiniteGroup):
     A, B = P.factors
-    dA = A.degree
-    left = {g[:dA] for g in S.elements}
-    right = {g[dA:] for g in S.elements}
+    pairs = [divmod(P._index[g], B.order) for g in S.elements]
+    left, right = {a for a, _ in pairs}, {b for _, b in pairs}
     if len(left) * len(right) != S.order:
         return None
-
-    def b_part(tail):
-        return tuple(i - dA for i in tail)
-
-    SA = A.subgroup_of(A.elements[A._index[a]] for a in left)
-    SB = B.subgroup_of(B.elements[B._index[b_part(b)]] for b in right)
-    in_a, in_b = SA.conjugacy().class_of, SB.conjugacy().class_of
-    return SA, SB, tuple((in_a[g[:dA]], in_b[b_part(g[dA:])])
-                         for g in S.conjugacy().class_reps)
+    return (A.subgroup_of(map(A.elements.__getitem__, left)),
+            B.subgroup_of(map(B.elements.__getitem__, right)))
 
 
 def product_pair(P: FiniteGroup, a: Permutation, b: Permutation) -> Permutation:

@@ -113,19 +113,18 @@ def coset_gset(G: FiniteGroup, H: FiniteGroup) -> FiniteGSet:
 def product_gset(X: FiniteGSet, Y: FiniteGSet, P: FiniteGroup) -> FiniteGSet:
     """X x Y as a P-set for P = direct_product(X.group, Y.group).
 
-    Point (x, y) is stored at index x * |Y| + y.
+    Point (x, y) is stored at index x * |Y| + y.  Element t of P acts by
+    the rows of A's element t // |B| and B's element t % |B|, A = X.group
+    and B = Y.group (the index law of ``groups``).
     """
     if P.factors != (X.group, Y.group):
         raise PreconditionError(
             f"{P.name} is not the direct product {X.group.name}x{Y.group.name}")
-    dX, nY = X.group.degree, Y.n_points
-    table = {}
-    for g in P.elements:
-        a, b = g[:dX], tuple(i - dX for i in g[dX:])    # the factors' parts, as image tuples
-        rowX = [X.act(a, x) for x in range(X.n_points)]
-        rowY = [Y.act(b, y) for y in range(nY)]
-        table[g] = tuple(rowX[x] * nY + rowY[y]
-                         for x in range(X.n_points) for y in range(nY))
+    nB, nY = Y.group.order, Y.n_points
+    rowsX = [[x * nY for x in X._table[a]] for a in X.group.elements]
+    rowsY = [Y._table[b] for b in Y.group.elements]
+    table = {g: tuple(x + y for x in rowsX[t // nB] for y in rowsY[t % nB])
+             for t, g in enumerate(P.elements)}
     return _Derived(P, X.n_points * nY, table, name=f"{X.name}x{Y.name}")
 
 

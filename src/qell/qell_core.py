@@ -26,6 +26,10 @@ Every pullback is one map of pairs (φ: K -> G, f: X -> Y) with
 f(k·x) = φ(k)·f(x), i.e. of global quotients X//K -> Y//G (``_pullback``):
 ``pullback_hom`` is (φ, id), ``pullback_map`` is (id, f), and
 ``change_of_group`` is (H ≤ G, x ↦ [e, x]).
+
+Künneth reads G x H by the index law of ``groups``: class ci of G x H is
+(class ci // k_H of G, class ci % k_H of H), and point t of X x Y is
+divmod(t, |Y|), both checked at the reps; ``trivial_split`` reads that plan.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .groups import (
     GroupHom,
     Permutation,
     conjugate_subgroup,
-    factor_classes,
     make_hom,
     memo,
     product_pair,
@@ -104,8 +107,10 @@ class QEllStructure:
 
 
 def structure(G: FiniteGroup, X: FiniteGSet, sctx: ScalarContext) -> QEllStructure:
-    """Cached structure constructor (one object per (G, X) and context)."""
-    return memo(sctx._structures, (G.key(), X.key()), QEllStructure, G, X, sctx)
+    """Cached structure constructor: one object per context, G with its
+    presentation (generators and spec, which a document writes back), and X."""
+    return memo(sctx._structures, (G.key(), G.generators, G.spec, X.key()),
+                QEllStructure, G, X, sctx)
 
 
 class QEllElt:
@@ -323,7 +328,7 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
     """The multiplicative external product landing in QEll_{GxH}(X x Y): at
     each pair of reps, the factors' components through their Künneth entry.
     The plan lists, per target (class, orbit), the factors' (class, orbit)
-    pair and the entry."""
+    pair and the entry (columns, inverse)."""
     sa, sb = a.structure, b.structure
     # P's factors and sb's context are no part of the plan's key: checked per call
     if P.factors is None:
@@ -337,7 +342,7 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
     ca, cb = a.components, b.components
     return QEllElt(target, tuple(
         tuple(rr.apply_product(ca[gi][oa], cb[hi][ob], tctx, columns)
-              for (gi, oa, hi, ob, columns), tctx in zip(row, tcb.ctxs))
+              for (gi, oa, hi, ob, (columns, _)), tctx in zip(row, tcb.ctxs))
         for row, tcb in zip(rows, target.classes)))
 
 
@@ -347,9 +352,10 @@ def _kunneth_plan(sa: QEllStructure, sb: QEllStructure, P: FiniteGroup, XY: Fini
     if sa.sctx is not sb.sctx:      # so that no entry joins two contexts
         raise PreconditionError("factors built over different scalar contexts")
     target = structure(P, XY, sa.sctx)
-    nY = sb.gset.n_points
+    nY, kH = sb.gset.n_points, sb.conjugacy.n_classes
     rows = []
-    for cb, (gi, hi) in zip(target.classes, factor_classes(P)[2]):
+    for ci, cb in enumerate(target.classes):
+        gi, hi = divmod(ci, kH)
         if product_pair(P, sa.conjugacy.class_reps[gi], sb.conjugacy.class_reps[hi]) != cb.g:
             raise InternalCheckError("product class rep is not a pair of reps")
         cbA, cbB = sa.classes[gi], sb.classes[hi]
@@ -359,8 +365,7 @@ def _kunneth_plan(sa: QEllStructure, sb: QEllStructure, P: FiniteGroup, XY: Fini
             oa, ob = cbA.orbit_of_point[x], cbB.orbit_of_point[y]
             if cbA.orbits[oa].rep != x or cbB.orbits[ob].rep != y:
                 raise InternalCheckError("product orbit rep is not a pair of reps")
-            columns, _ = rr.kunneth_columns(cbA.ctxs[oa], cbB.ctxs[ob], tctx, P)
-            row.append((gi, oa, hi, ob, columns))
+            row.append((gi, oa, hi, ob, rr.kunneth_columns(cbA.ctxs[oa], cbB.ctxs[ob], tctx)))
         rows.append(tuple(row))
     return target, tuple(rows)
 
@@ -381,7 +386,7 @@ def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
 
 def _change_of_group_plan(src: QEllStructure, G: FiniteGroup, H: FiniteGroup,
                           X: FiniteGSet) -> tuple:
-    incl = memo(G._induced, (H.key(),), _inclusion, H, G)
+    incl = _inclusion(H, G)
     Z = induced_gset(G, H, X)
     if src.gset != Z:
         raise PreconditionError("element does not live on the induced G-set")
@@ -599,10 +604,11 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
 
     Returns pairs (a_i, b_i) with Σ kunneth(a_i, b_i) equal to the input;
     b_i runs over the canonical basis of QEll_H(pt).  As H acts trivially,
-    a (class, orbit) is a G-slot (gi, oa) and an H-class hi, its stabilizer
-    the product of theirs: the Künneth index (i, j) -> k is a bijection, read
-    backwards by the entry's inverse, and the slots of one piece (hi, j) are
-    disjoint, so each input coefficient is written once.
+    X is X_G x pt for X_G = X via G -> G x H, so the Künneth plan of
+    (QEll_G(X_G), QEll_H(pt)) names each (class, orbit)'s G-slot (gi, oa),
+    H-class hi and entry, checked there: the entry's index (i, j) -> k is a
+    bijection, read backwards by its inverse, and the slots of one piece
+    (hi, j) are disjoint, so each input coefficient is written once.
     """
     struct = elt.structure
     P = struct.group
@@ -619,19 +625,16 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
     XG = X.via_hom(make_hom(G, P, [product_pair(P, a, H.identity) for a in G.generators]))
     sG = structure(G, XG, sctx)
     sH = structure(H, point_set(H), sctx)
+    _, rows = memo(sG._plans, ("kunneth", sH, P, X), _kunneth_plan, sG, sH, P, X)
     pieces: dict = {}     # (hi, j) -> {(gi, oa): a_i's coefficients at that slot}
-    for ci, (cb, (gi, hi)) in enumerate(zip(struct.classes, factor_classes(P)[2])):
-        cbG = sG.classes[gi]
-        ctxB = sH.classes[hi].ctxs[0]
-        for orb, v, tctx in zip(cb.orbits, elt.components[ci], cb.ctxs):
-            oa = cbG.orbit_of_point[orb.rep]
-            ctxA = cbG.ctxs[oa]
-            _, inverse = rr.kunneth_columns(ctxA, ctxB, tctx, P)
+    for row, comp in zip(rows, elt.components):
+        for (gi, oa, hi, _, (_, inverse)), v in zip(row, comp):
             for k, f in enumerate(v.coeffs):
                 if f.num:
                     i, j, shift = inverse[k]
                     piece = pieces.setdefault((hi, j), {})
-                    slot = piece.get((gi, oa)) or piece.setdefault((gi, oa), [ZERO] * ctxA.rank)
+                    slot = piece.get((gi, oa)) or piece.setdefault(
+                        (gi, oa), [ZERO] * sG.classes[gi].ctxs[oa].rank)
                     slot[i] = f.shift(-shift)
     out = []
     for (hi, j), piece in sorted(pieces.items()):

@@ -26,8 +26,10 @@ an integer (asserted at runtime).  n is 1 except for μ^n.
   T canonical sums.
 * Künneth: (λ,c)⊠(λ',c') over a product context is the row λ⊠λ' of its
   table, angle frac(c+c'), times q^⌊c+c'⌋: the product's rule with one
-  constituent found by its values.  Its entry (``kunneth_columns``) is
-  applied by the product's kernel, and its inverse splits an element back.
+  constituent found by its values, the Kronecker product of λ's and λ''s:
+  class i of S_A x S_B is (class i // k_B, class i % k_B).  Its entry
+  (``kunneth_columns``) is applied by the product's kernel, and its inverse
+  splits an element back.
 * Adams ψ^m: group elements [h,t] power to [h^m, mt], so ψ^m sends q to q^m,
   coefficients f(q) to f(q^m), and (λ,c), of weight mc, to the constituents
   of ψ^m λ.
@@ -68,7 +70,7 @@ from .charmod import (
     induce_cf,
 )
 from .errors import InternalCheckError, PreconditionError
-from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, factor_classes, memo
+from .groups import FiniteGroup, GroupHom, Permutation, class_fusion, factor_split, memo
 from .qlaurent import ONE, QLaurent, ZERO, _reduced, collect, monomial, q_power
 
 
@@ -595,23 +597,22 @@ def _adams_column(ctx: LambdaCtx, m: int, i: int):
                          "Adams constituent carries the wrong central angle")
 
 
-def kunneth_columns(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx, P: FiniteGroup):
+def kunneth_columns(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx):
     """The checked Künneth entry (columns, inverse) from ctxA ⊗ ctxB into ctxP,
-    for ctxP.group <= P the product of their groups, kept in ctxP's ``_maps``:
-    columns(i, j) is the column ((k, q^shift),) of rows i ⊠ j, for
-    ``apply_product``, and inverse[k] is (i, j, shift)."""
-    return memo(ctxP._maps, ("kun", ctxA, ctxB), _kunneth_entry, ctxA, ctxB, ctxP, P)
+    whose group splits along the factors of its direct-product root as
+    ctxA's group x ctxB's, kept in ctxP's ``_maps``: columns(i, j) is the
+    column ((k, q^shift),) of rows i ⊠ j, for ``apply_product``, and
+    inverse[k] is (i, j, shift)."""
+    return memo(ctxP._maps, ("kun", ctxA, ctxB), _kunneth_entry, ctxA, ctxB, ctxP)
 
 
-def _kunneth_entry(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx, P: FiniteGroup):
+def _kunneth_entry(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx):
     # (λ, c)⊠(λ', c') is the row λ⊠λ' of ctxP, of angle frac(c + c'), times
-    # q^⌊c + c'⌋: the product's rule, with the row found in the table, read
-    # at each class's pair of factor classes.
-    split = factor_classes(ctxP.group, P)
-    if split is None or split[:2] != (ctxA.group, ctxB.group):
+    # q^⌊c + c'⌋: the product's rule, with the row found in the table as the
+    # Kronecker product of the two rows' values.
+    if factor_split(ctxP.group) != (ctxA.group, ctxB.group):
         raise PreconditionError("the product context's group is not the product of "
                                 "the factors' groups")
-    parts = split[2]
     p, row_of = ctxP.sctx.p, ctxP.table.row_of
     rows, inverse = [], {}
     for i, a in enumerate(ctxA.angles):
@@ -619,7 +620,7 @@ def _kunneth_entry(ctxA: LambdaCtx, ctxB: LambdaCtx, ctxP: LambdaCtx, P: FiniteG
         row = []
         for j, b in enumerate(ctxB.angles):
             vb = ctxB.table.rows[j].values
-            k = row_of.get(tuple(va[x] * vb[y] % p for x, y in parts))
+            k = row_of.get(tuple(x * y % p for x in va for y in vb))
             if k is None:
                 raise InternalCheckError("class function is not a row of the table")
             c = a + b

@@ -30,7 +30,7 @@ from qell.groups import (
     cyclic,
     dihedral,
     direct_product,
-    factor_classes,
+    factor_split,
     product_pair,
     symmetric,
 )
@@ -666,7 +666,7 @@ def _sorted_values(G, rows):
 
 
 def _assert_tensor_rows_are_the_class_matrix_rows(G, ctx):
-    split = factor_classes(G)
+    split = factor_split(G)
     assert split is not None
     assert _sorted_values(G, _tensor_rows(G, ctx, split)) == \
         _sorted_values(G, _class_matrix_rows(G, ctx))
@@ -680,7 +680,7 @@ def test_tensor_rows_match_class_matrices_on_every_split_subgroup(spec, n_split)
     factor tables take the tensor path too."""
     G = parse_group_spec(spec)
     ctx = ScalarContext.for_groups([G])
-    split = [S for S in all_subgroups(G) if factor_classes(S) is not None]
+    split = [S for S in all_subgroups(G) if factor_split(S) is not None]
     assert len(split) == n_split
     for S in split:
         _assert_tensor_rows_are_the_class_matrix_rows(S, ctx)
@@ -718,7 +718,7 @@ def test_each_table_path_is_taken_where_it_applies(monkeypatch):
     S3 = symmetric(3)
     P = direct_product(S3, S3)
     diagonal = P.subgroup_of(product_pair(P, g, g) for g in S3.elements)
-    assert factor_classes(diagonal) is None
+    assert factor_split(diagonal) is None
     ctx = ScalarContext.for_groups([P])
     ctx.table(diagonal)
     assert taken == [("_class_matrix_rows", 6)]

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qell"
 PACKAGE = sorted(SRC.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
-NAMED_CHECK_MODULES = ["charmod.py"]
+NAMED_CHECK_MODULES = ["charmod.py", "groups.py", "gsets.py"]
 
 
 def _tree(path):
@@ -150,14 +150,31 @@ def test_only_gsets_builds_a_gset(path):
     assert gset_constructions(_tree(path)) == []
 
 
+def _string_constants(tree) -> dict[str, str]:
+    """The module-level names bound once, each to a string constant."""
+    bound: dict[str, list] = {}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+        for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+            bound.setdefault(name, []).append(node.value)
+    return {name: values[0].value for name, values in bound.items()
+            if len(values) == 1 and isinstance(values[0], ast.Constant)
+            and isinstance(values[0].value, str)}
+
+
 def internal_check_messages(tree) -> list[str]:
     """The message of every ``raise InternalCheckError(...)``: a string
-    constant, or else the message's source, which no pattern is meant to name."""
+    constant, or a module-level name bound once to one, or else the
+    message's source, which no pattern is meant to name."""
+    constants = _string_constants(tree)
     raises = sorted((n for n in ast.walk(tree)
                      if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
                      and getattr(n.exc.func, "id", None) == "InternalCheckError"),
                     key=lambda n: n.lineno)
-    return [arg.value if isinstance(arg, ast.Constant) else ast.unparse(arg)
+    return [arg.value if isinstance(arg, ast.Constant)
+            else constants.get(arg.id, arg.id) if isinstance(arg, ast.Name)
+            else ast.unparse(arg)
             for arg in (n.exc.args[0] for n in raises)]
 
 
@@ -212,13 +229,20 @@ def test_every_internal_check_is_named_by_a_test(name):
 
 def test_the_named_check_scan_sees_what_it_looks_for():
     module = ast.parse(
-        "def f(x):\n"
+        "_ANGLE = 'angle is wrong'\n"
+        "_TWICE = 'first'\n"
+        "def f(x, message):\n"
         "    if x:\n"
         "        raise InternalCheckError('rows are wrong')\n"
         "    raise InternalCheckError('split failed')\n"
         "    raise InternalCheckError(f'bad {x}')\n"
-        "    raise PreconditionError('not a check')\n")
-    assert internal_check_messages(module) == ["rows are wrong", "split failed", "f'bad {x}'"]
+        "    raise PreconditionError('not a check')\n"
+        "    raise InternalCheckError(_ANGLE)\n"
+        "    raise InternalCheckError(message)\n"
+        "    raise InternalCheckError(_TWICE)\n"
+        "_TWICE = 'second'\n")
+    assert internal_check_messages(module) == [
+        "rows are wrong", "split failed", "f'bad {x}'", "angle is wrong", "message", "_TWICE"]
     tests = ast.parse(
         "@pytest.mark.parametrize('case, message', [(1, 'split'), (2, 3)])\n"
         "def test_a(case, message):\n"
@@ -228,7 +252,8 @@ def test_the_named_check_scan_sees_what_it_looks_for():
         "    with pytest.raises(PreconditionError, match='rows'):\n"
         "        run()\n")
     assert internal_check_patterns(tests) == ["split"]
-    assert unnamed_internal_checks(module, [tests]) == ["rows are wrong", "f'bad {x}'"]
+    assert unnamed_internal_checks(module, [tests]) == [
+        "rows are wrong", "f'bad {x}'", "angle is wrong", "message", "_TWICE"]
 
 
 def test_the_checks_see_what_they_look_for():

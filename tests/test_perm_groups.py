@@ -13,6 +13,7 @@ from qell import qell_core as qc
 from qell.charmod import ScalarContext
 from qell.errors import (
     GroupTooLargeError,
+    InternalCheckError,
     InvalidGeneratorError,
     NotHomomorphismError,
     NotSubgroupError,
@@ -28,6 +29,7 @@ from qell.groups import (
     cyclic,
     dihedral,
     direct_product,
+    factor_split,
     make_group,
     make_hom,
     symmetric,
@@ -57,6 +59,15 @@ def test_make_group_s3():
     assert G.order == 6
     assert G.elements[0] == identity(3)
     assert sorted(G.elements) == list(G.elements)
+
+
+def test_a_class_walk_that_misses_an_element_fails_its_check(S3):
+    """An element list holding the identity twice: the walk meets the copy
+    in no class, so the class sizes fall one short of the list's length."""
+    G = FiniteGroup(3, S3.generators, _elements=S3.elements + (S3.identity,))
+    assert G.order == 7
+    with pytest.raises(InternalCheckError, match="^class sizes do not sum to the group order$"):
+        G.conjugacy()
 
 
 @pytest.mark.parametrize("p", [from_cycles(5, [(0, 1, 2), (3, 4)]), identity(4), identity(0)],
@@ -389,42 +400,80 @@ def test_all_subgroups_one_closure_per_coset(spec):
     assert all(G.subgroup_of(H.elements) is H for H in subs)
 
 
+def _parts(P, g):
+    """The two factor parts of an element of P = A x B, sliced off its image
+    tuple: the oracle the index law is checked against."""
+    d = P.factors[0].degree
+    return g[:d], tuple(i - d for i in g[d:])
+
+
 def test_direct_product_classes_are_pairs():
-    P = direct_product(symmetric(3), cyclic(2))
+    """Class i of S3xC2 is the pair of S3's class i // 2 and C2's class i % 2."""
+    S3, C2 = symmetric(3), cyclic(2)
+    P = direct_product(S3, C2)
     conj = P.conjugacy()
     assert conj.n_classes == 6
-    from qell.groups import product_split
-    for rep in conj.class_reps:
-        a, b = product_split(P, rep)
-        assert a in symmetric(3)
+    for ci, rep in enumerate(conj.class_reps):
+        gi, hi = divmod(ci, 2)
+        assert _parts(P, rep) == (S3.conjugacy().class_reps[gi], C2.conjugacy().class_reps[hi])
 
 
-def test_factor_classes_name_the_factor_classes_of_every_split_subgroup():
+def test_factor_split_finds_each_split_subgroup_once():
     """Each subgroup S of S3xC4 that splits is S_A x S_B, registry entries of
-    the factors, and each class rep of S has its parts in the classes named;
-    the split is found once per member set, and one that does not split, or
-    a group with no direct-product root, has none."""
-    from qell.groups import factor_classes, product_split
+    the factors' images; the split is found once per member set, and one
+    that does not split, or a group with no direct-product root, has none."""
     S3, C4 = symmetric(3), cyclic(4)
     P = direct_product(S3, C4)
-    assert factor_classes(P)[:2] == (S3, C4) and factor_classes(P)[0] is S3
+    assert factor_split(P) == (S3, C4) and factor_split(P)[0] is S3
     n_split = 0
     for S in all_subgroups(P):
-        split = factor_classes(S)
-        assert factor_classes(S) is split and factor_classes(S, P) is split
-        left = {product_split(P, g)[0] for g in S.elements}
-        right = {product_split(P, g)[1] for g in S.elements}
+        split = factor_split(S)
+        assert factor_split(S) is split
+        left = {_parts(P, g)[0] for g in S.elements}
+        right = {_parts(P, g)[1] for g in S.elements}
         if len(left) * len(right) != S.order:
             assert split is None
             continue
         n_split += 1
-        A, B, pairs = split
-        assert A is S3.subgroup_of(left) and B is C4.subgroup_of(right)
-        for rep, (i, j) in zip(S.conjugacy().class_reps, pairs, strict=True):
-            a, b = product_split(P, rep)
-            assert A.conjugacy().class_of[a] == i and B.conjugacy().class_of[b] == j
+        assert split[0] is S3.subgroup_of(left) and split[1] is C4.subgroup_of(right)
+        _assert_the_index_law(S)
     assert n_split == 6 * 3        # a subgroup of S3 times one of C4
-    assert factor_classes(S3) is None
+    assert factor_split(S3) is None
+
+
+def _assert_the_index_law(S):
+    """Element i of a split S is (S_A's element i // |S_B|, S_B's element
+    i % |S_B|), and class i is (S_A's class i // k_B, S_B's class i % k_B):
+    checked against each element's parts and the factors' class maps."""
+    SA, SB = factor_split(S)
+    P, kB = S._root, SB.conjugacy().n_classes
+    assert [_parts(P, g) for g in S.elements] == \
+        [(SA.elements[i // SB.order], SB.elements[i % SB.order]) for i in range(S.order)]
+    in_a, in_b = SA.conjugacy().class_of, SB.conjugacy().class_of
+    pairs = [_parts(P, g) for g in S.conjugacy().class_reps]
+    assert [(in_a[a], in_b[b]) for a, b in pairs] == \
+        [divmod(i, kB) for i in range(len(pairs))]
+
+
+_LAW_FACTORS = st.one_of(st.sampled_from(["C1", "C2", "C3", "C4", "D2", "S3", "D4", "A4", "S4",
+                                          "(S3xC2)"]),
+                         small_perm_specs(max_degree=4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_LAW_FACTORS, _LAW_FACTORS)
+def test_the_index_law_holds_on_every_split_subgroup(left, right):
+    """Every split subgroup of A x B is S_A x S_B for S_A <= A and S_B <= B,
+    and ``factor_split`` finds those two; (S3xC2) is itself a product, so a
+    product with it is nested."""
+    A, B = parse_group_spec(left), parse_group_spec(right)
+    P = direct_product(A, B)
+    for SA in all_subgroups(A):
+        for SB in all_subgroups(B):
+            S = P.subgroup_of(groups.product_pair(P, a, b) for a in SA.elements
+                              for b in SB.elements)
+            assert factor_split(S) == (SA, SB)
+            _assert_the_index_law(S)
 
 
 # -- the subgroup registry ---------------------------------------------------------

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from qell import groups
+from qell import groups, jsonio
 from qell import qell_core as qc
 from qell import rotrep as rr
 from qell import verify
 from qell.charmod import ScalarContext, central_angle
 from qell.errors import InternalCheckError, PreconditionError
+from qell.groupspec import parse_group_spec
 from qell.groups import (
     GroupHom,
     cyclic,
@@ -52,6 +53,28 @@ def test_structure_s3_point_ranks(s3_point):
     for cb in s3_point.classes:
         assert len(cb.orbits) == 1
         assert cb.orbits[0].stabilizer == cb.centralizer
+
+
+def test_one_structure_per_presentation_of_a_group():
+    """S3 read from two documents with different generators: the group is
+    the same set of elements, but each document's element writes back its
+    own group, so each presentation has its own structure."""
+    docs = []
+    for spec in ("perm:3:(0,1);(0,1,2)", "perm:3:(1,2);(0,1,2)"):
+        G = parse_group_spec(spec)
+        st = qc.structure(G, point_set(G), ScalarContext.for_groups([G]))
+        docs.append(jsonio.element_payload(qc.random_element(st, random.Random(2))))
+    assert docs[0]["group"] != docs[1]["group"]
+    first = jsonio.group_from_payload(docs[0]["group"])
+    sctx = ScalarContext.for_groups([first])
+    for doc in docs:
+        elt = jsonio.element_from_payload(doc, jsonio.group_from_payload(doc["group"]), sctx)
+        assert jsonio.element_payload(elt) == doc
+    S3, other = (jsonio.group_from_payload(doc["group"]) for doc in docs)
+    assert S3 == other
+    assert qc.structure(S3, point_set(S3), sctx) == qc.structure(other, point_set(other), sctx)
+    assert qc.structure(S3, point_set(S3), sctx) is not \
+        qc.structure(other, point_set(other), sctx)
 
 
 def test_structure_free_regular_set():
@@ -503,9 +526,7 @@ def test_warm_kunneth_builds_no_gset_and_still_checks_its_arguments(monkeypatch)
     init = FiniteGSet.__init__
     monkeypatch.setattr(FiniteGSet, "__init__", lambda self, *args, **kwargs:
                         built.append(args) or init(self, *args, **kwargs))
-    for module in (rr, qc):
-        monkeypatch.setattr(module, "factor_classes",
-                            lambda *args: pytest.fail("a fusion was formed"))
+    monkeypatch.setattr(rr, "factor_split", lambda *args: pytest.fail("a split was formed"))
     _same_bytes(qc.kunneth(a, b, P, XY), cold)
     assert not built
     flat = groups.make_group(P.degree, P.generators)     # P's elements, no factors
@@ -521,14 +542,20 @@ def test_warm_kunneth_builds_no_gset_and_still_checks_its_arguments(monkeypatch)
 
 
 # Künneth and the trivial split against the bodies they had when the index
-# table was built in qell_core: the external product character's row looked
-# up in the product's table, and the coefficients multiplied and shifted as
-# QLaurents, pair by pair.
+# table was built in qell_core: each class rep's two parts sliced off its
+# image tuple and looked up in the factors' classes, the external product
+# character's row looked up in the product's table, and the coefficients
+# multiplied and shifted as QLaurents, pair by pair.
+
+def _part(P, side):
+    """The map from P = A x B onto its factor ``side`` (0 or 1), on image tuples."""
+    d = P.factors[0].degree
+    return (lambda x: x[:d]) if side == 0 else (lambda x: tuple(i - d for i in x[d:]))
+
 
 def _old_kunneth_table(ctxA, ctxB, ctxP, P):
-    parts = list(zip(
-        groups.class_fusion(ctxP.group, ctxA.group, lambda x: groups.product_split(P, x)[0]),
-        groups.class_fusion(ctxP.group, ctxB.group, lambda x: groups.product_split(P, x)[1])))
+    parts = list(zip(groups.class_fusion(ctxP.group, ctxA.group, _part(P, 0)),
+                     groups.class_fusion(ctxP.group, ctxB.group, _part(P, 1))))
     table, p = {}, ctxP.sctx.p
     for i in range(ctxA.rank):
         va = ctxA.table.rows[i].values
@@ -543,8 +570,8 @@ def _old_kunneth_table(ctxA, ctxB, ctxP, P):
 
 def _factor_classes(P, sa, sb):
     """Per class of P: the classes of its two factors."""
-    return zip(groups.class_fusion(P, sa.group, lambda x: groups.product_split(P, x)[0]),
-               groups.class_fusion(P, sb.group, lambda x: groups.product_split(P, x)[1]))
+    return zip(groups.class_fusion(P, sa.group, _part(P, 0)),
+               groups.class_fusion(P, sb.group, _part(P, 1)))
 
 
 def _old_kunneth(a, b, P, XY):
@@ -654,6 +681,9 @@ def test_a_warm_kunneth_stores_no_new_entry():
 
 
 # Each of Künneth's internal checks, on a corrupted copy of the data it reads.
+# The class-rep, orbit-rep and angle checks guard the index law: a factor's
+# class reps out of order, a factor's points sent to the wrong orbits, or
+# the product context's angles off, each fail there.
 
 def _corrupt_row_lookup(monkeypatch, a, b, target):
     for cb in target.classes:
@@ -670,21 +700,58 @@ def _corrupt_class_rep(monkeypatch, a, b, target):
     monkeypatch.setattr(qc, "product_pair", lambda P, g, h: P.identity)
 
 
+def _reverse_factor_class_reps(monkeypatch, a, b, target):
+    conj = a.structure.conjugacy
+    monkeypatch.setattr(conj, "class_reps", conj.class_reps[::-1])
+
+
 def _corrupt_orbit_rep(monkeypatch, a, b, target):
     monkeypatch.setattr(a.structure.classes[0].orbits[0], "rep", 1)
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (_corrupt_row_lookup, "class function is not a row of the table"),
-    (_corrupt_product_angle, "product basis element has wrong angle"),
-    (_corrupt_class_rep, "product class rep is not a pair of reps"),
-    (_corrupt_orbit_rep, "product orbit rep is not a pair of reps"),
-], ids=["row", "angle", "class-rep", "orbit-rep"])
-def test_kunneth_internal_checks(monkeypatch, corrupt, message):
-    a, b, P, XY, target = _kunneth_case(None, None)
+def _reverse_factor_orbit_of_point(monkeypatch, a, b, target):
+    for cb in a.structure.classes:
+        last = len(cb.orbits) - 1
+        monkeypatch.setattr(cb, "orbit_of_point",
+                            {x: last - oi for x, oi in cb.orbit_of_point.items()})
+
+
+def _s3_mod_c3(S3):
+    """S3/C3: the 3-cycles fix both points, two orbits of their centralizer."""
+    return coset_gset(S3, S3.subgroup([groups.Permutation([1, 2, 0])]))
+
+
+_KUNNETH_FAULTS = [
+    (_corrupt_row_lookup, None, "class function is not a row of the table"),
+    (_corrupt_product_angle, None, "product basis element has wrong angle"),
+    (_corrupt_class_rep, None, "product class rep is not a pair of reps"),
+    (_reverse_factor_class_reps, None, "product class rep is not a pair of reps"),
+    (_corrupt_orbit_rep, None, "product orbit rep is not a pair of reps"),
+    (_reverse_factor_orbit_of_point, _s3_mod_c3, "product orbit rep is not a pair of reps"),
+]
+_KUNNETH_FAULT_IDS = ["row", "angle", "class-rep", "class-rep-order", "orbit-rep",
+                      "orbit-of-point"]
+
+
+@pytest.mark.parametrize("corrupt, space, message", _KUNNETH_FAULTS, ids=_KUNNETH_FAULT_IDS)
+def test_kunneth_internal_checks(monkeypatch, corrupt, space, message):
+    a, b, P, XY, target = _kunneth_case(space, None)
     corrupt(monkeypatch, a, b, target)
-    with pytest.raises(InternalCheckError) as err:
+    with pytest.raises(InternalCheckError, match=message) as err:
         qc.kunneth(a, b, P, XY)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("corrupt, space, message", _KUNNETH_FAULTS, ids=_KUNNETH_FAULT_IDS)
+def test_trivial_split_reads_the_checked_kunneth_plan(monkeypatch, corrupt, space, message):
+    """An element over S3xC2 with C2 on the point splits through the Künneth
+    plan of QEll_{S3}(X) and QEll_{C2}(pt), the structures ``a`` and ``b``
+    live on, so the plan's checks guard the split too."""
+    a, b, P, XY, target = _kunneth_case(space, None)
+    elt = qc.random_element(target, random.Random(9))
+    corrupt(monkeypatch, a, b, target)
+    with pytest.raises(InternalCheckError, match=message) as err:
+        qc.trivial_split(elt)
     assert str(err.value) == message
 
 
@@ -730,17 +797,19 @@ def test_cog_checks_that_e_x_is_point_x(S3, c3_in_s3, monkeypatch):
 
 
 def test_cog_checks_its_inclusion_once_and_stores_no_failure(S3, c3_in_s3):
-    """The inclusion H <= G is kept on G after its check; a subgroup of
-    another group is refused whether or not a good inclusion is warm."""
+    """The inclusion H <= G, G's identity hom, is kept on G after its check;
+    a subgroup of another group is refused whether or not a good inclusion
+    is warm."""
     G = symmetric(4)
     sctx = ScalarContext.for_groups([G])
     H = G.subgroup([groups.Permutation([1, 0, 2, 3])])
     X = point_set(H)
     z = qc.change_of_group_inverse(G, H, X, qc.structure(H, X, sctx).unit())
     assert qc.change_of_group(G, H, X, z) == qc.structure(H, X, sctx).unit()
-    incl = G._induced[(H.key(),)]
+    incl = G._induced[(G.key(),)]
+    assert incl.domain is G and (H.key(),) not in G._induced
     assert qc.change_of_group(G, H, X, z) == qc.structure(H, X, sctx).unit()
-    assert G._induced[(H.key(),)] is incl
+    assert G._induced[(G.key(),)] is incl
     stored = dict(G._induced)
     for K in (S3, c3_in_s3):            # degree 3: no subgroup of S4
         with pytest.raises(PreconditionError, match="is not a subgroup of"):

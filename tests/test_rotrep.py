@@ -782,8 +782,8 @@ def test_warm_maps_make_no_decompositions(S3, c2_in_s3, c3_in_s3, monkeypatch):
         assert fn() == cold[name], name
         assert not calls, name
     ctxP = rr.ctx_for(sctx, P, P.identity)
-    kun = rr.kunneth_columns(ctx2, ctx3, ctxP, P)
-    assert rr.kunneth_columns(ctx2, ctx3, ctxP, P) is kun
+    kun = rr.kunneth_columns(ctx2, ctx3, ctxP)
+    assert rr.kunneth_columns(ctx2, ctx3, ctxP) is kun
 
 
 def test_a_kunneth_entry_needs_the_factors_of_the_product_context(S3, c2_in_s3, c3_in_s3):
@@ -792,13 +792,13 @@ def test_a_kunneth_entry_needs_the_factors_of_the_product_context(S3, c2_in_s3, 
     ctx2, ctx3, ctxP = (rr.ctx_for(sctx, G, G.identity) for G in (c2_in_s3, c3_in_s3, P))
     with pytest.raises(PreconditionError, match="^the product context's group is not "
                                                 "the product of the factors' groups$"):
-        rr.kunneth_columns(ctx3, ctx2, ctxP, P)
+        rr.kunneth_columns(ctx3, ctx2, ctxP)
     Q = direct_product(c2_in_s3, c2_in_s3)
     t, = c2_in_s3.generators
     diagonal = Q.subgroup_of([Q.identity, groups.product_pair(Q, t, t)])
-    assert groups.factor_classes(diagonal) is None
+    assert groups.factor_split(diagonal) is None
     with pytest.raises(PreconditionError, match="^the product context's group is not "):
-        rr.kunneth_columns(ctx2, ctx2, rr.ctx_for(sctx, diagonal, Q.identity), Q)
+        rr.kunneth_columns(ctx2, ctx2, rr.ctx_for(sctx, diagonal, Q.identity))
 
 
 def test_warm_group_maps_redo_no_group_work(monkeypatch):
