@@ -145,24 +145,17 @@ def cmd_point(args) -> int:
         ctx = cb.ctxs[0]
         basis = ", ".join(f"deg {ctx.table.degree(i)} @ {ctx.angles[i]}"
                           for i in range(ctx.rank))
-        print(f"\nclass rep {cb.g!r} (order {cb.g.order()}, "
+        print(f"\nclass rep {cb.g!r} (order {cb.order}, "
               f"centralizer order {cb.centralizer.order})")
         print(f"  rank {ctx.rank}; basis [{basis}]")
         if ctx.rank <= MAX_PRINTED_RANK:
             for i in range(ctx.rank):
-                cells = []
-                for j in range(ctx.rank):
-                    prod = ctx.basis_elt(i) * ctx.basis_elt(j)
-                    cells.append(_short_elt(prod))
+                cells = (" + ".join(f"({f})e{k}" for k, f in ctx.product_columns(i, j)) or "0"
+                         for j in range(ctx.rank))
                 print(f"  e{i} * [{'; '.join(cells)}]")
     if args.json:
         _emit(jsonio.structure_payload(st, tables=True), args.json)
     return EXIT_OK
-
-
-def _short_elt(elt) -> str:
-    parts = [f"({f})e{k}" for k, f in enumerate(elt.coeffs) if f]
-    return " + ".join(parts) if parts else "0"
 
 
 def cmd_unit(args) -> int:

@@ -110,8 +110,6 @@ class FiniteGroup:
         self._orbits = None
         self._hash = None
         self.identity = identity(self.degree)
-        if self.identity not in self._index:
-            raise InvalidGeneratorError("invalid generator: identity missing from closure")
         self.factors: tuple["FiniteGroup", "FiniteGroup"] | None = None  # set by direct_product()
 
     @property

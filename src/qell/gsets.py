@@ -163,13 +163,15 @@ def orbits_with_stabilizers(C: FiniteGroup, X: FiniteGSet, subset=None) -> list[
     for x in remaining:
         if x in seen:
             continue
-        transport = {x: C.identity}
+        transport, fixers = {x: C.identity}, []
         for c in C.elements:
             y = X.act(c, x)
-            if y not in transport:
+            if y == x:
+                fixers.append(c)
+            elif y not in transport:
                 transport[y] = c
         pts = sorted(transport)
-        stab = C.subgroup_of([c for c in C.elements if X.act(c, x) == x])
+        stab = C.subgroup_of(fixers)
         if len(pts) * stab.order != C.order:
             raise InternalCheckError(f"orbit-stabilizer count fails at point {x}")
         out.append(Orbit(x, pts, stab, transport))
@@ -250,11 +252,6 @@ def inertia_skeleton(G: FiniteGroup, X: FiniteGSet) -> list[SkeletonEntry]:
     for ci, g in enumerate(conj.class_reps):
         C = conj.centralizer(ci)
         fixed = tuple(fixed_points(X, g))
-        orbits = orbits_with_stabilizers(C, X, fixed)
-        for orb in orbits:
-            if g not in orb.stabilizer:
-                raise PreconditionError(
-                    f"stabilizer at {orb.rep} does not contain the class rep"
-                )
-        entries.append(SkeletonEntry(g, conj.rep_orders[ci], C, fixed, orbits))
+        entries.append(SkeletonEntry(g, conj.rep_orders[ci], C, fixed,
+                                     orbits_with_stabilizers(C, X, fixed)))
     return entries

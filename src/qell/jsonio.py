@@ -228,7 +228,6 @@ def element_from_payload(data: dict, G: FiniteGroup, sctx) -> QEllElt:
         raise SchemaError(f"unsupported schema version {data.get('schema_version')!r}")
     _same(data.get("group"), group_payload(G), "group")
     X = space_from_payload(G, data.get("space"))
-    sctx.check_group(G)
     struct = structure(G, X, sctx)
     components = [[ctx.zero() for ctx in cb.ctxs] for cb in struct.classes]
     try:

@@ -10,10 +10,10 @@ conjugating them there, and the map's entry out of the ring at (h, point)
 with that conjugation folded into its columns.
 
 Each structural map is a plan, built once per (source structure, map kind,
-arguments) in the source's one registry ``_plans`` (``groups.memo``; a
-pullback along a hom, known by identity, keeps its plan on the hom, keyed
-by the source's scalar context and structure), after
-every check of the map has passed.  A plan names its target structure and,
+arguments, the target's group with its presentation, ``_presented``) in the
+source's one registry ``_plans`` (``groups.memo``; a pullback along a hom,
+known by identity, keeps its plan on the hom, keyed by the source's scalar
+context and structure), after every check of the map has passed.  A plan names its target structure and,
 for each target (class, orbit), the (source class, source orbit, column
 getter) terms that it sums; every piece of group work (images of class
 reps, routes, descent tests, covers and fiber orbits, transports, product
@@ -108,9 +108,14 @@ class QEllStructure:
 
 def structure(G: FiniteGroup, X: FiniteGSet, sctx: ScalarContext) -> QEllStructure:
     """Cached structure constructor: one object per context, G with its
-    presentation (generators and spec, which a document writes back), and X."""
-    return memo(sctx._structures, (G.key(), G.generators, G.spec, X.key()),
-                QEllStructure, G, X, sctx)
+    presentation, and X."""
+    return memo(sctx._structures, (_presented(G), X.key()), QEllStructure, G, X, sctx)
+
+
+def _presented(G: FiniteGroup) -> tuple:
+    """G with its generators and spec, which a document writes back: the key
+    of G in every cache of a structure over G, or of a plan returning one."""
+    return G, G.generators, G.spec
 
 
 class QEllElt:
@@ -301,8 +306,8 @@ def pullback_map(point_map, elt: QEllElt, X: FiniteGSet) -> QEllElt:
     """
     src = elt.structure
     point_map = tuple(point_map)
-    return _mapped(memo(src._plans, ("pullback_map", point_map, X), _pullback_map_plan,
-                        src, point_map, X), elt)
+    return _mapped(memo(src._plans, ("pullback_map", point_map, _presented(X.group), X),
+                        _pullback_map_plan, src, point_map, X), elt)
 
 
 def _pullback_map_plan(src: QEllStructure, point_map: tuple, X: FiniteGSet) -> tuple:
@@ -330,20 +335,24 @@ def kunneth(a: QEllElt, b: QEllElt, P: FiniteGroup, XY: FiniteGSet) -> QEllElt:
     The plan lists, per target (class, orbit), the factors' (class, orbit)
     pair and the entry (columns, inverse)."""
     sa, sb = a.structure, b.structure
-    # P's factors and sb's context are no part of the plan's key: checked per call
+    # P's factors are no part of the plan's key: checked per call
     if P.factors is None:
         raise PreconditionError("P must be a direct product group")
     if P.factors != (sa.group, sb.group):
         raise PreconditionError(
             f"P's factors are not the factors' groups {sa.group.name} and {sb.group.name}")
-    target, rows = memo(sa._plans, ("kunneth", sb, P, XY), _kunneth_plan, sa, sb, P, XY)
-    if sa.sctx is not sb.sctx:
-        raise PreconditionError("factors built over different scalar contexts")
+    target, rows = _kunneth_rows(sa, sb, P, XY)
     ca, cb = a.components, b.components
     return QEllElt(target, tuple(
         tuple(rr.apply_product(ca[gi][oa], cb[hi][ob], tctx, columns)
               for (gi, oa, hi, ob, (columns, _)), tctx in zip(row, tcb.ctxs))
         for row, tcb in zip(rows, target.classes)))
+
+
+def _kunneth_rows(sa: QEllStructure, sb: QEllStructure, P: FiniteGroup, XY: FiniteGSet):
+    """The Künneth plan, keyed by sb's context too: its check is the only one."""
+    return memo(sa._plans, ("kunneth", sb.sctx, sb, _presented(P), XY), _kunneth_plan,
+                sa, sb, P, XY)
 
 
 def _kunneth_plan(sa: QEllStructure, sb: QEllStructure, P: FiniteGroup, XY: FiniteGSet):
@@ -380,8 +389,8 @@ def change_of_group(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
     The inclusion H -> G is checked once per (H, G) and kept on G, so its
     restriction entries stay warm across calls."""
     src = elt.structure
-    return _mapped(memo(src._plans, ("change_of_group", G, H, X), _change_of_group_plan,
-                        src, G, H, X), elt)
+    return _mapped(memo(src._plans, ("change_of_group", G, H, _presented(X.group), X),
+                        _change_of_group_plan, src, G, H, X), elt)
 
 
 def _change_of_group_plan(src: QEllStructure, G: FiniteGroup, H: FiniteGroup,
@@ -417,7 +426,7 @@ def change_of_group_inverse(G: FiniteGroup, H: FiniteGroup, X: FiniteGSet,
 
 
 def _inverse_plan(src: QEllStructure, G: FiniteGroup, H: FiniteGroup, X: FiniteGSet):
-    return memo(src._plans, ("change_of_group_inverse", G, H, X),
+    return memo(src._plans, ("change_of_group_inverse", _presented(G), H, X),
                 _change_of_group_inverse_plan, src, G, H, X)
 
 
@@ -473,7 +482,8 @@ def transfer(G: FiniteGroup, elt: QEllElt, X: FiniteGSet | None = None,
     if X is None:
         raise PreconditionError("algorithm A needs the ambient G-set")
     src = elt.structure
-    inverse, push = memo(src._plans, ("transfer_A", G, X), _transfer_plan, src, G, X)
+    inverse, push = memo(src._plans, ("transfer_A", _presented(G), X), _transfer_plan,
+                         src, G, X)
     return QEllElt(push[0], _apply(push, _apply(inverse, elt.components)))
 
 
@@ -518,7 +528,8 @@ def _cover(G: FiniteGroup, Z: FiniteGSet, X: FiniteGSet) -> list[int]:
 
 def _transfer_point_sum(G: FiniteGroup, elt: QEllElt) -> QEllElt:
     src = elt.structure
-    return _mapped(memo(src._plans, ("transfer_B", G), _transfer_point_plan, src, G), elt)
+    return _mapped(memo(src._plans, ("transfer_B", _presented(G)), _transfer_point_plan,
+                        src, G), elt)
 
 
 def _transfer_point_plan(src: QEllStructure, G: FiniteGroup) -> tuple:
@@ -625,7 +636,7 @@ def trivial_split(elt: QEllElt) -> list[tuple[QEllElt, QEllElt]]:
     XG = X.via_hom(make_hom(G, P, [product_pair(P, a, H.identity) for a in G.generators]))
     sG = structure(G, XG, sctx)
     sH = structure(H, point_set(H), sctx)
-    _, rows = memo(sG._plans, ("kunneth", sH, P, X), _kunneth_plan, sG, sH, P, X)
+    _, rows = _kunneth_rows(sG, sH, P, X)
     pieces: dict = {}     # (hi, j) -> {(gi, oa): a_i's coefficients at that slot}
     for row, comp in zip(rows, elt.components):
         for (gi, oa, hi, _, (_, inverse)), v in zip(row, comp):

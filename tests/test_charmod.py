@@ -831,3 +831,37 @@ def test_a_central_character_of_no_degree_is_refused(monkeypatch, residue, messa
     monkeypatch.setattr(charmod, "_central_pieces", _pieces_from([1, x, 0]))
     with pytest.raises(InternalCheckError, match=message):
         ctx.table(G)
+
+
+def _recombined_from_another_row(S3, C3, ctx):
+    """Row 0 decomposes to one copy of row 0, but a fresh table's packed row
+    0 is made row 1's, so the recombination no longer gives row 0."""
+    table = ScalarContext.for_groups([S3]).table(S3)
+    table.packed_rows = (table.packed_rows[1],) + table.packed_rows[1:]
+    decompose(table.rows[0], table)
+
+
+def _trivial(G, ctx):
+    return ClassFunction(G, ctx, [1] * G.conjugacy().n_classes)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda S3, C3, ctx: ScalarContext.for_groups([]),
+     PreconditionError, "at least one group is required"),
+    (lambda S3, C3, ctx: ctx.root_of_unity(4),
+     ScalarContextError, "rebuild scalar context: order 4 does not divide N=6"),
+    (_recombined_from_another_row, PreconditionError, "not a character combination"),
+    (lambda S3, C3, ctx: restrict_cf(GroupHom.identity_on(C3), _trivial(S3, ctx)),
+     PreconditionError, "class function does not live on the codomain"),
+    (lambda S3, C3, ctx: induce_cf(S3, cyclic(2), _trivial(cyclic(2), ctx)),
+     PreconditionError, "C2 is not a verified subgroup of S3"),
+    (lambda S3, C3, ctx: induce_cf(S3, C3, _trivial(S3, ctx)),
+     PreconditionError, "class function does not live on the subgroup"),
+    (lambda S3, C3, ctx: adams_cf(_trivial(S3, ctx), 0),
+     PreconditionError, "Adams operation index must be >= 1"),
+], ids=["no-groups", "root-order", "recombination", "restrict-group", "induce-subgroup",
+        "induce-group", "adams-index"])
+def test_charmod_user_errors(S3, c3_in_s3, s3_ctx, call, error, message):
+    with pytest.raises(error) as err:
+        call(S3, c3_in_s3, s3_ctx)
+    assert str(err.value) == message

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from qell import jsonio
 from qell import qell_core as qc
+from qell import rotrep as rr
 from qell.charmod import ScalarContext
 from qell.cli import main
 from qell.errors import GroupTooLargeError, ParseError, SchemaError
-from qell.groups import cyclic, symmetric
+from qell.groups import cyclic, dihedral, symmetric
 from qell import groupspec
 from qell.groupspec import parse_group_spec
 from qell.gsets import coset_gset, point_set, regular_gset
@@ -701,6 +703,36 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of `qell point` stdout for each `point` entry of GOLDEN_SHA256, pinned
+# while each product cell was still printed from multiplied basis elements.
+POINT_STDOUT_SHA256 = {
+    ("point", "--group", "S4"):
+        "f349b022dc8fd412d472502519f2c828609647bd8f2443704f2ecc3d2b2bd621",
+    ("point", "--group", "D6"):
+        "209e4328ce14dd288cec867922f645279ad27fb7bd12c00887f551ee4b82e3fd",
+    ("point", "--group", "C2xC4"):
+        "1ae1e84944681819089daf11840779fb6316b918630ddd88d977370bb02452bf",
+    ("point", "--group", "A5"):
+        "7879aba31f0a2ae729800d9aedc1cd841f173ba0b2942937bcf8ae0aca0300ca",
+    ("point", "--group", "C4xC4"):
+        "871eef14383bd0ee9f124a9f159e7109675d98f9cd13e5754615a1cf2e55e001",
+    ("point", "--group", "S6"):
+        "a9455dc15fe92118eeb8e611e974541cc47a439ddb8502a013cef7a5c1d702cb",
+    ("point", "--group", "D12"):
+        "1438a9b10112e0d888376f0c83eebf086a2bd6f795cd88f40889a3f3873e126b",
+    ("point", "--group", "C2xS4"):
+        "f4c131d30a07aeca6adc647d296aca8ba173fb8ad86e9df4cf237ace4d610156",
+    ("point", "--group", "S5"):
+        "b17d53c0bf07df13d2cb1ae7ef9d01bdd53150e29c9d879ddc607b642a7ad998",
+    ("point", "--group", "A6"):
+        "3c9421c760e32e337a1cbc102511190c52b9729f8a3b90b85452d1e7991e9cfc",
+    ("point", "--group", "D4xD4"):
+        "71a2d46c721709a49fb625b69746de4b6dc61c6d7a4e0059d60b168381e49f26",
+    ("point", "--group", "S3xS3xS3"):
+        "69a61085cc620ba5513e6492694997dd2c45526c22cbb7c01c0aba16c16609ac",
+}
+
+
 # sha256 of `qell op mu --n N` stdout on seeded `random_element` documents,
 # pinned before μ read its components through one plan per (structure, n).
 # (Seed 7 gives D4's one free orbit a nonzero coefficient.)
@@ -928,6 +960,13 @@ def test_structure_json_golden_bytes(tmp_path, capsys, argv):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
 
 
+@pytest.mark.parametrize("argv", list(POINT_STDOUT_SHA256), ids=" ".join)
+def test_point_stdout_golden_bytes(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == POINT_STDOUT_SHA256[argv]
+
+
 def test_point_json_file_is_dumps_plus_newline(tmp_path, capsys):
     """`point --json` writes the text in pieces, never whole; the bytes are the same."""
     path = tmp_path / "out.json"
@@ -944,3 +983,61 @@ def test_point_json_deterministic(tmp_path):
     assert main(["point", "--group", "D4", "--json", str(a)]) == 0
     assert main(["point", "--group", "D4", "--json", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("spec", ["D0", "(C2)xA0"])
+def test_groupspec_family_range_error_is_a_parse_error(capsys, spec):
+    family = spec[spec.index("0") - 1]
+    with pytest.raises(ParseError) as err:
+        parse_group_spec(spec)
+    position = spec.index(family)
+    assert str(err.value) == f"position {position}: {family}0: parameter out of range"
+    assert err.value.position == position
+    assert main(["point", "--group", spec]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def _cosets_outside_the_group():
+    """The unit on D4/<(1 3)>, its subgroup replaced by <(0 1)>, not in D4."""
+    D4 = dihedral(4)
+    sctx = ScalarContext.for_groups([D4])
+    doc = jsonio.element_payload(
+        qc.structure(D4, coset_gset(D4, D4.subgroup([D4.generators[1]])), sctx).unit())
+    doc["space"]["subgroup"] = {"spec": None, "degree": 4, "order": 2,
+                                "generators": [[0, 1, 2, 3], [1, 0, 2, 3]]}
+    jsonio.element_from_payload(doc, D4, sctx)
+
+
+_INVALID_JSON = ("invalid JSON: Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)")
+
+
+@pytest.mark.parametrize("call, message", [
+    (_cosets_outside_the_group, "space subgroup does not sit inside the group"),
+    (lambda: jsonio.element_from_payload([1, 2], symmetric(3), None),
+     "payload is not a JSON object"),
+    (lambda: jsonio.loads("{"), _INVALID_JSON),
+], ids=["cosets-subgroup", "payload-not-object", "invalid-json"])
+def test_jsonio_user_errors(call, message):
+    with pytest.raises(SchemaError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def _angle_off_ord_g(doc, monkeypatch):
+    monkeypatch.setattr(rr, "central_angle", lambda row, g, sctx: Fraction(1, 7))
+
+
+@pytest.mark.parametrize("argv, prepare, code, err", [
+    (["point", "--group", "C2"], _angle_off_ord_g, 1,
+     "internal error: angle denominator does not divide ord(g)\n"),
+    (["op", "mu", "--input", "DOC"], lambda doc, monkeypatch: doc.write_text("[1, 2]"), 4,
+     "error: payload is not a JSON object\n"),
+    (["op", "mu", "--input", "DOC"], lambda doc, monkeypatch: doc.write_text("{"), 4,
+     f"error: {_INVALID_JSON}\n"),
+], ids=["internal-error", "payload-not-object", "invalid-json"])
+def test_cli_errors(monkeypatch, capsys, tmp_path, argv, prepare, code, err):
+    doc = tmp_path / "doc.json"
+    prepare(doc, monkeypatch)
+    assert main([str(doc) if a == "DOC" else a for a in argv]) == code
+    assert capsys.readouterr().err == err

@@ -333,3 +333,17 @@ def test_restrict_and_via_hom(S3, c3_in_s3):
     assert XH.group == c3_in_s3 and XH.n_points == X.n_points
     inc = GroupHom.inclusion(c3_in_s3, S3)
     assert X.via_hom(inc) == XH
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda S3, C3: point_set(C3).restrict_group(cyclic(2)),
+     NotSubgroupError, "C2 is not a subgroup of sub<S3:3>"),
+    (lambda S3, C3: point_set(S3).via_hom(GroupHom.identity_on(C3)),
+     PreconditionError, "hom codomain does not act on this set"),
+    (lambda S3, C3: gsets.inertia_skeleton(S3, point_set(C3)),
+     PreconditionError, "X is not a G-set for the given G"),
+], ids=["restrict-group", "via-hom", "skeleton-group"])
+def test_gsets_user_errors(S3, c3_in_s3, call, error, message):
+    with pytest.raises(error) as err:
+        call(S3, c3_in_s3)
+    assert str(err.value) == message

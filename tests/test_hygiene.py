@@ -6,7 +6,7 @@ refers to, no module-level private name goes unreferenced in the package, no
 module checks with a bare ``assert``, which ``python -O`` strips, and no module
 but ``gsets`` builds a G-set, so every table from outside is checked there.
 Every ``InternalCheckError`` of the modules in ``NAMED_CHECK_MODULES`` is named
-by a test that makes it fire.
+by a test that makes it fire, a message passed in as an argument included.
 """
 
 import ast
@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qell"
 PACKAGE = sorted(SRC.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
-NAMED_CHECK_MODULES = ["charmod.py", "groups.py", "gsets.py"]
+NAMED_CHECK_MODULES = ["charmod.py", "groups.py", "gsets.py", "qell_core.py", "rotrep.py"]
 
 
 def _tree(path):
@@ -150,43 +150,100 @@ def test_only_gsets_builds_a_gset(path):
     assert gset_constructions(_tree(path)) == []
 
 
-def _string_constants(tree) -> dict[str, str]:
-    """The module-level names bound once, each to a string constant."""
+def _bound_once(tree) -> dict:
+    """The module-level names bound once: name -> the node of its value."""
     bound: dict[str, list] = {}
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else \
             [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
         for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
             bound.setdefault(name, []).append(node.value)
-    return {name: values[0].value for name, values in bound.items()
-            if len(values) == 1 and isinstance(values[0], ast.Constant)
-            and isinstance(values[0].value, str)}
+    return {name: values[0] for name, values in bound.items() if len(values) == 1}
+
+
+def _string_constants(tree) -> dict[str, str]:
+    """The module-level names bound once, each to a string constant."""
+    return {name: v.value for name, v in _bound_once(tree).items()
+            if isinstance(v, ast.Constant) and isinstance(v.value, str)}
+
+
+def _raises(tree, fn=None):
+    """(raise node, its innermost enclosing function or None)."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Raise):
+            yield child, fn
+        yield from _raises(child, child if isinstance(child, ast.FunctionDef) else fn)
+
+
+def _params(fn) -> list[str]:
+    return [a.arg for a in fn.args.args]
+
+
+def _passed(tree, fn, name, constants, seen=()) -> list[str]:
+    """The messages the module passes as parameter ``name`` of the
+    module-level function ``fn``: in a call of fn, or in a call that takes
+    fn as a callback followed by fn's arguments (``MapEntry(fn, ...)``,
+    ``memo(cache, key, fn, ...)``).  A value that is a parameter of the
+    calling function is followed to that function's callers; any other
+    value than a string or a string constant is given as its source."""
+    pos, out = _params(fn).index(name), []
+    for caller, call in ((c, n) for c in ast.walk(tree) if isinstance(c, ast.FunctionDef)
+                         for n in ast.walk(c) if isinstance(n, ast.Call)):
+        names = [getattr(a, "id", None) for a in call.args]
+        if getattr(call.func, "id", None) == fn.name:
+            args = call.args
+        elif fn.name in names:
+            args = call.args[names.index(fn.name) + 1:]
+        else:
+            continue
+        for v in [kw.value for kw in call.keywords if kw.arg == name] + args[pos:pos + 1]:
+            if isinstance(v, ast.Constant) and isinstance(v.value, str):
+                out.append(v.value)
+            elif isinstance(v, ast.Name) and v.id in _params(caller) and caller not in seen:
+                out.extend(_passed(tree, caller, v.id, constants, (*seen, caller)))
+            elif isinstance(v, ast.Name) and v.id in constants:
+                out.append(constants[v.id])
+            else:
+                out.append(ast.unparse(v))
+    return out
 
 
 def internal_check_messages(tree) -> list[str]:
     """The message of every ``raise InternalCheckError(...)``: a string
-    constant, or a module-level name bound once to one, or else the
-    message's source, which no pattern is meant to name."""
+    constant, a module-level name bound once to one, or a parameter of the
+    raising function, which stands for each message the module passes in
+    its place (``_passed``); or else the message's source, which no pattern
+    is meant to name."""
     constants = _string_constants(tree)
-    raises = sorted((n for n in ast.walk(tree)
-                     if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
-                     and getattr(n.exc.func, "id", None) == "InternalCheckError"),
-                    key=lambda n: n.lineno)
-    return [arg.value if isinstance(arg, ast.Constant)
-            else constants.get(arg.id, arg.id) if isinstance(arg, ast.Name)
-            else ast.unparse(arg)
-            for arg in (n.exc.args[0] for n in raises)]
+    out = []
+    for n, fn in sorted(((n, fn) for n, fn in _raises(tree)
+                         if isinstance(n.exc, ast.Call)
+                         and getattr(n.exc.func, "id", None) == "InternalCheckError"),
+                        key=lambda pair: pair[0].lineno):
+        arg = n.exc.args[0]
+        if isinstance(arg, ast.Constant):
+            out.append(arg.value)
+        elif isinstance(arg, ast.Name) and fn is not None and arg.id in _params(fn):
+            out.extend(_passed(tree, fn, arg.id, constants) or [arg.id])
+        elif isinstance(arg, ast.Name):
+            out.append(constants.get(arg.id, arg.id))
+        else:
+            out.append(ast.unparse(arg))
+    return out
 
 
-def _parametrized(fn) -> dict[str, list[str]]:
-    """A test function's parametrized arguments: name -> its string values."""
+def _parametrized(fn, bound) -> dict[str, list[str]]:
+    """A test function's parametrized arguments: name -> its string values.
+    The cases are a list, or a module-level name bound once to one."""
     out: dict[str, list[str]] = {}
     for dec in fn.decorator_list:
         if not (isinstance(dec, ast.Call) and getattr(dec.func, "attr", None) == "parametrize"
                 and isinstance(dec.args[0], ast.Constant)):
             continue
         names = [name.strip() for name in dec.args[0].value.split(",")]
-        for case in getattr(dec.args[1], "elts", ()):
+        cases = dec.args[1]
+        cases = bound.get(cases.id, cases) if isinstance(cases, ast.Name) else cases
+        for case in getattr(cases, "elts", ()):
             values = case.elts if len(names) > 1 and isinstance(case, ast.Tuple) else [case]
             for name, v in zip(names, values):
                 if isinstance(v, ast.Constant) and isinstance(v.value, str):
@@ -198,11 +255,11 @@ def internal_check_patterns(tree) -> list[str]:
     """The ``match`` of every ``pytest.raises(InternalCheckError, match=...)``
     in a test function: a string, or the values of the parametrized argument
     it names."""
-    out = []
+    out, bound = [], _bound_once(tree)
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
             continue
-        params = _parametrized(fn)
+        params = _parametrized(fn, bound)
         for call in ast.walk(fn):
             if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "raises"
                     and call.args and getattr(call.args[0], "id", None) == "InternalCheckError"):
@@ -240,9 +297,19 @@ def test_the_named_check_scan_sees_what_it_looks_for():
         "    raise InternalCheckError(_ANGLE)\n"
         "    raise InternalCheckError(message)\n"
         "    raise InternalCheckError(_TWICE)\n"
-        "_TWICE = 'second'\n")
+        "_TWICE = 'second'\n"
+        "def g(y, text):\n"
+        "    raise InternalCheckError(text)\n"
+        "def h(z, note):\n"
+        "    g(z, note)\n"
+        "def uses():\n"
+        "    g(1, 'direct')\n"
+        "    MapEntry(g, 2, text='by keyword')\n"
+        "    memo(cache, key, h, 3, _ANGLE)\n"
+        "    g(4, text)\n")
     assert internal_check_messages(module) == [
-        "rows are wrong", "split failed", "f'bad {x}'", "angle is wrong", "message", "_TWICE"]
+        "rows are wrong", "split failed", "f'bad {x}'", "angle is wrong", "message", "_TWICE",
+        "angle is wrong", "direct", "by keyword", "text"]
     tests = ast.parse(
         "@pytest.mark.parametrize('case, message', [(1, 'split'), (2, 3)])\n"
         "def test_a(case, message):\n"
@@ -250,10 +317,16 @@ def test_the_named_check_scan_sees_what_it_looks_for():
         "        run(case)\n"
         "def test_b():\n"
         "    with pytest.raises(PreconditionError, match='rows'):\n"
-        "        run()\n")
-    assert internal_check_patterns(tests) == ["split"]
+        "        run()\n"
+        "_CASES = [(5, 'direct')]\n"
+        "@pytest.mark.parametrize('case, message', _CASES)\n"
+        "def test_c(case, message):\n"
+        "    with pytest.raises(InternalCheckError, match=message):\n"
+        "        run(case)\n")
+    assert internal_check_patterns(tests) == ["split", "direct"]
     assert unnamed_internal_checks(module, [tests]) == [
-        "rows are wrong", "f'bad {x}'", "angle is wrong", "message", "_TWICE"]
+        "rows are wrong", "f'bad {x}'", "angle is wrong", "message", "_TWICE",
+        "angle is wrong", "by keyword", "text"]
 
 
 def test_the_checks_see_what_they_look_for():

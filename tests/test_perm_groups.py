@@ -729,3 +729,44 @@ def test_transporter_rejects_a_degree_mismatch(S3):
     for g, g2 in ((identity(4), identity(4)), (identity(3), identity(4))):
         with pytest.raises(InvalidGeneratorError, match="degree mismatch in composition"):
             transporter(S3, g, g2)
+
+
+_SWAP = Permutation([1, 0, 2])      # (0 1), outside C3 = <(0 1 2)>
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda S3, C3: C3.index(_SWAP), PreconditionError, "(0 1) is not an element of sub<S3:3>"),
+    (lambda S3, C3: C3.subgroup([_SWAP]), NotSubgroupError, "(0 1) is not in sub<S3:3>"),
+    (lambda S3, C3: C3.conjugacy().class_index(_SWAP),
+     PreconditionError, "(0 1) is not an element of sub<S3:3>"),
+    (lambda S3, C3: GroupHom.identity_on(S3).compose(GroupHom.identity_on(C3)),
+     PreconditionError, "homomorphisms not composable"),
+    (lambda S3, C3: GroupHom.inclusion(S3, C3),
+     NotSubgroupError, "S3 is not a subgroup of sub<S3:3>"),
+    (lambda S3, C3: make_hom(S3, C3, [_SWAP, C3.generators[0]]),
+     NotHomomorphismError, "image (0 1) is not in sub<S3:3>"),
+    (lambda S3, C3: make_hom(S3, S3, [_SWAP]),
+     NotHomomorphismError, "expected 2 generator images, got 1"),
+    (lambda S3, C3: cyclic(0), PreconditionError, "C0: parameter out of range"),
+    (lambda S3, C3: symmetric(0), PreconditionError, "S0: parameter out of range"),
+    (lambda S3, C3: alternating(0), PreconditionError, "A0: parameter out of range"),
+    (lambda S3, C3: dihedral(0), PreconditionError, "D0: parameter out of range"),
+    (lambda S3, C3: groups.product_pair(S3, _SWAP, _SWAP),
+     PreconditionError, "S3 is not a direct product"),
+    (lambda S3, C3: groups.builtin("Q", 3), PreconditionError, "unknown family 'Q'"),
+], ids=["index", "subgroup", "class-index", "compose", "inclusion", "hom-image",
+        "hom-image-count", "C0", "S0", "A0", "D0", "product-pair", "builtin"])
+def test_groups_user_errors(S3, c3_in_s3, call, error, message):
+    with pytest.raises(error) as err:
+        call(S3, c3_in_s3)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Permutation([1, 0]) * Permutation([0, 1, 2]), "degree mismatch in composition"),
+    (lambda: from_cycles(3, [(0, 3)]), "invalid generator: point 3 outside 0..2"),
+], ids=["degree-mismatch", "point-out-of-range"])
+def test_perm_user_errors(call, message):
+    with pytest.raises(InvalidGeneratorError) as err:
+        call()
+    assert str(err.value) == message

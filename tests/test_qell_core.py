@@ -77,6 +77,53 @@ def test_one_structure_per_presentation_of_a_group():
         qc.structure(other, point_set(other), sctx)
 
 
+def _map_under(name, presented, sctx):
+    """Apply map ``name`` once, with ``presented`` the group whose structure
+    it returns; the other groups are fixed, so only that group's
+    presentation changes between calls."""
+    S3, C3 = symmetric(3), parse_group_spec("perm:3:(0,1,2)")
+    rng = random.Random(4)
+    if name in ("transfer_A", "transfer_B"):
+        elt = qc.random_element(qc.structure(C3, point_set(C3), sctx), rng)
+        return qc.transfer(presented, elt, point_set(presented), algorithm=name[-1])
+    if name == "change_of_group":
+        Z = induced_gset(S3, presented, point_set(presented))
+        elt = qc.random_element(qc.structure(S3, Z, sctx), rng)
+        return qc.change_of_group(S3, presented, point_set(presented), elt)
+    if name == "change_of_group_inverse":
+        elt = qc.random_element(qc.structure(C3, point_set(C3), sctx), rng)
+        return qc.change_of_group_inverse(presented, C3, point_set(C3), elt)
+    if name == "pullback_map":
+        elt = qc.random_element(qc.structure(S3, point_set(S3), sctx), rng)
+        return qc.pullback_map([0] * 6, elt, regular_gset(presented))
+    a = qc.random_element(qc.structure(S3, point_set(S3), sctx), rng)
+    b = qc.random_element(qc.structure(C3, point_set(C3), sctx), rng)
+    return qc.kunneth(a, b, presented, product_gset(point_set(S3), point_set(C3), presented))
+
+
+@pytest.mark.parametrize("name", ["transfer_A", "transfer_B", "change_of_group",
+                                  "change_of_group_inverse", "pullback_map", "kunneth"])
+def test_each_map_writes_back_the_presentation_it_was_called_with(name):
+    """A map's plan is kept per presentation of the group whose structure it
+    returns: a second call with the same elements under other generators or
+    another spec returns an element whose document writes back that group."""
+    S3, C3 = symmetric(3), parse_group_spec("perm:3:(0,1,2)")
+    if name == "change_of_group":
+        presentations = [C3, parse_group_spec("perm:3:(0,2,1)")]
+    elif name == "kunneth":
+        presentations = [direct_product(S3, C3, spec="(S3)x(perm:3:(0,1,2))"),
+                   direct_product(S3, C3)]
+    else:
+        presentations = [S3, parse_group_spec("perm:3:(0,1,2);(1,2)")]
+    assert presentations[0] == presentations[1]
+    assert jsonio.group_payload(presentations[0]) != jsonio.group_payload(presentations[1])
+    sctx = ScalarContext.for_groups([S3, presentations[0]])
+    for presented in presentations:
+        out = _map_under(name, presented, sctx)
+        assert out.structure.group.generators == presented.generators
+        assert jsonio.element_payload(out)["group"] == jsonio.group_payload(presented)
+
+
 def test_structure_free_regular_set():
     G = cyclic(2)
     sctx = ScalarContext.for_groups([G])
@@ -828,6 +875,71 @@ def test_reassembly_along_e_needs_the_same_ring(S3, c3_in_s3):
     assert qc._reassembly(on_s3, e, on_s3) is rr.conjugate_columns(on_s3, e, on_s3)
 
 
+def _descent_fault(monkeypatch, S3, C2):
+    """Relabel the point of S3/C2 that the transposition class rep g fixes as
+    [e, pt]: descent then asks for g itself in C2, and g = (1 2) is not."""
+    X = point_set(C2)
+    Z = induced_gset(S3, C2, X)
+    g = S3.conjugacy().class_reps[1]
+    z = next(z for z in Z.points() if z and Z.act(g, z) == z)
+    monkeypatch.setattr(Z, "labels", [(0, 0) if y == z else label
+                                      for y, label in enumerate(Z.labels)])
+    sctx = ScalarContext.for_groups([S3])
+    qc.change_of_group_inverse(S3, C2, X, qc.structure(C2, X, sctx).unit())
+
+
+def _drift_fault(monkeypatch, S3, C2):
+    """The change of group onto S3 x_C2 (X|C2) lands on the regular set instead."""
+    X = point_set(S3)
+    sctx = ScalarContext.for_groups([S3])
+    elt = qc.structure(C2, X.restrict_group(C2), sctx).unit()
+    monkeypatch.setattr(qc, "_inverse_plan", lambda src, G, H, X: (
+        qc.structure(G, regular_gset(G), sctx), (), (1, 1)))
+    qc.transfer(S3, elt, X)
+
+
+def _cover_fault(monkeypatch, S3, C2):
+    """With its change of group built, S3 x_C2 (S3|C2) has its labels rotated
+    by one, so [g, x] ↦ g·x no longer commutes with the action."""
+    X = regular_gset(S3)
+    XH = X.restrict_group(C2)
+    sctx = ScalarContext.for_groups([S3])
+    elt = qc.structure(C2, XH, sctx).unit()
+    qc.change_of_group_inverse(S3, C2, XH, elt)
+    Z = induced_gset(S3, C2, XH)
+    monkeypatch.setattr(Z, "labels", Z.labels[1:] + Z.labels[:1])
+    qc.transfer(S3, elt, X)
+
+
+def _free_rank_fault(monkeypatch, S3, C2):
+    """The ring at the identity over the free orbit claims rank 2."""
+    st = qc.structure(S3, regular_gset(S3), ScalarContext.for_groups([S3]))
+    unit = st.unit()
+    monkeypatch.setattr(st.classes[0].ctxs[0], "rank", 2)
+    qc.free_quotient(unit)
+
+
+def _twisted_sector_fault(monkeypatch, S3, C2):
+    """The transposition class of a free action claims the fixed point 0."""
+    st = qc.structure(S3, regular_gset(S3), ScalarContext.for_groups([S3]))
+    monkeypatch.setattr(st.classes[1], "fixed", (0,))
+    qc.free_quotient(st.unit())
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_descent_fault, "induced fixed point fails the descent test"),
+    (_drift_fault, "induced set drifted between constructions"),
+    (_cover_fault, "covering map is not equivariant"),
+    (_free_rank_fault, "free orbit has a nontrivial stabilizer"),
+    (_twisted_sector_fault, "free action with a nonempty twisted sector"),
+], ids=["descent", "drift", "cover", "free-rank", "twisted-sector"])
+def test_change_of_group_transfer_and_free_quotient_checks(monkeypatch, S3, c2_in_s3,
+                                                          corrupt, message):
+    with pytest.raises(InternalCheckError, match=message) as err:
+        corrupt(monkeypatch, S3, c2_in_s3)
+    assert str(err.value) == message
+
+
 def test_cog_round_trips(assert_pass):
     assert_pass(verify.change_of_group_round_trips(10, 5))
 
@@ -1112,3 +1224,43 @@ def test_tate_n6_m4_directly():
     x4 = ctx.basis_elt(j1)
     assert ctx.angles[j1] == Fraction(4, 6)
     assert x4 ** 6 == ctx.q(4)
+
+
+def _on_point(G, sctx):
+    return qc.structure(G, point_set(G), sctx).unit()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda S3, C3, sctx: qc.structure(S3, point_set(C3), sctx),
+     PreconditionError, "X is not a G-set for the given group"),
+    (lambda S3, C3, sctx: _on_point(S3, sctx) + qc.structure(S3, regular_gset(S3), sctx).unit(),
+     PreconditionError, "elements live on different structures"),
+    (lambda S3, C3, sctx: qc.pullback_hom(GroupHom.identity_on(C3), _on_point(S3, sctx)),
+     PreconditionError, "hom codomain does not match the element's group"),
+    (lambda S3, C3, sctx: qc.pullback_map([0], _on_point(S3, sctx), point_set(C3)),
+     PreconditionError, "X is not a set for the element's group"),
+    (lambda S3, C3, sctx: qc.pullback_map([0], _on_point(S3, sctx), regular_gset(S3)),
+     PreconditionError, "point map does not cover X"),
+    (lambda S3, C3, sctx: qc.change_of_group(S3, C3, point_set(C3), _on_point(S3, sctx)),
+     PreconditionError, "element does not live on the induced G-set"),
+    (lambda S3, C3, sctx: qc.change_of_group_inverse(S3, cyclic(2), point_set(cyclic(2)),
+                                                     _on_point(cyclic(2), sctx)),
+     PreconditionError, "C2 is not a subgroup of S3"),
+    (lambda S3, C3, sctx: qc.change_of_group_inverse(S3, C3, point_set(C3), _on_point(S3, sctx)),
+     PreconditionError, "element does not live on (H, X)"),
+    (lambda S3, C3, sctx: qc.transfer(S3, _on_point(C3, sctx)),
+     PreconditionError, "algorithm A needs the ambient G-set"),
+    (lambda S3, C3, sctx: qc.transfer(S3, _on_point(cyclic(2), sctx), algorithm="B"),
+     PreconditionError, "C2 is not a subgroup of S3"),
+    (lambda S3, C3, sctx: qc.trivial_split(_on_point(S3, sctx)),
+     PreconditionError, "element's group is not a direct product"),
+    (lambda S3, C3, sctx: setattr(_on_point(S3, sctx), "structure", None),
+     AttributeError, "QEllElt is immutable"),
+], ids=["structure-group", "different-structures", "pullback-hom-codomain",
+        "pullback-map-group", "pullback-map-cover", "cog-set", "cog-inverse-subgroup",
+        "cog-inverse-element", "transfer-a-set", "transfer-b-subgroup", "split-product",
+        "immutable"])
+def test_qell_core_user_errors(S3, c3_in_s3, call, error, message):
+    with pytest.raises(error) as err:
+        call(S3, c3_in_s3, ScalarContext.for_groups([S3]))
+    assert str(err.value) == message

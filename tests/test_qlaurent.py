@@ -263,3 +263,13 @@ def test_every_result_is_canonical(t1, t2, r, s):
     for h in (f, f + g, f - g, f * g, -f, f.shift(r), f.rescale(s), f * 0, f ** 2):
         _canonical(h)
         assert h == QLaurent(h.terms) and hash(h) == hash(QLaurent(h.terms))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: q_power(1) ** -1, PreconditionError, "negative power of a QLaurent"),
+    (lambda: setattr(ONE, "den", 2), AttributeError, "QLaurent is immutable"),
+], ids=["negative-power", "immutable"])
+def test_qlaurent_user_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -694,6 +694,15 @@ def test_internal_checks_fire(S3, c2_in_s3, c3_in_s3, corrupted, message):
         corrupted(new, S3, c2_in_s3, c3_in_s3)
 
 
+def test_an_angle_that_ord_g_does_not_clear_fails_at_construction(monkeypatch, S3, c2_in_s3):
+    """At the generator s of C2, ord(s) = 2, so no central character has angle 1/3."""
+    sctx = ScalarContext.for_groups([S3])
+    monkeypatch.setattr(rr, "central_angle", lambda row, g, sctx: Fraction(1, 3))
+    with pytest.raises(InternalCheckError,
+                       match=r"^angle denominator does not divide ord\(g\)$"):
+        rr.LambdaCtx(sctx, c2_in_s3, c2_in_s3.generators[0])
+
+
 # -- caches -----------------------------------------------------------------------
 
 def test_cached_builders_return_the_same_object(S3):
@@ -1126,3 +1135,20 @@ def test_restriction_columns_match_class_lookups(G):
                     expected = _lookup_column(back, src, i, target, coeff=q)
                     assert rr.conjugate(src.basis_elt(i, q), w, target) == expected
                     assert rr.restrict_along(back, src.basis_elt(i, q), target) == expected
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ctx, C3: rr.LambdaCtx(ctx.sctx, C3, Permutation([1, 0, 2])),
+     PreconditionError, "(0 1) is not an element of sub<S3:3>"),
+    (lambda ctx, C3: ctx.basis_elt(0) ** -1, PreconditionError, "negative powers are not defined"),
+    (lambda ctx, C3: rr.adams(ctx.unit(), 0),
+     PreconditionError, "Adams operation index must be >= 1"),
+    (lambda ctx, C3: rr.exterior_power(ctx.unit(), -1),
+     PreconditionError, "exterior power index must be >= 0"),
+    (lambda ctx, C3: setattr(ctx.unit(), "ctx", ctx), AttributeError, "LambdaElt is immutable"),
+], ids=["g-outside", "negative-power", "adams-index", "exterior-index", "immutable"])
+def test_rotrep_user_errors(S3, c3_in_s3, call, error, message):
+    ctx = rr.ctx_for(ScalarContext.for_groups([S3]), S3, S3.identity)
+    with pytest.raises(error) as err:
+        call(ctx, c3_in_s3)
+    assert str(err.value) == message
